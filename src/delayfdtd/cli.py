@@ -116,6 +116,10 @@ def _analyze_output(out: RunOutput, slack_d: float, slack_o: float):
     k = out.diss
     info["c1E"] = k.c1E
     info["c2E"] = k.c2E
+    if len(trace.t) < 2:
+        for key in ("two_sided_dissipation", "observability", "certificate"):
+            info[key] = "not applicable (need at least two records)"
+        return info, failures
     rep31 = analysis.lemma31_check(trace, k, slack=slack_d)
     info["two_sided_dissipation"] = "pass" if rep31.passed else "FAIL"
     info["two_sided_worst_upper"] = rep31.worst_upper

@@ -96,7 +96,6 @@ SCHEMA = {
     },
     "output": {
         "dir": ("str", "out"),
-        "trace_dump": ("bool", False),
     },
 }
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import AssumptionError, ConfigError, ContractError, NumericalError
 
@@ -112,6 +111,8 @@ def constants(law: FeedbackLaw, n_pairs: int = 100_000, radius: float = 10.0) ->
         return MonotonicityConstants(law.a, law.a, "analytic")
     if law.kind == "saturating":
         return MonotonicityConstants(law.a, law.a + law.b, "analytic")
+
+    from scipy.stats import qmc  # slow to import; only table laws need it
 
     sampler = qmc.Sobol(d=6, scramble=True, seed=1905)
     m = int(np.ceil(np.log2(max(n_pairs, 2))))

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .delay import TANGENT_TOL
 from .errors import ConfigError, ContractError, NumericalError
 from .feedback import FeedbackLaw, eval_g, required_H_trace
-from .operators import Operators
+from .operators import Operators, factor_symmetric
 
 
 def _require_diagonal(ops: Operators):
@@ -362,7 +361,7 @@ def resolvent_solve(
             + pen * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
             + bdry_mat
         )
-        lu = spla.splu(core.tocsc())
+        lu = factor_symmetric(core)
 
         q = lu.solve(rhs0 + _nl_rhs(np.zeros(layout.n_q), b, s, h_full, h_matrix_part, ops, layout))
         outer = 1

@@ -18,6 +18,10 @@ by parts
 
 holds to round-off for any boundary trace data hG, which is the backbone of
 every energy identity in the package.
+
+The stencils are Kronecker products of 1-D forward differences and
+identities (the Yee construction), and R is index arithmetic over the
+samples, so assembly has no per-entry Python loop.
 """
 
 from __future__ import annotations
@@ -26,12 +30,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .domain import FACES, YeeGrid, tangent_axes
+from .domain import YeeGrid
 from .errors import ConfigError
 from .materials import TensorField
 
 EDGE_COMPS = ("x", "y", "z")
+
+
+def _offsets(shapes: dict) -> tuple[dict, int]:
+    """Start of each family in a packed vector, and the packed length."""
+    offsets, off = {}, 0
+    for c in EDGE_COMPS:
+        offsets[c] = off
+        off += int(np.prod(shapes[c]))
+    return offsets, off
 
 
 class FieldLayout:
@@ -55,55 +69,11 @@ class FieldLayout:
             "y": (nx, ny + 1, nz),
             "z": (nx, ny, nz + 1),
         }
-        self.int_offsets = {}
-        off = 0
-        for c in EDGE_COMPS:
-            self.int_offsets[c] = off
-            off += int(np.prod(self.int_edge_shapes[c]))
-        self.trace_offset = off
+        self.int_offsets, self.trace_offset = _offsets(self.int_edge_shapes)
         self.n_samples = grid.samples.count
-        self.n_q = off + 2 * self.n_samples
-        self.face_offsets = {}
-        off = 0
-        for c in EDGE_COMPS:
-            self.face_offsets[c] = off
-            off += int(np.prod(self.face_shapes[c]))
-        self.n_h = off
-        self.full_edge_offsets = {}
-        off = 0
-        for c in EDGE_COMPS:
-            self.full_edge_offsets[c] = off
-            off += int(np.prod(self.full_edge_shapes[c]))
-        self.n_full_edges = off
-
-    # interior-edge bounds per family: axes where index must stay off the wall
-    _INT_AXES = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
-
-    def is_interior_edge(self, comp: str, idx) -> bool:
-        shape = self.full_edge_shapes[comp]
-        return all(0 < idx[a] < shape[a] - 1 for a in self._INT_AXES[comp])
-
-    def int_edge_index(self, comp: str, idx) -> int:
-        shift = [0, 0, 0]
-        for a in self._INT_AXES[comp]:
-            shift[a] = 1
-        local = tuple(idx[a] - shift[a] for a in range(3))
-        return self.int_offsets[comp] + int(
-            np.ravel_multi_index(local, self.int_edge_shapes[comp])
-        )
-
-    def trace_index(self, sample: int, slot: int) -> int:
-        return self.trace_offset + 2 * sample + slot
-
-    def face_index(self, comp: str, idx) -> int:
-        return self.face_offsets[comp] + int(
-            np.ravel_multi_index(idx, self.face_shapes[comp])
-        )
-
-    def full_edge_index(self, comp: str, idx) -> int:
-        return self.full_edge_offsets[comp] + int(
-            np.ravel_multi_index(idx, self.full_edge_shapes[comp])
-        )
+        self.n_q = self.trace_offset + 2 * self.n_samples
+        self.face_offsets, self.n_h = _offsets(self.face_shapes)
+        self.full_edge_offsets, self.n_full_edges = _offsets(self.full_edge_shapes)
 
     def split_h(self, h: np.ndarray):
         out = []
@@ -125,114 +95,120 @@ class FieldLayout:
         return q[self.trace_offset :].reshape(self.n_samples, 2)
 
 
-def _edge_sample_terms(layout: FieldLayout, comp: str, idx) -> list[tuple[int, float]]:
-    """Adjacent (trace q-index, weight) pairs reconstructing a boundary edge."""
-    grid = layout.grid
-    n = grid.shape
-    axis = EDGE_COMPS.index(comp)
-    shape = layout.full_edge_shapes[comp]
-    found = []
-    for fid, (face_axis, side) in enumerate(FACES):
-        if face_axis == axis:
-            continue
-        wall = 0 if side < 0 else shape[face_axis] - 1
-        if idx[face_axis] != wall:
-            continue
-        t1, t2 = tangent_axes(face_axis)
-        slot = 0 if axis == t1 else 1
-        other = t2 if axis == t1 else t1
-        # along its own axis the edge spans one cell; along `other` it sits
-        # at a node between (up to) two face cells
-        span = idx[axis]
-        node = idx[other]
-        start, n1, n2 = grid.samples.face_slices[fid]
-        for cell_other in (node - 1, node):
-            if not (0 <= cell_other < n[other]):
-                continue
-            u, v = (span, cell_other) if axis == t1 else (cell_other, span)
-            sample = start + u * n2 + v
-            found.append((layout.trace_index(sample, slot), 1.0))
-    if not found:
-        raise ConfigError(f"boundary edge {comp}{tuple(idx)} has no adjacent samples")
-    w = 1.0 / len(found)
-    return [(qi, w) for qi, _ in found]
+def _stencil(row_shape, axis: int, d: float) -> sp.coo_matrix:
+    """Forward difference over spacing d along `axis`, identity elsewhere.
+
+    Maps a C-ordered array one node longer along `axis` than `row_shape` onto
+    `row_shape`: row i reads (u[i+1] - u[i]) / d.
+    """
+    m = row_shape[axis]
+    factors = [
+        sp.diags([-1.0 / d, 1.0 / d], [0, 1], shape=(m, m + 1)) if a == axis
+        else sp.identity(row_shape[a])
+        for a in range(3)
+    ]
+    return sp.kron(sp.kron(factors[0], factors[1], "coo"), factors[2], "coo")
 
 
 def _build_reconstruction(layout: FieldLayout) -> sp.csr_matrix:
     """R: q -> full edge arrays (identity interior, sample averages on walls)."""
-    rows, cols, vals = [], [], []
-    for comp in EDGE_COMPS:
+    s = layout.grid.samples
+    rows, cols = [], []
+    for a, comp in enumerate(EDGE_COMPS):
         shape = layout.full_edge_shapes[comp]
-        for idx in np.ndindex(shape):
-            r = layout.full_edge_index(comp, idx)
-            if layout.is_interior_edge(comp, idx):
-                rows.append(r)
-                cols.append(layout.int_edge_index(comp, idx))
-                vals.append(1.0)
-            else:
-                for qi, w in _edge_sample_terms(layout, comp, idx):
-                    rows.append(r)
-                    cols.append(qi)
-                    vals.append(w)
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(layout.n_full_edges, layout.n_q)
-    )
+        inner = [slice(1, -1)] * 3
+        inner[a] = slice(None)
+        full = np.arange(int(np.prod(shape))).reshape(shape)[tuple(inner)]
+        rows.append(layout.full_edge_offsets[comp] + full.ravel())
+        cols.append(layout.int_offsets[comp] + np.arange(full.size))
+    # trace component `slot` of a sample feeds the two wall edges along its
+    # tangent axis that bound the sample's face cell; on a high wall the
+    # edges sit at node n, one past the owning cell index n - 1
+    each = np.arange(s.count)
+    wall = s.cells.copy()
+    wall[each, s.axis] += s.side > 0
+    for slot in (0, 1):
+        along, other = s.tangents[:, slot], s.tangents[:, 1 - slot]
+        for step in (0, 1):
+            idx = wall.copy()
+            idx[each, other] += step
+            for a, comp in enumerate(EDGE_COMPS):
+                mine = np.flatnonzero(along == a)
+                flat = np.ravel_multi_index(idx[mine].T, layout.full_edge_shapes[comp])
+                rows.append(layout.full_edge_offsets[comp] + flat)
+                cols.append(layout.trace_offset + 2 * mine + slot)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = 1.0 / np.bincount(rows)[rows]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.n_full_edges, layout.n_q))
 
 
 def _build_full_curl(layout: FieldLayout) -> sp.csr_matrix:
     """Textbook edge-to-face curl on the full edge arrays."""
-    grid = layout.grid
-    dx, dy, dz = grid.spacings
-    d = {"x": dx, "y": dy, "z": dz}
-    rows, cols, vals = [], [], []
-
-    def add(face_comp, fidx, edge_comp, eidx, coeff):
-        rows.append(layout.face_index(face_comp, fidx))
-        cols.append(layout.full_edge_index(edge_comp, eidx))
-        vals.append(coeff)
-
+    d = layout.grid.spacings
+    blocks = [[None] * 3 for _ in range(3)]
     # (curl E)_a = dE_c/db - dE_b/dc for (a, b, c) cyclic
-    cyclic = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-    axis_of = {"x": 0, "y": 1, "z": 2}
-    for a in EDGE_COMPS:
-        b, c = cyclic[a]
-        for fidx in np.ndindex(layout.face_shapes[a]):
-            fi = list(fidx)
-            up_b = fi.copy()
-            up_b[axis_of[b]] += 1
-            add(a, fidx, c, tuple(up_b), 1.0 / d[b])
-            add(a, fidx, c, fidx, -1.0 / d[b])
-            up_c = fi.copy()
-            up_c[axis_of[c]] += 1
-            add(a, fidx, b, tuple(up_c), -1.0 / d[c])
-            add(a, fidx, b, fidx, 1.0 / d[c])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.n_h, layout.n_full_edges))
+    for a, comp in enumerate(EDGE_COMPS):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        shape = layout.face_shapes[comp]
+        blocks[a][c] = _stencil(shape, b, d[b])
+        blocks[a][b] = -_stencil(shape, c, d[c])
+    return sp.bmat(blocks).tocsr()
+
+
+def _build_divergence(layout: FieldLayout, coeff_q: np.ndarray) -> sp.csr_matrix:
+    """div(coeff E) at interior nodes from interior edge dofs."""
+    d = layout.grid.spacings
+    node_shape = tuple(n - 1 for n in layout.grid.shape)
+    blocks = []
+    for a, comp in enumerate(EDGE_COMPS):
+        o = layout.int_offsets[comp]
+        coeff = coeff_q[o : o + int(np.prod(layout.int_edge_shapes[comp]))]
+        # scale the +-1 pattern per entry, so each value is exactly coeff / d
+        sign = _stencil(node_shape, a, 1.0)
+        vals = sign.data * coeff[sign.col] / d[a]
+        blocks.append(sp.coo_matrix((vals, (sign.row, sign.col)), shape=sign.shape))
+    blocks.append(sp.csr_matrix((int(np.prod(node_shape)), 2 * layout.n_samples)))
+    return sp.hstack(blocks).tocsr()
+
+
+def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
+    """Gradient of interior-node functions (zero on the wall) at edge dofs."""
+    d = layout.grid.spacings
+    node_shape = tuple(n - 1 for n in layout.grid.shape)
+    blocks = [-_stencil(node_shape, a, d[a]).T for a in range(3)]
+    blocks.append(sp.csr_matrix((2 * layout.n_samples, int(np.prod(node_shape)))))
+    return sp.vstack(blocks).tocsr()
+
+
+def factor_symmetric(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a symmetric definite matrix.
+
+    Orders by minimum degree on A^T + A and pivots on the diagonal, which
+    keeps the fill far below SuperLU's default column ordering for the
+    curl-curl and Laplacian systems assembled here.
+    """
+    return spla.splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def _edge_material(diag_vals: np.ndarray, comp: str) -> np.ndarray:
     """Average the matching diagonal entry onto interior edges of a family."""
-    if comp == "x":
-        e = diag_vals[..., 0]
-        return 0.25 * (e[:, :-1, :-1] + e[:, 1:, :-1] + e[:, :-1, 1:] + e[:, 1:, 1:])
-    if comp == "y":
-        e = diag_vals[..., 1]
-        return 0.25 * (e[:-1, :, :-1] + e[1:, :, :-1] + e[:-1, :, 1:] + e[1:, :, 1:])
-    e = diag_vals[..., 2]
-    return 0.25 * (e[:-1, :-1, :] + e[1:, :-1, :] + e[:-1, 1:, :] + e[1:, 1:, :])
+    axis = EDGE_COMPS.index(comp)
+    e = np.moveaxis(diag_vals[..., axis], axis, 0)
+    avg = 0.25 * (e[:, :-1, :-1] + e[:, 1:, :-1] + e[:, :-1, 1:] + e[:, 1:, 1:])
+    return np.moveaxis(avg, 0, axis)
 
 
 def _face_material(diag_vals: np.ndarray, comp: str) -> np.ndarray:
     """Average the matching diagonal entry onto faces (two cells, clipped)."""
     axis = EDGE_COMPS.index(comp)
-    e = diag_vals[..., axis]
-    pad_spec = [(0, 0)] * 3
-    pad_spec[axis] = (1, 1)
-    padded = np.pad(e, pad_spec, mode="edge")
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (padded[tuple(lo)] + padded[tuple(hi)])
+    e = np.moveaxis(diag_vals[..., axis], axis, 0)
+    padded = np.concatenate([e[:1], e, e[-1:]])
+    return np.moveaxis(0.5 * (padded[:-1] + padded[1:]), 0, axis)
 
 
 @dataclass
@@ -257,7 +233,6 @@ class Operators:
     div_plain: sp.csr_matrix  # interior nodes <- q, plain divergence
     grad_int: sp.csr_matrix  # q <- interior nodes, gradient of node functions
     node_weight: float
-    n_int_nodes: tuple[int, int, int]
 
     # -- basic applications ---------------------------------------------------
 
@@ -295,98 +270,38 @@ class Operators:
         scale = max(abs(lhs), abs(mid), abs(flux), 1e-300)
         return abs(lhs - mid - flux) / scale
 
-    # -- divergence helpers ----------------------------------------------------
-
-    def div_eps_field(self, q: np.ndarray) -> np.ndarray:
-        return (self.div_eps @ q).reshape(self.n_int_nodes)
-
-    def div_mu_field(self, h: np.ndarray) -> np.ndarray:
-        """Divergence of mu H at interior cell centers."""
-        hx, hy, hz = self.layout.split_h(h)
-        mux = _face_material(self.mu.diag(), "x")
-        muy = _face_material(self.mu.diag(), "y")
-        muz = _face_material(self.mu.diag(), "z")
-        dx, dy, dz = self.grid.spacings
-        bx, by, bz = mux * hx, muy * hy, muz * hz
-        return (
-            (bx[1:, :, :] - bx[:-1, :, :]) / dx
-            + (by[:, 1:, :] - by[:, :-1, :]) / dy
-            + (bz[:, :, 1:] - bz[:, :, :-1]) / dz
-        )
-
 
 def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operators:
     if eps.shape != grid.shape or mu.shape != grid.shape:
         raise ConfigError("material fields are not sampled on this grid")
     layout = FieldLayout(grid)
-    nx, ny, nz = grid.shape
     dx, dy, dz = grid.spacings
     s = grid.samples
 
     R = _build_reconstruction(layout)
     C = (_build_full_curl(layout) @ R).tocsr()
 
-    # quadrature weights
-    Wq = np.empty(layout.n_q)
+    # quadrature weights: full cells on interior edges, half cells on the
+    # wall faces of each face family
     vol = dx * dy * dz
-    for c in EDGE_COMPS:
-        o = layout.int_offsets[c]
-        Wq[o : o + int(np.prod(layout.int_edge_shapes[c]))] = vol
-    trace_idx = np.stack(
-        [
-            layout.trace_offset + 2 * np.arange(s.count),
-            layout.trace_offset + 2 * np.arange(s.count) + 1,
-        ],
-        axis=1,
-    )
-    Wq[trace_idx] = s.vol_mass
-
-    Wf = np.empty(layout.n_h)
-    spac = (dx, dy, dz)
-    for c in EDGE_COMPS:
-        axis = EDGE_COMPS.index(c)
-        shape = layout.face_shapes[c]
-        w = np.full(shape, vol)
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = 0
-        sl_hi[axis] = shape[axis] - 1
-        w[tuple(sl_lo)] *= 0.5
-        w[tuple(sl_hi)] *= 0.5
-        o = layout.face_offsets[c]
-        Wf[o : o + int(np.prod(shape))] = w.ravel()
+    trace_idx = layout.trace_offset + np.arange(2 * s.count).reshape(s.count, 2)
+    Wq = np.concatenate([np.full(layout.trace_offset, vol), s.vol_mass.ravel()])
+    Wf = []
+    for axis, c in enumerate(EDGE_COMPS):
+        w = np.full(layout.face_shapes[c], vol)
+        np.moveaxis(w, axis, 0)[[0, -1]] *= 0.5
+        Wf.append(w.ravel())
+    Wf = np.concatenate(Wf)
 
     G = (sp.diags(1.0 / Wq) @ C.T @ sp.diags(Wf)).tocsr()
 
     # diagonal material coefficients per slot
     eps_diag = eps.diag()
-    mu_diag = mu.diag()
-    eps_q = np.empty(layout.n_q)
-    for c in EDGE_COMPS:
-        o = layout.int_offsets[c]
-        vals = _edge_material(eps_diag, c)
-        eps_q[o : o + vals.size] = vals.ravel()
-    rows = np.arange(s.count)
-    eps_trace = np.stack(
-        [
-            eps_diag[s.cells[:, 0], s.cells[:, 1], s.cells[:, 2], s.tangents[:, 0]],
-            eps_diag[s.cells[:, 0], s.cells[:, 1], s.cells[:, 2], s.tangents[:, 1]],
-        ],
-        axis=1,
+    eps_trace = np.take_along_axis(eps_diag[tuple(s.cells.T)], s.tangents, axis=1)
+    eps_q = np.concatenate(
+        [_edge_material(eps_diag, c).ravel() for c in EDGE_COMPS] + [eps_trace.ravel()]
     )
-    eps_q[trace_idx] = eps_trace
-
-    mu_f = np.empty(layout.n_h)
-    for c in EDGE_COMPS:
-        o = layout.face_offsets[c]
-        vals = _face_material(mu_diag, c)
-        mu_f[o : o + vals.size] = vals.ravel()
-
-    inj_scale = s.areas[:, None] / s.vol_mass
-
-    div_eps = _build_divergence(layout, eps_q)
-    div_plain = _build_divergence(layout, np.ones_like(eps_q))
-    grad_int = _build_gradient(layout)
+    mu_f = np.concatenate([_face_material(mu.diag(), c).ravel() for c in EDGE_COMPS])
 
     return Operators(
         grid=grid,
@@ -400,107 +315,40 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wf=Wf,
         eps_q=eps_q,
         mu_f=mu_f,
-        inj_scale=inj_scale,
+        inj_scale=s.areas[:, None] / s.vol_mass,
         trace_idx=trace_idx,
         eps_trace=eps_trace,
-        div_eps=div_eps,
-        div_plain=div_plain,
-        grad_int=grad_int,
+        div_eps=_build_divergence(layout, eps_q),
+        div_plain=_build_divergence(layout, np.ones_like(eps_q)),
+        grad_int=_build_gradient(layout),
         node_weight=vol,
-        n_int_nodes=(nx - 1, ny - 1, nz - 1),
     )
-
-
-def _build_divergence(layout: FieldLayout, coeff_q: np.ndarray) -> sp.csr_matrix:
-    """div(coeff E) at interior nodes from interior edge dofs."""
-    grid = layout.grid
-    nx, ny, nz = grid.shape
-    d = grid.spacings
-    node_shape = (nx - 1, ny - 1, nz - 1)
-    rows, cols, vals = [], [], []
-    for comp, axis in zip(EDGE_COMPS, range(3)):
-        for node in np.ndindex(node_shape):
-            i, j, k = node[0] + 1, node[1] + 1, node[2] + 1
-            r = int(np.ravel_multi_index(node, node_shape))
-            hi = [i, j, k]
-            lo = [i, j, k]
-            lo[axis] -= 1
-            qhi = layout.int_edge_index(comp, tuple(hi))
-            qlo = layout.int_edge_index(comp, tuple(lo))
-            rows += [r, r]
-            cols += [qhi, qlo]
-            vals += [coeff_q[qhi] / d[axis], -coeff_q[qlo] / d[axis]]
-    n_nodes = int(np.prod(node_shape))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, layout.n_q))
-
-
-def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
-    """Gradient of interior-node functions (zero on the wall) at edge dofs."""
-    grid = layout.grid
-    nx, ny, nz = grid.shape
-    d = grid.spacings
-    node_shape = (nx - 1, ny - 1, nz - 1)
-
-    def node_index(i, j, k):
-        if 1 <= i <= nx - 1 and 1 <= j <= ny - 1 and 1 <= k <= nz - 1:
-            return int(np.ravel_multi_index((i - 1, j - 1, k - 1), node_shape))
-        return None
-
-    rows, cols, vals = [], [], []
-    for comp, axis in zip(EDGE_COMPS, range(3)):
-        for idx in np.ndindex(layout.int_edge_shapes[comp]):
-            shift = [0, 0, 0]
-            for a in FieldLayout._INT_AXES[comp]:
-                shift[a] = 1
-            full = [idx[0] + shift[0], idx[1] + shift[1], idx[2] + shift[2]]
-            r = layout.int_edge_index(comp, tuple(full))
-            hi = full.copy()
-            hi[axis] += 1
-            for node, sign in ((tuple(hi), 1.0), (tuple(full), -1.0)):
-                ni = node_index(*node)
-                if ni is not None:
-                    rows.append(r)
-                    cols.append(ni)
-                    vals.append(sign / d[axis])
-    n_nodes = int(np.prod(node_shape))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.n_q, n_nodes))
 
 
 # ---------------------------------------------------------------------------
 # Field sampling helpers
 # ---------------------------------------------------------------------------
 
-def edge_positions(grid: YeeGrid, comp: str, interior: bool = True) -> np.ndarray:
-    """Coordinates of the (interior) edge midpoints of one family."""
-    nx, ny, nz = grid.shape
-    dx, dy, dz = grid.spacings
-    layout = FieldLayout(grid)
-    shape = layout.int_edge_shapes[comp] if interior else layout.full_edge_shapes[comp]
+def edge_positions(grid: YeeGrid, comp: str) -> np.ndarray:
+    """Coordinates of the interior edge midpoints of one family."""
+    shape = FieldLayout(grid).int_edge_shapes[comp]
     axis = EDGE_COMPS.index(comp)
-    shift = [0, 0, 0]
-    if interior:
-        for a in FieldLayout._INT_AXES[comp]:
-            shift[a] = 1
     coords = []
-    for a, (n_a, d_a) in enumerate(zip((nx, ny, nz), (dx, dy, dz))):
-        idx = np.arange(shape[a]) + shift[a]
-        pos = (idx + 0.5) * d_a if a == axis else idx * d_a
-        coords.append(pos)
+    for a, d_a in enumerate(grid.spacings):
+        # interior edges start one node off the wall on their transverse axes
+        idx = np.arange(shape[a]) + (a != axis)
+        coords.append((idx + 0.5) * d_a if a == axis else idx * d_a)
     X, Y, Z = np.meshgrid(*coords, indexing="ij")
     return np.stack([X, Y, Z], axis=-1)
 
 
 def face_positions(grid: YeeGrid, comp: str) -> np.ndarray:
-    nx, ny, nz = grid.shape
-    dx, dy, dz = grid.spacings
-    layout = FieldLayout(grid)
-    shape = layout.face_shapes[comp]
+    shape = FieldLayout(grid).face_shapes[comp]
     axis = EDGE_COMPS.index(comp)
     coords = []
-    for a, d_a in enumerate((dx, dy, dz)):
+    for a, d_a in enumerate(grid.spacings):
         idx = np.arange(shape[a])
-        pos = idx * d_a if a == axis else (idx + 0.5) * d_a
-        coords.append(pos)
+        coords.append(idx * d_a if a == axis else (idx + 0.5) * d_a)
     X, Y, Z = np.meshgrid(*coords, indexing="ij")
     return np.stack([X, Y, Z], axis=-1)
 
@@ -521,11 +369,7 @@ def sample_vector_field(ops: Operators, func) -> np.ndarray:
         q[o : o + vals.size] = vals.ravel()
     s = ops.grid.samples
     vals = np.asarray(func(s.positions))
-    rows = np.arange(s.count)
-    comps = np.stack(
-        [vals[rows, s.tangents[:, 0]], vals[rows, s.tangents[:, 1]]], axis=1
-    )
-    q[ops.trace_idx] = comps
+    q[ops.trace_idx] = np.take_along_axis(vals, s.tangents, axis=1)
     return q
 
 

@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import analysis
 from .delay import DelayRing, init_history, load_history_csv
@@ -33,7 +32,7 @@ from .materials import (
     full_report,
     load_tensor_file,
 )
-from .operators import EDGE_COMPS, Operators, build_operators, sample_vector_field
+from .operators import EDGE_COMPS, Operators, build_operators, factor_symmetric, sample_vector_field
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +169,7 @@ def project_div_free(q: np.ndarray, ops: Operators, tol: float = 1e-10) -> np.nd
         raise ConfigError("divergence projection requires diagonal material tensors")
     lu = getattr(ops, "_proj_lu", None)
     if lu is None:
-        lap = (ops.div_eps @ ops.grad_int).tocsc()
-        lu = spla.splu(lap)
+        lu = factor_symmetric(ops.div_eps @ ops.grad_int)
         ops._proj_lu = lu
     rhs = ops.div_eps @ q
     phi = lu.solve(rhs)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,3 +230,27 @@ def test_analyze_assert_exit_five(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     assert main(["analyze", str(path), str(csv)]) == 0  # report-only by default
     assert main(["analyze", str(path), str(csv), "--assert"]) == 5
+
+
+def test_run_zero_t_end_single_record(tmp_path):
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0"))
+    assert main(["run", str(path)]) == 0
+    trace = EnergyTrace.from_csv((outdir / "energy.csv").read_text())
+    assert len(trace.t) == 1
+    summary = (outdir / "summary.txt").read_text()
+    for key in ("two_sided_dissipation", "observability", "certificate"):
+        assert f"{key} = not applicable (need at least two records)" in summary
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a fresh process's import time; only table
+    # laws need it
+    code = "import sys, delayfdtd.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

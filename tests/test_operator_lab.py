@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError, ContractError
 from delayfdtd.feedback import FeedbackLaw
+from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
     ExtState,
     apply_generator,
@@ -14,7 +16,7 @@ from delayfdtd.operator_lab import (
     s_derivative,
     wepsilon_norm,
 )
-from delayfdtd.operators import sample_vector_field
+from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import project_div_free
 from delayfdtd.operator_lab import weighted_inner
 
@@ -223,6 +225,24 @@ def test_resolvent_saturating_converges(ops8):
     M = 16
     F = random_F(ops8, M, seed=6)
     res = resolvent_solve(F, 2.0, ops8, SATURATING)
+    assert res.residual <= 1e-8
+    assert res.outer_iterations <= 100
+
+
+@pytest.fixture(scope="module")
+def ops_aniso_box():
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    eps = exponential_isotropic(grid, 0.5, axis=0)
+    mu = diagonal_ramp(grid, (1.0, 2.0, 1.5), axis=1, slope=0.7, entry=2)
+    return build_operators(grid, eps, mu)
+
+
+@pytest.mark.parametrize("b", [0.1, 2.0, 20.0])
+@pytest.mark.parametrize("law", [LINEAR, SATURATING], ids=["linear", "saturating"])
+def test_resolvent_anisotropic_box(ops_aniso_box, law, b):
+    # heterogeneous eps and mu on an unequal-spacing box, across shifts
+    F = random_F(ops_aniso_box, 16, seed=5)
+    res = resolvent_solve(F, b, ops_aniso_box, law)
     assert res.residual <= 1e-8
     assert res.outer_iterations <= 100
 

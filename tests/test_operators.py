@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from delayfdtd.domain import BoxDomain, build_grid
+from delayfdtd.domain import FACES, BoxDomain, build_grid, tangent_axes
 from delayfdtd.materials import constant_diagonal, constant_isotropic, diagonal_ramp
-from delayfdtd.operators import build_operators, sample_face_field, sample_vector_field
+from delayfdtd.operators import EDGE_COMPS, build_operators, sample_face_field, sample_vector_field
 
 from conftest import random_tangential
 
@@ -103,3 +104,181 @@ def test_material_averaging_on_edges():
     exq = ops.eps_q[: np.prod(lay.int_edge_shapes["x"])].reshape(lay.int_edge_shapes["x"])
     for i in range(4):
         assert np.allclose(exq[i], 1.0 + (i + 0.5) * 0.25)
+
+
+# -- loop reference for the vectorized assembly ----------------------------------
+#
+# The per-entry builders below are the original assembly, kept as an
+# independent reference: the Kronecker/index-arithmetic builders must
+# reproduce them entry for entry.
+
+_INT_AXES = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
+
+
+def _ref_int_edge_index(lay, comp, idx):
+    shift = [0, 0, 0]
+    for a in _INT_AXES[comp]:
+        shift[a] = 1
+    local = tuple(idx[a] - shift[a] for a in range(3))
+    return lay.int_offsets[comp] + int(np.ravel_multi_index(local, lay.int_edge_shapes[comp]))
+
+
+def _ref_face_index(lay, comp, idx):
+    return lay.face_offsets[comp] + int(np.ravel_multi_index(idx, lay.face_shapes[comp]))
+
+
+def _ref_full_edge_index(lay, comp, idx):
+    return lay.full_edge_offsets[comp] + int(np.ravel_multi_index(idx, lay.full_edge_shapes[comp]))
+
+
+def _ref_edge_sample_terms(lay, comp, idx):
+    grid = lay.grid
+    n = grid.shape
+    axis = EDGE_COMPS.index(comp)
+    shape = lay.full_edge_shapes[comp]
+    found = []
+    for fid, (face_axis, side) in enumerate(FACES):
+        if face_axis == axis:
+            continue
+        wall = 0 if side < 0 else shape[face_axis] - 1
+        if idx[face_axis] != wall:
+            continue
+        t1, t2 = tangent_axes(face_axis)
+        slot = 0 if axis == t1 else 1
+        other = t2 if axis == t1 else t1
+        span = idx[axis]
+        node = idx[other]
+        start, n1, n2 = grid.samples.face_slices[fid]
+        for cell_other in (node - 1, node):
+            if not (0 <= cell_other < n[other]):
+                continue
+            u, v = (span, cell_other) if axis == t1 else (cell_other, span)
+            found.append(lay.trace_offset + 2 * (start + u * n2 + v) + slot)
+    w = 1.0 / len(found)
+    return [(qi, w) for qi in found]
+
+
+def _ref_reconstruction(lay):
+    rows, cols, vals = [], [], []
+    for comp in EDGE_COMPS:
+        shape = lay.full_edge_shapes[comp]
+        for idx in np.ndindex(shape):
+            r = _ref_full_edge_index(lay, comp, idx)
+            if all(0 < idx[a] < shape[a] - 1 for a in _INT_AXES[comp]):
+                rows.append(r)
+                cols.append(_ref_int_edge_index(lay, comp, idx))
+                vals.append(1.0)
+            else:
+                for qi, w in _ref_edge_sample_terms(lay, comp, idx):
+                    rows.append(r)
+                    cols.append(qi)
+                    vals.append(w)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(lay.n_full_edges, lay.n_q))
+
+
+def _ref_full_curl(lay):
+    dx, dy, dz = lay.grid.spacings
+    d = {"x": dx, "y": dy, "z": dz}
+    rows, cols, vals = [], [], []
+
+    def add(face_comp, fidx, edge_comp, eidx, coeff):
+        rows.append(_ref_face_index(lay, face_comp, fidx))
+        cols.append(_ref_full_edge_index(lay, edge_comp, eidx))
+        vals.append(coeff)
+
+    cyclic = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
+    axis_of = {"x": 0, "y": 1, "z": 2}
+    for a in EDGE_COMPS:
+        b, c = cyclic[a]
+        for fidx in np.ndindex(lay.face_shapes[a]):
+            up_b = list(fidx)
+            up_b[axis_of[b]] += 1
+            add(a, fidx, c, tuple(up_b), 1.0 / d[b])
+            add(a, fidx, c, fidx, -1.0 / d[b])
+            up_c = list(fidx)
+            up_c[axis_of[c]] += 1
+            add(a, fidx, b, tuple(up_c), -1.0 / d[c])
+            add(a, fidx, b, fidx, 1.0 / d[c])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(lay.n_h, lay.n_full_edges))
+
+
+def _ref_divergence(lay, coeff_q):
+    nx, ny, nz = lay.grid.shape
+    d = lay.grid.spacings
+    node_shape = (nx - 1, ny - 1, nz - 1)
+    rows, cols, vals = [], [], []
+    for comp, axis in zip(EDGE_COMPS, range(3)):
+        for node in np.ndindex(node_shape):
+            hi = [node[0] + 1, node[1] + 1, node[2] + 1]
+            lo = list(hi)
+            lo[axis] -= 1
+            r = int(np.ravel_multi_index(node, node_shape))
+            qhi = _ref_int_edge_index(lay, comp, tuple(hi))
+            qlo = _ref_int_edge_index(lay, comp, tuple(lo))
+            rows += [r, r]
+            cols += [qhi, qlo]
+            vals += [coeff_q[qhi] / d[axis], -coeff_q[qlo] / d[axis]]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(int(np.prod(node_shape)), lay.n_q))
+
+
+def _ref_gradient(lay):
+    nx, ny, nz = lay.grid.shape
+    d = lay.grid.spacings
+    node_shape = (nx - 1, ny - 1, nz - 1)
+
+    def node_index(i, j, k):
+        if 1 <= i <= nx - 1 and 1 <= j <= ny - 1 and 1 <= k <= nz - 1:
+            return int(np.ravel_multi_index((i - 1, j - 1, k - 1), node_shape))
+        return None
+
+    rows, cols, vals = [], [], []
+    for comp, axis in zip(EDGE_COMPS, range(3)):
+        for idx in np.ndindex(lay.int_edge_shapes[comp]):
+            full = [idx[a] + (a in _INT_AXES[comp]) for a in range(3)]
+            r = _ref_int_edge_index(lay, comp, tuple(full))
+            hi = list(full)
+            hi[axis] += 1
+            for node, sign in ((tuple(hi), 1.0), (tuple(full), -1.0)):
+                ni = node_index(*node)
+                if ni is not None:
+                    rows.append(r)
+                    cols.append(ni)
+                    vals.append(sign / d[axis])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(lay.n_q, int(np.prod(node_shape))))
+
+
+@pytest.fixture(scope="module")
+def ops_ramp_box():
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    eps = diagonal_ramp(grid, (1.0, 2.0, 1.5), axis=1, slope=0.7, entry=2)
+    return build_operators(grid, eps, constant_isotropic(grid, 1.0))
+
+
+@pytest.fixture(scope="module")
+def ops_skew_box():
+    # spacings that are not powers of two, so c / d and c * (1 / d) differ
+    grid = build_grid(BoxDomain((1.3, 0.9, 1.1), (6, 5, 7), (0.6, 0.45, 0.5)))
+    eps = diagonal_ramp(grid, (1.0, 2.0, 1.5), axis=1, slope=0.7, entry=2)
+    return build_operators(grid, eps, constant_diagonal(grid, (1.0, 3.0, 2.0)))
+
+
+@pytest.mark.parametrize("fixture", ["ops6", "ops8", "ops_ramp_box", "ops_skew_box"])
+def test_assembly_matches_loop_reference(fixture, request):
+    ops = request.getfixturevalue(fixture)
+    lay = ops.layout
+    R = _ref_reconstruction(lay)
+    C = (_ref_full_curl(lay) @ R).tocsr()
+    G = (sp.diags(1.0 / ops.Wq) @ C.T @ sp.diags(ops.Wf)).tocsr()
+    ref = {
+        "C": C,
+        "G": G,
+        "R": R,
+        "div_eps": _ref_divergence(lay, ops.eps_q),
+        "div_plain": _ref_divergence(lay, np.ones(lay.n_q)),
+        "grad_int": _ref_gradient(lay),
+    }
+    for name, want in ref.items():
+        got = getattr(ops, name)
+        assert got.shape == want.shape, name
+        assert got.nnz == want.nnz, name
+        assert abs(got - want).max() == 0.0, name
