@@ -26,12 +26,22 @@ CSV_HEADER = "t,E_weighted,E_plain,E_xi,D,flux"
 # Pointwise energies
 # ---------------------------------------------------------------------------
 
+def _dot(a, b) -> float:
+    """Inner product summed by numpy's pairwise reduction, not by BLAS.
+
+    The result is then the same under any BLAS thread count.  Overflow on a
+    diverging run yields inf without a warning; the caller reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(a * b))
+
+
 def field_energies(q, h, h_prev, ops: Operators) -> tuple[float, float]:
     """(weighted, plain) field energy: E part plus staggered H product."""
-    e_w = 0.5 * float(np.dot(ops.Wq * ops.eps_q * q, q))
-    e_w += 0.5 * float(np.dot(ops.Wf * ops.mu_f * h_prev, h))
-    e_p = 0.5 * float(np.dot(ops.Wq * q, q))
-    e_p += 0.5 * float(np.dot(ops.Wf * h_prev, h))
+    e_w = 0.5 * _dot(ops.Wq * ops.eps_q * q, q)
+    e_w += 0.5 * _dot(ops.Wf * ops.mu_f * h_prev, h)
+    e_p = 0.5 * _dot(ops.Wq * q, q)
+    e_p += 0.5 * _dot(ops.Wf * h_prev, h)
     return e_w, e_p
 
 
@@ -43,12 +53,10 @@ def energies(
         raise ConfigError(f"unknown weighting mode {weighting!r}")
     e_w, e_p = field_energies(q, h, h_prev, ops)
     areas = ops.grid.samples.areas
-    delay = float(np.dot(areas, ring.s_energy()))
+    delay = _dot(areas, ring.s_energy())
     e_xi = (e_w if weighting == "weighted" else e_p) + xi * tau * delay
     z0, z1 = ring.slot(0), ring.slot(ring.N)
-    d_val = float(
-        np.dot(areas, np.einsum("ij,ij->i", z0, z0) + np.einsum("ij,ij->i", z1, z1))
-    )
+    d_val = _dot(areas, np.einsum("ij,ij->i", z0, z0) + np.einsum("ij,ij->i", z1, z1))
     return e_w, e_p, e_xi, d_val
 
 
@@ -64,7 +72,7 @@ def boundary_outflow(ring: DelayRing, law: FeedbackLaw, xi: float, areas: np.nda
     integrand = np.einsum("ij,ij->i", work, z0) - xi * (
         np.einsum("ij,ij->i", z0, z0) - np.einsum("ij,ij->i", z1, z1)
     )
-    return float(np.dot(areas, integrand))
+    return _dot(areas, integrand)
 
 
 # ---------------------------------------------------------------------------

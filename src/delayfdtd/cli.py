@@ -22,6 +22,9 @@ from .operators import build_operators
 from .solver import RunOutput, run as run_scenario
 
 
+NEED_TWO_RECORDS = "not applicable (need at least two records)"
+
+
 def _load_config(path: str) -> Config:
     try:
         text = Path(path).read_text()
@@ -118,7 +121,7 @@ def _analyze_output(out: RunOutput, slack_d: float, slack_o: float):
     info["c2E"] = k.c2E
     if len(trace.t) < 2:
         for key in ("two_sided_dissipation", "observability", "certificate"):
-            info[key] = "not applicable (need at least two records)"
+            info[key] = NEED_TWO_RECORDS
         return info, failures
     rep31 = analysis.lemma31_check(trace, k, slack=slack_d)
     info["two_sided_dissipation"] = "pass" if rep31.passed else "FAIL"
@@ -299,24 +302,8 @@ def _sweep_value_star(job):
 # analyze
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    sc = scenario_from_config(cfg)
-    text = Path(args.csv).read_text()
-    trace = analysis.EnergyTrace.from_csv(text)
-
-    grid = build_grid(sc.domain)
-    eps = sc.eps.build(grid)
-    mu = sc.mu.build(grid)
-    m = multiplier_field(grid, sc.domain.x0)
-    report = full_report(eps, mu, m, grid)
-    if not report.passed:
-        raise AssumptionError("material/geometry assumptions violated")
-    mono = constants(sc.law)
-    xi = sc.analysis.xi
-    k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2, xi=xi)
-
-    info: dict[str, object] = {"xi": k.xi, "c1E": k.c1E, "c2E": k.c2E}
+def _certify_csv(trace, sc, report, mono, k, T, info: dict) -> list[str]:
+    """Certificate chain of `analyze` on a trace of two or more records."""
     failures = []
     rep31 = analysis.lemma31_check(trace, k, slack=sc.analysis.slack_dissipation)
     info["two_sided_dissipation"] = "pass" if rep31.passed else "FAIL"
@@ -336,7 +323,7 @@ def cmd_analyze(args) -> int:
         tau=sc.law.tau,
         weighted=sc.analysis.weighting == "weighted",
     )
-    T = args.T if args.T is not None else float(trace.t[-1])
+    T = T if T is not None else float(trace.t[-1])
     rep32 = analysis.lemma32_check(trace, obs, T=T, slack=sc.analysis.slack_observability)
     info["observability"] = "pass" if rep32.passed else "FAIL"
     info["observability_ratio"] = rep32.ratio
@@ -360,6 +347,33 @@ def cmd_analyze(args) -> int:
     except ContractError as exc:
         info["fit"] = f"skipped ({exc})"
     info["dissipation_residual"] = analysis.dissipation_residual(trace)
+    return failures
+
+
+def cmd_analyze(args) -> int:
+    cfg = _load_config(args.config)
+    sc = scenario_from_config(cfg)
+    text = Path(args.csv).read_text()
+    trace = analysis.EnergyTrace.from_csv(text)
+
+    grid = build_grid(sc.domain)
+    eps = sc.eps.build(grid)
+    mu = sc.mu.build(grid)
+    m = multiplier_field(grid, sc.domain.x0)
+    report = full_report(eps, mu, m, grid)
+    if not report.passed:
+        raise AssumptionError("material/geometry assumptions violated")
+    mono = constants(sc.law)
+    xi = sc.analysis.xi
+    k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2, xi=xi)
+
+    info: dict[str, object] = {"xi": k.xi, "c1E": k.c1E, "c2E": k.c2E}
+    failures = []
+    if len(trace.t) < 2:
+        for key in ("two_sided_dissipation", "observability", "certificate", "dissipation_residual"):
+            info[key] = NEED_TWO_RECORDS
+    else:
+        failures = _certify_csv(trace, sc, report, mono, k, args.T, info)
 
     text = _summary_text(info)
     out = _outdir(cfg, args.out)

@@ -4,7 +4,9 @@ The boundary relation imposes H x nu = -gamma1 g(E x nu) x nu
 - gamma2 g(Z|s=1) x nu at every boundary sample.  The stepper closes the
 tangential-E update with that trace evaluated at the time-centered value
 (w_old + w_new)/2, which yields one small nonlinear equation per sample: a
-2x2 linear solve for the linear law, a damped fixed point otherwise.
+closed-form 2x2 solve for the linear law, a safeguarded 2x2 Newton solve
+with the analytic Jacobian of the radial law otherwise.  The equation is
+strongly monotone because the law is, and Newton converges in a few steps.
 """
 
 from __future__ import annotations
@@ -81,11 +83,24 @@ class FeedbackLaw:
         out[~pos] = 0.0
         return out
 
+    def _radial_slope(self, norms: np.ndarray) -> np.ndarray:
+        """G'(|v|) for the radial profile G(r) = gain(r) * r."""
+        if self.kind == "linear":
+            return np.full_like(norms, self.a)
+        if self.kind == "saturating":
+            return self.a + self.b / (1.0 + norms) ** 2
+        r = np.asarray(self.table_r, dtype=float)
+        slopes = np.diff(np.asarray(self.table_g, dtype=float)) / np.diff(r)
+        seg = np.clip(np.searchsorted(r, norms, side="right") - 1, 0, len(slopes) - 1)
+        # np.interp holds g(r[0]) below the table
+        return np.where(norms < r[0], 0.0, slopes[seg])
+
 
 def eval_g(law: FeedbackLaw, v: np.ndarray) -> np.ndarray:
     """Evaluate the feedback nonlinearity; works on (..., 3) stacks."""
     v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(v, axis=-1)
+    # np.linalg.norm over the short last axis costs twice as much as this
+    norms = np.sqrt(np.einsum("...i,...i->...", v, v))
     return law._radial_gain(norms)[..., None] * v
 
 
@@ -161,23 +176,17 @@ def required_H_trace(
     return h
 
 
-def _trace_rate(law, t_mid_comps, z1_vec, nu, tangents, kappa):
-    """Feedback contribution to d/dt of the tangential components.
+def _jacobian_2x2(law: FeedbackLaw, v: np.ndarray):
+    """Entries (d00, d01, d11) of the symmetric Jacobian Dg(v) for (S, 2) stacks.
 
-    Returns -kappa * (H x nu) projected on the tangent axes, evaluated at the
-    time-centered trace given by t_mid_comps.
+    Dg(v) = gain(r) I + (G'(r) - gain(r)) u u^T with r = |v| and u = v / r;
+    at v = 0 the u u^T term drops out.
     """
-    S = t_mid_comps.shape[0]
-    t_vec = np.zeros((S, 3))
-    rows = np.arange(S)
-    t_vec[rows, tangents[:, 0]] = t_mid_comps[:, 0]
-    t_vec[rows, tangents[:, 1]] = t_mid_comps[:, 1]
-    w_mid = np.cross(t_vec, nu)
-    h = -law.gamma1 * np.cross(eval_g(law, w_mid), nu)
-    if law.gamma2 != 0.0:
-        h = h - law.gamma2 * np.cross(eval_g(law, z1_vec), nu)
-    h_comps = np.stack([h[rows, tangents[:, 0]], h[rows, tangents[:, 1]]], axis=1)
-    return -kappa * h_comps
+    r2 = v[:, 0] ** 2 + v[:, 1] ** 2
+    r = np.sqrt(r2)
+    gain = law._radial_gain(r)
+    scale = (law._radial_slope(r) - gain) / np.where(r2 > 0, r2, 1.0)
+    return gain + scale * v[:, 0] ** 2, scale * v[:, 0] * v[:, 1], gain + scale * v[:, 1] ** 2
 
 
 def implicit_boundary_update(
@@ -198,47 +207,89 @@ def implicit_boundary_update(
 
     Solves, per sample,
         (t_new - t_old)/dt = eps_t^{-1} (curl_term + fb((t_old+t_new)/2))
-    where fb is the feedback forcing of `_trace_rate`.  Vectorized over
-    samples: `curl_term`, `t_old` are (S, 2) tangential components, `z1_mid`
-    the (S, 3) time-centered delayed trace, `kappa` the (S, 2) injection
-    scale (area over volume mass).  With ``lagged=True`` the feedback is
-    evaluated at t_old (explicit mode).
+    with the feedback forcing fb = -kappa * (H x nu) on the tangent axes,
+    H x nu = -gamma1 g(w) x nu - gamma2 g(z1_mid) x nu.  For the tangential
+    trace w = t x nu, g(w) x nu = -g(t) on the components, so the
+    instantaneous part is -kappa gamma1 g(t) and needs no cross product; the
+    delayed part is fixed within the step.  Vectorized over samples:
+    `curl_term`, `t_old` are (S, 2) tangential components, `z1_mid` the
+    (S, 3) time-centered delayed trace, `kappa` the (S, 2) injection scale
+    (area over volume mass), `eps_t` the tangential permittivity, either
+    (S, 2) diagonal entries or an (S, 2, 2) block.  With ``lagged=True`` the
+    feedback is evaluated at t_old (explicit mode).
+
+    The residual F(t) = t_old + dt eps_t^{-1} (curl_term + fb((t_old+t)/2)) - t
+    is driven below `tol` (max norm per sample) by Newton steps with the
+    matrix I + (dt/2) eps_t^{-1} kappa gamma1 Dg, each step halved per sample
+    until that sample's residual falls.
     """
     t_old = np.asarray(t_old, dtype=float)
-    base = t_old + dt * curl_term / eps_t
-    coef = dt / eps_t
+    eps_t = np.asarray(eps_t, dtype=float)
 
-    if lagged:
-        return base + coef * _trace_rate(law, t_old, z1_mid, nu, tangents, kappa)
-
-    if law.kind == "linear":
+    if law.kind == "linear" and eps_t.ndim == 2 and not lagged:
         # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*(nu x z1))]
         rows = np.arange(t_old.shape[0])
         u1 = np.cross(nu, z1_mid)
         u1_c = np.stack([u1[rows, tangents[:, 0]], u1[rows, tangents[:, 1]]], axis=1)
-        q = coef * kappa * law.a
+        q = dt / eps_t * kappa * law.a
         rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * u1_c
         return rhs / (1.0 + 0.5 * q * law.gamma1)
 
+    # k = dt eps_t^{-1} kappa gamma1 is the matrix that multiplies -g(t_mid)
+    damping = kappa * law.gamma1
+    if eps_t.ndim == 2:
+        coef = dt / eps_t
+        k = coef * damping
+        k00, k01, k10, k11 = k[:, 0], 0.0, 0.0, k[:, 1]
+
+        def mass(x):
+            return coef * x
+    else:
+        coef = dt * np.linalg.inv(eps_t)
+        k = coef * damping[:, None, :]
+        k00, k01, k10, k11 = k[:, 0, 0], k[:, 0, 1], k[:, 1, 0], k[:, 1, 1]
+
+        def mass(x):
+            return np.einsum("sab,sb->sa", coef, x)
+
+    base = t_old + mass(curl_term)
+    drive = base
+    if law.gamma2 != 0.0:
+        delayed = np.take_along_axis(np.cross(eval_g(law, z1_mid), nu), tangents, axis=1)
+        drive = base + mass(kappa * law.gamma2 * delayed)
+
+    if lagged:
+        return drive - mass(damping * eval_g(law, t_old))
+
+    def residual(t):
+        f = drive - mass(damping * eval_g(law, 0.5 * (t_old + t))) - t
+        return f, np.maximum(np.abs(f[:, 0]), np.abs(f[:, 1]))
+
     t_new = base.copy()
-    damping = np.ones(t_old.shape[0])
-    prev_res = np.full(t_old.shape[0], np.inf)
-    prev_step = np.zeros_like(t_old)
+    f, res = residual(t_new)
+    step = np.ones(t_old.shape[0])
     for _ in range(max_iter):
-        t_mid = 0.5 * (t_old + t_new)
-        target = base + coef * _trace_rate(law, t_mid, z1_mid, nu, tangents, kappa)
-        step = target - t_new
-        res = np.max(np.abs(step), axis=1)
-        if np.all(res <= tol):
-            return target
-        # oscillation shows up either as a residual increase or as the update
-        # direction flipping between consecutive sweeps
-        worse = (res > prev_res) | (np.einsum("ij,ij->i", step, prev_step) < 0.0)
-        damping[worse] = 0.5
-        prev_res = res
-        prev_step = step
-        t_new = t_new + damping[:, None] * step
-    bad = int(np.argmax(res))
+        active = ~(res <= tol)  # a NaN residual stays active
+        if not np.any(active):
+            return t_new
+        # Newton matrix m = I + k Dg(t_mid) / 2, solved in closed form
+        d00, d01, d11 = _jacobian_2x2(law, 0.5 * (t_old + t_new))
+        m00 = 1.0 + 0.5 * (k00 * d00 + k01 * d01)
+        m01 = 0.5 * (k00 * d01 + k01 * d11)
+        m10 = 0.5 * (k10 * d00 + k11 * d01)
+        m11 = 1.0 + 0.5 * (k10 * d01 + k11 * d11)
+        factor = step / (m00 * m11 - m01 * m10)
+        trial = t_new + np.stack(
+            [(m11 * f[:, 0] - m01 * f[:, 1]) * factor, (m00 * f[:, 1] - m10 * f[:, 0]) * factor],
+            axis=1,
+        )
+        trial_f, trial_res = residual(trial)
+        accept = active & (trial_res < res)
+        np.copyto(t_new, trial, where=accept[:, None])
+        np.copyto(f, trial_f, where=accept[:, None])
+        np.copyto(res, trial_res, where=accept)
+        step = np.where(accept, 1.0, 0.5 * step)
+    bad = int(np.argmax(res))  # the first NaN, if any
     raise NumericalError(
         f"boundary update failed to converge: sample {bad}, residual {float(res[bad]):.3e} "
         f"after {max_iter} iterations"

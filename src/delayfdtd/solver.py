@@ -280,16 +280,19 @@ class Stepper:
         s = grid.samples
         cell_inv = np.linalg.inv(vals_eps[s.cells[:, 0], s.cells[:, 1], s.cells[:, 2]])
         rows = np.arange(s.count)
-        # tangential 2x2 block of the cellwise inverse, per sample
-        self._eps_t_inv = np.stack(
-            [
-                np.stack(
-                    [cell_inv[rows, s.tangents[:, a], s.tangents[:, b]] for b in (0, 1)],
-                    axis=-1,
-                )
-                for a in (0, 1)
-            ],
-            axis=-2,
+        # tangential permittivity seen by the trace update: the inverse of the
+        # tangential 2x2 block of the cellwise inverse (a Schur complement)
+        self._eps_t = np.linalg.inv(
+            np.stack(
+                [
+                    np.stack(
+                        [cell_inv[rows, s.tangents[:, a], s.tangents[:, b]] for b in (0, 1)],
+                        axis=-1,
+                    )
+                    for a in (0, 1)
+                ],
+                axis=-2,
+            )
         )
 
     def _curl_e(self, q: np.ndarray) -> np.ndarray:
@@ -343,22 +346,21 @@ class Stepper:
 
         if self._diag:
             state.q[self._int_slice] += dt * rhs[self._int_slice] / ops.eps_q[self._int_slice]
-            t_new = implicit_boundary_update(
-                law,
-                curl_term,
-                t_old,
-                z1_mid,
-                self._normals,
-                self._tangents,
-                dt,
-                self._eps_t,
-                self._kappa,
-                tol=self.trace_tol,
-                lagged=self.boundary_mode == "lagged",
-            )
         else:
             state.q[self._int_slice] += dt * self._eps_inv_interior(rhs)
-            t_new = self._full_tensor_trace_update(curl_term, t_old, z1_mid)
+        t_new = implicit_boundary_update(
+            law,
+            curl_term,
+            t_old,
+            z1_mid,
+            self._normals,
+            self._tangents,
+            dt,
+            self._eps_t,
+            self._kappa,
+            tol=self.trace_tol,
+            lagged=self.boundary_mode == "lagged",
+        )
 
         state.q[self._trace_slice] = t_new.ravel()
         w_new = np.cross(ops.grid.samples.to_vectors(t_new), self._normals)
@@ -373,31 +375,6 @@ class Stepper:
         state.step += 1
         state.time += dt
         return state
-
-    def _full_tensor_trace_update(self, curl_term, t_old, z1_mid):
-        """Centered trace update with the tangential 2x2 inverse block."""
-        from .feedback import _trace_rate
-
-        dt, law = self.dt, self.law
-        A = self._eps_t_inv
-        base = t_old + dt * np.einsum("sab,sb->sa", A, curl_term)
-        t_new = base.copy()
-        damping = np.ones(t_old.shape[0])
-        prev = np.full(t_old.shape[0], np.inf)
-        for _ in range(50):
-            t_mid = 0.5 * (t_old + t_new)
-            fb = _trace_rate(law, t_mid, z1_mid, self._normals, self._tangents, self._kappa)
-            target = base + dt * np.einsum("sab,sb->sa", A, fb)
-            res = np.max(np.abs(target - t_new), axis=1)
-            if np.all(res <= self.trace_tol):
-                return target
-            worse = res > prev
-            damping[worse] = 0.5
-            prev = res
-            t_new = t_new + damping[:, None] * (target - t_new)
-        raise NumericalError(
-            f"full-tensor boundary update failed: worst residual {float(res.max()):.3e}"
-        )
 
 
 def _collocate_edges(ex, ey, ez):
@@ -491,6 +468,12 @@ class RunOutput:
     ring_snapshots: list = field(default_factory=list)
 
 
+def _require_finite(name: str, value: float, st: EMState) -> float:
+    if not np.isfinite(value):
+        raise NumericalError(f"non-finite energy column {name} at step {st.step} (t = {st.time:.6g})")
+    return value
+
+
 def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
     """Simulate a scenario and record its energy trace.
 
@@ -553,9 +536,10 @@ def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
         vals = analysis.energies(
             st.q, st.h, st.h_prev, ring, ops, xi, law.tau, scenario.analysis.weighting
         )
-        if not all(np.isfinite(v) for v in vals):
-            raise NumericalError(f"non-finite energy at step {st.step} (t = {st.time:.6g})")
-        flux = analysis.boundary_outflow(ring, law, xi, s.areas)
+        for name, v in zip(("E_weighted", "E_plain", "E_xi", "D"), vals):
+            _require_finite(name, v, st)
+        # checked only now: the outflow of an overflowed trace would warn
+        flux = _require_finite("flux", analysis.boundary_outflow(ring, law, xi, s.areas), st)
         rows.append((st.time, *vals, flux))
         if keep_ring_snapshots:
             snapshots.append(ring.slots().copy())

@@ -254,3 +254,35 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_analyze_single_record_trace(tmp_path):
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0"))
+    assert main(["run", str(path)]) == 0
+    assert main(["analyze", str(path), str(outdir / "energy.csv")]) == 0
+    cert = (outdir / "certificates.txt").read_text()
+    for key in ("two_sided_dissipation", "observability", "certificate", "dissipation_residual"):
+        assert f"{key} = not applicable (need at least two records)" in cert
+
+
+def test_energy_csv_independent_of_blas_threads(tmp_path):
+    # n = 16: at n = 8 the vectors are too short for OpenBLAS to split a dot
+    # product across threads, so only a larger grid exposes a BLAS reduction
+    text = (
+        BASE.replace("= 8", "= 16")
+        .replace("kind = linear", "kind = saturating\nb = 1.0")
+        .replace("gamma2 = 0.5", "gamma2 = 0.25")
+        .replace("t_end = 2.0", "t_end = 0.1")
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        path, outdir = write_cfg(tmp_path, text, name=f"run{threads}.cfg", outdir=tmp_path / f"out{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "delayfdtd.cli", "run", str(path)],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        outputs.append((outdir / "energy.csv").read_bytes())
+    assert outputs[0] == outputs[1]

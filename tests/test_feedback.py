@@ -222,3 +222,101 @@ def test_law_validation():
         FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, tau=0.0)
     with pytest.raises(ConfigError):
         FeedbackLaw(kind="nope", gamma1=1.0, tau=0.25)
+
+
+# -- safeguarded Newton closure ------------------------------------------------
+
+def _centered_defect(law, curl, t_old, t_new, z1, nu, tangents, dt, eps_t, kappa):
+    # the centered equation rebuilt from the cross-product form of the
+    # boundary relation, independent of the solver's component algebra
+    rows = np.arange(t_old.shape[0])
+    t_vec = np.zeros((t_old.shape[0], 3))
+    t_mid = 0.5 * (t_old + t_new)
+    t_vec[rows, tangents[:, 0]] = t_mid[:, 0]
+    t_vec[rows, tangents[:, 1]] = t_mid[:, 1]
+    h = required_H_trace(law, np.cross(t_vec, nu), z1, nu)
+    h_c = np.stack([h[rows, tangents[:, 0]], h[rows, tangents[:, 1]]], axis=1)
+    return np.max(np.abs(t_old + dt * (curl - kappa * h_c) / eps_t - t_new))
+
+
+def _random_batch(rng, n):
+    nu, tangents, eps_t, kappa = _metrics(n)
+    curl = rng.uniform(-1, 1, (n, 2))
+    t_old = rng.uniform(-1, 1, (n, 2))
+    z1 = rng.uniform(-1, 1, (n, 3))
+    z1[:, 2] = 0.0
+    return curl, t_old, z1, nu, tangents, eps_t, kappa
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        FeedbackLaw(kind="linear", a=1.3, gamma1=1.0, tau=0.25),
+        SATURATING,
+        FeedbackLaw(kind="table", table_r=(0.0, 0.5, 2.0, 4.0), table_g=(0.0, 1.0, 2.5, 3.0)),
+    ],
+    ids=["linear", "saturating", "table"],
+)
+def test_radial_slope_matches_difference_quotients(law):
+    # G'(r) against central differences of the profile G(r) = gain(r) r,
+    # away from the table knots
+    r = np.array([0.1, 0.3, 0.9, 1.7, 3.1, 6.0])
+    h = 1e-6
+    profile = lambda x: law._radial_gain(x) * x  # noqa: E731
+    quotient = (profile(r + h) - profile(r - h)) / (2 * h)
+    assert np.max(np.abs(law._radial_slope(r) - quotient)) <= 1e-8
+
+
+def test_newton_converges_on_random_batch_at_ten_times_cfl(monkeypatch):
+    # far beyond the step where the old damped fixed point contracted;
+    # Newton's quadratic convergence keeps the g evaluations few
+    from delayfdtd import feedback
+
+    calls = []
+    real_eval_g = feedback.eval_g
+
+    def counted_eval_g(law, v):
+        calls.append(1)
+        return real_eval_g(law, v)
+
+    monkeypatch.setattr(feedback, "eval_g", counted_eval_g)
+    rng = np.random.default_rng(43)
+    curl, t_old, z1, nu, tangents, eps_t, kappa = _random_batch(rng, 10_000)
+    dt = 10 * 0.95 / (16 * np.sqrt(3.0))
+    for law in (SATURATING, FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=64.0, gamma2=16.0)):
+        calls.clear()
+        out = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+        assert len(calls) <= 12
+        # round-off of the cross-product rebuild grows with dt * kappa * gamma1
+        slack = 1e-15 * dt * kappa.max() * law.gamma1 * 10
+        assert _centered_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + slack
+
+
+def test_table_law_closure_satisfies_centered_equation():
+    # a table sampled from the saturating law runs through the same solver
+    rs = np.linspace(0.0, 8.0, 321)
+    law = FeedbackLaw(
+        kind="table", table_r=tuple(rs), table_g=tuple(rs + rs / (1.0 + rs)),
+        gamma1=1.0, gamma2=0.5, tau=0.25,
+    )
+    rng = np.random.default_rng(44)
+    curl, t_old, z1, nu, tangents, eps_t, kappa = _random_batch(rng, 2_000)
+    dt = 0.95 / (16 * np.sqrt(3.0))
+    out = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, tol=1e-12)
+    assert _centered_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + 1e-14
+    # and lands next to the saturating law it samples
+    ref = implicit_boundary_update(SATURATING, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+    assert np.max(np.abs(out - ref)) <= 1e-3
+
+
+def test_tensor_block_matches_diagonal_entries():
+    # an (S, 2, 2) tangential block with zero off-diagonals is the diagonal path
+    rng = np.random.default_rng(45)
+    curl, t_old, z1, nu, tangents, _, kappa = _random_batch(rng, 500)
+    eps_t = rng.uniform(1.0, 3.0, (500, 2))
+    block = eps_t[:, :, None] * np.eye(2)
+    dt = 0.95 / (16 * np.sqrt(3.0))
+    for law in (SATURATING, FeedbackLaw(kind="linear", a=1.3, gamma1=0.8, gamma2=0.4, tau=0.25)):
+        diag = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+        full = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, block, kappa)
+        assert np.max(np.abs(full - diag)) <= 1e-12

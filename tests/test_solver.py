@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from delayfdtd.delay import init_history
 from delayfdtd.domain import BoxDomain, build_grid
-from delayfdtd.errors import AssumptionError, ConfigError
+from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
 from delayfdtd.feedback import FeedbackLaw
-from delayfdtd.materials import constant_full, constant_isotropic, diagonal_ramp
+from delayfdtd.materials import constant_diagonal, constant_full, constant_isotropic, diagonal_ramp
 from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import (
     AnalysisOptions,
@@ -283,3 +285,59 @@ def test_unsafe_flag_lets_failed_checks_run():
         run=RunControls(t_end=0.1, cfl_safety=0.5, unsafe=True),
     )
     run(sc_unsafe)
+
+
+@pytest.mark.parametrize(
+    "safety,gamma1", [(0.5, 3.0), (0.5, 4.0), (0.5, 8.0), (0.9, 2.0), (0.9, 64.0)]
+)
+def test_saturating_gains_across_admissible_region(safety, gamma1):
+    # gamma1 c1 > gamma2 c2 at every point; the old damped fixed point
+    # stopped converging at all of them.  The replayed history agrees with
+    # the initial trace at s = 0, so the discrete E_xi balance holds from
+    # the first step and E_xi may not rise at any step.
+    law = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=gamma1, gamma2=gamma1 / 4, tau=0.25)
+    sc = Scenario(
+        domain=BoxDomain((1.0, 1.0, 1.0), (8, 8, 8), (0.5, 0.5, 0.5)),
+        law=law,
+        history=HistorySpec(kind="replay"),
+        initial=InitialSpec(preset="gaussian_pulse", width=0.15, amplitude=1.0),
+        run=RunControls(t_end=2.0, cfl_safety=safety),
+    )
+    e_xi = run(sc).trace.E_xi
+    assert np.max(np.diff(e_xi)) <= 1e-10 * e_xi[0]
+
+
+def test_full_tensor_path_matches_diagonal_path():
+    # a diagonal tensor sent down the full-tensor path (collocated interior
+    # update, (S, 2, 2) trace block) must reproduce the diagonal path
+    grid = build_grid(BoxDomain((1, 1, 1), (6, 6, 6), (0.5, 0.5, 0.5)))
+    eps = constant_diagonal(grid, (2.0, 1.5, 1.8))
+    mu = constant_isotropic(grid, 1.0)
+    law = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=2.0, gamma2=0.5, tau=0.25)
+    dt, n_slots = compute_dt(grid, eps, mu, 0.5, law.tau)
+    q0 = np.random.default_rng(12).standard_normal(build_operators(grid, eps, mu).layout.n_q)
+    states = []
+    for e in (eps, dataclasses.replace(eps, diagonal_only=False)):
+        ops = build_operators(grid, e, mu)
+        stepper = Stepper(ops, law, dt)
+        assert stepper._diag == e.diagonal_only
+        state = stepper.bootstrap(q0)
+        ring = init_history(
+            "replay", n_slots, grid.samples.normals, initial_trace=ops.boundary_trace_w(q0)
+        )
+        for _ in range(20):
+            stepper.step(state, ring)
+        states.append(state)
+    diag, full = states
+    assert np.max(np.abs(full.q - diag.q)) <= 1e-12 * np.max(np.abs(diag.q))
+    assert np.max(np.abs(full.h - diag.h)) <= 1e-12 * np.max(np.abs(diag.h))
+
+
+def test_overflow_names_the_energy_column():
+    # an energy that overflows stops the run at that record, without numpy
+    # overflow warnings, and the error names the column
+    law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.0, tau=0.25)
+    base = small_scenario(law=law, steps=5)
+    sc = dataclasses.replace(base, initial=dataclasses.replace(base.initial, amplitude=1e160))
+    with pytest.raises(NumericalError, match="non-finite energy column E_weighted at step 0"):
+        run(sc)
