@@ -38,8 +38,8 @@ def _dot(a, b) -> float:
 
 def field_energies(q, h, h_prev, ops: Operators) -> tuple[float, float]:
     """(weighted, plain) field energy: E part plus staggered H product."""
-    e_w = 0.5 * _dot(ops.Wq * ops.eps_q * q, q)
-    e_w += 0.5 * _dot(ops.Wf * ops.mu_f * h_prev, h)
+    e_w = 0.5 * _dot(ops.Wq_eps * q, q)
+    e_w += 0.5 * _dot(ops.Wf_mu * h_prev, h)
     e_p = 0.5 * _dot(ops.Wq * q, q)
     e_p += 0.5 * _dot(ops.Wf * h_prev, h)
     return e_w, e_p

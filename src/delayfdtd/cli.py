@@ -1,13 +1,16 @@
 """Command-line interface: assumption checks, runs, sweeps, analysis, labs.
 
 Exit codes: 0 success, 2 configuration error, 3 assumption violated,
-4 numerical failure, 5 certificate failure under --assert.
+4 numerical failure, 5 certificate failure under --assert.  With --debug
+(or DELAYFDTD_DEBUG=1) an unexpected exception also prints its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +457,12 @@ def cmd_resolvent(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="delayfdtd", description=__doc__)
+    p.add_argument(
+        "--debug",
+        action="store_true",
+        default=os.environ.get("DELAYFDTD_DEBUG") == "1",
+        help="print the traceback of an unexpected failure (also DELAYFDTD_DEBUG=1)",
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", help="material and geometry assumption report")
@@ -521,6 +530,8 @@ def main(argv=None) -> int:
         return 4
     except Exception as exc:  # keep the exit-code contract exhaustive
         print(f"numerical failure (unexpected): {exc}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exc()
         return 4
 
 

@@ -17,7 +17,16 @@ TANGENT_TOL = 1e-12
 
 
 class DelayRing:
-    """Per-sample circular array of N+1 tangential 3-vectors."""
+    """Per-sample circular array of N+1 tangential 3-vectors.
+
+    Alongside the slots the ring caches the per-sample midpoint energies the
+    delay quadrature sums.  Invariant: for each physical row p, ``_mid2[p]``
+    holds |(Z_p + Z_{p+1}) / 2|^2 (indices mod N+1) when that pair is two
+    adjacent live slots, and zero for the one row that pairs logical slot N
+    with slot 0.  A push changes one pair and retires another, so it updates
+    two rows; ``fill`` rebuilds them all.  ``s_energy`` then sums N+1 rows of
+    S scalars instead of forming N*S midpoint vectors.
+    """
 
     def __init__(self, n_slots: int, normals: np.ndarray):
         if n_slots < 1:
@@ -26,6 +35,7 @@ class DelayRing:
         self.normals = np.asarray(normals, dtype=float)
         self.n_samples = self.normals.shape[0]
         self._buf = np.zeros((self.N + 1, self.n_samples, 3))
+        self._mid2 = np.zeros((self.N + 1, self.n_samples))
         self._cursor = 0  # physical index of logical slot 0
 
     # -- slot access --------------------------------------------------------
@@ -47,7 +57,7 @@ class DelayRing:
 
     def _validate(self, traces: np.ndarray, what: str):
         dots = np.abs(np.einsum("...i,...i->...", traces, self.normals))
-        scale = 1.0 + np.linalg.norm(traces, axis=-1)
+        scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", traces, traces))
         if np.any(dots > TANGENT_TOL * scale):
             raise ContractError(
                 f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}"
@@ -64,6 +74,10 @@ class DelayRing:
             vals = np.broadcast_to(np.asarray(vals, dtype=float), (self.n_samples, 3))
             self._validate(vals, f"history at s={j}/{self.N}")
             self._buf[(self._cursor + j) % (self.N + 1)] = vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = 0.5 * (self._buf + np.roll(self._buf, -1, axis=0))
+            self._mid2[:] = np.einsum("psi,psi->ps", mid, mid)
+        self._mid2[(self._cursor + self.N) % (self.N + 1)] = 0.0
 
     # -- dynamics ------------------------------------------------------------
 
@@ -74,8 +88,14 @@ class DelayRing:
         """
         new_trace = np.asarray(new_trace, dtype=float)
         self._validate(new_trace, "pushed trace")
-        self._cursor = (self._cursor - 1) % (self.N + 1)
-        self._buf[self._cursor] = new_trace
+        c = self._cursor = (self._cursor - 1) % (self.N + 1)
+        self._buf[c] = new_trace
+        # the pair (slot 0, slot 1) is new; the pair (slot N, slot 0) is retired.
+        # A diverging run overflows here silently and is reported at its record.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = 0.5 * (self._buf[c] + self._buf[(c + 1) % (self.N + 1)])
+            self._mid2[c] = np.einsum("si,si->s", mid, mid)
+        self._mid2[(c + self.N) % (self.N + 1)] = 0.0
         return self.slot(0), self.slot(self.N)
 
     # -- quadrature ----------------------------------------------------------
@@ -91,11 +111,10 @@ class DelayRing:
 
         This is the quadrature whose shift telescoping matches the
         time-centered boundary work term exactly, so the discrete energy
-        balance holds to round-off.
+        balance holds to round-off.  It sums the cached pair energies (the
+        retired row is zero), so no round-off accumulates across pushes.
         """
-        Z = self.slots()
-        mid = 0.5 * (Z[:-1] + Z[1:])
-        return np.einsum("jsi,jsi->s", mid, mid) / self.N
+        return self._mid2.sum(axis=0) / self.N
 
 
 def init_history(kind: str, n_slots: int, normals: np.ndarray, *, value=None, initial_trace=None) -> DelayRing:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 # Face enumeration: (axis, side) with side -1 for the low face, +1 for the
 # high face.  Tangent axes of a face are the two remaining axes in sorted
@@ -50,6 +50,47 @@ class BoxDomain:
         return tuple(L / n for L, n in zip(self.lengths, self.resolution))
 
 
+class TangentCross:
+    """Cross products with axis-aligned unit normals, on the tangent axes.
+
+    With nu = side e_a and tangent axes (t1, t2), the vector t x nu has
+    component sigma t_1 along t2 and -sigma t_2 along t1, where
+    sigma = side * eps(t1, a, t2) (eps the Levi-Civita symbol): a swap and a
+    sign per sample, precomputed here.  nu x w inverts the map on tangential
+    w.  For finite input the products are those np.cross forms against a
+    unit axis vector, so the results agree with it exactly, up to the sign
+    of a zero.
+    """
+
+    def __init__(self, normals: np.ndarray, tangents: np.ndarray):
+        normals = np.asarray(normals, dtype=float)
+        tangents = np.asarray(tangents)
+        t1, t2 = tangents[:, 0], tangents[:, 1]
+        if np.any((t1 == t2) | (np.minimum(t1, t2) < 0) | (np.maximum(t1, t2) > 2)):
+            raise ContractError("tangent axes must be two distinct axes out of 0, 1, 2")
+        rows = np.arange(normals.shape[0])
+        axis = 3 - t1 - t2
+        side = normals[rows, axis]
+        axis_vectors = np.zeros_like(normals)
+        axis_vectors[rows, axis] = side
+        if np.any(np.abs(side) != 1.0) or not np.array_equal(axis_vectors, normals):
+            raise ContractError("normals must be unit vectors along the axis off the tangent axes")
+        sigma = side * np.where((axis - t1) % 3 == 1, 1.0, -1.0)
+        self._idx = 3 * rows[:, None] + tangents[:, ::-1]  # flat (S, 3) index of the swap
+        self._sign = sigma[:, None] * np.array([1.0, -1.0])
+        self._shape = normals.shape
+
+    def cross_nu(self, comps: np.ndarray) -> np.ndarray:
+        """t x nu as (S, 3) vectors, from the (S, 2) tangential components of t."""
+        out = np.zeros(self._shape)
+        out.put(self._idx, comps * self._sign)
+        return out
+
+    def nu_cross(self, vectors: np.ndarray) -> np.ndarray:
+        """(S, 2) tangential components of nu x w, from (S, 3) vectors w."""
+        return np.take(vectors, self._idx) * self._sign
+
+
 @dataclass
 class SampleSet:
     """Boundary face-center samples: geometry and trace bookkeeping.
@@ -71,6 +112,10 @@ class SampleSet:
     cells: np.ndarray  # (S, 3) owning cell index
     vol_mass: np.ndarray  # (S, 2) per-component volume weight
     face_slices: dict = field(default_factory=dict)  # face id -> (start, n1, n2)
+    cross: TangentCross = field(init=False, repr=False)  # t x nu and nu x w
+
+    def __post_init__(self):
+        self.cross = TangentCross(self.normals, self.tangents)
 
     @property
     def count(self) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import TangentCross
 from .errors import AssumptionError, ConfigError, ContractError, NumericalError
 
 TANGENT_TOL = 1e-12
@@ -202,6 +203,7 @@ def implicit_boundary_update(
     tol: float = 1e-12,
     max_iter: int = 50,
     lagged: bool = False,
+    cross: TangentCross | None = None,
 ) -> np.ndarray:
     """Advance the boundary tangential components by one time step.
 
@@ -216,7 +218,9 @@ def implicit_boundary_update(
     (S, 3) time-centered delayed trace, `kappa` the (S, 2) injection scale
     (area over volume mass), `eps_t` the tangential permittivity, either
     (S, 2) diagonal entries or an (S, 2, 2) block.  With ``lagged=True`` the
-    feedback is evaluated at t_old (explicit mode).
+    feedback is evaluated at t_old (explicit mode).  `cross` is the
+    `TangentCross` of `nu` and `tangents`; it is built from them when not
+    given.
 
     The residual F(t) = t_old + dt eps_t^{-1} (curl_term + fb((t_old+t)/2)) - t
     is driven below `tol` (max norm per sample) by Newton steps with the
@@ -225,12 +229,12 @@ def implicit_boundary_update(
     """
     t_old = np.asarray(t_old, dtype=float)
     eps_t = np.asarray(eps_t, dtype=float)
+    if cross is None:
+        cross = TangentCross(nu, tangents)
 
     if law.kind == "linear" and eps_t.ndim == 2 and not lagged:
         # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*(nu x z1))]
-        rows = np.arange(t_old.shape[0])
-        u1 = np.cross(nu, z1_mid)
-        u1_c = np.stack([u1[rows, tangents[:, 0]], u1[rows, tangents[:, 1]]], axis=1)
+        u1_c = cross.nu_cross(z1_mid)
         q = dt / eps_t * kappa * law.a
         rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * u1_c
         return rhs / (1.0 + 0.5 * q * law.gamma1)
@@ -255,8 +259,8 @@ def implicit_boundary_update(
     base = t_old + mass(curl_term)
     drive = base
     if law.gamma2 != 0.0:
-        delayed = np.take_along_axis(np.cross(eval_g(law, z1_mid), nu), tangents, axis=1)
-        drive = base + mass(kappa * law.gamma2 * delayed)
+        # the components of g(z1) x nu are those of -(nu x g(z1))
+        drive = base - mass(kappa * law.gamma2 * cross.nu_cross(eval_g(law, z1_mid)))
 
     if lagged:
         return drive - mass(damping * eval_g(law, t_old))

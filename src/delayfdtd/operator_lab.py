@@ -178,8 +178,8 @@ def weighted_inner(
     """Inner product with e^{cs}-weighted delay part."""
     s = ops.grid.samples
     M = a.n_s_cells
-    val = float(np.dot(ops.Wq * ops.eps_q * a.q, b.q))
-    val += float(np.dot(ops.Wf * ops.mu_f * a.h, b.h))
+    val = float(np.dot(ops.Wq_eps * a.q, b.q))
+    val += float(np.dot(ops.Wf_mu * a.h, b.h))
     ws = s_weights(M) * np.exp(c_weight * np.arange(M + 1) / M)
     pair = np.einsum("smi,smi->sm", a.Z, b.Z)
     val += xi_op * tau * float(np.dot(s.areas, pair @ ws))
@@ -328,7 +328,7 @@ def resolvent_solve(
         b * s.areas * lin_gain * (law.gamma1 + law.gamma2 * exp_fac), 2
     ).reshape(-1, 2)
 
-    rhs0 = b * (ops.Wq * ops.eps_q * F.q) + ops.C.T @ (ops.Wf * F.h)
+    rhs0 = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
     rows = np.arange(s.count)
 
@@ -356,7 +356,7 @@ def resolvent_solve(
     pen = penalty
     for _ in range(10):
         core = (
-            b * b * sp.diags(ops.Wq * ops.eps_q)
+            b * b * sp.diags(ops.Wq_eps)
             + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
             + pen * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
             + bdry_mat
@@ -439,7 +439,7 @@ def form_pairing(q1: np.ndarray, q2: np.ndarray, dq: np.ndarray, b: float, ops: 
 
     def apply_lin(q):
         return (
-            b * b * (ops.Wq * ops.eps_q * q)
+            b * b * (ops.Wq_eps * q)
             + ops.C.T @ ((ops.Wf / ops.mu_f) * (ops.C @ q))
             + penalty * ops.node_weight * (ops.div_eps.T @ (ops.div_eps @ q))
         )

@@ -226,6 +226,8 @@ class Operators:
     Wf: np.ndarray
     eps_q: np.ndarray  # per-slot diagonal coefficient
     mu_f: np.ndarray
+    Wq_eps: np.ndarray  # Wq * eps_q, the weighted E-side mass
+    Wf_mu: np.ndarray  # Wf * mu_f, the weighted H-side mass
     inj_scale: np.ndarray  # (S, 2) area / volume-mass
     trace_idx: np.ndarray  # (S, 2) q indices
     eps_trace: np.ndarray  # (S, 2)
@@ -259,7 +261,7 @@ class Operators:
 
     def boundary_trace_w(self, q: np.ndarray) -> np.ndarray:
         """The trace E x nu at the samples."""
-        return np.cross(self.trace_vectors(q), self.grid.samples.normals)
+        return self.grid.samples.cross.cross_nu(self.layout.trace_view(q))
 
     def green_residual(self, q: np.ndarray, h: np.ndarray, h_trace: np.ndarray) -> float:
         """Relative defect of the discrete integration-by-parts identity."""
@@ -315,6 +317,8 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wf=Wf,
         eps_q=eps_q,
         mu_f=mu_f,
+        Wq_eps=Wq * eps_q,
+        Wf_mu=Wf * mu_f,
         inj_scale=s.areas[:, None] / s.vol_mass,
         trace_idx=trace_idx,
         eps_trace=eps_trace,

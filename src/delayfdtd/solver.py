@@ -248,6 +248,7 @@ class Stepper:
         s = ops.grid.samples
         self._normals = s.normals
         self._tangents = s.tangents
+        self._cross = s.cross
         self._kappa = ops.inj_scale
         self._eps_t = ops.eps_trace
         layout = ops.layout
@@ -360,11 +361,11 @@ class Stepper:
             self._kappa,
             tol=self.trace_tol,
             lagged=self.boundary_mode == "lagged",
+            cross=self._cross,
         )
 
         state.q[self._trace_slice] = t_new.ravel()
-        w_new = np.cross(ops.grid.samples.to_vectors(t_new), self._normals)
-        ring.advance(w_new)
+        ring.advance(self._cross.cross_nu(t_new))
 
         curl = self._curl_e(state.q)
         state.h_prev = state.h.copy()

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from delayfdtd import cli
 from delayfdtd.analysis import EnergyTrace
 from delayfdtd.cli import main
 
@@ -286,3 +287,19 @@ def test_energy_csv_independent_of_blas_threads(tmp_path):
         )
         outputs.append((outdir / "energy.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("how", ["plain", "flag", "env"])
+def test_debug_prints_traceback_of_unexpected_failure(capsys, monkeypatch, how):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", boom)
+    monkeypatch.delenv("DELAYFDTD_DEBUG", raising=False)
+    if how == "env":
+        monkeypatch.setenv("DELAYFDTD_DEBUG", "1")
+    argv = (["--debug"] if how == "flag" else []) + ["check", "run.cfg"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure (unexpected): boom" in err
+    assert ("Traceback (most recent call last)" in err) == (how != "plain")

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayfdtd.delay import DelayRing, init_history, transport_residual
+from delayfdtd.delay import DelayRing, init_history, load_history_csv, transport_residual
+from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError, ContractError
 
 NORMALS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -143,3 +146,74 @@ def test_advance_rejects_non_tangential():
     bad = np.array([[0, 0, 1.0], [0, 0, 1.0], [0, 1.0, 0]])  # normal on sample 0
     with pytest.raises(ContractError):
         ring.advance(bad)
+
+
+# -- cached pair energies ----------------------------------------------------
+
+def midpoint_s_energy(ring):
+    # the uncached quadrature: every adjacent-slot midpoint rebuilt per call
+    Z = ring.slots()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (Z[:-1] + Z[1:])
+        return np.einsum("jsi,jsi->s", mid, mid) / ring.N
+
+
+def assert_cache_matches(ring):
+    ref = midpoint_s_energy(ring)
+    got = ring.s_energy()
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+def box_normals():
+    return build_grid(BoxDomain((1.0, 1.0, 1.0), (4, 5, 6), (0.5, 0.5, 0.5))).samples.normals
+
+
+def random_traces(rng, normals, shape=()):
+    raw = rng.standard_normal(shape + normals.shape)
+    nu = np.broadcast_to(normals, raw.shape)
+    return raw - np.einsum("...i,...i->...", raw, nu)[..., None] * nu
+
+
+def test_cache_after_fill_constant_replay_and_csv(tmp_path):
+    rng = np.random.default_rng(31)
+    normals = box_normals()
+    n_slots = 6
+    assert_cache_matches(init_history("constant", n_slots, normals, value=random_traces(rng, normals)))
+    assert_cache_matches(init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals)))
+    vals = random_traces(rng, normals, (n_slots + 1,))
+    lines = ["step,sample_id,s_index,vx,vy,vz"]
+    for j in range(n_slots + 1):
+        for sid, v in enumerate(vals[j]):
+            lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    path = tmp_path / "history.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ring = load_history_csv(path, n_slots, normals)
+    assert_cache_matches(ring)
+    # a ring that was already pushed is rebuilt by fill
+    ring.advance(random_traces(rng, normals))
+    ring.fill(random_traces(rng, normals))
+    assert_cache_matches(ring)
+
+
+@pytest.mark.parametrize("n_slots", [1, 5])
+def test_cache_tracks_pushes_across_wraps(n_slots):
+    rng = np.random.default_rng(32 + n_slots)
+    normals = box_normals()
+    ring = init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+    for _ in range(2 * (n_slots + 1) + 3):
+        ring.advance(random_traces(rng, normals))
+        assert_cache_matches(ring)
+
+
+def test_cache_overflow_is_inf_without_warning():
+    rng = np.random.default_rng(33)
+    normals = box_normals()
+    ring = init_history("zero", 4, normals)
+    big = 1e300 * random_traces(rng, normals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ring.advance(random_traces(rng, normals))
+        ring.advance(big)
+        energy = ring.s_energy()
+    assert np.all(np.isinf(energy[np.any(big != 0, axis=1)]))
+    assert np.all(np.isinf(midpoint_s_energy(ring)) == np.isinf(energy))

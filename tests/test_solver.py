@@ -6,7 +6,7 @@ import pytest
 from delayfdtd.delay import init_history
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
-from delayfdtd.feedback import FeedbackLaw
+from delayfdtd.feedback import FeedbackLaw, implicit_boundary_update
 from delayfdtd.materials import constant_diagonal, constant_full, constant_isotropic, diagonal_ramp
 from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import (
@@ -341,3 +341,81 @@ def test_overflow_names_the_energy_column():
     sc = dataclasses.replace(base, initial=dataclasses.replace(base.initial, amplitude=1e160))
     with pytest.raises(NumericalError, match="non-finite energy column E_weighted at step 0"):
         run(sc)
+
+
+# -- cross products on the tangent axes ------------------------------------------
+
+def test_tangent_cross_matches_np_cross_on_every_face():
+    s = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75))).samples
+    assert sorted(set(zip(s.axis.tolist(), s.side.tolist()))) == sorted(
+        [(a, side) for a in range(3) for side in (-1, 1)]
+    )
+    rng = np.random.default_rng(21)
+    comps = rng.standard_normal((s.count, 2))
+    comps[::7, 0] = 0.0  # exact zeros map to zeros (of either sign)
+    assert np.all(s.cross.cross_nu(comps) == np.cross(s.to_vectors(comps), s.normals))
+    w = np.cross(s.to_vectors(rng.standard_normal((s.count, 2))), s.normals)
+    assert np.all(s.cross.nu_cross(w) == s.to_components(np.cross(s.normals, w)))
+    assert np.all(s.cross.nu_cross(s.cross.cross_nu(comps)) == comps)
+
+
+class NpCross:
+    """The np.cross form of `TangentCross`, the reference for the step."""
+
+    def __init__(self, samples):
+        self.s = samples
+
+    def cross_nu(self, comps):
+        return np.cross(self.s.to_vectors(comps), self.s.normals)
+
+    def nu_cross(self, vectors):
+        return self.s.to_components(np.cross(self.s.normals, vectors))
+
+
+def np_cross_step(stepper, state, ring):
+    """Stepper.step on the diagonal path, with every cross product by np.cross."""
+    ops, dt = stepper.ops, stepper.dt
+    cross = NpCross(ops.grid.samples)
+    rhs = ops.G @ state.h
+    z1_mid = 0.5 * (ring.slot(ring.N) + ring.slot(ring.N - 1))
+    t_old = ops.layout.trace_view(state.q).copy()
+    curl_term = rhs[stepper._trace_slice].reshape(-1, 2)
+    state.q[stepper._int_slice] += dt * rhs[stepper._int_slice] / ops.eps_q[stepper._int_slice]
+    t_new = implicit_boundary_update(
+        stepper.law, curl_term, t_old, z1_mid, stepper._normals, stepper._tangents, dt,
+        stepper._eps_t, stepper._kappa, cross=cross,
+    )
+    state.q[stepper._trace_slice] = t_new.ravel()
+    ring.advance(cross.cross_nu(t_new))
+    state.h_prev = state.h.copy()
+    state.h = state.h - dt * (ops.C @ state.q) / ops.mu_f
+    return state
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25),
+        FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=2.0, gamma2=0.5, tau=0.25),
+    ],
+    ids=["linear", "saturating"],
+)
+def test_cross_free_step_is_bit_identical(law):
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    eps = diagonal_ramp(grid, (1.0, 1.5, 2.0), axis=0, slope=0.5)
+    mu = constant_isotropic(grid, 1.0)
+    ops = build_operators(grid, eps, mu)
+    dt, n_slots = compute_dt(grid, eps, mu, 0.5, law.tau)
+    q0 = np.random.default_rng(22).standard_normal(ops.layout.n_q)
+    stepper = Stepper(ops, law, dt)
+    runs = []
+    for step in (Stepper.step, np_cross_step):
+        state = stepper.bootstrap(q0)
+        ring = init_history("replay", n_slots, grid.samples.normals,
+                            initial_trace=NpCross(grid.samples).cross_nu(ops.layout.trace_view(q0)))
+        for _ in range(20):
+            step(stepper, state, ring)
+        runs.append(state)
+    got, ref = runs
+    assert got.q.tobytes() == ref.q.tobytes()
+    assert got.h.tobytes() == ref.h.tobytes()
