@@ -31,7 +31,7 @@ def main():
     grid = build_grid(dom)
     eps = constant_isotropic(grid, 1.0)
 
-    print(f"{'gamma2':>8} {'xi':>8} {'lambda':>10} {'R^2':>8} {'c1E':>8} {'certificate':>12}")
+    print(f"{'gamma2':>8} {'xi':>8} {'lambda':>10} {'R^2':>8} {'c1E':>8}  certificate")
     for g2 in args.gamma2:
         law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=g2, tau=0.25)
         dt, _ = compute_dt(grid, eps, eps, 0.5, law.tau)
@@ -43,26 +43,10 @@ def main():
             analysis=AnalysisOptions(),
         )
         out = run(sc)
-        t_end = out.trace.t[-1]
-        lam, _, r2 = analysis.fit_decay(out.trace, (t_end / 3.0, t_end))
-        cert = "n/a"
-        if out.diss is not None:
-            k = out.diss
-            obs = analysis.observability_constants(
-                out.report.alpha, out.report.d1, out.report.beta, out.report.m_sup,
-                out.report.lambda_max_eps, out.report.lambda_max_mu,
-                k.c2, k.gamma1, k.gamma2, k.xi, law.tau,
-            )
-            ok31 = analysis.lemma31_check(out.trace, k).passed
-            ok32 = analysis.lemma32_check(out.trace, obs).passed
-            okA = False
-            if t_end > 4 * obs.c:
-                okA = analysis.appendix_analyze(
-                    out.trace.t, out.trace.E_xi, out.trace.D, k.c1E, k.c2E, obs.c, obs.c_T, t_end
-                ).passed
-            cert = "pass" if (ok31 and ok32 and okA) else "FAIL"
+        block, _ = analysis.certify(out.trace, out.report, out.diss, law.tau)
+        lam, r2 = block.get("lambda_hat", np.nan), block.get("fit_r2", np.nan)
         c1e = f"{out.diss.c1E:.4f}" if out.diss else "-"
-        print(f"{g2:>8.3g} {out.xi:>8.4g} {lam:>10.5f} {r2:>8.5f} {c1e:>8} {cert:>12}")
+        print(f"{g2:>8.3g} {out.xi:>8.4g} {lam:>10.5f} {r2:>8.5f} {c1e:>8}  {block['certificate']}")
 
 
 if __name__ == "__main__":

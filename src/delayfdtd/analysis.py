@@ -17,9 +17,12 @@ import numpy as np
 from .delay import DelayRing
 from .errors import AssumptionError, ConfigError, ContractError
 from .feedback import FeedbackLaw, eval_g
+from .materials import MaterialReport
 from .operators import Operators
 
 CSV_HEADER = "t,E_weighted,E_plain,E_xi,D,flux"
+# margins of the two-sided and pointwise decay checks, relative to E_xi(0)
+_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +114,21 @@ class EnergyTrace:
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "EnergyTrace":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != CSV_HEADER:
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if not lines or lines[0][1].strip() != CSV_HEADER:
             raise ConfigError(f"energy CSV must start with header `{CSV_HEADER}`")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        if data.ndim != 2 or data.shape[1] != 6:
-            raise ConfigError("energy CSV rows must have 6 columns")
+        rows = []
+        for i, ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) != 6:
+                raise ConfigError(f"energy CSV line {i}: {len(fields)} columns, need 6")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError:
+                raise ConfigError(f"energy CSV line {i}: non-numeric field in {ln.strip()!r}") from None
+        if not rows:
+            raise ConfigError("energy CSV holds no records")
+        data = np.array(rows)
         return cls(*(data[:, i] for i in range(6)), metadata=metadata or {})
 
 
@@ -181,6 +193,25 @@ def _pair_sample(n: int, max_pairs: int, seed: int = 20240) -> np.ndarray:
     return np.concatenate([adjacent, rand], axis=0)
 
 
+def _pair_margins(t, E, D, c1E: float, c2E: float, slack: float, max_pairs: int):
+    """Normalized (upper, lower) two-sided margins over sampled record pairs.
+
+    Upper side: E(t2) - E(t1) <= -(c1E/slack) * int D; lower side:
+    E(t2) - E(t1) >= -(c2E*slack) * int D; the time integral of D is the
+    trapezoid rule over records.  Margins are normalized by E(0); positive
+    margins mean the inequality holds strictly.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
+    pairs = _pair_sample(len(t), max_pairs)
+    i1, i2 = pairs[:, 0], pairs[:, 1]
+    dE = E[i2] - E[i1]
+    integral = cum[i2] - cum[i1]
+    scale = max(E[0], 1e-300)
+    upper = (-(c1E / slack) * integral - dE) / scale
+    lower = (dE + (c2E * slack) * integral) / scale
+    return upper, lower
+
+
 @dataclass
 class InequalityReport:
     passed: bool
@@ -188,51 +219,22 @@ class InequalityReport:
     worst_lower: float
     n_pairs: int
     slack: float
-    detail: str = ""
-
-    def summary_lines(self) -> list[str]:
-        return [
-            f"passed = {self.passed}",
-            f"worst_upper_margin = {self.worst_upper:.6e}",
-            f"worst_lower_margin = {self.worst_lower:.6e}",
-            f"pairs = {self.n_pairs}",
-            f"slack = {self.slack}",
-        ]
 
 
 def lemma31_check(
     trace: EnergyTrace, k: DissipationConstants, slack: float = 1.05, max_pairs: int = 10_000
 ) -> InequalityReport:
-    """Two-sided dissipation bound over sampled record pairs.
-
-    Upper side: E_xi(t2) - E_xi(t1) <= -(c1E/slack) * int D; lower side:
-    E_xi(t2) - E_xi(t1) >= -(c2E*slack) * int D; the time integral of D is
-    the trapezoid rule over records.  Margins are normalized by E_xi(0);
-    positive margins mean the inequality holds strictly.
-    """
-    n = len(trace.t)
-    if n < 2:
+    """Two-sided dissipation bound on E_xi over sampled record pairs."""
+    if len(trace.t) < 2:
         raise ContractError("need at least two records")
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (trace.D[1:] + trace.D[:-1]) * np.diff(trace.t))]
-    )
-    pairs = _pair_sample(n, max_pairs)
-    i1, i2 = pairs[:, 0], pairs[:, 1]
-    dE = trace.E_xi[i2] - trace.E_xi[i1]
-    integral = cum[i2] - cum[i1]
-    scale = max(trace.E_xi[0], 1e-300)
-    atol = 1e-12
-    upper_margin = (-(k.c1E / slack) * integral - dE) / scale
-    lower_margin = (dE + (k.c2E * slack) * integral) / scale
-    report = InequalityReport(
-        passed=bool(np.all(upper_margin >= -atol) and np.all(lower_margin >= -atol)),
-        worst_upper=float(np.min(upper_margin)),
-        worst_lower=float(np.min(lower_margin)),
-        n_pairs=len(pairs),
+    upper, lower = _pair_margins(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, slack, max_pairs)
+    return InequalityReport(
+        passed=bool(np.all(upper >= -_ATOL) and np.all(lower >= -_ATOL)),
+        worst_upper=float(np.min(upper)),
+        worst_lower=float(np.min(lower)),
+        n_pairs=len(upper),
         slack=slack,
-        detail=f"c1E={k.c1E:.6g}, c2E={k.c2E:.6g}, xi={k.xi:.6g}",
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,6 @@ class ObservabilityConstants:
     c: float
     c_T: float
     kappa: float
-    ingredients: dict
 
 
 def observability_constants(
@@ -285,25 +286,17 @@ def observability_constants(
     if weighted:
         c *= kappa
         c_T *= kappa
-    return ObservabilityConstants(
-        delta=delta,
-        c=c,
-        c_T=c_T,
-        kappa=kappa,
-        ingredients=dict(
-            alpha=alpha,
-            d1=d1,
-            beta=beta,
-            m_sup=m_sup,
-            lambda_max_eps=lambda_max_eps,
-            lambda_max_mu=lambda_max_mu,
-            c2=c2,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            xi=xi,
-            tau=tau,
-        ),
-    )
+    return ObservabilityConstants(delta=delta, c=c, c_T=c_T, kappa=kappa)
+
+
+def _observability_sides(t, E, D, c: float, c_T: float, T: float) -> tuple[float, float]:
+    """(int_0^T E, c (E(0) + E(T)) + c_T int_0^T D), trapezoid over records up to T."""
+    mask = t <= T + 1e-12 * max(1.0, T)
+    tw, Ew = t[mask], E[mask]
+    if len(tw) < 2:
+        raise ContractError("trace does not span the requested window")
+    lhs = float(np.trapezoid(Ew, tw))
+    return lhs, c * (Ew[0] + Ew[-1]) + c_T * float(np.trapezoid(D[mask], tw))
 
 
 @dataclass
@@ -314,29 +307,13 @@ class ObservabilityReport:
     rhs: float
     slack: float
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"passed = {self.passed}",
-            f"ratio = {self.ratio:.6e}",
-            f"lhs = {self.lhs:.17g}",
-            f"rhs = {self.rhs:.17g}",
-            f"slack = {self.slack}",
-        ]
-
 
 def lemma32_check(
     trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None, slack: float = 1.10
 ) -> ObservabilityReport:
     """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D]."""
     T = trace.t[-1] if T is None else float(T)
-    mask = trace.t <= T + 1e-12 * max(1.0, T)
-    t = trace.t[mask]
-    if len(t) < 2:
-        raise ContractError("trace does not span the requested window")
-    lhs = float(np.trapezoid(trace.E_xi[mask], t))
-    rhs = oc.c * (trace.E_xi[mask][0] + trace.E_xi[mask][-1]) + oc.c_T * float(
-        np.trapezoid(trace.D[mask], t)
-    )
+    lhs, rhs = _observability_sides(trace.t, trace.E_xi, trace.D, oc.c, oc.c_T, T)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return ObservabilityReport(
         passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio, lhs=lhs, rhs=rhs, slack=slack
@@ -383,18 +360,6 @@ class DecayCertificate:
     hypothesis_observability: bool
     conclusion: bool
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"passed = {self.passed}",
-            f"gamma = {self.gamma:.17g}",
-            f"lambda = {self.lam:.17g}",
-            f"c_tilde = {self.c_tilde:.17g}",
-            f"T = {self.T:.17g}",
-            f"hypothesis_two_sided = {self.hypothesis_upper and self.hypothesis_lower}",
-            f"hypothesis_observability = {self.hypothesis_observability}",
-            f"conclusion_pointwise_bound = {self.conclusion}",
-        ]
-
 
 def appendix_analyze(
     t: np.ndarray,
@@ -426,27 +391,17 @@ def appendix_analyze(
     if len(t) < 2 or t[-1] < T - 1e-12 * max(1.0, T):
         raise ContractError("samples do not cover [0, T]")
 
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
-    pairs = _pair_sample(len(t), max_pairs)
-    i1, i2 = pairs[:, 0], pairs[:, 1]
-    dE = E[i2] - E[i1]
-    integral = cum[i2] - cum[i1]
-    scale = max(E[0], 1e-300)
-    atol = 1e-12
-    hyp_upper = bool(np.all((-(c1E / slack) * integral - dE) / scale >= -atol))
-    hyp_lower = bool(np.all((dE + (c2E * slack) * integral) / scale >= -atol))
-
-    mask = t <= T + 1e-12 * max(1.0, T)
-    lhs = float(np.trapezoid(E[mask], t[mask]))
-    iT = int(np.nonzero(mask)[0][-1])
-    rhs = c * (E[0] + E[iT]) + c_T * float(np.trapezoid(D[mask], t[mask]))
+    upper, lower = _pair_margins(t, E, D, c1E, c2E, slack, max_pairs)
+    hyp_upper = bool(np.all(upper >= -_ATOL))
+    hyp_lower = bool(np.all(lower >= -_ATOL))
+    lhs, rhs = _observability_sides(t, E, D, c, c_T, T)
     hyp_obs = bool(lhs <= max(1.10, slack) * rhs + 1e-300)
 
     c_tilde = (c_T + c * c2E) / c1E
     gamma = c_tilde / (c_tilde + T / 2.0)
     lam = -np.log(gamma) / T
     bound = (1.0 / gamma) * np.exp(-lam * t) * E[0]
-    conclusion = bool(np.all(E <= bound * (1.0 + 1e-12) + atol * scale))
+    conclusion = bool(np.all(E <= bound * (1.0 + 1e-12) + _ATOL * max(E[0], 1e-300)))
 
     return DecayCertificate(
         passed=hyp_upper and hyp_lower and hyp_obs and conclusion,
@@ -459,6 +414,118 @@ def appendix_analyze(
         hypothesis_observability=hyp_obs,
         conclusion=conclusion,
     )
+
+
+# ---------------------------------------------------------------------------
+# The certificate chain
+# ---------------------------------------------------------------------------
+
+NEED_TWO_RECORDS = "not applicable (need at least two records)"
+
+
+def _classify(trace: EnergyTrace, lam: float | None) -> str:
+    e0, e1 = trace.E_xi[0], trace.E_xi[-1]
+    if e0 > 0 and e1 > 10.0 * e0:
+        return "unstable"
+    if lam is not None and np.isfinite(lam):
+        return "decaying" if lam > 0 else "non-decaying"
+    if e0 > 0 and e1 < e0:
+        return "decaying"
+    return "non-decaying"
+
+
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "FAIL"
+
+
+def certify(
+    trace: EnergyTrace,
+    report: MaterialReport,
+    k: DissipationConstants | None,
+    tau: float,
+    T: float | None = None,
+    weighted: bool = True,
+    slack_dissipation: float = 1.05,
+    slack_observability: float = 1.10,
+) -> tuple[dict[str, object], list[str]]:
+    """The decay-certificate chain on a trace: (ordered block, failed checks).
+
+    The block holds the decay fit on the last two thirds of the trace and a
+    classification, then, when an admissible weight `k` exists, the
+    two-sided dissipation check, the observability constants and check on
+    [0, T], and the contraction certificate.  A check that cannot run on
+    this trace reads "not applicable (reason)" and is not a failure.
+    """
+    T = float(trace.t[-1]) if T is None else float(T)
+    block: dict[str, object] = {}
+    failures: list[str] = []
+
+    lam = None
+    if np.all(trace.E_xi > 0) and len(trace.t) > 2:
+        try:
+            lam, pref, r2 = fit_decay(trace, (trace.t[-1] / 3.0, trace.t[-1]))
+            block.update(lambda_hat=lam, fit_prefactor=pref, fit_r2=r2)
+        except ContractError as exc:
+            block["fit"] = f"skipped ({exc})"
+    block["classification"] = _classify(trace, lam)
+
+    if k is None:
+        block["certificate"] = (
+            "none (no admissible delay weight: requires gamma1*c1 > gamma2*c2 and xi inside the interval)"
+        )
+        return block, failures
+    block.update(c1E=k.c1E, c2E=k.c2E)
+    if len(trace.t) < 2:
+        for key in ("two_sided_dissipation", "observability", "certificate"):
+            block[key] = NEED_TWO_RECORDS
+        return block, failures
+
+    rep31 = lemma31_check(trace, k, slack=slack_dissipation)
+    block["two_sided_dissipation"] = _verdict(rep31.passed)
+    block["two_sided_worst_upper"] = rep31.worst_upper
+    block["two_sided_worst_lower"] = rep31.worst_lower
+    if not rep31.passed:
+        failures.append("two_sided_dissipation")
+
+    try:
+        obs = observability_constants(
+            alpha=report.alpha,
+            d1=report.d1,
+            beta=report.beta,
+            m_sup=report.m_sup,
+            lambda_max_eps=report.lambda_max_eps,
+            lambda_max_mu=report.lambda_max_mu,
+            c2=k.c2,
+            gamma1=k.gamma1,
+            gamma2=k.gamma2,
+            xi=k.xi,
+            tau=tau,
+            weighted=weighted,
+        )
+    except AssumptionError as exc:
+        block["observability"] = f"not applicable ({exc})"
+        return block, failures
+    block.update(obs_delta=obs.delta, obs_c=obs.c, obs_c_T=obs.c_T)
+    rep32 = lemma32_check(trace, obs, T=T, slack=slack_observability)
+    block["observability"] = _verdict(rep32.passed)
+    block["observability_ratio"] = rep32.ratio
+    if not rep32.passed:
+        failures.append("observability")
+
+    if T <= 4.0 * obs.c:
+        block["certificate"] = f"not applicable (trace too short: needs t_end > 4c = {4.0 * obs.c:.6g})"
+        return block, failures
+    try:
+        cert = appendix_analyze(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T)
+    except ContractError as exc:
+        block["certificate"] = f"not applicable ({exc})"
+        return block, failures
+    block["certificate_gamma"] = cert.gamma
+    block["certificate_lambda"] = cert.lam
+    block["certificate"] = _verdict(cert.passed)
+    if not cert.passed:
+        failures.append("decay_certificate")
+    return block, failures
 
 
 def dissipation_residual(trace: EnergyTrace) -> float:

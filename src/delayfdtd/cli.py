@@ -25,15 +25,15 @@ from .operators import build_operators
 from .solver import RunOutput, run as run_scenario
 
 
-NEED_TWO_RECORDS = "not applicable (need at least two records)"
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_config(path: str) -> Config:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(_read(path, "config"))
 
 
 def _outdir(cfg: Config, override: str | None) -> Path:
@@ -72,114 +72,6 @@ def cmd_check(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _fit_window(trace: analysis.EnergyTrace) -> tuple[float, float]:
-    t_end = trace.t[-1]
-    return (t_end / 3.0, t_end)
-
-
-def _classify(trace: analysis.EnergyTrace, lam: float | None) -> str:
-    e0, e1 = trace.E_xi[0], trace.E_xi[-1]
-    if e0 > 0 and e1 > 10.0 * e0:
-        return "unstable"
-    if lam is not None and np.isfinite(lam):
-        return "decaying" if lam > 0 else "non-decaying"
-    if e0 > 0 and e1 < e0:
-        return "decaying"
-    return "non-decaying"
-
-
-def _analyze_output(out: RunOutput, slack_d: float, slack_o: float):
-    """Certificate chain on a finished run; returns (summary dict, failed list)."""
-    info: dict[str, object] = {}
-    failures: list[str] = []
-    trace = out.trace
-    info["dt"] = out.dt
-    info["delay_slots"] = out.n_slots
-    info["xi"] = out.xi
-    info["steps"] = out.state.step
-    for key in ("alpha", "d1", "beta", "m_sup"):
-        val = getattr(out.report, key)
-        if val is not None:
-            info[key] = val
-
-    lam = None
-    if np.all(trace.E_xi > 0) and len(trace.t) > 2:
-        try:
-            lam, pref, r2 = analysis.fit_decay(trace, _fit_window(trace))
-            info["lambda_hat"] = lam
-            info["fit_prefactor"] = pref
-            info["fit_r2"] = r2
-        except ContractError as exc:
-            info["fit"] = f"skipped ({exc})"
-    info["classification"] = _classify(trace, lam)
-
-    if out.diss is None:
-        info["certificate"] = (
-            "none (no admissible delay weight: requires gamma1*c1 > gamma2*c2 and xi inside the interval)"
-        )
-        return info, failures
-
-    k = out.diss
-    info["c1E"] = k.c1E
-    info["c2E"] = k.c2E
-    if len(trace.t) < 2:
-        for key in ("two_sided_dissipation", "observability", "certificate"):
-            info[key] = NEED_TWO_RECORDS
-        return info, failures
-    rep31 = analysis.lemma31_check(trace, k, slack=slack_d)
-    info["two_sided_dissipation"] = "pass" if rep31.passed else "FAIL"
-    info["two_sided_worst_upper"] = rep31.worst_upper
-    info["two_sided_worst_lower"] = rep31.worst_lower
-    if not rep31.passed:
-        failures.append("two_sided_dissipation")
-
-    obs = None
-    try:
-        obs = analysis.observability_constants(
-            alpha=out.report.alpha,
-            d1=out.report.d1,
-            beta=out.report.beta,
-            m_sup=out.report.m_sup,
-            lambda_max_eps=out.report.lambda_max_eps,
-            lambda_max_mu=out.report.lambda_max_mu,
-            c2=k.c2,
-            gamma1=k.gamma1,
-            gamma2=k.gamma2,
-            xi=k.xi,
-            tau=out.law.tau,
-            weighted=out.scenario.analysis.weighting == "weighted",
-        )
-        info["obs_delta"] = obs.delta
-        info["obs_c"] = obs.c
-        info["obs_c_T"] = obs.c_T
-        rep32 = analysis.lemma32_check(trace, obs, slack=slack_o)
-        info["observability"] = "pass" if rep32.passed else "FAIL"
-        info["observability_ratio"] = rep32.ratio
-        if not rep32.passed:
-            failures.append("observability")
-    except AssumptionError as exc:
-        info["observability"] = f"not applicable ({exc})"
-
-    cert = None
-    if obs is not None and trace.t[-1] > 4.0 * obs.c:
-        try:
-            cert = analysis.appendix_analyze(
-                trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=trace.t[-1]
-            )
-            info["certificate_gamma"] = cert.gamma
-            info["certificate_lambda"] = cert.lam
-            info["certificate"] = "pass" if cert.passed else "FAIL"
-            if not cert.passed:
-                failures.append("decay_certificate")
-        except ContractError as exc:
-            info["certificate"] = f"not applicable ({exc})"
-    elif obs is not None:
-        info["certificate"] = (
-            f"not applicable (trace too short: needs t_end > 4c = {4.0 * obs.c:.6g})"
-        )
-    return info, failures
-
-
 def _summary_text(info: dict) -> str:
     lines = []
     for key, val in info.items():
@@ -188,6 +80,33 @@ def _summary_text(info: dict) -> str:
         else:
             lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
+
+
+def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[str]]:
+    """Write resolved.cfg, energy.csv and summary.txt of a finished run.
+
+    summary.txt is the run header followed by the certificate block; returns
+    the summary (key -> value) and the failed checks.
+    """
+    _write(out_dir / "resolved.cfg", echo_config(cfg))
+    _write(out_dir / "energy.csv", out.trace.to_csv())
+    info: dict[str, object] = {
+        "dt": out.dt, "delay_slots": out.n_slots, "xi": out.xi, "steps": out.state.step,
+    }
+    for key in ("alpha", "d1", "beta", "m_sup"):
+        val = getattr(out.report, key)
+        if val is not None:
+            info[key] = val
+    opts = out.scenario.analysis
+    block, failures = analysis.certify(
+        out.trace, out.report, out.diss, out.law.tau,
+        weighted=opts.weighting == "weighted",
+        slack_dissipation=opts.slack_dissipation,
+        slack_observability=opts.slack_observability,
+    )
+    info.update(block)
+    _write(out_dir / "summary.txt", _summary_text(info))
+    return info, failures
 
 
 def _dump_boundary(out: RunOutput, path: Path):
@@ -207,14 +126,8 @@ def cmd_run(args) -> int:
     sc = scenario_from_config(cfg, unsafe=args.unsafe)
     out_dir = _outdir(cfg, args.out)
     result = run_scenario(sc, keep_ring_snapshots=args.dump_boundary)
-    _write(out_dir / "resolved.cfg", echo_config(cfg))
-    _write(out_dir / "energy.csv", result.trace.to_csv())
-    info, failures = _analyze_output(
-        result, sc.analysis.slack_dissipation, sc.analysis.slack_observability
-    )
-    text = _summary_text(info)
-    _write(out_dir / "summary.txt", text)
-    sys.stdout.write(text)
+    info, failures = _write_run(cfg, result, out_dir)
+    sys.stdout.write(_summary_text(info))
     if args.dump_boundary:
         _dump_boundary(result, out_dir / "boundary_trace.csv")
     if args.assert_certificates and failures:
@@ -248,10 +161,7 @@ def _sweep_value(cfg_text: str, path: str, value: float, out_dir: str):
     result = run_scenario(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "resolved.cfg", echo_config(cfg))
-    _write(out / "energy.csv", result.trace.to_csv())
-    info, _ = _analyze_output(result, sc.analysis.slack_dissipation, sc.analysis.slack_observability)
-    _write(out / "summary.txt", _summary_text(info))
+    info, _ = _write_run(cfg, result, out)
     lam = info.get("lambda_hat", float("nan"))
     r2 = info.get("fit_r2", float("nan"))
     return value, float(lam), float(r2), str(info["classification"])
@@ -305,59 +215,10 @@ def _sweep_value_star(job):
 # analyze
 # ---------------------------------------------------------------------------
 
-def _certify_csv(trace, sc, report, mono, k, T, info: dict) -> list[str]:
-    """Certificate chain of `analyze` on a trace of two or more records."""
-    failures = []
-    rep31 = analysis.lemma31_check(trace, k, slack=sc.analysis.slack_dissipation)
-    info["two_sided_dissipation"] = "pass" if rep31.passed else "FAIL"
-    if not rep31.passed:
-        failures.append("two_sided_dissipation")
-    obs = analysis.observability_constants(
-        alpha=report.alpha,
-        d1=report.d1,
-        beta=report.beta,
-        m_sup=report.m_sup,
-        lambda_max_eps=report.lambda_max_eps,
-        lambda_max_mu=report.lambda_max_mu,
-        c2=mono.c2,
-        gamma1=sc.law.gamma1,
-        gamma2=sc.law.gamma2,
-        xi=k.xi,
-        tau=sc.law.tau,
-        weighted=sc.analysis.weighting == "weighted",
-    )
-    T = T if T is not None else float(trace.t[-1])
-    rep32 = analysis.lemma32_check(trace, obs, T=T, slack=sc.analysis.slack_observability)
-    info["observability"] = "pass" if rep32.passed else "FAIL"
-    info["observability_ratio"] = rep32.ratio
-    if not rep32.passed:
-        failures.append("observability")
-    try:
-        cert = analysis.appendix_analyze(
-            trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T
-        )
-        info["certificate"] = "pass" if cert.passed else "FAIL"
-        info["certificate_gamma"] = cert.gamma
-        info["certificate_lambda"] = cert.lam
-        if not cert.passed:
-            failures.append("decay_certificate")
-    except ContractError as exc:
-        info["certificate"] = f"not applicable ({exc})"
-    try:
-        lam, _, r2 = analysis.fit_decay(trace, _fit_window(trace))
-        info["lambda_hat"] = lam
-        info["fit_r2"] = r2
-    except ContractError as exc:
-        info["fit"] = f"skipped ({exc})"
-    info["dissipation_residual"] = analysis.dissipation_residual(trace)
-    return failures
-
-
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     sc = scenario_from_config(cfg)
-    text = Path(args.csv).read_text()
-    trace = analysis.EnergyTrace.from_csv(text)
+    trace = analysis.EnergyTrace.from_csv(_read(args.csv, "energy CSV"))
 
     grid = build_grid(sc.domain)
     eps = sc.eps.build(grid)
@@ -367,17 +228,18 @@ def cmd_analyze(args) -> int:
     if not report.passed:
         raise AssumptionError("material/geometry assumptions violated")
     mono = constants(sc.law)
-    xi = sc.analysis.xi
-    k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2, xi=xi)
+    k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2, xi=sc.analysis.xi)
 
-    info: dict[str, object] = {"xi": k.xi, "c1E": k.c1E, "c2E": k.c2E}
-    failures = []
-    if len(trace.t) < 2:
-        for key in ("two_sided_dissipation", "observability", "certificate", "dissipation_residual"):
-            info[key] = NEED_TWO_RECORDS
-    else:
-        failures = _certify_csv(trace, sc, report, mono, k, args.T, info)
-
+    block, failures = analysis.certify(
+        trace, report, k, sc.law.tau, T=args.T,
+        weighted=sc.analysis.weighting == "weighted",
+        slack_dissipation=sc.analysis.slack_dissipation,
+        slack_observability=sc.analysis.slack_observability,
+    )
+    info: dict[str, object] = {"xi": k.xi, **block}
+    info["dissipation_residual"] = (
+        analysis.dissipation_residual(trace) if len(trace.t) > 1 else analysis.NEED_TWO_RECORDS
+    )
     text = _summary_text(info)
     out = _outdir(cfg, args.out)
     _write(out / "certificates.txt", text)

@@ -303,3 +303,39 @@ def test_debug_prints_traceback_of_unexpected_failure(capsys, monkeypatch, how):
     err = capsys.readouterr().err
     assert "numerical failure (unexpected): boom" in err
     assert ("Traceback (most recent call last)" in err) == (how != "plain")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1,1,1,0,0\n0.1,1,1,1,0\n", "line 3"),  # ragged row
+        ("0,1,1,1,0,0\n0.1,abc,1,1,0,0\n", "line 3"),  # non-numeric field
+        (None, "cannot read energy CSV"),  # missing file
+    ],
+    ids=["ragged", "non_numeric", "missing"],
+)
+def test_analyze_bad_energy_csv_exit_two(tmp_path, capsys, body, message):
+    path, _ = write_cfg(tmp_path, BASE)
+    csv = tmp_path / "energy.csv"
+    if body is not None:
+        csv.write_text("t,E_weighted,E_plain,E_xi,D,flux\n" + body)
+    assert main(["analyze", str(path), str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+def test_run_and_analyze_write_the_same_certificate_block(tmp_path):
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main(["run", str(path)]) == 0
+    assert main(["analyze", str(path), str(outdir / "energy.csv")]) == 0
+
+    def entries(name):
+        lines = (outdir / name).read_text().splitlines()
+        return dict(line.split(" = ", 1) for line in lines)
+
+    summary, cert = entries("summary.txt"), entries("certificates.txt")
+    for key in ("two_sided_worst_upper", "obs_c", "classification"):
+        assert key in cert
+    shared = summary.keys() & cert.keys()
+    assert {"xi", "c1E", "observability_ratio", "certificate"} <= shared
+    assert {key: cert[key] for key in shared} == {key: summary[key] for key in shared}
