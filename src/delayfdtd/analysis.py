@@ -58,8 +58,7 @@ def energies(
     areas = ops.grid.samples.areas
     delay = _dot(areas, ring.s_energy())
     e_xi = (e_w if weighting == "weighted" else e_p) + xi * tau * delay
-    z0, z1 = ring.slot(0), ring.slot(ring.N)
-    d_val = _dot(areas, np.einsum("ij,ij->i", z0, z0) + np.einsum("ij,ij->i", z1, z1))
+    d_val = _dot(areas, ring.slot_norm2(0) + ring.slot_norm2(ring.N))
     return e_w, e_p, e_xi, d_val
 
 
@@ -72,9 +71,7 @@ def boundary_outflow(ring: DelayRing, law: FeedbackLaw, xi: float, areas: np.nda
     work = law.gamma1 * eval_g(law, z0)
     if law.gamma2 != 0.0:
         work = work + law.gamma2 * eval_g(law, z1)
-    integrand = np.einsum("ij,ij->i", work, z0) - xi * (
-        np.einsum("ij,ij->i", z0, z0) - np.einsum("ij,ij->i", z1, z1)
-    )
+    integrand = np.einsum("ij,ij->i", work, z0) - xi * (ring.slot_norm2(0) - ring.slot_norm2(ring.N))
     return _dot(areas, integrand)
 
 
@@ -454,9 +451,16 @@ def certify(
     classification, then, when an admissible weight `k` exists, the
     two-sided dissipation check, the observability constants and check on
     [0, T], and the contraction certificate.  A check that cannot run on
-    this trace reads "not applicable (reason)" and is not a failure.
+    this trace reads "not applicable (reason)" and is not a failure.  A
+    window end T before the second record t_1 is a ConfigError: [0, T]
+    then holds fewer than the two records the observability integral needs.
     """
     T = float(trace.t[-1]) if T is None else float(T)
+    if len(trace.t) > 1 and not trace.t[1] <= T + 1e-12 * max(1.0, T):
+        raise ConfigError(
+            f"T = {T:.6g} lies outside the trace window [t_1, inf) = [{trace.t[1]:.6g}, inf) "
+            f"of this trace (records from t = 0 to {trace.t[-1]:.6g})"
+        )
     block: dict[str, object] = {}
     failures: list[str] = []
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, operator_lab
+from . import analysis
 from .config import Config, echo_config, parse_config, scenario_from_config
 from .domain import build_grid, multiplier_field
 from .errors import AssumptionError, CertificateError, ConfigError, ContractError, NumericalError
@@ -263,6 +263,8 @@ def _lab_setup(cfg: Config):
 
 
 def cmd_operator(args) -> int:
+    from . import operator_lab  # the lab commands alone need it
+
     cfg = _load_config(args.config)
     sc, ops = _lab_setup(cfg)
     mono = constants(sc.law)
@@ -288,11 +290,12 @@ def cmd_operator(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
+    from . import operator_lab
+    from .solver import project_div_free
+
     cfg = _load_config(args.config)
     sc, ops = _lab_setup(cfg)
     rng = np.random.default_rng(args.seed)
-    from .operator_lab import ExtState
-    from .solver import project_div_free
 
     s = ops.grid.samples
     F1 = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
@@ -300,7 +303,7 @@ def cmd_resolvent(args) -> int:
     raw = rng.standard_normal((s.count, args.m + 1, 3))
     nu = s.normals[:, None, :]
     F3 = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
-    F = ExtState(q=F1, h=F2, Z=F3)
+    F = operator_lab.ExtState(q=F1, h=F2, Z=F3)
     result = operator_lab.resolvent_solve(F, args.b, ops, sc.law)
     lines = [f"residual = {result.residual:.6e}", f"outer_iterations = {result.outer_iterations}", f"penalty = {result.penalty:.17g}"]
     lines += [f"residual_{k} = {v:.6e}" for k, v in result.residual_parts.items()]

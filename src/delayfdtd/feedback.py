@@ -100,6 +100,8 @@ class FeedbackLaw:
 def eval_g(law: FeedbackLaw, v: np.ndarray) -> np.ndarray:
     """Evaluate the feedback nonlinearity; works on (..., 3) stacks."""
     v = np.asarray(v, dtype=float)
+    if law.kind == "linear":
+        return law.a * v  # the gain does not depend on |v|
     # np.linalg.norm over the short last axis costs twice as much as this
     norms = np.sqrt(np.einsum("...i,...i->...", v, v))
     return law._radial_gain(norms)[..., None] * v

@@ -80,10 +80,11 @@ def random_domain_state(
     s = ops.grid.samples
     q = scale * rng.standard_normal(ops.layout.n_q)
     h = scale * rng.standard_normal(ops.layout.n_h)
-    raw = scale * rng.standard_normal((s.count, M + 1, 3))
-    nu = s.normals[:, None, :]
-    Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
-    Z[:, 1:-1] *= z_interior_boost
+    Z = scale * rng.standard_normal((s.count, M + 1, 3))
+    # the normals are unit axis vectors: projecting them out zeroes one component
+    Z[np.arange(s.count), :, s.axis] = 0.0
+    if z_interior_boost != 1.0:
+        Z[:, 1:-1] *= z_interior_boost
     Z[:, 0] = ops.boundary_trace_w(q)
     return ExtState(q=q, h=h, Z=Z)
 

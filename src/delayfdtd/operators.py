@@ -27,14 +27,17 @@ samples, so assembly has no per-entry Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .domain import YeeGrid
 from .errors import ConfigError
 from .materials import TensorField
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 EDGE_COMPS = ("x", "y", "z")
 
@@ -180,13 +183,16 @@ def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
     return sp.vstack(blocks).tocsr()
 
 
-def factor_symmetric(A: sp.spmatrix) -> spla.SuperLU:
+def factor_symmetric(A: sp.spmatrix) -> SuperLU:
     """Sparse LU of a symmetric definite matrix.
 
     Orders by minimum degree on A^T + A and pivots on the diagonal, which
     keeps the fill far below SuperLU's default column ordering for the
-    curl-curl and Laplacian systems assembled here.
+    curl-curl system of the resolvent.  scipy.sparse.linalg is imported
+    here, so a `run`, which factors nothing, never loads it.
     """
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         A.tocsc(),
         permc_spec="MMD_AT_PLUS_A",

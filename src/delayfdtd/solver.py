@@ -32,7 +32,7 @@ from .materials import (
     full_report,
     load_tensor_file,
 )
-from .operators import EDGE_COMPS, Operators, build_operators, factor_symmetric, sample_vector_field
+from .operators import EDGE_COMPS, Operators, build_operators, sample_vector_field
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +159,128 @@ def compute_dt(
 # Divergence-free projection
 # ---------------------------------------------------------------------------
 
+# Far below the 1e-10 gate, so the projection ends at round-off; exponential
+# eps on 16^3 takes 2 iterations, a random lognormal eps (sigma 3) on 32^3 1142.
+CG_RTOL = 1e-14
+CG_MAX_ITER = 2000
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along `axis`: X_k = sum_j x_j sin(pi j k / (m + 1)).
+
+    The FFT of the odd extension [0, x, 0, -x reversed] is -2i X on bins
+    1..m.  Applying the transform twice multiplies by (m + 1) / 2.
+    """
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.moveaxis(-0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1 : m + 1], -1, axis)
+
+
+class NodeLaplacian:
+    """A = -div(eps grad) on interior nodes, with a transform preconditioner.
+
+    The preconditioner is S^-1/2 L_c^-1 S^-1/2, with S the diagonal of A.
+    L_c is a constant-coefficient fit of the unit-diagonal S^-1/2 A S^-1/2:
+    one coupling per axis (the mean over that axis's node pairs) and one
+    diagonal shift, so it is inverted exactly by a DST-I along each axis.
+    For constant diagonal eps, isotropic or not, the fit is exact and the
+    preconditioner is A^-1; for eps varying along one axis it absorbs the
+    scaled operator's constant shift.
+    """
+
+    def __init__(self, ops: Operators):
+        layout = ops.layout
+        self.ops = ops
+        self.shape = tuple(n - 1 for n in ops.grid.shape)
+        edges = []
+        diag = np.zeros(self.shape)
+        for a, (comp, d) in enumerate(zip(EDGE_COMPS, ops.grid.spacings)):
+            o = layout.int_offsets[comp]
+            e = ops.eps_q[o : o + int(np.prod(layout.int_edge_shapes[comp]))]
+            e = np.moveaxis(e.reshape(layout.int_edge_shapes[comp]), a, 0) / d**2
+            edges.append(e)
+            diag += np.moveaxis(e[:-1] + e[1:], 0, a)
+        couplings = []
+        for a, e in enumerate(edges):
+            s = np.moveaxis(diag, a, 0)
+            couplings.append(float(np.mean(e[1:-1] / np.sqrt(s[:-1] * s[1:]))))
+        # the fitted shift 1 - 2 sum(c) is clipped at zero, so L_c stays definite
+        total = 2.0 * sum(couplings)
+        if total > 1.0:
+            couplings = [c / total for c in couplings]
+        lam = 1.0
+        norm = 1.0
+        for a, c in enumerate(couplings):
+            m = self.shape[a]
+            axis_shape = [1, 1, 1]
+            axis_shape[a] = m
+            cos = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+            lam = lam - (2.0 * c * cos).reshape(axis_shape)
+            norm *= 2.0 / (m + 1)
+        self._inv_s = 1.0 / diag.ravel()
+        self._inv_sqrt_s = np.sqrt(self._inv_s).reshape(self.shape)
+        self._inv_lam = norm / lam
+
+    def apply(self, phi: np.ndarray) -> np.ndarray:
+        return -(self.ops.div_eps @ (self.ops.grad_int @ phi))
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        x = self._inv_sqrt_s * r.reshape(self.shape)
+        for a in range(3):
+            x = _dst1(x, a)
+        x *= self._inv_lam
+        for a in range(3):
+            x = _dst1(x, a)
+        return (self._inv_sqrt_s * x).ravel()
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+        """Preconditioned CG for A x = b; returns (x, iterations).
+
+        Stops once max |S^-1 (b - A x)| <= CG_RTOL max |S^-1 b|: the
+        residual of each node against its own diagonal, so nodes with small
+        eps converge as far as the others.  The right-hand side is divided by its largest
+        entry first, so the products r.z stay finite for any finite b; dot
+        products use numpy's pairwise sum, so the result does not depend on
+        the BLAS thread count.  After CG_MAX_ITER iterations it returns what
+        it has, for the caller's residual gate to judge.
+        """
+        bmax = float(np.max(np.abs(b)))
+        if bmax == 0.0:
+            return np.zeros_like(b), 0
+        if not np.isfinite(bmax):
+            raise NumericalError("divergence projection: non-finite divergence")
+        r = b / bmax
+        stop = CG_RTOL * float(np.max(np.abs(self._inv_s * r)))
+        x = np.zeros_like(r)
+        z = self.precondition(r)
+        p = z
+        rz = float(np.sum(r * z))
+        for it in range(1, CG_MAX_ITER + 1):
+            Ap = self.apply(p)
+            alpha = rz / float(np.sum(p * Ap))
+            x += alpha * p
+            r -= alpha * Ap
+            if float(np.max(np.abs(self._inv_s * r))) <= stop:
+                break
+            z = self.precondition(r)
+            rz, rz_old = float(np.sum(r * z)), rz
+            p = z + (rz / rz_old) * p
+        return bmax * x, it
+
+
 def project_div_free(q: np.ndarray, ops: Operators, tol: float = 1e-10) -> np.ndarray:
     """Remove the gradient part so that div(eps E) vanishes at interior nodes.
 
-    Solves div(eps grad phi) = div(eps E) with phi zero on the wall and
-    subtracts grad phi.  Tangential boundary traces are untouched.
+    Solves -div(eps grad psi) = div(eps E) with psi zero on the wall (see
+    NodeLaplacian) and adds grad psi.  Tangential boundary traces are
+    untouched.
     """
     if not ops.eps.diagonal_only:
         raise ConfigError("divergence projection requires diagonal material tensors")
-    lu = getattr(ops, "_proj_lu", None)
-    if lu is None:
-        lu = factor_symmetric(ops.div_eps @ ops.grad_int)
-        ops._proj_lu = lu
-    rhs = ops.div_eps @ q
-    phi = lu.solve(rhs)
-    q0 = q - ops.grad_int @ phi
+    psi, _ = NodeLaplacian(ops).solve(ops.div_eps @ q)
+    q0 = q + ops.grad_int @ psi
     resid = float(np.max(np.abs(ops.div_eps @ q0)))
     scale = max(float(np.max(np.abs(ops.div_eps @ np.abs(q)))), 1.0)
     if resid > tol * scale:
@@ -368,7 +475,7 @@ class Stepper:
         ring.advance(self._cross.cross_nu(t_new))
 
         curl = self._curl_e(state.q)
-        state.h_prev = state.h.copy()
+        state.h_prev = state.h  # rebound, not copied: h is replaced below
         if self._diag:
             state.h = state.h - dt * curl / ops.mu_f
         else:

@@ -339,3 +339,50 @@ def test_run_and_analyze_write_the_same_certificate_block(tmp_path):
     shared = summary.keys() & cert.keys()
     assert {"xi", "c1E", "observability_ratio", "certificate"} <= shared
     assert {key: cert[key] for key in shared} == {key: summary[key] for key in shared}
+
+
+def test_analyze_window_before_second_record_exit_two(tmp_path, capsys):
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(path), str(outdir / "energy.csv"), "--T", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: T = 0 lies outside the trace window [t_1, inf)")
+    t1 = EnergyTrace.from_csv((outdir / "energy.csv").read_text()).t[1]
+    assert main(["analyze", str(path), str(outdir / "energy.csv"), "--T", repr(float(t1))]) == 0
+
+
+def test_one_step_run_leaves_sparse_linalg_unloaded(tmp_path):
+    # the projection needs no sparse factor, so a run never imports SuperLU
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.000001"))
+    code = (
+        "import sys; from delayfdtd.cli import main; "
+        f"assert main(['run', {str(path)!r}]) == 0; "
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert "steps = 1" in (outdir / "summary.txt").read_text()
+
+
+def test_boundary_dump_seeds_a_file_history(tmp_path):
+    # the dump of a run, read back as a file history, is that run's final ring
+    from delayfdtd.config import parse_config, scenario_from_config
+    from delayfdtd.solver import run
+
+    text = BASE.replace("= 8", "= 4").replace("t_end = 2.0", "t_end = 0.3")
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["run", str(path), "--dump-boundary"]) == 0
+    final = run(scenario_from_config(parse_config(path.read_text()))).ring.slots()
+
+    dump = outdir / "boundary_trace.csv"
+    seeded = text.replace("t_end = 0.3", "t_end = 0") + f"\n[history]\nkind = file\nfile = {dump}\n"
+    path2, _ = write_cfg(tmp_path, seeded, name="seeded.cfg", outdir=tmp_path / "out2")
+    ring = run(scenario_from_config(parse_config(path2.read_text()))).ring
+    assert np.array_equal(ring.slots(), final)

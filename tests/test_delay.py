@@ -217,3 +217,102 @@ def test_cache_overflow_is_inf_without_warning():
         energy = ring.s_energy()
     assert np.all(np.isinf(energy[np.any(big != 0, axis=1)]))
     assert np.all(np.isinf(midpoint_s_energy(ring)) == np.isinf(energy))
+
+
+# -- cached slot energies ------------------------------------------------------
+
+def assert_slot_norms_match(ring):
+    for j in range(ring.N + 1):
+        z = ring.slot(j)
+        assert np.array_equal(ring.slot_norm2(j), np.einsum("si,si->s", z, z))
+
+
+def test_slot_norms_after_fill_constant_replay_and_csv(tmp_path):
+    rng = np.random.default_rng(51)
+    normals = box_normals()
+    n_slots = 6
+    assert_slot_norms_match(init_history("zero", n_slots, normals))
+    assert_slot_norms_match(init_history("constant", n_slots, normals, value=random_traces(rng, normals)))
+    assert_slot_norms_match(
+        init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+    )
+    vals = random_traces(rng, normals, (n_slots + 1,))
+    lines = ["step,sample_id,s_index,vx,vy,vz"]
+    for j in range(n_slots + 1):
+        for sid, v in enumerate(vals[j]):
+            lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    path = tmp_path / "history.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ring = load_history_csv(path, n_slots, normals)
+    assert_slot_norms_match(ring)
+    ring.advance(random_traces(rng, normals))
+    ring.fill(random_traces(rng, normals))
+    assert_slot_norms_match(ring)
+
+
+@pytest.mark.parametrize("n_slots", [1, 5])
+def test_slot_norms_track_pushes_across_wraps(n_slots):
+    rng = np.random.default_rng(52 + n_slots)
+    normals = box_normals()
+    ring = init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+    for _ in range(2 * (n_slots + 1) + 3):
+        ring.advance(random_traces(rng, normals))
+        assert_slot_norms_match(ring)
+
+
+def test_slot_norm_overflow_is_inf_without_warning():
+    rng = np.random.default_rng(53)
+    normals = box_normals()
+    ring = init_history("zero", 4, normals)
+    big = 1e300 * random_traces(rng, normals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ring.advance(big)
+        norms = ring.slot_norm2(0)
+    assert np.all(np.isinf(norms[np.any(big != 0, axis=1)]))
+
+
+def test_slot_norm_index_is_checked():
+    ring = init_history("zero", 3, NORMALS)
+    with pytest.raises(ContractError):
+        ring.slot_norm2(4)
+
+
+def test_advance_accepts_round_off_normal_component():
+    # a nonzero normal component inside the tolerance still passes the full test
+    ring = init_history("zero", 4, NORMALS)
+    w = np.array([[1.0, 0.0, 1e-14], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    ring.advance(w)
+    assert np.array_equal(ring.slot(0), w)
+    with pytest.raises(ContractError, match="pushed trace is not tangential"):
+        ring.advance(np.array([[1.0, 0.0, 1e-9], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+
+def test_ring_rejects_normals_off_the_axes():
+    with pytest.raises(ContractError):
+        DelayRing(2, np.array([[0.6, 0.8, 0.0]]))
+
+
+def test_history_csv_keeps_the_last_row_of_each_slot(tmp_path):
+    # a multi-step dump lists every slot once per step; the final step wins
+    normals = NORMALS
+    lines = ["step,sample_id,s_index,vx,vy,vz"]
+    for step in range(3):
+        for sid in range(3):
+            for j in range(3):
+                v = tangential([step + 1.0, sid + 2.0, j + 3.0], normals[sid])
+                lines.append(f"{step},{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    path = tmp_path / "dump.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ring = load_history_csv(path, 2, normals)
+    for sid in range(3):
+        for j in range(3):
+            assert np.array_equal(ring.slot(j)[sid], tangential([3.0, sid + 2.0, j + 3.0], normals[sid]))
+
+
+@pytest.mark.parametrize("row", ["0,3,0,0,0,0", "0,0,5,0,0,0", "0,-1,0,0,0,0"])
+def test_history_csv_rejects_out_of_range_slots(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("step,sample_id,s_index,vx,vy,vz\n0,0,0,0,0,0\n" + row + "\n")
+    with pytest.raises(ConfigError, match="out of range"):
+        load_history_csv(path, 4, NORMALS)

@@ -320,3 +320,10 @@ def test_tensor_block_matches_diagonal_entries():
         diag = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
         full = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, block, kappa)
         assert np.max(np.abs(full - diag)) <= 1e-12
+
+
+def test_linear_eval_g_matches_the_radial_form_bitwise():
+    law = FeedbackLaw(kind="linear", a=0.7, gamma1=1.0, gamma2=0.0, tau=0.25)
+    v = np.random.default_rng(61).standard_normal((50, 3)) * np.logspace(-150, 150, 50)[:, None]
+    norms = np.sqrt(np.einsum("...i,...i->...", v, v))
+    assert eval_g(law, v).tobytes() == (law._radial_gain(norms)[..., None] * v).tobytes()

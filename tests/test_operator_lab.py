@@ -318,3 +318,30 @@ def test_lab_requires_diagonal_tensors():
     )
     with pytest.raises(ConfigError):
         apply_generator(v, ops, LINEAR)
+
+
+# -- random domain states ------------------------------------------------------------
+
+def einsum_domain_state(ops, M, rng, z_interior_boost=1.0):
+    """random_domain_state with the normal part removed by the generic projection."""
+    s = ops.grid.samples
+    q = rng.standard_normal(ops.layout.n_q)
+    h = rng.standard_normal(ops.layout.n_h)
+    raw = rng.standard_normal((s.count, M + 1, 3))
+    nu = s.normals[:, None, :]
+    Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
+    Z[:, 1:-1] *= z_interior_boost
+    Z[:, 0] = ops.boundary_trace_w(q)
+    return ExtState(q=q, h=h, Z=Z)
+
+
+@pytest.mark.parametrize("boost", [1.0, 3.0])
+def test_random_domain_state_is_bit_identical_to_the_projection(boost):
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    eps = diagonal_ramp(grid, (1.0, 1.5, 2.0), axis=0, slope=1.0)
+    ops = build_operators(grid, eps, eps)
+    for seed in range(3):
+        got = random_domain_state(ops, 7, np.random.default_rng(seed), z_interior_boost=boost)
+        ref = einsum_domain_state(ops, 7, np.random.default_rng(seed), z_interior_boost=boost)
+        for name in ("q", "h", "Z"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()

@@ -7,7 +7,13 @@ from delayfdtd.delay import init_history
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
 from delayfdtd.feedback import FeedbackLaw, implicit_boundary_update
-from delayfdtd.materials import constant_diagonal, constant_full, constant_isotropic, diagonal_ramp
+from delayfdtd.materials import (
+    constant_diagonal,
+    constant_full,
+    constant_isotropic,
+    diagonal_ramp,
+    exponential_isotropic,
+)
 from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import (
     AnalysisOptions,
@@ -15,6 +21,7 @@ from delayfdtd.solver import (
     HistorySpec,
     InitialSpec,
     MaterialSpec,
+    NodeLaplacian,
     RunControls,
     Scenario,
     Stepper,
@@ -419,3 +426,101 @@ def test_cross_free_step_is_bit_identical(law):
     got, ref = runs
     assert got.q.tobytes() == ref.q.tobytes()
     assert got.h.tobytes() == ref.h.tobytes()
+
+
+# -- transform-preconditioned projection ------------------------------------------
+
+PROJECTION_BOXES = {
+    "box_8x5x6": ((2.0, 1.0, 1.5), (8, 5, 6)),
+    "cube_16": ((1.0, 1.0, 1.0), (16, 16, 16)),
+}
+PROJECTION_EPS = {
+    "constant_isotropic": (lambda g: constant_isotropic(g, 2.0), True),
+    "constant_diagonal": (lambda g: constant_diagonal(g, (1.0, 10.0, 100.0)), True),
+    "diagonal_ramp": (lambda g: diagonal_ramp(g, (1.0, 1.5, 2.0), axis=0, slope=1.0, entry=0), False),
+    "exponential_k-10": (lambda g: exponential_isotropic(g, -10.0), False),
+    "exponential_k-20": (lambda g: exponential_isotropic(g, -20.0), False),
+}
+
+
+def lu_projection(q, ops):
+    """The sparse-LU projection the transform-preconditioned CG replaced."""
+    import scipy.sparse.linalg as spla
+
+    lu = spla.splu(
+        (ops.div_eps @ ops.grad_int).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    return q - ops.grad_int @ lu.solve(ops.div_eps @ q)
+
+
+@pytest.mark.parametrize("eps_name", list(PROJECTION_EPS))
+@pytest.mark.parametrize("box", list(PROJECTION_BOXES))
+def test_projection_matches_sparse_lu(box, eps_name):
+    lengths, cells = PROJECTION_BOXES[box]
+    grid = build_grid(BoxDomain(lengths, cells, tuple(0.5 * L for L in lengths)))
+    make_eps, constant = PROJECTION_EPS[eps_name]
+    ops = build_operators(grid, make_eps(grid), constant_isotropic(grid, 1.0))
+    q = np.random.default_rng(41).standard_normal(ops.layout.n_q)
+
+    _, iterations = NodeLaplacian(ops).solve(ops.div_eps @ q)
+    if constant:
+        assert iterations == 1
+    else:
+        assert 1 <= iterations <= 30
+
+    q0 = project_div_free(q, ops)
+    scale = max(float(np.max(np.abs(ops.div_eps @ np.abs(q)))), 1.0)
+    assert np.max(np.abs(ops.div_eps @ q0)) <= 1e-10 * scale
+    ref = lu_projection(q, ops)
+    assert np.max(np.abs(q0 - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+
+@pytest.mark.parametrize("eps_name", ["exponential_k-10", "exponential_k-20"])
+@pytest.mark.parametrize("box", list(PROJECTION_BOXES))
+def test_projection_shift_fit_absorbs_exponential_eps(box, eps_name):
+    # eps = exp(k x): the scaled operator is a constant stencil plus a constant
+    # shift, which the fitted preconditioner reproduces (13-26 iterations without it)
+    lengths, cells = PROJECTION_BOXES[box]
+    grid = build_grid(BoxDomain(lengths, cells, tuple(0.5 * L for L in lengths)))
+    ops = build_operators(grid, PROJECTION_EPS[eps_name][0](grid), constant_isotropic(grid, 1.0))
+    q = np.random.default_rng(45).standard_normal(ops.layout.n_q)
+    _, iterations = NodeLaplacian(ops).solve(ops.div_eps @ q)
+    assert iterations <= 3
+
+def test_projection_survives_huge_amplitudes(ops8):
+    # the CG runs on the normalized right-hand side, so r.z stays finite
+    q = 1e160 * np.random.default_rng(42).standard_normal(ops8.layout.n_q)
+    q0 = project_div_free(q, ops8)
+    assert np.all(np.isfinite(q0))
+    ref = lu_projection(q / 1e160, ops8)
+    assert np.max(np.abs(q0 / 1e160 - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_projection_of_zero_is_zero(ops8):
+    q0 = project_div_free(np.zeros(ops8.layout.n_q), ops8)
+    assert not np.any(q0)
+
+
+def test_dst_preconditioner_inverts_the_constant_laplacian(ops6):
+    # ops6 has unequal cell counts per axis, so each axis transform is exercised
+    lap = NodeLaplacian(ops6)
+    x = np.random.default_rng(43).standard_normal(lap.shape).ravel()
+    back = lap.precondition(lap.apply(x))
+    assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_step_rebinds_h_prev_without_aliasing(ops8):
+    law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
+    dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
+    stepper = Stepper(ops8, law, dt)
+    state = stepper.bootstrap(np.random.default_rng(44).standard_normal(ops8.layout.n_q))
+    ring = init_history("zero", n_slots, ops8.grid.samples.normals)
+    for _ in range(3):
+        h_before = state.h
+        stepper.step(state, ring)
+        assert state.h_prev is h_before
+        assert not np.shares_memory(state.h, state.h_prev)
