@@ -294,6 +294,28 @@ def _boundary_linear_gain(law: FeedbackLaw) -> float:
     return law.a if law.kind in ("linear", "saturating") else 0.0
 
 
+def resolvent_core(ops: Operators, law: FeedbackLaw, b: float, penalty: float = 1.0) -> sp.csr_matrix:
+    """The symmetric positive definite matrix of the curl-curl reduction.
+
+    b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
+    part of the boundary feedback on the trace dofs; `resolvent_solve`
+    factors it once per penalty.
+    """
+    s = ops.grid.samples
+    exp_fac = float(np.exp(-law.tau * b))
+    bdry_diag = np.repeat(
+        b * s.areas * _boundary_linear_gain(law) * (law.gamma1 + law.gamma2 * exp_fac), 2
+    )
+    idx = ops.trace_idx.ravel()
+    n = ops.layout.n_q
+    return (
+        b * b * sp.diags(ops.Wq_eps)
+        + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
+        + penalty * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
+        + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
+    )
+
+
 def resolvent_solve(
     F: ExtState,
     b: float,
@@ -325,9 +347,6 @@ def resolvent_solve(
     # T_full = tau * int_0^1 F3 e^{tau b r} dr (the w-independent part at s=1)
 
     lin_gain = _boundary_linear_gain(law)
-    bdry_diag = np.repeat(
-        b * s.areas * lin_gain * (law.gamma1 + law.gamma2 * exp_fac), 2
-    ).reshape(-1, 2)
 
     rhs0 = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
@@ -350,26 +369,16 @@ def resolvent_solve(
         return -trace_comps(np.cross(h, s.normals))
         # note: h here is H x nu = -(g-combination) x nu; cross and sign folded
 
-    idx = ops.trace_idx.ravel()
-    bdry_mat = sp.csr_matrix(
-        (bdry_diag.ravel(), (idx, idx)), shape=(layout.n_q, layout.n_q)
-    )
     pen = penalty
     for _ in range(10):
-        core = (
-            b * b * sp.diags(ops.Wq_eps)
-            + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
-            + pen * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
-            + bdry_mat
-        )
-        lu = factor_symmetric(core)
+        factor = factor_symmetric(resolvent_core(ops, law, b, pen), "resolvent core")
 
-        q = lu.solve(rhs0 + _nl_rhs(np.zeros(layout.n_q), b, s, h_full, h_matrix_part, ops, layout))
+        q = factor.solve(rhs0 + _nl_rhs(np.zeros(layout.n_q), b, s, h_full, h_matrix_part, ops, layout))
         outer = 1
         damping = 1.0 if law.kind == "linear" else 0.5
         prev_gap = np.inf
         while True:
-            q_next = lu.solve(rhs0 + _nl_rhs(q, b, s, h_full, h_matrix_part, ops, layout))
+            q_next = factor.solve(rhs0 + _nl_rhs(q, b, s, h_full, h_matrix_part, ops, layout))
             gap = float(np.max(np.abs(q_next - q)))
             scale = 1.0 + float(np.max(np.abs(q_next)))
             if gap <= tol * scale:

@@ -27,17 +27,13 @@ samples, so assembly has no per-entry Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .domain import YeeGrid
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .materials import TensorField
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import SuperLU
 
 EDGE_COMPS = ("x", "y", "z")
 
@@ -183,22 +179,56 @@ def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
     return sp.vstack(blocks).tocsr()
 
 
-def factor_symmetric(A: sp.spmatrix) -> SuperLU:
-    """Sparse LU of a symmetric definite matrix.
+class BandedCholesky:
+    """Cholesky factor of a symmetric positive definite matrix in band form.
 
-    Orders by minimum degree on A^T + A and pivots on the diagonal, which
-    keeps the fill far below SuperLU's default column ordering for the
-    curl-curl system of the resolvent.  scipy.sparse.linalg is imported
-    here, so a `run`, which factors nothing, never loads it.
+    `cb` is LAPACK's upper band of the factor of A[perm][:, perm]; `solve`
+    permutes the right-hand side in, solves and permutes the result back.
     """
-    import scipy.sparse.linalg as spla
 
-    return spla.splu(
-        A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    def __init__(self, cb: np.ndarray, perm: np.ndarray):
+        self.cb = cb
+        self.perm = perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg import cho_solve_banded
+
+        x = np.empty(len(self.perm))
+        x[self.perm] = cho_solve_banded((self.cb, False), b[self.perm], check_finite=False)
+        return x
+
+
+def factor_symmetric(A: sp.spmatrix, name: str) -> BandedCholesky:
+    """Banded Cholesky of a symmetric positive definite sparse matrix.
+
+    Reverse Cuthill-McKee narrows the band, the upper triangle is scattered
+    into a Fortran-ordered (bw+1, n) band, and LAPACK's blocked band
+    Cholesky factors it in place, so the factor costs (bw+1)*n doubles and
+    no copy of them.  scipy.linalg and scipy.sparse.csgraph are imported
+    here, so a `run`, which factors nothing, never loads them.  Raises
+    NumericalError, naming the matrix, when A is not positive definite.
+    """
+    from scipy.linalg import LinAlgError, cholesky_banded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    A = sp.csr_matrix(A)
+    A.sum_duplicates()
+    n = A.shape[0]
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    coo = A.tocoo()
+    row, col = inv[coo.row], inv[coo.col]
+    upper = row <= col
+    row, col, val = row[upper], col[upper], coo.data[upper]
+    bw = int(np.max(col - row, initial=0))
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[bw + row - col, col] = val
+    try:
+        cb = cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
+    except LinAlgError as exc:
+        raise NumericalError(f"{name} is not positive definite: {exc}") from None
+    return BandedCholesky(cb, perm)
 
 
 def _edge_material(diag_vals: np.ndarray, comp: str) -> np.ndarray:
@@ -234,6 +264,8 @@ class Operators:
     mu_f: np.ndarray
     Wq_eps: np.ndarray  # Wq * eps_q, the weighted E-side mass
     Wf_mu: np.ndarray  # Wf * mu_f, the weighted H-side mass
+    Wq_pair: np.ndarray  # (2, n_q): rows Wq_eps and Wq
+    Wf_pair: np.ndarray  # (2, n_h): rows Wf_mu and Wf
     inj_scale: np.ndarray  # (S, 2) area / volume-mass
     trace_idx: np.ndarray  # (S, 2) q indices
     eps_trace: np.ndarray  # (S, 2)
@@ -310,6 +342,8 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         [_edge_material(eps_diag, c).ravel() for c in EDGE_COMPS] + [eps_trace.ravel()]
     )
     mu_f = np.concatenate([_face_material(mu.diag(), c).ravel() for c in EDGE_COMPS])
+    Wq_pair = np.stack([Wq * eps_q, Wq])
+    Wf_pair = np.stack([Wf * mu_f, Wf])
 
     return Operators(
         grid=grid,
@@ -319,12 +353,14 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         C=C,
         G=G,
         R=R,
-        Wq=Wq,
-        Wf=Wf,
+        Wq=Wq_pair[1],
+        Wf=Wf_pair[1],
         eps_q=eps_q,
         mu_f=mu_f,
-        Wq_eps=Wq * eps_q,
-        Wf_mu=Wf * mu_f,
+        Wq_eps=Wq_pair[0],
+        Wf_mu=Wf_pair[0],
+        Wq_pair=Wq_pair,
+        Wf_pair=Wf_pair,
         inj_scale=s.areas[:, None] / s.vol_mass,
         trace_idx=trace_idx,
         eps_trace=eps_trace,

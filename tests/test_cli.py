@@ -386,3 +386,22 @@ def test_boundary_dump_seeds_a_file_history(tmp_path):
     path2, _ = write_cfg(tmp_path, seeded, name="seeded.cfg", outdir=tmp_path / "out2")
     ring = run(scenario_from_config(parse_config(path2.read_text()))).ring
     assert np.array_equal(ring.slots(), final)
+
+
+def test_resolvent_report_independent_of_blas_threads(tmp_path):
+    # the banded factor and its solves give the same digits on one or two threads
+    text = BASE.replace("kind = linear", "kind = saturating\nb = 1.0")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        path, outdir = write_cfg(tmp_path, text, name=f"t{threads}.cfg", outdir=tmp_path / f"out{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from delayfdtd.cli import main; sys.exit(main())",
+             "resolvent", str(path), "--b", "2.0", "--m", "16", "--seed", "0"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        reports.append((outdir / "resolvent_report.txt").read_bytes())
+    assert b"outer_iterations = " in reports[0]
+    assert reports[0] == reports[1]

@@ -345,3 +345,54 @@ def test_random_domain_state_is_bit_identical_to_the_projection(boost):
         ref = einsum_domain_state(ops, 7, np.random.default_rng(seed), z_interior_boost=boost)
         for name in ("q", "h", "Z"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+# -- banded resolvent factor ------------------------------------------------------
+
+def _superlu_reference(A):
+    # the symmetric-mode SuperLU factor the resolvent used before the band
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
+@pytest.mark.parametrize(
+    "box, law",
+    [("ops8", LINEAR), ("ops8", SATURATING), ("ops_aniso_box", LINEAR)],
+    ids=["ops8-linear", "ops8-saturating", "aniso-linear"],
+)
+def test_banded_factor_matches_superlu(box, law, request):
+    from delayfdtd.operator_lab import resolvent_core
+    from delayfdtd.operators import factor_symmetric
+
+    ops = request.getfixturevalue(box)
+    core = resolvent_core(ops, law, 2.0)
+    rhs = np.random.default_rng(3).standard_normal((3, ops.layout.n_q))
+    factor, ref = factor_symmetric(core, "resolvent core"), _superlu_reference(core)
+    for r in rhs:
+        x, x_ref = factor.solve(r), ref.solve(r)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+# outer rounds of the SuperLU-factored resolvent on the same data
+@pytest.mark.parametrize(
+    "box, law, b, seed, outer",
+    [
+        ("ops8", LINEAR, 2.0, 5, 1),
+        ("ops8", SATURATING, 2.0, 6, 24),
+        ("ops_aniso_box", LINEAR, 0.1, 5, 1),
+        ("ops_aniso_box", SATURATING, 0.1, 5, 28),
+        ("ops_aniso_box", SATURATING, 2.0, 5, 22),
+        ("ops_aniso_box", SATURATING, 20.0, 5, 24),
+    ],
+)
+def test_banded_resolvent_keeps_outer_rounds(box, law, b, seed, outer, request):
+    ops = request.getfixturevalue(box)
+    res = resolvent_solve(random_F(ops, 16, seed=seed), b, ops, law)
+    assert res.outer_iterations == outer
+    assert res.penalty == 1.0
+    assert res.residual <= 1e-8
+    assert max(res.residual_parts.values()) <= 1e-8

@@ -282,3 +282,29 @@ def test_assembly_matches_loop_reference(fixture, request):
         assert got.shape == want.shape, name
         assert got.nnz == want.nnz, name
         assert abs(got - want).max() == 0.0, name
+
+
+# -- banded Cholesky factor -------------------------------------------------------
+
+def test_factor_symmetric_rejects_indefinite_matrix():
+    from delayfdtd.errors import NumericalError
+    from delayfdtd.operators import factor_symmetric
+
+    A = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, -1.0]]))
+    with pytest.raises(NumericalError, match="coupled pair is not positive definite"):
+        factor_symmetric(A, "coupled pair")
+
+
+@pytest.mark.parametrize(
+    "dense, x",
+    [([[4.0]], [0.5]), ([[25.0, 15.0], [15.0, 25.0]], [1.0, -1.0])],
+    ids=["1x1", "2x2"],
+)
+def test_factor_symmetric_small_matrices_solve_exactly(dense, x):
+    # the 2x2 factors as [[5, 3], [0, 4]] in either order, so no step rounds
+    from delayfdtd.operators import factor_symmetric
+
+    A = np.array(dense)
+    factor = factor_symmetric(sp.csr_matrix(A), "small matrix")
+    assert factor.cb.shape == (len(x), len(x))  # half-bandwidth 0 and 1
+    assert np.array_equal(factor.solve(A @ np.array(x)), np.array(x))
