@@ -110,22 +110,21 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
 
 
 def _dump_boundary(out: RunOutput, path: Path):
-    rows = ["step,sample_id,s_index,vx,vy,vz"]
-    for step, snap in enumerate(out.ring_snapshots):
-        for sid in range(snap.shape[1]):
-            for j in range(snap.shape[0]):
-                v = snap[j, sid]
-                rows.append(
-                    f"{step},{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}"
-                )
-    _write(path, "\n".join(rows) + "\n")
+    """The final ring as `step,sample_id,s_index,vx,vy,vz` rows, sample-major."""
+    slots = out.ring.slots()
+    n_slots, n_samples = slots.shape[:2]
+    sid, j = np.divmod(np.arange(n_samples * n_slots), n_slots)
+    rows = np.column_stack([np.full(sid.size, out.state.step), sid, j, slots[j, sid]])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=["%d"] * 3 + ["%.17g"] * 3, delimiter=",",
+                   header="step,sample_id,s_index,vx,vy,vz", comments="")
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     sc = scenario_from_config(cfg, unsafe=args.unsafe)
     out_dir = _outdir(cfg, args.out)
-    result = run_scenario(sc, keep_ring_snapshots=args.dump_boundary)
+    result = run_scenario(sc)
     info, failures = _write_run(cfg, result, out_dir)
     sys.stdout.write(_summary_text(info))
     if args.dump_boundary:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domain import check_tangential
 from .errors import ConfigError, ContractError
-
-TANGENT_TOL = 1e-12
 
 
 class DelayRing:
@@ -71,14 +70,6 @@ class DelayRing:
 
     # -- construction -------------------------------------------------------
 
-    def _validate(self, traces: np.ndarray, what: str):
-        dots = np.abs(np.einsum("...i,...i->...", traces, self.normals))
-        scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", traces, traces))
-        if np.any(dots > TANGENT_TOL * scale):
-            raise ContractError(
-                f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}"
-            )
-
     def fill(self, history) -> None:
         """Set slot j to history(s_j) for all samples.
 
@@ -88,7 +79,7 @@ class DelayRing:
         for j in range(self.N + 1):
             vals = history(j / self.N) if callable(history) else history
             vals = np.broadcast_to(np.asarray(vals, dtype=float), (self.n_samples, 3))
-            self._validate(vals, f"history at s={j}/{self.N}")
+            check_tangential(f"history at s={j}/{self.N}", vals, self.normals)
             self._buf[(self._cursor + j) % (self.N + 1)] = vals
         with np.errstate(over="ignore", invalid="ignore"):
             self._z2[:] = np.einsum("psi,psi->ps", self._buf, self._buf)
@@ -106,7 +97,7 @@ class DelayRing:
         """
         new_trace = np.asarray(new_trace, dtype=float)
         if np.any(new_trace.take(self._normal_idx) != 0.0):
-            self._validate(new_trace, "pushed trace")
+            check_tangential("pushed trace", new_trace, self.normals)
         c = self._cursor = (self._cursor - 1) % (self.N + 1)
         self._buf[c] = new_trace
         # the pair (slot 0, slot 1) is new; the pair (slot N, slot 0) is retired.

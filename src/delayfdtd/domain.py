@@ -21,6 +21,9 @@ from .errors import ConfigError, ContractError
 # order; trace component 0 is along the first tangent axis.
 FACES = ((0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1))
 
+# relative bound on |v . nu| for a vector v to count as tangential
+TANGENT_TOL = 1e-12
+
 
 def tangent_axes(axis: int) -> tuple[int, int]:
     return tuple(a for a in range(3) if a != axis)  # type: ignore[return-value]
@@ -48,6 +51,14 @@ class BoxDomain:
     @property
     def spacings(self) -> tuple[float, float, float]:
         return tuple(L / n for L, n in zip(self.lengths, self.resolution))
+
+
+def check_tangential(what: str, v: np.ndarray, normals: np.ndarray) -> None:
+    """Raise ContractError unless |v . nu| <= TANGENT_TOL (1 + |v|) everywhere."""
+    dots = np.abs(np.einsum("...i,...i->...", v, normals))
+    scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", v, v))
+    if np.any(dots > TANGENT_TOL * scale):
+        raise ContractError(f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}")
 
 
 class TangentCross:

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TangentCross
-from .errors import AssumptionError, ConfigError, ContractError, NumericalError
-
-TANGENT_TOL = 1e-12
+from .domain import TangentCross, check_tangential
+from .errors import AssumptionError, ConfigError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -153,13 +151,6 @@ def constants(law: FeedbackLaw, n_pairs: int = 100_000, radius: float = 10.0) ->
     return MonotonicityConstants(c1, c2, "sampled")
 
 
-def _check_tangential(name: str, v: np.ndarray, nu: np.ndarray):
-    dot = np.abs(np.sum(v * nu, axis=-1))
-    scale = 1.0 + np.linalg.norm(v, axis=-1)
-    if np.any(dot > TANGENT_TOL * scale):
-        raise ContractError(f"{name} is not tangential (|v.nu| up to {float(np.max(dot)):.3e})")
-
-
 def required_H_trace(
     law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray, nu: np.ndarray
 ) -> np.ndarray:
@@ -171,8 +162,8 @@ def required_H_trace(
     w_now = np.asarray(w_now, dtype=float)
     w_delayed = np.asarray(w_delayed, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    _check_tangential("w_now", w_now, nu)
-    _check_tangential("w_delayed", w_delayed, nu)
+    check_tangential("w_now", w_now, nu)
+    check_tangential("w_delayed", w_delayed, nu)
     h = -law.gamma1 * np.cross(eval_g(law, w_now), nu)
     if law.gamma2 != 0.0:
         h = h - law.gamma2 * np.cross(eval_g(law, w_delayed), nu)

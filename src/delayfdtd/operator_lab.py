@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .delay import TANGENT_TOL
+from .domain import check_tangential
 from .errors import ConfigError, ContractError, NumericalError
 from .feedback import FeedbackLaw, eval_g, required_H_trace
 from .operators import Operators, factor_symmetric
@@ -50,11 +50,7 @@ class ExtState:
         return self.Z.shape[1] - 1
 
     def validate(self, ops: Operators):
-        s = ops.grid.samples
-        dots = np.abs(np.einsum("smi,si->sm", self.Z, s.normals))
-        scale = 1.0 + np.linalg.norm(self.Z, axis=-1)
-        if np.any(dots > TANGENT_TOL * scale):
-            raise ContractError("Z profile is not tangential")
+        check_tangential("Z profile", self.Z, ops.grid.samples.normals[:, None])
         w = ops.boundary_trace_w(self.q)
         gap = np.max(np.abs(self.Z[:, 0] - w))
         if gap > 1e-12 * (1.0 + np.max(np.abs(w))):
@@ -350,13 +346,6 @@ def resolvent_solve(
 
     rhs0 = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
-    rows = np.arange(s.count)
-
-    def trace_comps(vec3):
-        return np.stack(
-            [vec3[rows, s.tangents[:, 0]], vec3[rows, s.tangents[:, 1]]], axis=1
-        )
-
     def h_matrix_part(t_comps):
         # only the t-proportional piece lives in the factorized matrix; the
         # delay-tail constant and any nonlinearity go to the iterated rhs
@@ -366,7 +355,7 @@ def resolvent_solve(
         w = ops.boundary_trace_w(q_vec)
         z1 = exp_fac * (w + T_full)
         h = law.gamma1 * eval_g(law, w) + law.gamma2 * eval_g(law, z1)
-        return -trace_comps(np.cross(h, s.normals))
+        return -s.to_components(np.cross(h, s.normals))
         # note: h here is H x nu = -(g-combination) x nu; cross and sign folded
 
     pen = penalty

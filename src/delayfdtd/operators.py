@@ -19,9 +19,10 @@ by parts
 holds to round-off for any boundary trace data hG, which is the backbone of
 every energy identity in the package.
 
-The stencils are Kronecker products of 1-D forward differences and
-identities (the Yee construction), and R is index arithmetic over the
-samples, so assembly has no per-entry Python loop.
+The stencils are Kronecker products of 1-D factors (forward differences
+and identities for the Yee construction; neighbour means and interior
+selections for the full-tensor inverse masses), and R is index arithmetic
+over the samples, so assembly has no per-entry Python loop.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class FieldLayout:
         return q[self.trace_offset :].reshape(self.n_samples, 2)
 
 
+def _kron3(factors) -> sp.coo_matrix:
+    """One 1-D factor per axis of a C-ordered 3-D array, as one matrix."""
+    return sp.kron(sp.kron(factors[0], factors[1], "coo"), factors[2], "coo")
+
+
 def _stencil(row_shape, axis: int, d: float) -> sp.coo_matrix:
     """Forward difference over spacing d along `axis`, identity elsewhere.
 
@@ -101,12 +107,27 @@ def _stencil(row_shape, axis: int, d: float) -> sp.coo_matrix:
     `row_shape`: row i reads (u[i+1] - u[i]) / d.
     """
     m = row_shape[axis]
-    factors = [
+    return _kron3([
         sp.diags([-1.0 / d, 1.0 / d], [0, 1], shape=(m, m + 1)) if a == axis
         else sp.identity(row_shape[a])
         for a in range(3)
-    ]
-    return sp.kron(sp.kron(factors[0], factors[1], "coo"), factors[2], "coo")
+    ])
+
+
+def _mean(m: int) -> sp.dia_matrix:
+    """(m, m+1): row i reads (u[i] + u[i+1]) / 2."""
+    return sp.diags([0.5, 0.5], [0, 1], shape=(m, m + 1))
+
+
+def _inner(m: int) -> sp.dia_matrix:
+    """(m-1, m+1): the m-1 interior entries of m+1 nodes."""
+    return sp.eye(m - 1, m + 1, k=1)
+
+
+def _held_mean(m: int) -> sp.csr_matrix:
+    """(m+1, m): the neighbour mean of u padded by its own end values."""
+    ends = sp.coo_matrix(([0.5, 0.5], ([0, m], [0, m - 1])), shape=(m + 1, m))
+    return sp.diags([0.5, 0.5], [-1, 0], shape=(m + 1, m)) + ends
 
 
 def _build_reconstruction(layout: FieldLayout) -> sp.csr_matrix:
@@ -231,18 +252,18 @@ def factor_symmetric(A: sp.spmatrix, name: str) -> BandedCholesky:
     return BandedCholesky(cb, perm)
 
 
-def _edge_material(diag_vals: np.ndarray, comp: str) -> np.ndarray:
-    """Average the matching diagonal entry onto interior edges of a family."""
+def _edge_material(cell_vals: np.ndarray, comp: str) -> np.ndarray:
+    """Average per-cell values (first three axes) onto interior edges of a family."""
     axis = EDGE_COMPS.index(comp)
-    e = np.moveaxis(diag_vals[..., axis], axis, 0)
+    e = np.moveaxis(cell_vals, axis, 0)
     avg = 0.25 * (e[:, :-1, :-1] + e[:, 1:, :-1] + e[:, :-1, 1:] + e[:, 1:, 1:])
     return np.moveaxis(avg, 0, axis)
 
 
-def _face_material(diag_vals: np.ndarray, comp: str) -> np.ndarray:
-    """Average the matching diagonal entry onto faces (two cells, clipped)."""
+def _face_material(cell_vals: np.ndarray, comp: str) -> np.ndarray:
+    """Average per-cell values (first three axes) onto faces (two cells, clipped)."""
     axis = EDGE_COMPS.index(comp)
-    e = np.moveaxis(diag_vals[..., axis], axis, 0)
+    e = np.moveaxis(cell_vals, axis, 0)
     padded = np.concatenate([e[:1], e, e[-1:]])
     return np.moveaxis(0.5 * (padded[:-1] + padded[1:]), 0, axis)
 
@@ -275,9 +296,6 @@ class Operators:
     node_weight: float
 
     # -- basic applications ---------------------------------------------------
-
-    def curl_e(self, q: np.ndarray) -> np.ndarray:
-        return self.C @ q
 
     def curl_h(self, h: np.ndarray, h_trace: np.ndarray | None = None) -> np.ndarray:
         """Curl of H at E-side sites, closed with the boundary trace H x nu."""
@@ -339,9 +357,13 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
     eps_diag = eps.diag()
     eps_trace = np.take_along_axis(eps_diag[tuple(s.cells.T)], s.tangents, axis=1)
     eps_q = np.concatenate(
-        [_edge_material(eps_diag, c).ravel() for c in EDGE_COMPS] + [eps_trace.ravel()]
+        [_edge_material(eps_diag[..., a], c).ravel() for a, c in enumerate(EDGE_COMPS)]
+        + [eps_trace.ravel()]
     )
-    mu_f = np.concatenate([_face_material(mu.diag(), c).ravel() for c in EDGE_COMPS])
+    mu_diag = mu.diag()
+    mu_f = np.concatenate(
+        [_face_material(mu_diag[..., a], c).ravel() for a, c in enumerate(EDGE_COMPS)]
+    )
     Wq_pair = np.stack([Wq * eps_q, Wq])
     Wf_pair = np.stack([Wf * mu_f, Wf])
 
@@ -368,6 +390,65 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         div_plain=_build_divergence(layout, np.ones_like(eps_q)),
         grad_int=_build_gradient(layout),
         node_weight=vol,
+    )
+
+
+def _symmetrized(t: TensorField) -> np.ndarray:
+    return 0.5 * (t.values + np.swapaxes(t.values, -1, -2))
+
+
+def _inverse_mass(inv: list, collocate) -> sp.csr_matrix:
+    """Block matrix of diags(inv[c][..., c, j]) @ collocate(c, j): family c <- family j."""
+    return sp.bmat([
+        [sp.diags(inv[c][..., c, j].ravel()) @ collocate(c, j) for j in range(3)]
+        for c in range(3)
+    ]).tocsr()
+
+
+def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+    """Inverse masses of the symmetrized full tensors, for the stepper.
+
+    Returns `eps_inv` (interior edges <- q), `mu_inv` (faces <- faces) and
+    the (S, 2, 2) tangential permittivity of the trace update.  Each cell
+    tensor is averaged onto a site like the diagonal coefficients and
+    inverted there; the cross components of the field are the neighbour
+    means of the other families at that site (walls held at their outer
+    value on the H side), so every row reads the inverse tensor's row
+    against one collocated 3-vector.  The trace block is the inverse of the
+    tangential 2x2 block of the cellwise inverse (a Schur complement).
+    """
+    n = ops.grid.shape
+    vals_eps, vals_mu = _symmetrized(ops.eps), _symmetrized(ops.mu)
+
+    def edge_collocation(c, j):
+        # full edge family j -> interior edges of family c
+        return _kron3([
+            sp.identity(n[a]) if a == c == j
+            else _mean(n[a]) if a == c
+            else _mean(n[a] - 1) if a == j
+            else _inner(n[a])
+            for a in range(3)
+        ])
+
+    def face_collocation(c, j):
+        # face family j -> faces of family c
+        return _kron3([
+            sp.identity(n[a] + (a == c)) if c == j or a not in (c, j)
+            else _held_mean(n[a]) if a == c
+            else _mean(n[a])
+            for a in range(3)
+        ])
+
+    eps_inv = [np.linalg.inv(_edge_material(vals_eps, c)) for c in EDGE_COMPS]
+    mu_inv = [np.linalg.inv(_face_material(vals_mu, c)) for c in EDGE_COMPS]
+    s = ops.grid.samples
+    t = s.tangents
+    cell_inv = np.linalg.inv(vals_eps[tuple(s.cells.T)])
+    block = cell_inv[np.arange(s.count)[:, None, None], t[:, :, None], t[:, None, :]]
+    return (
+        (_inverse_mass(eps_inv, edge_collocation) @ ops.R).tocsr(),
+        _inverse_mass(mu_inv, face_collocation),
+        np.linalg.inv(block),
     )
 
 

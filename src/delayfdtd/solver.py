@@ -12,7 +12,7 @@ flux, to round-off.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,13 @@ from .materials import (
     full_report,
     load_tensor_file,
 )
-from .operators import EDGE_COMPS, Operators, build_operators, sample_vector_field
+from .operators import (
+    EDGE_COMPS,
+    Operators,
+    build_operators,
+    full_tensor_inverses,
+    sample_vector_field,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -363,80 +369,16 @@ class Stepper:
         self._int_slice = slice(0, layout.trace_offset)
         self._diag = ops.eps.diagonal_only and ops.mu.diagonal_only
         if not self._diag:
-            self._prepare_full_tensor()
+            self._eps_inv, self._mu_inv, self._eps_t = full_tensor_inverses(ops)
 
     def bootstrap(self, q0: np.ndarray, h0: np.ndarray | None = None) -> EMState:
         """Half-step H to +/- dt/2 around t = 0 (time-symmetric start)."""
         ops = self.ops
         if h0 is None:
             h0 = np.zeros(ops.layout.n_h)
-        curl = self._curl_e(q0)
-        half = 0.5 * self.dt * curl / ops.mu_f if self._diag else 0.5 * self.dt * self._mu_inv_apply(curl)
+        curl = ops.C @ q0
+        half = 0.5 * self.dt * curl / ops.mu_f if self._diag else 0.5 * self.dt * (self._mu_inv @ curl)
         return EMState(q=q0.copy(), h=h0 - half, h_prev=h0 + half, step=0, time=0.0)
-
-    # -- full-tensor collocation machinery ------------------------------------
-
-    def _prepare_full_tensor(self):
-        ops = self.ops
-        grid = ops.grid
-        vals_eps = 0.5 * (ops.eps.values + np.swapaxes(ops.eps.values, -1, -2))
-        vals_mu = 0.5 * (ops.mu.values + np.swapaxes(ops.mu.values, -1, -2))
-        self._eps_inv = {
-            c: np.linalg.inv(_cells_to_int_edges(vals_eps, c)) for c in EDGE_COMPS
-        }
-        self._mu_inv = {c: np.linalg.inv(_cells_to_faces(vals_mu, c)) for c in EDGE_COMPS}
-        s = grid.samples
-        cell_inv = np.linalg.inv(vals_eps[s.cells[:, 0], s.cells[:, 1], s.cells[:, 2]])
-        rows = np.arange(s.count)
-        # tangential permittivity seen by the trace update: the inverse of the
-        # tangential 2x2 block of the cellwise inverse (a Schur complement)
-        self._eps_t = np.linalg.inv(
-            np.stack(
-                [
-                    np.stack(
-                        [cell_inv[rows, s.tangents[:, a], s.tangents[:, b]] for b in (0, 1)],
-                        axis=-1,
-                    )
-                    for a in (0, 1)
-                ],
-                axis=-2,
-            )
-        )
-
-    def _curl_e(self, q: np.ndarray) -> np.ndarray:
-        return self.ops.C @ q
-
-    def _mu_inv_apply(self, curl: np.ndarray) -> np.ndarray:
-        """mu^-1 curl at faces, collocating cross components (full tensors)."""
-        ops = self.ops
-        cx, cy, cz = ops.layout.split_h(curl)
-        coll = _collocate_faces(cx, cy, cz)
-        out = np.empty_like(curl)
-        for c, own in zip(EDGE_COMPS, (cx, cy, cz)):
-            a = EDGE_COMPS.index(c)
-            inv = self._mu_inv[c]
-            vec = coll[c]
-            vec[..., a] = own
-            res = np.einsum("...j,...j->...", inv[..., a, :], vec)
-            o = ops.layout.face_offsets[c]
-            out[o : o + res.size] = res.ravel()
-        return out
-
-    def _eps_inv_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """eps^-1 rhs at interior edges, collocating cross components."""
-        ops = self.ops
-        full = ops.R @ rhs
-        ex, ey, ez = ops.layout.split_full_edges(full)
-        out = np.empty(ops.layout.trace_offset)
-        coll = _collocate_edges(ex, ey, ez)
-        for c in EDGE_COMPS:
-            a = EDGE_COMPS.index(c)
-            inv = self._eps_inv[c]
-            vec = coll[c]
-            res = np.einsum("...j,...j->...", inv[..., a, :], vec)
-            o = ops.layout.int_offsets[c]
-            out[o : o + res.size] = res.ravel()
-        return out
 
     # -- one full step ---------------------------------------------------------
 
@@ -455,7 +397,7 @@ class Stepper:
         if self._diag:
             state.q[self._int_slice] += dt * rhs[self._int_slice] / ops.eps_q[self._int_slice]
         else:
-            state.q[self._int_slice] += dt * self._eps_inv_interior(rhs)
+            state.q[self._int_slice] += dt * (self._eps_inv @ rhs)
         t_new = implicit_boundary_update(
             law,
             curl_term,
@@ -474,86 +416,15 @@ class Stepper:
         state.q[self._trace_slice] = t_new.ravel()
         ring.advance(self._cross.cross_nu(t_new))
 
-        curl = self._curl_e(state.q)
+        curl = ops.C @ state.q
         state.h_prev = state.h  # rebound, not copied: h is replaced below
         if self._diag:
             state.h = state.h - dt * curl / ops.mu_f
         else:
-            state.h = state.h - dt * self._mu_inv_apply(curl)
+            state.h = state.h - dt * (self._mu_inv @ curl)
         state.step += 1
         state.time += dt
         return state
-
-
-def _collocate_edges(ex, ey, ez):
-    """Cross components averaged to each interior edge site, as (..., 3)."""
-    out = {}
-    vec = np.zeros(ex[:, 1:-1, 1:-1].shape + (3,))
-    vec[..., 1] = 0.25 * (ey[:-1, :-1, 1:-1] + ey[:-1, 1:, 1:-1] + ey[1:, :-1, 1:-1] + ey[1:, 1:, 1:-1])
-    vec[..., 2] = 0.25 * (ez[:-1, 1:-1, :-1] + ez[:-1, 1:-1, 1:] + ez[1:, 1:-1, :-1] + ez[1:, 1:-1, 1:])
-    vec[..., 0] = ex[:, 1:-1, 1:-1]
-    out["x"] = vec
-    vec = np.zeros(ey[1:-1, :, 1:-1].shape + (3,))
-    vec[..., 0] = 0.25 * (ex[:-1, :-1, 1:-1] + ex[1:, :-1, 1:-1] + ex[:-1, 1:, 1:-1] + ex[1:, 1:, 1:-1])
-    vec[..., 2] = 0.25 * (ez[1:-1, :-1, :-1] + ez[1:-1, :-1, 1:] + ez[1:-1, 1:, :-1] + ez[1:-1, 1:, 1:])
-    vec[..., 1] = ey[1:-1, :, 1:-1]
-    out["y"] = vec
-    vec = np.zeros(ez[1:-1, 1:-1, :].shape + (3,))
-    vec[..., 0] = 0.25 * (ex[:-1, 1:-1, :-1] + ex[1:, 1:-1, :-1] + ex[:-1, 1:-1, 1:] + ex[1:, 1:-1, 1:])
-    vec[..., 1] = 0.25 * (ey[1:-1, :-1, :-1] + ey[1:-1, 1:, :-1] + ey[1:-1, :-1, 1:] + ey[1:-1, 1:, 1:])
-    vec[..., 2] = ez[1:-1, 1:-1, :]
-    out["z"] = vec
-    return out
-
-
-def _collocate_faces(hx, hy, hz):
-    """Cross components averaged to each face site (edge-replicated)."""
-
-    def pad(a, axis):
-        spec = [(0, 0)] * 3
-        spec[axis] = (1, 1)
-        return np.pad(a, spec, mode="edge")
-
-    out = {}
-    vec = np.zeros(hx.shape + (3,))
-    py = pad(hy, 0)
-    vec[..., 1] = 0.25 * (py[:-1, :-1, :] + py[:-1, 1:, :] + py[1:, :-1, :] + py[1:, 1:, :])
-    pz = pad(hz, 0)
-    vec[..., 2] = 0.25 * (pz[:-1, :, :-1] + pz[:-1, :, 1:] + pz[1:, :, :-1] + pz[1:, :, 1:])
-    out["x"] = vec
-    vec = np.zeros(hy.shape + (3,))
-    px = pad(hx, 1)
-    vec[..., 0] = 0.25 * (px[:-1, :-1, :] + px[1:, :-1, :] + px[:-1, 1:, :] + px[1:, 1:, :])
-    pz = pad(hz, 1)
-    vec[..., 2] = 0.25 * (pz[:, :-1, :-1] + pz[:, :-1, 1:] + pz[:, 1:, :-1] + pz[:, 1:, 1:])
-    out["y"] = vec
-    vec = np.zeros(hz.shape + (3,))
-    px = pad(hx, 2)
-    vec[..., 0] = 0.25 * (px[:-1, :, :-1] + px[1:, :, :-1] + px[:-1, :, 1:] + px[1:, :, 1:])
-    py = pad(hy, 2)
-    vec[..., 1] = 0.25 * (py[:, :-1, :-1] + py[:, 1:, :-1] + py[:, :-1, 1:] + py[:, 1:, 1:])
-    out["z"] = vec
-    return out
-
-
-def _cells_to_int_edges(vals, comp):
-    if comp == "x":
-        return 0.25 * (vals[:, :-1, :-1] + vals[:, 1:, :-1] + vals[:, :-1, 1:] + vals[:, 1:, 1:])
-    if comp == "y":
-        return 0.25 * (vals[:-1, :, :-1] + vals[1:, :, :-1] + vals[:-1, :, 1:] + vals[1:, :, 1:])
-    return 0.25 * (vals[:-1, :-1, :] + vals[1:, :-1, :] + vals[:-1, 1:, :] + vals[1:, 1:, :])
-
-
-def _cells_to_faces(vals, comp):
-    axis = EDGE_COMPS.index(comp)
-    spec = [(0, 0)] * 3 + [(0, 0), (0, 0)]
-    spec[axis] = (1, 1)
-    padded = np.pad(vals, spec, mode="edge")
-    lo = [slice(None)] * 5
-    hi = [slice(None)] * 5
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (padded[tuple(lo)] + padded[tuple(hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +444,6 @@ class RunOutput:
     n_slots: int
     xi: float
     scenario: Scenario
-    ring_snapshots: list = field(default_factory=list)
 
 
 def _require_finite(name: str, value: float, st: EMState) -> float:
@@ -582,7 +452,7 @@ def _require_finite(name: str, value: float, st: EMState) -> float:
     return value
 
 
-def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
+def run(scenario: Scenario) -> RunOutput:
     """Simulate a scenario and record its energy trace.
 
     Deterministic for a fixed scenario: no threading, fixed evaluation order.
@@ -638,7 +508,6 @@ def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
 
     n_steps = int(np.ceil(scenario.run.t_end / dt - 1e-12)) if scenario.run.t_end > 0 else 0
     rows = []
-    snapshots = []
 
     def record(st: EMState):
         vals = analysis.energies(
@@ -649,8 +518,6 @@ def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
         # checked only now: the outflow of an overflowed trace would warn
         flux = _require_finite("flux", analysis.boundary_outflow(ring, law, xi, s.areas), st)
         rows.append((st.time, *vals, flux))
-        if keep_ring_snapshots:
-            snapshots.append(ring.slots().copy())
 
     record(state)
     for n in range(n_steps):
@@ -687,5 +554,4 @@ def run(scenario: Scenario, keep_ring_snapshots: bool = False) -> RunOutput:
         n_slots=n_slots,
         xi=xi,
         scenario=scenario,
-        ring_snapshots=snapshots,
     )

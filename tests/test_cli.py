@@ -405,3 +405,25 @@ def test_resolvent_report_independent_of_blas_threads(tmp_path):
         reports.append((outdir / "resolvent_report.txt").read_bytes())
     assert b"outer_iterations = " in reports[0]
     assert reports[0] == reports[1]
+
+
+def test_boundary_dump_holds_the_final_ring_once(tmp_path):
+    # one row per (sample, slot) of the final ring, stamped with the final
+    # step, and every value round-trips exactly
+    from delayfdtd.config import parse_config, scenario_from_config
+    from delayfdtd.solver import run
+
+    text = BASE.replace("= 8", "= 4").replace("t_end = 2.0", "t_end = 0.3")
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["run", str(path), "--dump-boundary"]) == 0
+    out = run(scenario_from_config(parse_config(path.read_text())))
+    slots = out.ring.slots()
+    lines = (outdir / "boundary_trace.csv").read_text().splitlines()
+    assert lines[0] == "step,sample_id,s_index,vx,vy,vz"
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    assert data.shape == ((out.n_slots + 1) * slots.shape[1], 6)
+    assert out.state.step > 1
+    assert np.all(data[:, 0] == out.state.step)
+    sid, j = data[:, 1].astype(int), data[:, 2].astype(int)
+    assert np.unique(sid * (out.n_slots + 1) + j).size == data.shape[0]
+    assert np.array_equal(data[:, 3:], slots[j, sid])

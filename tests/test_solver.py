@@ -8,13 +8,14 @@ from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
 from delayfdtd.feedback import FeedbackLaw, implicit_boundary_update
 from delayfdtd.materials import (
+    TensorField,
     constant_diagonal,
     constant_full,
     constant_isotropic,
     diagonal_ramp,
     exponential_isotropic,
 )
-from delayfdtd.operators import build_operators, sample_vector_field
+from delayfdtd.operators import build_operators, full_tensor_inverses, sample_vector_field
 from delayfdtd.solver import (
     AnalysisOptions,
     EMState,
@@ -524,3 +525,147 @@ def test_step_rebinds_h_prev_without_aliasing(ops8):
         stepper.step(state, ring)
         assert state.h_prev is h_before
         assert not np.shares_memory(state.h, state.h_prev)
+
+
+# -- assembled full-tensor inverse masses --------------------------------------
+# The reference below is the stepper's former hand-written collocation: cell
+# tensors averaged onto each site and inverted there, cross components of the
+# field averaged to the site by slicing.
+
+
+def _ref_collocate_edges(ex, ey, ez):
+    """Cross components averaged to each interior edge site, as (..., 3)."""
+    out = {}
+    vec = np.zeros(ex[:, 1:-1, 1:-1].shape + (3,))
+    vec[..., 1] = 0.25 * (ey[:-1, :-1, 1:-1] + ey[:-1, 1:, 1:-1] + ey[1:, :-1, 1:-1] + ey[1:, 1:, 1:-1])
+    vec[..., 2] = 0.25 * (ez[:-1, 1:-1, :-1] + ez[:-1, 1:-1, 1:] + ez[1:, 1:-1, :-1] + ez[1:, 1:-1, 1:])
+    vec[..., 0] = ex[:, 1:-1, 1:-1]
+    out["x"] = vec
+    vec = np.zeros(ey[1:-1, :, 1:-1].shape + (3,))
+    vec[..., 0] = 0.25 * (ex[:-1, :-1, 1:-1] + ex[1:, :-1, 1:-1] + ex[:-1, 1:, 1:-1] + ex[1:, 1:, 1:-1])
+    vec[..., 2] = 0.25 * (ez[1:-1, :-1, :-1] + ez[1:-1, :-1, 1:] + ez[1:-1, 1:, :-1] + ez[1:-1, 1:, 1:])
+    vec[..., 1] = ey[1:-1, :, 1:-1]
+    out["y"] = vec
+    vec = np.zeros(ez[1:-1, 1:-1, :].shape + (3,))
+    vec[..., 0] = 0.25 * (ex[:-1, 1:-1, :-1] + ex[1:, 1:-1, :-1] + ex[:-1, 1:-1, 1:] + ex[1:, 1:-1, 1:])
+    vec[..., 1] = 0.25 * (ey[1:-1, :-1, :-1] + ey[1:-1, 1:, :-1] + ey[1:-1, :-1, 1:] + ey[1:-1, 1:, 1:])
+    vec[..., 2] = ez[1:-1, 1:-1, :]
+    out["z"] = vec
+    return out
+
+
+def _ref_collocate_faces(hx, hy, hz):
+    """Cross components averaged to each face site (edge-replicated)."""
+
+    def pad(a, axis):
+        spec = [(0, 0)] * 3
+        spec[axis] = (1, 1)
+        return np.pad(a, spec, mode="edge")
+
+    out = {}
+    vec = np.zeros(hx.shape + (3,))
+    py = pad(hy, 0)
+    vec[..., 1] = 0.25 * (py[:-1, :-1, :] + py[:-1, 1:, :] + py[1:, :-1, :] + py[1:, 1:, :])
+    pz = pad(hz, 0)
+    vec[..., 2] = 0.25 * (pz[:-1, :, :-1] + pz[:-1, :, 1:] + pz[1:, :, :-1] + pz[1:, :, 1:])
+    out["x"] = vec
+    vec = np.zeros(hy.shape + (3,))
+    px = pad(hx, 1)
+    vec[..., 0] = 0.25 * (px[:-1, :-1, :] + px[1:, :-1, :] + px[:-1, 1:, :] + px[1:, 1:, :])
+    pz = pad(hz, 1)
+    vec[..., 2] = 0.25 * (pz[:, :-1, :-1] + pz[:, :-1, 1:] + pz[:, 1:, :-1] + pz[:, 1:, 1:])
+    out["y"] = vec
+    vec = np.zeros(hz.shape + (3,))
+    px = pad(hx, 2)
+    vec[..., 0] = 0.25 * (px[:-1, :, :-1] + px[1:, :, :-1] + px[:-1, :, 1:] + px[1:, :, 1:])
+    py = pad(hy, 2)
+    vec[..., 1] = 0.25 * (py[:, :-1, :-1] + py[:, 1:, :-1] + py[:, :-1, 1:] + py[:, 1:, 1:])
+    out["z"] = vec
+    return out
+
+
+def _ref_cells_to_int_edges(vals, comp):
+    if comp == "x":
+        return 0.25 * (vals[:, :-1, :-1] + vals[:, 1:, :-1] + vals[:, :-1, 1:] + vals[:, 1:, 1:])
+    if comp == "y":
+        return 0.25 * (vals[:-1, :, :-1] + vals[1:, :, :-1] + vals[:-1, :, 1:] + vals[1:, :, 1:])
+    return 0.25 * (vals[:-1, :-1, :] + vals[1:, :-1, :] + vals[:-1, 1:, :] + vals[1:, 1:, :])
+
+
+def _ref_cells_to_faces(vals, comp):
+    axis = "xyz".index(comp)
+    spec = [(0, 0)] * 5
+    spec[axis] = (1, 1)
+    padded = np.pad(vals, spec, mode="edge")
+    lo = [slice(None)] * 5
+    hi = [slice(None)] * 5
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return 0.5 * (padded[tuple(lo)] + padded[tuple(hi)])
+
+
+def _ref_eps_inv_interior(ops, rhs):
+    """eps^-1 rhs at interior edges, collocating cross components."""
+    vals = 0.5 * (ops.eps.values + np.swapaxes(ops.eps.values, -1, -2))
+    coll = _ref_collocate_edges(*ops.layout.split_full_edges(ops.R @ rhs))
+    out = np.empty(ops.layout.trace_offset)
+    for a, c in enumerate("xyz"):
+        inv = np.linalg.inv(_ref_cells_to_int_edges(vals, c))
+        res = np.einsum("...j,...j->...", inv[..., a, :], coll[c])
+        o = ops.layout.int_offsets[c]
+        out[o : o + res.size] = res.ravel()
+    return out
+
+
+def _ref_mu_inv_apply(ops, curl):
+    """mu^-1 curl at faces, collocating cross components."""
+    vals = 0.5 * (ops.mu.values + np.swapaxes(ops.mu.values, -1, -2))
+    own = ops.layout.split_h(curl)
+    coll = _ref_collocate_faces(*own)
+    out = np.empty_like(curl)
+    for a, c in enumerate("xyz"):
+        inv = np.linalg.inv(_ref_cells_to_faces(vals, c))
+        vec = coll[c]
+        vec[..., a] = own[a]
+        res = np.einsum("...j,...j->...", inv[..., a, :], vec)
+        o = ops.layout.face_offsets[c]
+        out[o : o + res.size] = res.ravel()
+    return out
+
+
+def _random_spd(grid, rng):
+    """A heterogeneous symmetric positive definite tensor per cell."""
+    a = rng.standard_normal(grid.shape + (3, 3))
+    return TensorField.from_values(np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(3))
+
+
+@pytest.mark.parametrize("field", ["constant_full", "random_spd"])
+def test_assembled_inverse_masses_match_collocation(field):
+    # (2, 1, 1.5) over (8, 5, 6) cells: no spacing is a power of two and no
+    # two axes agree, so an axis or reciprocal slip cannot cancel out
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    rng = np.random.default_rng(45)
+    if field == "constant_full":
+        eps = constant_full(grid, (2.0, 1.5, 1.8, 0.2, 0.1, 0.15))
+        mu = constant_full(grid, (1.2, 1.0, 1.4, -0.1, 0.05, 0.2))
+    else:
+        eps, mu = _random_spd(grid, rng), _random_spd(grid, rng)
+    ops = build_operators(grid, eps, mu)
+    eps_inv, mu_inv, eps_t = full_tensor_inverses(ops)
+    assert eps_inv.shape == (ops.layout.trace_offset, ops.layout.n_q)
+    assert mu_inv.shape == (ops.layout.n_h, ops.layout.n_h)
+    for _ in range(3):
+        rhs = rng.standard_normal(ops.layout.n_q)
+        ref = _ref_eps_inv_interior(ops, rhs)
+        assert np.max(np.abs(eps_inv @ rhs - ref)) <= 1e-14 * np.max(np.abs(ref))
+        curl = rng.standard_normal(ops.layout.n_h)
+        ref = _ref_mu_inv_apply(ops, curl)
+        assert np.max(np.abs(mu_inv @ curl - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the trace block inverts the tangential block of the cellwise inverse
+    s = grid.samples
+    vals = 0.5 * (eps.values + np.swapaxes(eps.values, -1, -2))
+    cell_inv = np.linalg.inv(vals[tuple(s.cells.T)])
+    for i in range(s.count):
+        t = s.tangents[i]
+        block = cell_inv[i][np.ix_(t, t)]
+        assert np.allclose(eps_t[i] @ block, np.eye(2), rtol=0, atol=1e-14)
