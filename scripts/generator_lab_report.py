@@ -15,13 +15,12 @@ from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.feedback import FeedbackLaw, constants
 from delayfdtd.materials import constant_isotropic
 from delayfdtd.operator_lab import (
-    ExtState,
     generator_constants,
     monotonicity_test,
+    random_forcing,
     resolvent_solve,
 )
 from delayfdtd.operators import build_operators
-from delayfdtd.solver import project_div_free
 
 
 def main():
@@ -55,15 +54,7 @@ def main():
     print(f"{'control':>10}: min pairing without the shift {neg.min_normalized:+.6e} "
           f"({int((neg.pairings[:, 2] < 0).sum())}/50 negative)")
 
-    rng = np.random.default_rng(args.seed)
-    s = grid.samples
-    raw = rng.standard_normal((s.count, args.m + 1, 3))
-    nu = s.normals[:, None, :]
-    F = ExtState(
-        q=project_div_free(rng.standard_normal(ops.layout.n_q), ops),
-        h=rng.standard_normal(ops.layout.n_h),
-        Z=raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu,
-    )
+    F = random_forcing(ops, args.m, np.random.default_rng(args.seed))
     for name, law in laws.items():
         res = resolvent_solve(F, 2.0, ops, law)
         print(f"{name:>10}: resolvent residual {res.residual:.3e} "

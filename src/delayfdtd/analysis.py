@@ -16,7 +16,7 @@ import numpy as np
 
 from .delay import DelayRing
 from .errors import AssumptionError, ConfigError, ContractError
-from .feedback import FeedbackLaw, eval_g
+from .feedback import FeedbackLaw, boundary_drive
 from .materials import MaterialReport
 from .operators import Operators
 
@@ -76,10 +76,8 @@ def boundary_outflow(ring: DelayRing, law: FeedbackLaw, xi: float, areas: np.nda
 
     flux = sum dA [ (g1 g(Z0) + g2 g(Z1)) . Z0 - xi (|Z0|^2 - |Z1|^2) ].
     """
-    z0, z1 = ring.slot(0), ring.slot(ring.N)
-    work = law.gamma1 * eval_g(law, z0)
-    if law.gamma2 != 0.0:
-        work = work + law.gamma2 * eval_g(law, z1)
+    z0 = ring.slot(0)
+    work = boundary_drive(law, z0, ring.slot(ring.N))
     integrand = np.einsum("ij,ij->i", work, z0) - xi * (ring.slot_norm2(0) - ring.slot_norm2(ring.N))
     return _dot(areas, integrand)
 
@@ -378,11 +376,13 @@ def appendix_analyze(
     T: float,
     slack: float = 1.05,
     max_pairs: int = 10_000,
+    obs_slack: float = 1.10,
 ) -> DecayCertificate:
     """Contraction-rate certificate from the dissipation and observation bounds.
 
     Verifies the two-sided damping hypothesis and the integrated-energy
-    hypothesis on the samples (trapezoid quadrature, multiplicative slack),
+    hypothesis on the samples (trapezoid quadrature, multiplicative slacks
+    `slack` and `obs_slack`, as in `lemma31_check` and `lemma32_check`),
     then computes c~ = (c_T + c*c2E)/c1E, gamma = c~/(c~ + T/2),
     lambda = -ln(gamma)/T, and checks E(t) <= (1/gamma) e^{-lambda t} E(0)
     at every sample.
@@ -401,7 +401,7 @@ def appendix_analyze(
     hyp_upper = bool(np.all(upper >= -_ATOL))
     hyp_lower = bool(np.all(lower >= -_ATOL))
     lhs, rhs = _observability_sides(t, E, D, c, c_T, T)
-    hyp_obs = bool(lhs <= max(1.10, slack) * rhs + 1e-300)
+    hyp_obs = bool(lhs <= obs_slack * rhs + 1e-300)
 
     c_tilde = (c_T + c * c2E) / c1E
     gamma = c_tilde / (c_tilde + T / 2.0)
@@ -529,7 +529,10 @@ def certify(
         block["certificate"] = f"not applicable (trace too short: needs t_end > 4c = {4.0 * obs.c:.6g})"
         return block, failures
     try:
-        cert = appendix_analyze(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T)
+        cert = appendix_analyze(
+            trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T,
+            slack=slack_dissipation, obs_slack=slack_observability,
+        )
     except ContractError as exc:
         block["certificate"] = f"not applicable ({exc})"
         return block, failures

@@ -139,16 +139,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _resolved_xi_for(cfg: Config) -> float:
-    """Explicit delay weight for a sweep row: midpoint if admissible, else fallback."""
-    sc = scenario_from_config(cfg)
-    if sc.law.gamma1 <= 0:
-        return 0.0
-    mono = constants(sc.law)
-    try:
-        k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2)
-        return k.xi
-    except AssumptionError:
-        return 0.5 * sc.law.gamma1 * mono.c1
+    """Explicit delay weight for a sweep row: g1 c1 / 2, also where no weight is admissible.
+
+    g1 c1 / 2 is the admissible-interval midpoint; a conservative row (g1 = 0) gets 0.
+    """
+    law = scenario_from_config(cfg).law
+    return 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
 
 
 def _sweep_value(cfg_text: str, path: str, value: float, out_dir: str):
@@ -177,8 +173,7 @@ def cmd_sweep(args) -> int:
     section, _, key = args.param.partition(".")
     if section not in ("domain", "materials", "feedback", "history", "initial", "run", "analysis"):
         raise ConfigError(f"bad parameter path {args.param!r}")
-    probe = parse_config(echo_config(cfg))
-    current = probe.get(section, key) if key in probe.data.get(section, {}) else None
+    current = cfg.data.get(section, {}).get(key)
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise ConfigError(f"parameter path {args.param!r} does not point at a numeric value")
 
@@ -290,19 +285,10 @@ def cmd_operator(args) -> int:
 
 def cmd_resolvent(args) -> int:
     from . import operator_lab
-    from .solver import project_div_free
 
     cfg = _load_config(args.config)
     sc, ops = _lab_setup(cfg)
-    rng = np.random.default_rng(args.seed)
-
-    s = ops.grid.samples
-    F1 = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
-    F2 = rng.standard_normal(ops.layout.n_h)
-    raw = rng.standard_normal((s.count, args.m + 1, 3))
-    nu = s.normals[:, None, :]
-    F3 = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
-    F = operator_lab.ExtState(q=F1, h=F2, Z=F3)
+    F = operator_lab.random_forcing(ops, args.m, np.random.default_rng(args.seed))
     result = operator_lab.resolvent_solve(F, args.b, ops, sc.law)
     lines = [f"residual = {result.residual:.6e}", f"outer_iterations = {result.outer_iterations}", f"penalty = {result.penalty:.17g}"]
     lines += [f"residual_{k} = {v:.6e}" for k, v in result.residual_parts.items()]

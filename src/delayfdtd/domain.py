@@ -116,7 +116,6 @@ class SampleSet:
     positions: np.ndarray  # (S, 3)
     normals: np.ndarray  # (S, 3)
     areas: np.ndarray  # (S,)
-    dn: np.ndarray  # (S,) normal spacing of the owning cell
     axis: np.ndarray  # (S,) face normal axis
     side: np.ndarray  # (S,) -1 / +1
     tangents: np.ndarray  # (S, 2) tangential axes
@@ -173,14 +172,6 @@ class YeeGrid:
             "z": (nx + 1) * (ny + 1) * nz,
         }
 
-    def face_counts(self) -> dict[str, int]:
-        nx, ny, nz = self.shape
-        return {
-            "x": (nx + 1) * ny * nz,
-            "y": nx * (ny + 1) * nz,
-            "z": nx * ny * (nz + 1),
-        }
-
     def cell_centers(self) -> np.ndarray:
         """(nx, ny, nz, 3) array of cell-center coordinates."""
         nx, ny, nz = self.shape
@@ -198,7 +189,7 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
     d = domain.spacings
     L = domain.lengths
 
-    pos, nrm, areas, dns = [], [], [], []
+    pos, nrm, areas = [], [], []
     ax_arr, side_arr, tans, cells, vol_mass = [], [], [], [], []
     face_slices = {}
     start = 0
@@ -230,7 +221,6 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
                 pos.append(p)
                 nrm.append(nu)
                 areas.append(d[t1] * d[t2])
-                dns.append(d[axis])
                 ax_arr.append(axis)
                 side_arr.append(side)
                 tans.append((t1, t2))
@@ -242,7 +232,6 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
         positions=np.array(pos),
         normals=np.array(nrm),
         areas=np.array(areas),
-        dn=np.array(dns),
         axis=np.array(ax_arr),
         side=np.array(side_arr),
         tangents=np.array(tans),

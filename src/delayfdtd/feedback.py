@@ -151,6 +151,14 @@ def constants(law: FeedbackLaw, n_pairs: int = 100_000, radius: float = 10.0) ->
     return MonotonicityConstants(c1, c2, "sampled")
 
 
+def boundary_drive(law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray) -> np.ndarray:
+    """gamma1 g(w_now) + gamma2 g(w_delayed), the feedback of the boundary relation."""
+    drive = law.gamma1 * eval_g(law, w_now)
+    if law.gamma2 != 0.0:
+        drive = drive + law.gamma2 * eval_g(law, w_delayed)
+    return drive
+
+
 def required_H_trace(
     law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray, nu: np.ndarray
 ) -> np.ndarray:
@@ -164,10 +172,7 @@ def required_H_trace(
     nu = np.asarray(nu, dtype=float)
     check_tangential("w_now", w_now, nu)
     check_tangential("w_delayed", w_delayed, nu)
-    h = -law.gamma1 * np.cross(eval_g(law, w_now), nu)
-    if law.gamma2 != 0.0:
-        h = h - law.gamma2 * np.cross(eval_g(law, w_delayed), nu)
-    return h
+    return -np.cross(boundary_drive(law, w_now, w_delayed), nu)
 
 
 def _jacobian_2x2(law: FeedbackLaw, v: np.ndarray):

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .analysis import _dot
 from .domain import check_tangential
 from .errors import ConfigError, ContractError, NumericalError
-from .feedback import FeedbackLaw, eval_g, required_H_trace
+from .feedback import FeedbackLaw, required_H_trace
 from .operators import Operators, factor_symmetric
 
 
@@ -82,6 +83,23 @@ def random_domain_state(
     if z_interior_boost != 1.0:
         Z[:, 1:-1] *= z_interior_boost
     Z[:, 0] = ops.boundary_trace_w(q)
+    return ExtState(q=q, h=h, Z=Z)
+
+
+def random_forcing(ops: Operators, M: int, rng: np.random.Generator) -> ExtState:
+    """Random resolvent data F: divergence-free E part, free H part, tangential Z.
+
+    Draws the three parts in the order q, h, Z.
+    """
+    # imported per call, so that the solver module's current binding is used
+    from .solver import project_div_free
+
+    s = ops.grid.samples
+    q = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
+    h = rng.standard_normal(ops.layout.n_h)
+    raw = rng.standard_normal((s.count, M + 1, 3))
+    nu = s.normals[:, None, :]
+    Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
     return ExtState(q=q, h=h, Z=Z)
 
 
@@ -175,11 +193,11 @@ def weighted_inner(
     """Inner product with e^{cs}-weighted delay part."""
     s = ops.grid.samples
     M = a.n_s_cells
-    val = float(np.dot(ops.Wq_eps * a.q, b.q))
-    val += float(np.dot(ops.Wf_mu * a.h, b.h))
+    val = _dot(ops.Wq_eps * a.q, b.q)
+    val += _dot(ops.Wf_mu * a.h, b.h)
     ws = s_weights(M) * np.exp(c_weight * np.arange(M + 1) / M)
-    pair = np.einsum("smi,smi->sm", a.Z, b.Z)
-    val += xi_op * tau * float(np.dot(s.areas, pair @ ws))
+    # one einsum, no BLAS: a third of the time of pairing Z first and weighting after
+    val += xi_op * tau * _dot(s.areas, np.einsum("smi,smi,m->s", a.Z, b.Z, ws))
     return val
 
 
@@ -247,13 +265,13 @@ def monotonicity_test(
 
 def wepsilon_norm(q: np.ndarray, ops: Operators) -> float:
     """Squared graph norm: |E|^2 + |curl E|^2 + |div(eps E)|^2 + trace term."""
-    val = float(np.dot(ops.Wq * q, q))
+    val = _dot(ops.Wq * q, q)
     curl = ops.C @ q
-    val += float(np.dot(ops.Wf * curl, curl))
+    val += _dot(ops.Wf * curl, curl)
     div = ops.div_eps @ q
-    val += ops.node_weight * float(np.dot(div, div))
+    val += ops.node_weight * _dot(div, div)
     t = ops.trace_vectors(q)
-    val += float(np.dot(ops.grid.samples.areas, np.einsum("ij,ij->i", t, t)))
+    val += _dot(ops.grid.samples.areas, np.einsum("ij,ij->i", t, t))
     return val
 
 
@@ -285,23 +303,50 @@ def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.n
     return (w[:, None, :] + tau * T) / growth[None, :, None]
 
 
-def _boundary_linear_gain(law: FeedbackLaw) -> float:
-    """Slope of the linear part of g kept inside the resolvent matrix."""
-    return law.a if law.kind in ("linear", "saturating") else 0.0
+def _boundary_load(
+    ops: Operators, law: FeedbackLaw, b: float, q: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
+    """b dA (H x nu) on the trace components: the boundary term of the resolvent form.
+
+    H x nu is the trace the boundary relation demands at w = E x nu of q and
+    at the delayed trace Z|s=1 = e^{-tau b} (w + tail) of the integrating
+    factor formula, tail = tau int_0^1 F3 e^{tau b r} dr.
+    """
+    s = ops.grid.samples
+    w = ops.boundary_trace_w(q)
+    h_tr = required_H_trace(law, w, float(np.exp(-law.tau * b)) * (w + tail), s.normals)
+    return b * s.areas[:, None] * s.to_components(h_tr)
+
+
+def _core_slope(law: FeedbackLaw, b: float) -> float:
+    """Slope per b dA of the load part that `resolvent_core` holds.
+
+    That part is the load of the linear part a v of g (none for table laws)
+    at tail = 0; the outer iteration of `resolvent_solve` carries the rest.
+    """
+    gain = 0.0 if law.kind == "table" else law.a
+    return gain * (law.gamma1 + law.gamma2 * float(np.exp(-law.tau * b)))
+
+
+def _load_off_core(
+    ops: Operators, law: FeedbackLaw, b: float, q: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
+    """The boundary load less the part `resolvent_core` holds, as a q-sized vector."""
+    held = b * ops.grid.samples.areas[:, None] * (_core_slope(law, b) * ops.layout.trace_view(q))
+    out = np.zeros(ops.layout.n_q)
+    out[ops.trace_idx] = _boundary_load(ops, law, b, q, tail) - held
+    return out
 
 
 def resolvent_core(ops: Operators, law: FeedbackLaw, b: float, penalty: float = 1.0) -> sp.csr_matrix:
     """The symmetric positive definite matrix of the curl-curl reduction.
 
     b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
-    part of the boundary feedback on the trace dofs; `resolvent_solve`
-    factors it once per penalty.
+    part of the boundary load on the trace dofs; `resolvent_solve` factors
+    it once per penalty.
     """
     s = ops.grid.samples
-    exp_fac = float(np.exp(-law.tau * b))
-    bdry_diag = np.repeat(
-        b * s.areas * _boundary_linear_gain(law) * (law.gamma1 + law.gamma2 * exp_fac), 2
-    )
+    bdry_diag = np.repeat(b * s.areas * _core_slope(law, b), 2)
     idx = ops.trace_idx.ravel()
     n = ops.layout.n_q
     return (
@@ -325,10 +370,10 @@ def resolvent_solve(
 
     Eliminates H = (F2 - mu^-1 curl E)/b, writes Z with the integrating
     factor, and solves the remaining symmetric positive definite system for
-    E with a divergence penalty; nonlinear boundary parts are handled by a
-    damped outer fixed point around a factorized linear core.  If the
-    divergence of the solution exceeds 1e-8 the penalty is doubled (at most
-    ten times).
+    E with a divergence penalty; the factorized `resolvent_core` holds the
+    linear part of the boundary load and a damped outer fixed point carries
+    the rest.  If the divergence of the solution exceeds 1e-8 the penalty is
+    doubled (at most ten times).
     """
     _require_diagonal(ops)
     if b <= 0:
@@ -336,38 +381,20 @@ def resolvent_solve(
     s = ops.grid.samples
     M = F.Z.shape[1] - 1
     tau = law.tau
-    layout = ops.layout
 
-    exp_fac = float(np.exp(-tau * b))
-    T_full = _z_from_formula(np.zeros((s.count, 3)), F.Z, tau, b)[:, -1, :] / exp_fac
-    # T_full = tau * int_0^1 F3 e^{tau b r} dr (the w-independent part at s=1)
-
-    lin_gain = _boundary_linear_gain(law)
-
-    rhs0 = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
-
-    def h_matrix_part(t_comps):
-        # only the t-proportional piece lives in the factorized matrix; the
-        # delay-tail constant and any nonlinearity go to the iterated rhs
-        return lin_gain * (law.gamma1 + law.gamma2 * exp_fac) * t_comps
-
-    def h_full(q_vec):
-        w = ops.boundary_trace_w(q_vec)
-        z1 = exp_fac * (w + T_full)
-        h = law.gamma1 * eval_g(law, w) + law.gamma2 * eval_g(law, z1)
-        return -s.to_components(np.cross(h, s.normals))
-        # note: h here is H x nu = -(g-combination) x nu; cross and sign folded
+    # the w-independent part of Z|s=1, divided by e^{-tau b}
+    tail = _z_from_formula(np.zeros((s.count, 3)), F.Z, tau, b)[:, -1, :] / float(np.exp(-tau * b))
+    rhs = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
     pen = penalty
     for _ in range(10):
         factor = factor_symmetric(resolvent_core(ops, law, b, pen), "resolvent core")
-
-        q = factor.solve(rhs0 + _nl_rhs(np.zeros(layout.n_q), b, s, h_full, h_matrix_part, ops, layout))
+        q = factor.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
         outer = 1
         damping = 1.0 if law.kind == "linear" else 0.5
         prev_gap = np.inf
         while True:
-            q_next = factor.solve(rhs0 + _nl_rhs(q, b, s, h_full, h_matrix_part, ops, layout))
+            q_next = factor.solve(rhs - _load_off_core(ops, law, b, q, tail))
             gap = float(np.max(np.abs(q_next - q)))
             scale = 1.0 + float(np.max(np.abs(q_next)))
             if gap <= tol * scale:
@@ -394,9 +421,9 @@ def resolvent_solve(
     Z = _z_from_formula(w, F.Z, tau, b)
     V = ExtState(q=q, h=h, Z=Z)
 
-    h_tr = required_H_trace(law, w, Z[:, -1], s.normals)
-    r_E = b * q - (ops.G @ h + ops.inject_trace(h_tr)) / ops.eps_q - F.q
-    r_H = b * h + (ops.C @ q) / ops.mu_f - F.h
+    AV = apply_generator(V, ops, law, check=False)
+    r_E = b * q + AV.q - F.q
+    r_H = b * h + AV.h - F.h
     # transport part: the integrating-factor trapezoid identity the Z build used
     growth = np.exp(tau * b * np.arange(M + 1) / M)[None, :, None]
     Y = Z * growth
@@ -421,36 +448,11 @@ def resolvent_solve(
     )
 
 
-def _nl_rhs(q, b, samples, h_full, h_matrix_part, ops, layout):
-    """RHS correction: minus the off-matrix remainder of the boundary term."""
-    t_comps = layout.trace_view(q)
-    remainder = h_full(q) - h_matrix_part(t_comps)
-    out = np.zeros(layout.n_q)
-    out[ops.trace_idx] = -b * samples.areas[:, None] * remainder
-    return out
-
-
 def form_pairing(q1: np.ndarray, q2: np.ndarray, dq: np.ndarray, b: float, ops: Operators, law: FeedbackLaw, F3_tail: np.ndarray, penalty: float = 1.0) -> float:
-    """<B q1 - B q2, dq> for the resolvent form (strong monotonicity probe)."""
-    s = ops.grid.samples
-    tau = law.tau
-    exp_fac = float(np.exp(-tau * b))
+    """<B q1 - B q2, dq> for the resolvent form (strong monotonicity probe).
 
-    def apply_lin(q):
-        return (
-            b * b * (ops.Wq_eps * q)
-            + ops.C.T @ ((ops.Wf / ops.mu_f) * (ops.C @ q))
-            + penalty * ops.node_weight * (ops.div_eps.T @ (ops.div_eps @ q))
-        )
-
-    def bdry(q):
-        w = ops.boundary_trace_w(q)
-        z1 = exp_fac * (w + F3_tail)
-        h = law.gamma1 * eval_g(law, w) + law.gamma2 * eval_g(law, z1)
-        comps = ops.grid.samples.to_components(np.cross(h, s.normals))
-        out = np.zeros(ops.layout.n_q)
-        out[ops.trace_idx] = -b * s.areas[:, None] * comps
-        return out
-
-    delta = apply_lin(q1) - apply_lin(q2) + bdry(q1) - bdry(q2)
-    return float(np.dot(delta, dq))
+    B q is the core applied to q plus the load the core does not hold.
+    """
+    delta = resolvent_core(ops, law, b, penalty) @ (q1 - q2)
+    delta += _load_off_core(ops, law, b, q1, F3_tail) - _load_off_core(ops, law, b, q2, F3_tail)
+    return _dot(delta, dq)

@@ -427,3 +427,41 @@ def test_boundary_dump_holds_the_final_ring_once(tmp_path):
     sid, j = data[:, 1].astype(int), data[:, 2].astype(int)
     assert np.unique(sid * (out.n_slots + 1) + j).size == data.shape[0]
     assert np.array_equal(data[:, 3:], slots[j, sid])
+
+
+@pytest.mark.parametrize(
+    "gamma2, slack, two_sided",
+    [("0.5", "1.0", "FAIL"), ("0", "1.5", "pass")],
+)
+def test_certificate_judges_with_the_configured_slacks(tmp_path, gamma2, slack, two_sided):
+    # the contraction certificate re-checks the two-sided dissipation
+    # hypothesis, so it must agree with the line printed at the same slack
+    text = (
+        BASE.replace("gamma2 = 0.5", f"gamma2 = {gamma2}").replace("t_end = 2.0", "t_end = 20.0")
+        + f"\n[analysis]\nslack_dissipation = {slack}\n"
+    )
+    path, outdir = write_cfg(tmp_path, text)
+    main(["run", str(path)])
+    summary = (outdir / "summary.txt").read_text()
+    assert f"two_sided_dissipation = {two_sided}\n" in summary
+    assert "observability = pass\n" in summary
+    assert f"certificate = {two_sided}\n" in summary
+
+
+def test_pairings_csv_independent_of_blas_threads(tmp_path):
+    # n = 16: long enough vectors for OpenBLAS to split a dot product
+    text = BASE.replace("= 8", "= 16").replace("kind = linear", "kind = saturating\nb = 1.0")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pairings = []
+    for threads in ("1", "2"):
+        path, outdir = write_cfg(tmp_path, text, name=f"t{threads}.cfg", outdir=tmp_path / f"out{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from delayfdtd.cli import main; sys.exit(main())",
+             "operator", str(path), "--pairs", "4", "--m", "4", "--seed", "0"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        pairings.append((outdir / "pairings.csv").read_bytes())
+    assert pairings[0].count(b"\n") == 5
+    assert pairings[0] == pairings[1]
