@@ -155,7 +155,10 @@ def init_history(kind: str, n_slots: int, normals: np.ndarray, *, value=None, in
 def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
     """Read a `step,sample_id,s_index,vx,vy,vz` dump into a fresh ring."""
     ring = DelayRing(n_slots, normals)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read history file {path}: {exc}") from exc
     if data.size == 0:
         data = data.reshape(0, 6)
     if data.shape[1] != 6:

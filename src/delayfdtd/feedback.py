@@ -4,9 +4,9 @@ The boundary relation imposes H x nu = -gamma1 g(E x nu) x nu
 - gamma2 g(Z|s=1) x nu at every boundary sample.  The stepper closes the
 tangential-E update with that trace evaluated at the time-centered value
 (w_old + w_new)/2, which yields one small nonlinear equation per sample: a
-closed-form 2x2 solve for the linear law, a safeguarded 2x2 Newton solve
-with the analytic Jacobian of the radial law otherwise.  The equation is
-strongly monotone because the law is, and Newton converges in a few steps.
+closed-form solve for the linear law, otherwise one scalar equation in the
+radius of the centered trace, solved by a bracketed Newton iteration.  The
+law is radial and monotone, so that equation has exactly one root.
 """
 
 from __future__ import annotations
@@ -175,19 +175,6 @@ def required_H_trace(
     return -np.cross(boundary_drive(law, w_now, w_delayed), nu)
 
 
-def _jacobian_2x2(law: FeedbackLaw, v: np.ndarray):
-    """Entries (d00, d01, d11) of the symmetric Jacobian Dg(v) for (S, 2) stacks.
-
-    Dg(v) = gain(r) I + (G'(r) - gain(r)) u u^T with r = |v| and u = v / r;
-    at v = 0 the u u^T term drops out.
-    """
-    r2 = v[:, 0] ** 2 + v[:, 1] ** 2
-    r = np.sqrt(r2)
-    gain = law._radial_gain(r)
-    scale = (law._radial_slope(r) - gain) / np.where(r2 > 0, r2, 1.0)
-    return gain + scale * v[:, 0] ** 2, scale * v[:, 0] * v[:, 1], gain + scale * v[:, 1] ** 2
-
-
 def implicit_boundary_update(
     law: FeedbackLaw,
     curl_term: np.ndarray,
@@ -220,10 +207,15 @@ def implicit_boundary_update(
     `TangentCross` of `nu` and `tangents`; it is built from them when not
     given.
 
-    The residual F(t) = t_old + dt eps_t^{-1} (curl_term + fb((t_old+t)/2)) - t
-    is driven below `tol` (max norm per sample) by Newton steps with the
-    matrix I + (dt/2) eps_t^{-1} kappa gamma1 Dg, each step halved per sample
-    until that sample's residual falls.
+    With m = (t_old + t_new)/2, p = 2 t_old + dt eps_t^{-1} (curl_term +
+    delayed part) and B = dt eps_t^{-1} diag(kappa gamma1), the update reads
+    (2I + gain(|m|) B) m = p.  The law is radial, so m is fixed by its
+    radius r: m(r) = (2I + gain(r) B)^{-1} p, and r is the unique root of
+    phi(r) = r - |m(r)|, found per sample by Newton steps in r that fall
+    back to bisection when they leave the bracket [0, sqrt(cond eps_t)
+    |p|/2] (2 m.eps_t m <= m.eps_t p).  The loop stops once the centered
+    residual F = p - (2I + gain(|m|) B) m = (gain(r) - gain(|m|)) B m is
+    below `tol` (max norm per sample).
     """
     t_old = np.asarray(t_old, dtype=float)
     eps_t = np.asarray(eps_t, dtype=float)
@@ -237,60 +229,82 @@ def implicit_boundary_update(
         rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * u1_c
         return rhs / (1.0 + 0.5 * q * law.gamma1)
 
-    # k = dt eps_t^{-1} kappa gamma1 is the matrix that multiplies -g(t_mid)
-    damping = kappa * law.gamma1
+    # every 2x2 operation runs on the two tangential columns
+    d0, d1 = dt * law.gamma1 * kappa[:, 0], dt * law.gamma1 * kappa[:, 1]
     if eps_t.ndim == 2:
-        coef = dt / eps_t
-        k = coef * damping
-        k00, k01, k10, k11 = k[:, 0], 0.0, 0.0, k[:, 1]
+        e0, e1 = eps_t[:, 0], eps_t[:, 1]
+        b00, b11 = d0 / e0, d1 / e1
+        bound = 0.5
 
-        def mass(x):
-            return coef * x
+        def mass(x0, x1):  # dt eps_t^{-1} x
+            return dt * x0 / e0, dt * x1 / e1
+
+        def times_b(x0, x1):
+            return b00 * x0, b11 * x1
+
+        def pencil(gain):  # x -> (2I + gain B)^{-1} x
+            a0, a1 = 2.0 + gain * b00, 2.0 + gain * b11
+            return lambda x0, x1: (x0 / a0, x1 / a1)
     else:
-        coef = dt * np.linalg.inv(eps_t)
-        k = coef * damping[:, None, :]
-        k00, k01, k10, k11 = k[:, 0, 0], k[:, 0, 1], k[:, 1, 0], k[:, 1, 1]
+        e00, e01, e10, e11 = eps_t[:, 0, 0], eps_t[:, 0, 1], eps_t[:, 1, 0], eps_t[:, 1, 1]
+        det = e00 * e11 - e01 * e10
+        # eps_t^{-1} by its adjugate; B = dt eps_t^{-1} diag(d)
+        b00, b01, b10, b11 = e11 * d0 / det, -e01 * d1 / det, -e10 * d0 / det, e00 * d1 / det
+        # sqrt(cond eps_t) / 2 = lambda_max / (2 sqrt(det))
+        lam_max = 0.5 * (e00 + e11) + np.sqrt(0.25 * (e00 - e11) ** 2 + e01 * e10)
+        bound = 0.5 * lam_max / np.sqrt(det)
 
-        def mass(x):
-            return np.einsum("sab,sb->sa", coef, x)
+        def mass(x0, x1):
+            return dt * (e11 * x0 - e01 * x1) / det, dt * (e00 * x1 - e10 * x0) / det
 
-    base = t_old + mass(curl_term)
-    drive = base
+        def times_b(x0, x1):
+            return b00 * x0 + b01 * x1, b10 * x0 + b11 * x1
+
+        def pencil(gain):
+            a00, a01, a10, a11 = 2.0 + gain * b00, gain * b01, gain * b10, 2.0 + gain * b11
+            det_a = a00 * a11 - a01 * a10
+            return lambda x0, x1: ((a11 * x0 - a01 * x1) / det_a, (a00 * x1 - a10 * x0) / det_a)
+
+    load = curl_term
     if law.gamma2 != 0.0:
         # the components of g(z1) x nu are those of -(nu x g(z1))
-        drive = base - mass(kappa * law.gamma2 * cross.nu_cross(eval_g(law, z1_mid)))
+        load = curl_term - kappa * law.gamma2 * cross.nu_cross(eval_g(law, z1_mid))
+    t0, t1 = t_old[:, 0], t_old[:, 1]
 
     if lagged:
-        return drive - mass(damping * eval_g(law, t_old))
+        load = load - law.gamma1 * kappa * eval_g(law, t_old)
+        c0, c1 = mass(load[:, 0], load[:, 1])
+        return np.stack([t0 + c0, t1 + c1], axis=1)
 
-    def residual(t):
-        f = drive - mass(damping * eval_g(law, 0.5 * (t_old + t))) - t
-        return f, np.maximum(np.abs(f[:, 0]), np.abs(f[:, 1]))
-
-    t_new = base.copy()
-    f, res = residual(t_new)
-    step = np.ones(t_old.shape[0])
-    for _ in range(max_iter):
-        active = ~(res <= tol)  # a NaN residual stays active
-        if not np.any(active):
-            return t_new
-        # Newton matrix m = I + k Dg(t_mid) / 2, solved in closed form
-        d00, d01, d11 = _jacobian_2x2(law, 0.5 * (t_old + t_new))
-        m00 = 1.0 + 0.5 * (k00 * d00 + k01 * d01)
-        m01 = 0.5 * (k00 * d01 + k01 * d11)
-        m10 = 0.5 * (k10 * d00 + k11 * d01)
-        m11 = 1.0 + 0.5 * (k10 * d01 + k11 * d11)
-        factor = step / (m00 * m11 - m01 * m10)
-        trial = t_new + np.stack(
-            [(m11 * f[:, 0] - m01 * f[:, 1]) * factor, (m00 * f[:, 1] - m10 * f[:, 0]) * factor],
-            axis=1,
-        )
-        trial_f, trial_res = residual(trial)
-        accept = active & (trial_res < res)
-        np.copyto(t_new, trial, where=accept[:, None])
-        np.copyto(f, trial_f, where=accept[:, None])
-        np.copyto(res, trial_res, where=accept)
-        step = np.where(accept, 1.0, 0.5 * step)
+    c0, c1 = mass(load[:, 0], load[:, 1])
+    p0, p1 = 2.0 * t0 + c0, 2.0 * t1 + c1
+    lo = np.zeros_like(p0)
+    hi = bound * np.sqrt(p0 * p0 + p1 * p1)
+    # start one fixed-point step off the old radius
+    m0, m1 = pencil(law._radial_gain(np.minimum(np.sqrt(t0 * t0 + t1 * t1), hi)))(p0, p1)
+    r = np.sqrt(m0 * m0 + m1 * m1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r = 0 or |m| = 0 make the Newton step NaN; the bracket test sends it to bisection
+        for _ in range(max_iter):
+            gain = law._radial_gain(r)
+            solve = pencil(gain)
+            m0, m1 = solve(p0, p1)
+            s = np.sqrt(m0 * m0 + m1 * m1)
+            bm0, bm1 = times_b(m0, m1)
+            lag = gain - law._radial_gain(s)
+            res = np.maximum(np.abs(lag * bm0), np.abs(lag * bm1))
+            done = res <= tol  # a NaN residual stays active
+            if done.all():
+                return np.stack([2.0 * m0 - t0, 2.0 * m1 - t1], axis=1)
+            phi = r - s
+            lo = np.where(phi < 0, r, lo)
+            hi = np.where(phi > 0, r, hi)
+            # d|m|/dr = -gain'(r) m.(2I + gain B)^{-1} B m / |m|, gain' = (G' - gain) / r
+            w0, w1 = solve(bm0, bm1)
+            slope = 1.0 + (law._radial_slope(r) - gain) / r * (m0 * w0 + m1 * w1) / s
+            step = r - phi / slope
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            r = np.where(done, r, step)
     bad = int(np.argmax(res))  # the first NaN, if any
     raise NumericalError(
         f"boundary update failed to converge: sample {bad}, residual {float(res[bad]):.3e} "
@@ -300,15 +314,22 @@ def implicit_boundary_update(
 
 def load_table_law(path, **kwargs) -> FeedbackLaw:
     """Read a radial `r g(r)` table and build a table law (validated later)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read feedback table {path}: {exc}") from exc
     rs, gs = [], []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{ln}: expected `r g` pairs")
+    for ln, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{ln}: expected `r g` pairs")
+        try:
             rs.append(float(parts[0]))
             gs.append(float(parts[1]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from exc
     return FeedbackLaw(kind="table", table_r=tuple(rs), table_g=tuple(gs), **kwargs)

@@ -465,3 +465,43 @@ def test_pairings_csv_independent_of_blas_threads(tmp_path):
         pairings.append((outdir / "pairings.csv").read_bytes())
     assert pairings[0].count(b"\n") == 5
     assert pairings[0] == pairings[1]
+
+
+def _table_cfg(table):
+    return BASE.replace("kind = linear", f"kind = table\ntable_file = {table}")
+
+
+def test_run_missing_table_file_exit_two(tmp_path, capsys):
+    table = tmp_path / "nothere.txt"
+    path, _ = write_cfg(tmp_path, _table_cfg(table))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read feedback table") and str(table) in err
+
+
+def test_run_unparsable_table_entry_names_its_line(tmp_path, capsys):
+    table = tmp_path / "g.txt"
+    table.write_text("# r g(r)\n0.0 0.0\nnp.float64(0.0) 1.0\n2.0 2.0\n")
+    path, _ = write_cfg(tmp_path, _table_cfg(table))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {table}:3:")
+
+
+def test_run_missing_history_file_exit_two(tmp_path, capsys):
+    history = tmp_path / "nothere.csv"
+    path, _ = write_cfg(tmp_path, BASE + f"\n[history]\nkind = file\nfile = {history}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read history file") and str(history) in err
+
+
+def test_run_table_law_end_to_end(tmp_path):
+    # a 33-row table sampled from the saturating law r + r/(1+r) on [0, 8]
+    table = tmp_path / "g.txt"
+    table.write_text("".join(f"{r!r} {r + r / (1 + r)!r}\n" for r in (0.25 * i for i in range(33))))
+    path, outdir = write_cfg(tmp_path, _table_cfg(table).replace("gamma2 = 0.5", "gamma2 = 0.25"))
+    assert main(["run", str(path)]) == 0
+    trace = EnergyTrace.from_csv((outdir / "energy.csv").read_text())
+    assert trace.E_xi[-1] < trace.E_xi[0]
+    assert "classification = decaying" in (outdir / "summary.txt").read_text()

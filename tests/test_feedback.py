@@ -327,3 +327,174 @@ def test_linear_eval_g_matches_the_radial_form_bitwise():
     v = np.random.default_rng(61).standard_normal((50, 3)) * np.logspace(-150, 150, 50)[:, None]
     norms = np.sqrt(np.einsum("...i,...i->...", v, v))
     assert eval_g(law, v).tobytes() == (law._radial_gain(norms)[..., None] * v).tobytes()
+
+
+# -- the radial closure against the 2x2 Newton it replaced -----------------------
+
+def _jacobian_2x2(law, v):
+    # entries (d00, d01, d11) of Dg(v) = gain I + (G' - gain) u u^T, u = v / |v|
+    r2 = v[:, 0] ** 2 + v[:, 1] ** 2
+    r = np.sqrt(r2)
+    gain = law._radial_gain(r)
+    scale = (law._radial_slope(r) - gain) / np.where(r2 > 0, r2, 1.0)
+    return gain + scale * v[:, 0] ** 2, scale * v[:, 0] * v[:, 1], gain + scale * v[:, 1] ** 2
+
+
+def newton_2x2_reference(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, tol=1e-12, max_iter=50):
+    """The centered closure as a per-sample 2x2 Newton in t, each step halved
+    per sample until that sample's residual falls."""
+    eps_t = eps_t if eps_t.ndim == 3 else eps_t[:, :, None] * np.eye(2)
+    coef = dt * np.linalg.inv(eps_t)
+    k = coef * (kappa * law.gamma1)[:, None, :]
+
+    def mass(x):
+        return np.einsum("sab,sb->sa", coef, x)
+
+    u1 = np.cross(nu, eval_g(law, z1))
+    rows = np.arange(t_old.shape[0])
+    u1_c = np.stack([u1[rows, tangents[:, 0]], u1[rows, tangents[:, 1]]], axis=1)
+    base = t_old + mass(curl)
+    drive = base - mass(kappa * law.gamma2 * u1_c)
+
+    def residual(t):
+        f = drive - mass(kappa * law.gamma1 * eval_g(law, 0.5 * (t_old + t))) - t
+        return f, np.max(np.abs(f), axis=1)
+
+    t_new = base.copy()
+    f, res = residual(t_new)
+    step = np.ones(t_old.shape[0])
+    for _ in range(max_iter):
+        active = ~(res <= tol)
+        if not np.any(active):
+            return t_new
+        d00, d01, d11 = _jacobian_2x2(law, 0.5 * (t_old + t_new))
+        m00 = 1.0 + 0.5 * (k[:, 0, 0] * d00 + k[:, 0, 1] * d01)
+        m01 = 0.5 * (k[:, 0, 0] * d01 + k[:, 0, 1] * d11)
+        m10 = 0.5 * (k[:, 1, 0] * d00 + k[:, 1, 1] * d01)
+        m11 = 1.0 + 0.5 * (k[:, 1, 0] * d01 + k[:, 1, 1] * d11)
+        factor = step / (m00 * m11 - m01 * m10)
+        trial = t_new + np.stack(
+            [(m11 * f[:, 0] - m01 * f[:, 1]) * factor, (m00 * f[:, 1] - m10 * f[:, 0]) * factor], axis=1
+        )
+        trial_f, trial_res = residual(trial)
+        accept = active & (trial_res < res)
+        t_new[accept], f[accept], res[accept] = trial[accept], trial_f[accept], trial_res[accept]
+        step = np.where(accept, 1.0, 0.5 * step)
+    raise AssertionError("reference Newton did not converge")
+
+
+def _block_defect(law, curl, t_old, t_new, z1, nu, tangents, dt, eps_t, kappa):
+    # _centered_defect with eps_t^{-1} applied by a dense solve, for blocks too
+    eps_t = eps_t if eps_t.ndim == 3 else eps_t[:, :, None] * np.eye(2)
+    rows = np.arange(t_old.shape[0])
+    t_vec = np.zeros((t_old.shape[0], 3))
+    t_mid = 0.5 * (t_old + t_new)
+    t_vec[rows, tangents[:, 0]] = t_mid[:, 0]
+    t_vec[rows, tangents[:, 1]] = t_mid[:, 1]
+    h = required_H_trace(law, np.cross(t_vec, nu), z1, nu)
+    h_c = np.stack([h[rows, tangents[:, 0]], h[rows, tangents[:, 1]]], axis=1)
+    load = np.linalg.solve(eps_t, (curl - kappa * h_c)[:, :, None])[:, :, 0]
+    return np.max(np.abs(t_old + dt * load - t_new))
+
+
+_RS = np.linspace(0.0, 8.0, 321)
+CLOSURE_PROFILES = {
+    "saturating": dict(kind="saturating", a=1.0, b=1.0),
+    "kinked_table": dict(kind="table", table_r=(0.0, 0.5, 2.0, 4.0), table_g=(0.0, 1.0, 2.5, 3.0)),
+    "fine_table": dict(kind="table", table_r=tuple(_RS), table_g=tuple(_RS + _RS / (1.0 + _RS))),
+}
+CFL_16 = 0.95 / (16 * np.sqrt(3.0))
+
+
+def _random_eps_t(rng, n, block):
+    if not block:
+        return rng.uniform(1.0, 3.0, (n, 2))
+    # random SPD blocks with eigenvalues in [0.2, 10]
+    angle = rng.uniform(0.0, np.pi, n)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    lam = rng.uniform(0.2, 10.0, (n, 2))
+    return np.einsum("sab,sb,scb->sac", rot, lam, rot)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    profile=st.sampled_from(sorted(CLOSURE_PROFILES)),
+    block=st.booleans(),
+    gamma1=st.floats(0.25, 64.0),
+    cfl_multiple=st.floats(0.1, 10.0),
+    amplitude=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_radial_closure_matches_newton_reference(profile, block, gamma1, cfl_multiple, amplitude, seed):
+    law = FeedbackLaw(gamma1=gamma1, gamma2=gamma1 / 4.0, tau=0.25, **CLOSURE_PROFILES[profile])
+    rng = np.random.default_rng(seed)
+    n = 400
+    curl, t_old, z1, nu, tangents, _, _ = _random_batch(rng, n)
+    curl, t_old, z1 = amplitude * curl, amplitude * t_old, amplitude * z1
+    eps_t = _random_eps_t(rng, n, block)
+    # unequal injection scales put a block's root past |p| / 2
+    kappa = rng.uniform(4.0, 64.0, (n, 2))
+    dt = cfl_multiple * CFL_16
+    args = (curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+
+    out = implicit_boundary_update(law, *args)
+    assert np.max(np.abs(out - newton_2x2_reference(law, *args))) <= 1e-11
+    slack = 1e-15 * dt * kappa.max() * law.gamma1 * 10
+    assert _block_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + slack
+
+    zeros2, zeros3 = np.zeros((n, 2)), np.zeros((n, 3))
+    rest = implicit_boundary_update(law, zeros2, zeros2, zeros3, nu, tangents, dt, eps_t, kappa)
+    assert not np.any(rest)
+
+
+def test_block_closure_finds_roots_past_half_p():
+    # with unequal injection scales the root of a block can lie past |p|/2,
+    # inside the sqrt(cond eps_t) |p|/2 bracket
+    rng = np.random.default_rng(47)
+    n = 20_000
+    curl, t_old, z1, nu, tangents, _, _ = _random_batch(rng, n)
+    eps_t = _random_eps_t(rng, n, block=True)
+    kappa = rng.uniform(4.0, 64.0, (n, 2))
+    law = FeedbackLaw(gamma1=0.25, gamma2=0.0625, tau=0.25, **CLOSURE_PROFILES["saturating"])
+    args = (curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
+    out = implicit_boundary_update(law, *args)
+    assert np.max(np.abs(out - newton_2x2_reference(law, *args))) <= 1e-11
+
+    m = 0.5 * (t_old + out)
+    radius = np.linalg.norm(m, axis=1)
+    b = CFL_16 * np.linalg.inv(eps_t) * (kappa * law.gamma1)[:, None, :]
+    p = 2.0 * m + law._radial_gain(radius)[:, None] * np.einsum("sab,sb->sa", b, m)
+    assert np.count_nonzero(radius > 0.5 * np.linalg.norm(p, axis=1)) >= 10
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["diagonal", "block"])
+def test_radial_closure_names_a_nan_sample(block):
+    rng = np.random.default_rng(46)
+    curl, t_old, z1, nu, tangents, _, kappa = _random_batch(rng, 50)
+    curl[7, 1] = np.nan
+    eps_t = _random_eps_t(rng, 50, block)
+    with pytest.raises(NumericalError, match="boundary update failed to converge: sample 7,"):
+        implicit_boundary_update(SATURATING, curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["diagonal", "block"])
+def test_radius_solve_takes_few_iterations_at_ten_times_cfl(monkeypatch, block):
+    # the radius iteration calls _radial_gain directly: once for the start,
+    # twice per Newton step, once more for the delayed tap through eval_g
+    calls = []
+    real_gain = FeedbackLaw._radial_gain
+
+    def counted_gain(law, norms):
+        calls.append(1)
+        return real_gain(law, norms)
+
+    monkeypatch.setattr(FeedbackLaw, "_radial_gain", counted_gain)
+    rng = np.random.default_rng(43)
+    curl, t_old, z1, nu, tangents, eps_t, kappa = _random_batch(rng, 10_000)
+    if block:
+        eps_t = _random_eps_t(rng, 10_000, block=True)
+    for law in (SATURATING, FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=64.0, gamma2=16.0)):
+        calls.clear()
+        implicit_boundary_update(law, curl, t_old, z1, nu, tangents, 10 * CFL_16, eps_t, kappa)
+        assert len(calls) <= 2 + 2 * 8
