@@ -26,7 +26,8 @@ from .analysis import _dot
 from .domain import check_tangential
 from .errors import ConfigError, ContractError, NumericalError
 from .feedback import FeedbackLaw, required_H_trace
-from .operators import Operators, factor_symmetric
+from .operators import Operators
+from .solver import conjugate_gradients
 
 
 def _require_diagonal(ops: Operators):
@@ -342,8 +343,8 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float, penalty: float = 
     """The symmetric positive definite matrix of the curl-curl reduction.
 
     b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
-    part of the boundary load on the trace dofs; `resolvent_solve` factors
-    it once per penalty.
+    part of the boundary load on the trace dofs; `resolvent_solve` solves
+    with it by CG (`CoreCG`), once per outer round.
     """
     s = ops.grid.samples
     bdry_diag = np.repeat(b * s.areas * _core_slope(law, b), 2)
@@ -355,6 +356,37 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float, penalty: float = 
         + penalty * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
         + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
     )
+
+
+CORE_CG_MAX_ITER = 10000
+# An outer round's inner solve stops at this share of the last outer gap.  The
+# outer loop is an inexact Picard iteration, so an inner solve need only be as
+# tight as the step it feeds (the forcing terms of Eisenstat and Walker, SIAM
+# J. Sci. Comput. 17, 1996); 1e-3 already adds outer rounds.
+INNER_GAP_SHARE = 1e-4
+
+
+class CoreCG:
+    """Jacobi-preconditioned CG for a symmetric positive definite sparse matrix.
+
+    Nothing is factored: it holds the matrix and its inverse diagonal only.
+    Raises NumericalError, naming the matrix, on a non-positive diagonal
+    entry, and as `solver.conjugate_gradients` does.
+    """
+
+    def __init__(self, A: sp.spmatrix, name: str):
+        self.A, self.name = sp.csr_matrix(A), name
+        diag = self.A.diagonal()
+        if not np.all(diag > 0.0):
+            raise NumericalError(f"{name} is not positive definite: diagonal entry {np.min(diag):.3e}")
+        self._inv_d = 1.0 / diag
+
+    def solve(self, b: np.ndarray, x0: np.ndarray | None = None, atol: float = 0.0) -> tuple[np.ndarray, int]:
+        """(x, iterations) of `solver.conjugate_gradients` on A x = b."""
+        return conjugate_gradients(
+            lambda p: self.A @ p, lambda r: self._inv_d * r, self._inv_d, b, self.name,
+            CORE_CG_MAX_ITER, x0, atol,
+        )
 
 
 def resolvent_solve(
@@ -370,10 +402,11 @@ def resolvent_solve(
 
     Eliminates H = (F2 - mu^-1 curl E)/b, writes Z with the integrating
     factor, and solves the remaining symmetric positive definite system for
-    E with a divergence penalty; the factorized `resolvent_core` holds the
-    linear part of the boundary load and a damped outer fixed point carries
-    the rest.  If the divergence of the solution exceeds 1e-8 the penalty is
-    doubled (at most ten times).
+    E with a divergence penalty; `resolvent_core` holds the linear part of
+    the boundary load and a damped outer fixed point carries the rest.  Each
+    outer round solves the core by CG from the current iterate, stopping at
+    INNER_GAP_SHARE of the last outer gap.  If the divergence of the
+    solution exceeds 1e-8 the penalty is doubled (at most ten times).
     """
     _require_diagonal(ops)
     if b <= 0:
@@ -388,13 +421,15 @@ def resolvent_solve(
 
     pen = penalty
     for _ in range(10):
-        factor = factor_symmetric(resolvent_core(ops, law, b, pen), "resolvent core")
-        q = factor.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
+        core = CoreCG(resolvent_core(ops, law, b, pen), "resolvent core")
+        q, _ = core.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
         outer = 1
         damping = 1.0 if law.kind == "linear" else 0.5
         prev_gap = np.inf
+        # the last outer gap, which ties the inner stop; max |q| stands in for round 1's
+        step = float(np.max(np.abs(q)))
         while True:
-            q_next = factor.solve(rhs - _load_off_core(ops, law, b, q, tail))
+            q_next, _ = core.solve(rhs - _load_off_core(ops, law, b, q, tail), q, INNER_GAP_SHARE * step)
             gap = float(np.max(np.abs(q_next - q)))
             scale = 1.0 + float(np.max(np.abs(q_next)))
             if gap <= tol * scale:
@@ -402,7 +437,7 @@ def resolvent_solve(
                 break
             if gap > prev_gap:
                 damping = 0.5
-            prev_gap = gap
+            prev_gap = step = gap
             q = q + damping * (q_next - q)
             outer += 1
             if outer > max_outer:

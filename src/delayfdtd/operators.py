@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .domain import YeeGrid
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .materials import TensorField
 
 EDGE_COMPS = ("x", "y", "z")
@@ -198,58 +198,6 @@ def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
     blocks = [-_stencil(node_shape, a, d[a]).T for a in range(3)]
     blocks.append(sp.csr_matrix((2 * layout.n_samples, int(np.prod(node_shape)))))
     return sp.vstack(blocks).tocsr()
-
-
-class BandedCholesky:
-    """Cholesky factor of a symmetric positive definite matrix in band form.
-
-    `cb` is LAPACK's upper band of the factor of A[perm][:, perm]; `solve`
-    permutes the right-hand side in, solves and permutes the result back.
-    """
-
-    def __init__(self, cb: np.ndarray, perm: np.ndarray):
-        self.cb = cb
-        self.perm = perm
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_solve_banded
-
-        x = np.empty(len(self.perm))
-        x[self.perm] = cho_solve_banded((self.cb, False), b[self.perm], check_finite=False)
-        return x
-
-
-def factor_symmetric(A: sp.spmatrix, name: str) -> BandedCholesky:
-    """Banded Cholesky of a symmetric positive definite sparse matrix.
-
-    Reverse Cuthill-McKee narrows the band, the upper triangle is scattered
-    into a Fortran-ordered (bw+1, n) band, and LAPACK's blocked band
-    Cholesky factors it in place, so the factor costs (bw+1)*n doubles and
-    no copy of them.  scipy.linalg and scipy.sparse.csgraph are imported
-    here, so a `run`, which factors nothing, never loads them.  Raises
-    NumericalError, naming the matrix, when A is not positive definite.
-    """
-    from scipy.linalg import LinAlgError, cholesky_banded
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    n = A.shape[0]
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    coo = A.tocoo()
-    row, col = inv[coo.row], inv[coo.col]
-    upper = row <= col
-    row, col, val = row[upper], col[upper], coo.data[upper]
-    bw = int(np.max(col - row, initial=0))
-    ab = np.zeros((bw + 1, n), order="F")
-    ab[bw + row - col, col] = val
-    try:
-        cb = cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
-    except LinAlgError as exc:
-        raise NumericalError(f"{name} is not positive definite: {exc}") from None
-    return BandedCholesky(cb, perm)
 
 
 def _edge_material(cell_vals: np.ndarray, comp: str) -> np.ndarray:

@@ -242,38 +242,54 @@ class NodeLaplacian:
         return (self._inv_sqrt_s * x).ravel()
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
-        """Preconditioned CG for A x = b; returns (x, iterations).
+        """CG for A x = b; returns (x, iterations)."""
+        return conjugate_gradients(
+            self.apply, self.precondition, self._inv_s, b, "divergence projection", CG_MAX_ITER
+        )
 
-        Stops once max |S^-1 (b - A x)| <= CG_RTOL max |S^-1 b|: the
-        residual of each node against its own diagonal, so nodes with small
-        eps converge as far as the others.  The right-hand side is divided by its largest
-        entry first, so the products r.z stay finite for any finite b; dot
-        products use numpy's pairwise sum, so the result does not depend on
-        the BLAS thread count.  After CG_MAX_ITER iterations it returns what
-        it has, for the caller's residual gate to judge.
-        """
-        bmax = float(np.max(np.abs(b)))
-        if bmax == 0.0:
-            return np.zeros_like(b), 0
-        if not np.isfinite(bmax):
-            raise NumericalError("divergence projection: non-finite divergence")
-        r = b / bmax
-        stop = CG_RTOL * float(np.max(np.abs(self._inv_s * r)))
-        x = np.zeros_like(r)
-        z = self.precondition(r)
-        p = z
-        rz = float(np.sum(r * z))
-        for it in range(1, CG_MAX_ITER + 1):
-            Ap = self.apply(p)
-            alpha = rz / float(np.sum(p * Ap))
-            x += alpha * p
-            r -= alpha * Ap
-            if float(np.max(np.abs(self._inv_s * r))) <= stop:
-                break
-            z = self.precondition(r)
-            rz, rz_old = float(np.sum(r * z)), rz
-            p = z + (rz / rz_old) * p
-        return bmax * x, it
+
+def conjugate_gradients(
+    apply, precondition, inv_diag: np.ndarray, b: np.ndarray, name: str, max_iter: int,
+    x0: np.ndarray | None = None, atol: float = 0.0,
+) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for symmetric positive definite A x = b; returns (x, iterations).
+
+    `apply` and `precondition` give A p and M^-1 r, and `inv_diag` is
+    1 / diag(A).  Starts from x0 (default zero) and stops once
+    max |D^-1 (b - A x)| <= max(CG_RTOL max |D^-1 b|, atol), checked at x0
+    first: each dof's residual against its own diagonal, so dofs with small
+    coefficients converge as far as the others.  b is divided by its largest
+    entry first, so r.z stays finite for any finite b; dot products use
+    numpy's pairwise sum, so the result does not depend on the BLAS thread
+    count.  Raises NumericalError, naming the system, on a non-finite b, on
+    a curvature p.Ap <= 0, or when max_iter iterations do not meet the stop.
+    """
+    bmax = float(np.max(np.abs(b)))
+    if bmax == 0.0:
+        return np.zeros_like(b), 0
+    if not np.isfinite(bmax):
+        raise NumericalError(f"{name}: non-finite right-hand side")
+    r = b / bmax
+    stop = max(CG_RTOL * float(np.max(np.abs(inv_diag * r))), atol / bmax)
+    x = np.zeros_like(r) if x0 is None else x0 / bmax
+    if x0 is not None:
+        r -= apply(x)
+    it, rz = 0, 0.0
+    while (res := float(np.max(np.abs(inv_diag * r)))) > stop:
+        if it == max_iter:
+            raise NumericalError(f"{name} did not converge in {it} iterations (residual {bmax * res:.3e})")
+        z = precondition(r)
+        rz, rz_old = float(np.sum(r * z)), rz
+        p = z if it == 0 else z + (rz / rz_old) * p
+        it += 1
+        Ap = apply(p)
+        curv = float(np.sum(p * Ap))
+        if not curv > 0.0:
+            raise NumericalError(f"{name} is not positive definite: curvature {curv:.3e}")
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * Ap
+    return bmax * x, it
 
 
 def project_div_free(q: np.ndarray, ops: Operators, tol: float = 1e-10) -> np.ndarray:

@@ -157,6 +157,35 @@ def test_resolvent_subcommand(tmp_path):
     assert "residual" in report
 
 
+def test_resolvent_core_that_does_not_converge_exits_four(tmp_path, monkeypatch, capsys):
+    from delayfdtd import operator_lab
+
+    monkeypatch.setattr(operator_lab, "CORE_CG_MAX_ITER", 1)
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main(["resolvent", str(path), "--b", "2.0", "--m", "8"]) == 4
+    assert "resolvent core did not converge in 1 iterations (residual " in capsys.readouterr().err
+    assert not (outdir / "resolvent_report.txt").exists()
+
+
+def test_resolvent_loads_no_dense_or_sparse_linear_algebra(tmp_path):
+    # the core is solved by CG on its sparse matrix: nothing factors it
+    path, _ = write_cfg(tmp_path, BASE)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from delayfdtd.cli import main\n"
+        "assert main(['resolvent', sys.argv[1], '--b', '2.0', '--m', '8']) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_boundary_dump(tmp_path):
     text = BASE.replace("t_end = 2.0", "t_end = 0.2")
     path, outdir = write_cfg(tmp_path, text)
@@ -389,7 +418,8 @@ def test_boundary_dump_seeds_a_file_history(tmp_path):
 
 
 def test_resolvent_report_independent_of_blas_threads(tmp_path):
-    # the banded factor and its solves give the same digits on one or two threads
+    # the CG solves of the resolvent core sum without BLAS, so one or two threads
+    # give the same digits
     text = BASE.replace("kind = linear", "kind = saturating\nb = 1.0")
     src = str(Path(__file__).resolve().parents[1] / "src")
     reports = []

@@ -347,7 +347,7 @@ def test_random_domain_state_is_bit_identical_to_the_projection(boost):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
-# -- banded resolvent factor ------------------------------------------------------
+# -- resolvent core CG --------------------------------------------------------------
 
 def _superlu_reference(A):
     # the symmetric-mode SuperLU factor the resolvent used before the band
@@ -365,19 +365,57 @@ def _superlu_reference(A):
     ids=["ops8-linear", "ops8-saturating", "aniso-linear"],
 )
 def test_banded_factor_matches_superlu(box, law, request):
-    from delayfdtd.operator_lab import resolvent_core
-    from delayfdtd.operators import factor_symmetric
+    # the CG solve of the core, from zero and at its own stop, against SuperLU
+    from delayfdtd.operator_lab import CoreCG, resolvent_core
 
     ops = request.getfixturevalue(box)
     core = resolvent_core(ops, law, 2.0)
     rhs = np.random.default_rng(3).standard_normal((3, ops.layout.n_q))
-    factor, ref = factor_symmetric(core, "resolvent core"), _superlu_reference(core)
+    cg, ref = CoreCG(core, "resolvent core"), _superlu_reference(core)
     for r in rhs:
-        x, x_ref = factor.solve(r), ref.solve(r)
+        (x, _), x_ref = cg.solve(r), ref.solve(r)
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
-# outer rounds of the SuperLU-factored resolvent on the same data
+def test_core_cg_warm_start_that_meets_the_stop_takes_no_iteration(ops8):
+    from delayfdtd.operator_lab import CoreCG, resolvent_core
+
+    cg = CoreCG(resolvent_core(ops8, SATURATING, 2.0), "resolvent core")
+    rhs = np.random.default_rng(4).standard_normal(ops8.layout.n_q)
+    x, cold = cg.solve(rhs)
+    again, warm = cg.solve(rhs, x)
+    assert cold > 0 and warm == 0
+    assert np.max(np.abs(again - x)) <= 1e-15 * np.max(np.abs(x))
+    # a loose stop ends a cold solve sooner
+    _, loose = cg.solve(rhs, atol=1e-4 * float(np.max(np.abs(x))))
+    assert 0 < loose < cold
+
+
+def test_gap_tied_inner_stop_keeps_rounds_and_cuts_iterations(ops8, monkeypatch):
+    from delayfdtd import operator_lab
+
+    solve = operator_lab.CoreCG.solve
+    counts = []
+
+    def counted(self, *args, **kwargs):
+        x, it = solve(self, *args, **kwargs)
+        counts[-1] += it
+        return x, it
+
+    monkeypatch.setattr(operator_lab.CoreCG, "solve", counted)
+    F = random_F(ops8, 16, seed=6)
+    results = []
+    for share in (0.0, operator_lab.INNER_GAP_SHARE):
+        monkeypatch.setattr(operator_lab, "INNER_GAP_SHARE", share)
+        counts.append(0)
+        results.append(resolvent_solve(F, 2.0, ops8, SATURATING))
+    tight, tied = results
+    assert tied.outer_iterations == tight.outer_iterations == 24
+    assert tied.residual <= 1e-8
+    assert 2 * counts[1] < counts[0]
+
+
+# outer rounds of the SuperLU-factored resolvent on the same data; the CG core keeps them
 @pytest.mark.parametrize(
     "box, law, b, seed, outer",
     [

@@ -284,15 +284,25 @@ def test_assembly_matches_loop_reference(fixture, request):
         assert abs(got - want).max() == 0.0, name
 
 
-# -- banded Cholesky factor -------------------------------------------------------
+# -- CG on a symmetric positive definite matrix ----------------------------------
 
 def test_factor_symmetric_rejects_indefinite_matrix():
     from delayfdtd.errors import NumericalError
-    from delayfdtd.operators import factor_symmetric
+    from delayfdtd.operator_lab import CoreCG
 
     A = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, -1.0]]))
     with pytest.raises(NumericalError, match="coupled pair is not positive definite"):
-        factor_symmetric(A, "coupled pair")
+        CoreCG(A, "coupled pair")
+
+
+def test_core_cg_rejects_negative_curvature():
+    # a positive diagonal passes the set-up; the first step meets p.Ap < 0
+    from delayfdtd.errors import NumericalError
+    from delayfdtd.operator_lab import CoreCG
+
+    cg = CoreCG(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])), "coupled pair")
+    with pytest.raises(NumericalError, match="coupled pair is not positive definite"):
+        cg.solve(np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize(
@@ -301,10 +311,9 @@ def test_factor_symmetric_rejects_indefinite_matrix():
     ids=["1x1", "2x2"],
 )
 def test_factor_symmetric_small_matrices_solve_exactly(dense, x):
-    # the 2x2 factors as [[5, 3], [0, 4]] in either order, so no step rounds
-    from delayfdtd.operators import factor_symmetric
+    # the right-hand side is an eigenvector of D^-1 A, so one CG step lands on x
+    from delayfdtd.operator_lab import CoreCG
 
     A = np.array(dense)
-    factor = factor_symmetric(sp.csr_matrix(A), "small matrix")
-    assert factor.cb.shape == (len(x), len(x))  # half-bandwidth 0 and 1
-    assert np.array_equal(factor.solve(A @ np.array(x)), np.array(x))
+    solution, _ = CoreCG(sp.csr_matrix(A), "small matrix").solve(A @ np.array(x))
+    assert np.array_equal(solution, np.array(x))

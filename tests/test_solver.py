@@ -501,6 +501,15 @@ def test_projection_survives_huge_amplitudes(ops8):
     assert np.max(np.abs(q0 / 1e160 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_projection_that_does_not_converge_raises(ops8, monkeypatch):
+    import delayfdtd.solver as solver
+
+    monkeypatch.setattr(solver, "CG_MAX_ITER", 0)
+    q = np.random.default_rng(44).standard_normal(ops8.layout.n_q)
+    with pytest.raises(NumericalError, match="divergence projection did not converge in 0 iterations"):
+        project_div_free(q, ops8)
+
+
 def test_projection_of_zero_is_zero(ops8):
     q0 = project_div_free(np.zeros(ops8.layout.n_q), ops8)
     assert not np.any(q0)
