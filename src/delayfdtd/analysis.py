@@ -3,8 +3,10 @@
 The energy trace records, at integer time levels, the weighted field energy
 (with the magnetic part evaluated as the staggered two-level product that the
 leapfrog scheme conserves exactly in the lossless limit), the unweighted
-variant, the delay-augmented functional E_xi, the endpoint damping functional
-D, and the instantaneous boundary outflow rate.
+variant, the delay-augmented functional E_xi = E_weighted + xi tau int|Z|^2,
+the endpoint damping functional D, and the instantaneous boundary outflow
+rate.  `delay_weight` decides xi, and whether a certificate applies, for
+both `run` and `analyze`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .delay import DelayRing
 from .errors import AssumptionError, ConfigError, ContractError
-from .feedback import FeedbackLaw, boundary_drive
+from .feedback import FeedbackLaw, boundary_drive, constants
 from .materials import MaterialReport
 from .operators import Operators
 
@@ -58,15 +60,12 @@ def field_energies(q, h, h_prev, ops: Operators) -> tuple[float, float]:
 
 
 def energies(
-    q, h, h_prev, ring: DelayRing, ops: Operators, xi: float, tau: float, weighting: str = "weighted"
+    q, h, h_prev, ring: DelayRing, ops: Operators, xi: float, tau: float
 ) -> tuple[float, float, float, float]:
     """(E_weighted, E_plain, E_xi, D) at the current time level."""
-    if weighting not in ("weighted", "plain"):
-        raise ConfigError(f"unknown weighting mode {weighting!r}")
     e_w, e_p = field_energies(q, h, h_prev, ops)
     areas = ops.grid.samples.areas
-    delay = _dot(areas, ring.s_energy())
-    e_xi = (e_w if weighting == "weighted" else e_p) + xi * tau * delay
+    e_xi = e_w + xi * tau * _dot(areas, ring.s_energy())
     d_val = _dot(areas, ring.slot_norm2(0) + ring.slot_norm2(ring.N))
     return e_w, e_p, e_xi, d_val
 
@@ -178,6 +177,27 @@ def xi_default(gamma1: float, gamma2: float, c1: float, c2: float, xi: float | N
     c1E = min(hi - value, value - lo)
     c2E = gamma1 * c2 + 0.5 * gamma2 * c2 + value
     return DissipationConstants(value, c1E, c2E, (lo, hi), gamma1, gamma2, c1, c2)
+
+
+def delay_weight(law: FeedbackLaw, xi: float | None) -> tuple[float, DissipationConstants | None]:
+    """The delay weight of E_xi and its two-sided constants, if it has any.
+
+    A conservative law (gamma1 = 0) gets weight 0 unless one is given, and no
+    constants.  Otherwise xi = None picks the interval midpoint (see
+    `xi_default`) and raises AssumptionError when the interval is empty; an
+    explicit xi outside the interval is kept, without constants, so the run
+    goes on and its certificate reads none.
+    """
+    if law.gamma1 == 0:
+        return (0.0 if xi is None else xi), None
+    mono = constants(law)
+    if xi is None:
+        k = xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2)
+        return k.xi, k
+    try:
+        return xi, xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2, xi=xi)
+    except AssumptionError:
+        return xi, None
 
 
 def _pair_sample(n: int, max_pairs: int, seed: int = 20240) -> np.ndarray:
@@ -450,7 +470,6 @@ def certify(
     k: DissipationConstants | None,
     tau: float,
     T: float | None = None,
-    weighted: bool = True,
     slack_dissipation: float = 1.05,
     slack_observability: float = 1.10,
 ) -> tuple[dict[str, object], list[str]]:
@@ -513,7 +532,6 @@ def certify(
             gamma2=k.gamma2,
             xi=k.xi,
             tau=tau,
-            weighted=weighted,
         )
     except AssumptionError as exc:
         block["observability"] = f"not applicable ({exc})"
@@ -564,12 +582,9 @@ def xi_equivalence_bounds(trace: EnergyTrace, xi: float) -> tuple[float, float]:
     Returns the worst margins of
         min(1, xi) * E <= E_xi <= max(1, xi) * E
     where E is the trace's field+delay energy reconstructed with unit delay
-    weight: E = E_field + (E_xi - E_field)/xi.
+    weight: E = E_weighted + (E_xi - E_weighted)/xi.
     """
-    weighting = trace.metadata.get("weighting", "weighted")
-    e_field = trace.E_weighted if weighting == "weighted" else trace.E_plain
-    delay = (trace.E_xi - e_field) / xi
-    e_one = e_field + delay
+    e_one = trace.E_weighted + (trace.E_xi - trace.E_weighted) / xi
     lower = trace.E_xi - min(1.0, xi) * e_one
     upper = max(1.0, xi) * e_one - trace.E_xi
     return float(lower.min()), float(upper.min())

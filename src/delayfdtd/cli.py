@@ -100,7 +100,6 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
     opts = out.scenario.analysis
     block, failures = analysis.certify(
         out.trace, out.report, out.diss, out.law.tau,
-        weighted=opts.weighting == "weighted",
         slack_dissipation=opts.slack_dissipation,
         slack_observability=opts.slack_observability,
     )
@@ -221,16 +220,14 @@ def cmd_analyze(args) -> int:
     report = full_report(eps, mu, m, grid)
     if not report.passed:
         raise AssumptionError("material/geometry assumptions violated")
-    mono = constants(sc.law)
-    k = analysis.xi_default(sc.law.gamma1, sc.law.gamma2, mono.c1, mono.c2, xi=sc.analysis.xi)
+    xi, k = analysis.delay_weight(sc.law, sc.analysis.xi)
 
     block, failures = analysis.certify(
         trace, report, k, sc.law.tau, T=args.T,
-        weighted=sc.analysis.weighting == "weighted",
         slack_dissipation=sc.analysis.slack_dissipation,
         slack_observability=sc.analysis.slack_observability,
     )
-    info: dict[str, object] = {"xi": k.xi, **block}
+    info: dict[str, object] = {"xi": xi, **block}
     info["dissipation_residual"] = (
         analysis.dissipation_residual(trace) if len(trace.t) > 1 else analysis.NEED_TWO_RECORDS
     )

@@ -86,10 +86,8 @@ SCHEMA = {
         "t_end": ("float", None),
         "cfl_safety": ("float", 0.95),
         "record_every": ("int", 1),
-        "boundary_mode": ("str", "centered"),
     },
     "analysis": {
-        "weighting": ("str", "weighted"),
         "xi": ("xi", "auto"),
         "slack_dissipation": ("float", 1.05),
         "slack_observability": ("float", 1.10),
@@ -250,8 +248,6 @@ def validate_config(cfg: Config):
         raise ConfigError("feedback.tau must be positive")
     if d["run"]["t_end"] < 0:
         raise ConfigError("run.t_end must be nonnegative")
-    if d["analysis"]["weighting"] not in ("weighted", "plain"):
-        raise ConfigError("analysis.weighting must be weighted or plain")
     if d["history"]["kind"] not in ("zero", "constant", "replay", "file"):
         raise ConfigError(f"unknown history.kind {d['history']['kind']!r}")
 
@@ -328,11 +324,9 @@ def scenario_from_config(cfg: Config, unsafe: bool = False) -> Scenario:
             t_end=d["run"]["t_end"],
             cfl_safety=d["run"]["cfl_safety"],
             record_every=d["run"]["record_every"],
-            boundary_mode=d["run"]["boundary_mode"],
             unsafe=unsafe,
         ),
         analysis=AnalysisOptions(
-            weighting=d["analysis"]["weighting"],
             xi=None if xi == "auto" else float(xi),
             slack_dissipation=d["analysis"]["slack_dissipation"],
             slack_observability=d["analysis"]["slack_observability"],

@@ -11,7 +11,7 @@ law is radial and monotone, so that equation has exactly one root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class FeedbackLaw:
     gamma1: float = 1.0
     gamma2: float = 0.0
     tau: float = 0.25
-    table_r: tuple = field(default=(), repr=False)
-    table_g: tuple = field(default=(), repr=False)
+    table_r: tuple = ()
+    table_g: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("linear", "saturating", "table"):
@@ -187,7 +187,6 @@ def implicit_boundary_update(
     kappa: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
-    lagged: bool = False,
     cross: TangentCross | None = None,
 ) -> np.ndarray:
     """Advance the boundary tangential components by one time step.
@@ -202,8 +201,7 @@ def implicit_boundary_update(
     `curl_term`, `t_old` are (S, 2) tangential components, `z1_mid` the
     (S, 3) time-centered delayed trace, `kappa` the (S, 2) injection scale
     (area over volume mass), `eps_t` the tangential permittivity, either
-    (S, 2) diagonal entries or an (S, 2, 2) block.  With ``lagged=True`` the
-    feedback is evaluated at t_old (explicit mode).  `cross` is the
+    (S, 2) diagonal entries or an (S, 2, 2) block.  `cross` is the
     `TangentCross` of `nu` and `tangents`; it is built from them when not
     given.
 
@@ -222,7 +220,7 @@ def implicit_boundary_update(
     if cross is None:
         cross = TangentCross(nu, tangents)
 
-    if law.kind == "linear" and eps_t.ndim == 2 and not lagged:
+    if law.kind == "linear" and eps_t.ndim == 2:
         # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*(nu x z1))]
         u1_c = cross.nu_cross(z1_mid)
         q = dt / eps_t * kappa * law.a
@@ -270,12 +268,6 @@ def implicit_boundary_update(
         # the components of g(z1) x nu are those of -(nu x g(z1))
         load = curl_term - kappa * law.gamma2 * cross.nu_cross(eval_g(law, z1_mid))
     t0, t1 = t_old[:, 0], t_old[:, 1]
-
-    if lagged:
-        load = load - law.gamma1 * kappa * eval_g(law, t_old)
-        c0, c1 = mass(load[:, 0], load[:, 1])
-        return np.stack([t0 + c0, t1 + c1], axis=1)
-
     c0, c1 = mass(load[:, 0], load[:, 1])
     p0, p1 = 2.0 * t0 + c0, 2.0 * t1 + c1
     lo = np.zeros_like(p0)

@@ -197,7 +197,7 @@ def weighted_inner(
     val = _dot(ops.Wq_eps * a.q, b.q)
     val += _dot(ops.Wf_mu * a.h, b.h)
     ws = s_weights(M) * np.exp(c_weight * np.arange(M + 1) / M)
-    # one einsum, no BLAS: a third of the time of pairing Z first and weighting after
+    # one einsum, no BLAS: a third of the time of pairing Z first and applying ws after
     val += xi_op * tau * _dot(s.areas, np.einsum("smi,smi,m->s", a.Z, b.Z, ws))
     return val
 

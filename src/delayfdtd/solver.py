@@ -20,7 +20,7 @@ from . import analysis
 from .delay import DelayRing, init_history, load_history_csv
 from .domain import BoxDomain, YeeGrid, build_grid, multiplier_field
 from .errors import AssumptionError, ConfigError, NumericalError
-from .feedback import FeedbackLaw, constants, implicit_boundary_update
+from .feedback import FeedbackLaw, implicit_boundary_update
 from .materials import (
     MaterialReport,
     TensorField,
@@ -96,7 +96,6 @@ class RunControls:
     t_end: float = 1.0
     cfl_safety: float = 0.95
     record_every: int = 1
-    boundary_mode: str = "centered"  # centered | lagged
     unsafe: bool = False
 
     def __post_init__(self):
@@ -108,13 +107,10 @@ class RunControls:
             raise ConfigError("cfl_safety above 1 requires the unsafe override")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.boundary_mode not in ("centered", "lagged"):
-            raise ConfigError(f"unknown boundary_mode {self.boundary_mode!r}")
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    weighting: str = "weighted"  # weighted | plain
     xi: float | None = None  # None means auto
     slack_dissipation: float = 1.05
     slack_observability: float = 1.10
@@ -361,19 +357,10 @@ class EMState:
 class Stepper:
     """Owns the spatial operators and advances the coupled state."""
 
-    def __init__(
-        self,
-        ops: Operators,
-        law: FeedbackLaw,
-        dt: float,
-        boundary_mode: str = "centered",
-        trace_tol: float = 1e-12,
-    ):
+    def __init__(self, ops: Operators, law: FeedbackLaw, dt: float):
         self.ops = ops
         self.law = law
         self.dt = float(dt)
-        self.boundary_mode = boundary_mode
-        self.trace_tol = trace_tol
         s = ops.grid.samples
         self._normals = s.normals
         self._tangents = s.tangents
@@ -404,7 +391,7 @@ class Stepper:
 
         # delayed tap, time-centered across the shift
         z1_now = ring.slot(ring.N)
-        z1_next = ring.slot(ring.N - 1) if ring.N >= 1 else z1_now
+        z1_next = ring.slot(ring.N - 1)
         z1_mid = 0.5 * (z1_now + z1_next)
 
         t_old = ops.layout.trace_view(state.q).copy()
@@ -424,8 +411,6 @@ class Stepper:
             dt,
             self._eps_t,
             self._kappa,
-            tol=self.trace_tol,
-            lagged=self.boundary_mode == "lagged",
             cross=self._cross,
         )
 
@@ -473,8 +458,8 @@ def run(scenario: Scenario) -> RunOutput:
 
     Deterministic for a fixed scenario: no threading, fixed evaluation order.
     Raises AssumptionError when material/geometry checks fail (unless the
-    run is flagged unsafe) or when xi is requested automatically but no
-    admissible value exists.
+    run is marked unsafe) or when xi is requested automatically but no
+    admissible value exists (see `analysis.delay_weight`).
     """
     grid = build_grid(scenario.domain)
     eps = scenario.eps.build(grid)
@@ -488,25 +473,10 @@ def run(scenario: Scenario) -> RunOutput:
     law = scenario.law
     dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, law.tau)
     ops = build_operators(grid, eps, mu)
-
-    mono = None
-    diss = None
-    xi = scenario.analysis.xi
-    if law.gamma1 > 0:
-        mono = constants(law)
-        if xi is None:
-            diss = analysis.xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2)
-            xi = diss.xi
-        else:
-            try:
-                diss = analysis.xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2, xi=xi)
-            except AssumptionError:
-                diss = None  # explicit xi outside the admissible interval: run, no certificate
-    elif xi is None:
-        xi = 0.0  # conservative control runs carry no delay weighting
+    xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 
     q0 = initial_state_q(ops, scenario.initial)
-    stepper = Stepper(ops, law, dt, boundary_mode=scenario.run.boundary_mode)
+    stepper = Stepper(ops, law, dt)
     state = stepper.bootstrap(q0)
 
     s = grid.samples
@@ -526,9 +496,7 @@ def run(scenario: Scenario) -> RunOutput:
     rows = []
 
     def record(st: EMState):
-        vals = analysis.energies(
-            st.q, st.h, st.h_prev, ring, ops, xi, law.tau, scenario.analysis.weighting
-        )
+        vals = analysis.energies(st.q, st.h, st.h_prev, ring, ops, xi, law.tau)
         for name, v in zip(("E_weighted", "E_plain", "E_xi", "D"), vals):
             _require_finite(name, v, st)
         # checked only now: the outflow of an overflowed trace would warn
@@ -549,14 +517,7 @@ def run(scenario: Scenario) -> RunOutput:
         E_xi=data[:, 3],
         D=data[:, 4],
         flux=data[:, 5],
-        metadata=dict(
-            xi=xi,
-            dt=dt,
-            n_slots=n_slots,
-            tau=law.tau,
-            weighting=scenario.analysis.weighting,
-            digest=scenario.digest(),
-        ),
+        metadata=dict(xi=xi, dt=dt, n_slots=n_slots, tau=law.tau, digest=scenario.digest()),
     )
     return RunOutput(
         trace=trace,

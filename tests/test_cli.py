@@ -370,6 +370,44 @@ def test_run_and_analyze_write_the_same_certificate_block(tmp_path):
     assert {key: cert[key] for key in shared} == {key: summary[key] for key in shared}
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("gamma1 = 1.0\ngamma2 = 0.5", "gamma1 = 0.0\ngamma2 = 0.0"),  # conservative control
+        ("[run]", "[analysis]\nxi = 5.0\n\n[run]"),  # explicit xi outside (0.25, 0.75)
+    ],
+    ids=["conservative", "inadmissible_xi"],
+)
+def test_run_and_analyze_agree_without_a_certificate(tmp_path, edit):
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5").replace(*edit))
+    assert main(["run", str(path)]) == 0
+    assert main(["analyze", str(path), str(outdir / "energy.csv")]) == 0
+
+    def entries(name):
+        lines = (outdir / name).read_text().splitlines()
+        return dict(line.split(" = ", 1) for line in lines)
+
+    summary, cert = entries("summary.txt"), entries("certificates.txt")
+    shared = summary.keys() & cert.keys()
+    assert {"xi", "classification", "certificate"} <= shared
+    assert cert["certificate"].startswith("none")
+    assert {key: cert[key] for key in shared} == {key: summary[key] for key in shared}
+
+
+@pytest.mark.parametrize(
+    "key,extra",
+    [
+        ("boundary_mode", "boundary_mode = lagged\n"),  # BASE ends inside [run]
+        ("weighting", "\n[analysis]\nweighting = plain\n"),
+    ],
+    ids=["boundary_mode", "weighting"],
+)
+def test_deleted_config_keys_exit_two(tmp_path, capsys, key, extra):
+    path, _ = write_cfg(tmp_path, BASE + extra)
+    assert main(["run", str(path)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_analyze_window_before_second_record_exit_two(tmp_path, capsys):
     path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
     assert main(["run", str(path)]) == 0

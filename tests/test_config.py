@@ -25,7 +25,6 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.get("run", "cfl_safety") == 0.95
     assert cfg.get("run", "record_every") == 1
-    assert cfg.get("analysis", "weighting") == "weighted"
     assert cfg.get("analysis", "xi") == "auto"
     assert cfg.get("analysis", "slack_dissipation") == 1.05
     assert cfg.get("analysis", "slack_observability") == 1.10

@@ -257,10 +257,15 @@ def test_explicit_xi_bypasses_gate():
     assert out.diss is None  # runs, but carries no admissible constants
 
 
-def test_lagged_boundary_mode_runs():
-    sc = small_scenario(steps=30, boundary_mode="lagged")
-    out = run(sc)
-    assert out.trace.E_xi[-1] < out.trace.E_xi[0]
+def test_digest_covers_the_feedback_table():
+    dom = BoxDomain((1, 1, 1), (8, 8, 8), (0.5, 0.5, 0.5))
+    r = (0.0, 1.0, 2.0)
+    identity = Scenario(domain=dom, law=FeedbackLaw(kind="table", table_r=r, table_g=r))
+    tripled = Scenario(
+        domain=dom, law=FeedbackLaw(kind="table", table_r=r, table_g=tuple(3.0 * v for v in r))
+    )
+    assert identity.digest() != tripled.digest()
+    assert identity.digest() == dataclasses.replace(identity).digest()
 
 
 def test_full_tensor_step_smoke():
