@@ -189,54 +189,46 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
     d = domain.spacings
     L = domain.lengths
 
-    pos, nrm, areas = [], [], []
-    ax_arr, side_arr, tans, cells, vol_mass = [], [], [], [], []
-    face_slices = {}
+    faces, face_slices = [], {}
     start = 0
     for fid, (axis, side) in enumerate(FACES):
         t1, t2 = tangent_axes(axis)
         n1, n2 = n[t1], n[t2]
         face_slices[fid] = (start, n1, n2)
-        coord_a = 0.0 if side < 0 else L[axis]
-        cell_a = 0 if side < 0 else n[axis] - 1
-        for u in range(n1):
-            for v in range(n2):
-                p = np.zeros(3)
-                p[axis] = coord_a
-                p[t1] = (u + 0.5) * d[t1]
-                p[t2] = (v + 0.5) * d[t2]
-                nu = np.zeros(3)
-                nu[axis] = float(side)
-                cell = [0, 0, 0]
-                cell[axis] = cell_a
-                cell[t1], cell[t2] = u, v
-                # Half-cell normal extent; the transverse extent of each
-                # tangential component is shaved by a quarter spacing at box
-                # edges along the *other* tangent axis (the shared corner
-                # strips are split evenly with the neighbouring face).
-                ext2 = d[t2] * (1.0 - 0.25 * (v == 0) - 0.25 * (v == n2 - 1))
-                ext1 = d[t1] * (1.0 - 0.25 * (u == 0) - 0.25 * (u == n1 - 1))
-                m1 = 0.5 * d[axis] * d[t1] * ext2  # component along t1
-                m2 = 0.5 * d[axis] * ext1 * d[t2]  # component along t2
-                pos.append(p)
-                nrm.append(nu)
-                areas.append(d[t1] * d[t2])
-                ax_arr.append(axis)
-                side_arr.append(side)
-                tans.append((t1, t2))
-                cells.append(cell)
-                vol_mass.append((m1, m2))
         start += n1 * n2
+        # sample u * n2 + v of the face owns the cell at (u, v) on its tangent axes
+        u, v = (g.ravel() for g in np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij"))
+        positions = np.zeros((u.size, 3))
+        positions[:, axis] = 0.0 if side < 0 else L[axis]
+        positions[:, t1] = (u + 0.5) * d[t1]
+        positions[:, t2] = (v + 0.5) * d[t2]
+        normals = np.zeros((u.size, 3))
+        normals[:, axis] = float(side)
+        cells = np.zeros((u.size, 3), dtype=int)
+        cells[:, axis] = 0 if side < 0 else n[axis] - 1
+        cells[:, t1], cells[:, t2] = u, v
+        # Half-cell normal extent; the transverse extent of each tangential
+        # component is shaved by a quarter spacing at box edges along the
+        # *other* tangent axis (the shared corner strips are split evenly
+        # with the neighbouring face).
+        ext2 = d[t2] * (1.0 - 0.25 * (v == 0) - 0.25 * (v == n2 - 1))
+        ext1 = d[t1] * (1.0 - 0.25 * (u == 0) - 0.25 * (u == n1 - 1))
+        faces.append({
+            "positions": positions,
+            "normals": normals,
+            "areas": np.full(u.size, d[t1] * d[t2]),
+            "axis": np.full(u.size, axis),
+            "side": np.full(u.size, side),
+            "tangents": np.tile((t1, t2), (u.size, 1)),
+            "cells": cells,
+            # components along t1 and t2
+            "vol_mass": np.stack(
+                [0.5 * d[axis] * d[t1] * ext2, 0.5 * d[axis] * ext1 * d[t2]], axis=1
+            ),
+        })
 
     samples = SampleSet(
-        positions=np.array(pos),
-        normals=np.array(nrm),
-        areas=np.array(areas),
-        axis=np.array(ax_arr),
-        side=np.array(side_arr),
-        tangents=np.array(tans),
-        cells=np.array(cells),
-        vol_mass=np.array(vol_mass),
+        **{name: np.concatenate([f[name] for f in faces]) for name in faces[0]},
         face_slices=face_slices,
     )
     return YeeGrid(domain=domain, samples=samples)

@@ -76,9 +76,11 @@ def random_domain_state(
     stress profile for shift-necessity controls).
     """
     s = ops.grid.samples
-    q = scale * rng.standard_normal(ops.layout.n_q)
-    h = scale * rng.standard_normal(ops.layout.n_h)
-    Z = scale * rng.standard_normal((s.count, M + 1, 3))
+    q = rng.standard_normal(ops.layout.n_q)
+    h = rng.standard_normal(ops.layout.n_h)
+    Z = rng.standard_normal((s.count, M + 1, 3))
+    if scale != 1.0:
+        q, h, Z = scale * q, scale * h, scale * Z
     # the normals are unit axis vectors: projecting them out zeroes one component
     Z[np.arange(s.count), :, s.axis] = 0.0
     if z_interior_boost != 1.0:
@@ -118,10 +120,16 @@ def _sbp_derivative(Z: np.ndarray) -> np.ndarray:
     """(..., M+1, 3) -> same shape; central interior, one-sided ends."""
     M = Z.shape[-2] - 1
     ds = 1.0 / M
-    out = np.empty_like(Z)
-    out[..., 0, :] = (Z[..., 1, :] - Z[..., 0, :]) / ds
-    out[..., -1, :] = (Z[..., -1, :] - Z[..., -2, :]) / ds
-    out[..., 1:-1, :] = (Z[..., 2:, :] - Z[..., :-2, :]) / (2.0 * ds)
+    flat = np.ascontiguousarray(Z).reshape(-1)
+    out = np.empty(Z.shape)
+    # one contiguous pass, written in place: six flat entries are one s-node,
+    # and the rows at s = 0 and s = 1, which this pass fills across samples,
+    # are overwritten below
+    mid = out.reshape(-1)[3:-3]
+    np.subtract(flat[6:], flat[:-6], out=mid)
+    mid /= 2.0 * ds
+    ends = Z[..., [0, 1, -2, -1], :]
+    out[..., [0, -1], :] = (ends[..., 1::2, :] - ends[..., 0::2, :]) / ds
     return out
 
 
@@ -161,7 +169,8 @@ def apply_generator(
     h_tr = required_H_trace(law, w, v.Z[:, -1], s.normals)
     Aq = -(ops.G @ v.h + ops.inject_trace(h_tr)) / ops.eps_q
     Ah = (ops.C @ v.q) / ops.mu_f
-    AZ = s_derivative(v.Z, c_weight) / law.tau
+    AZ = s_derivative(v.Z, c_weight)
+    AZ /= law.tau
     return ExtState(q=Aq, h=Ah, Z=AZ)
 
 

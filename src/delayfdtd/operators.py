@@ -21,8 +21,10 @@ every energy identity in the package.
 
 The stencils are Kronecker products of 1-D factors (forward differences
 and identities for the Yee construction; neighbour means and interior
-selections for the full-tensor inverse masses), and R is index arithmetic
-over the samples, so assembly has no per-entry Python loop.
+selections for the full-tensor inverse masses).  Each factor is an index
+triplet, one broadcast forms their product, and an operator's blocks are
+concatenated into one CSR matrix; R is index arithmetic over the samples,
+so assembly has no per-entry Python loop.
 """
 
 from __future__ import annotations
@@ -95,39 +97,68 @@ class FieldLayout:
         return q[self.trace_offset :].reshape(self.n_samples, 2)
 
 
-def _kron3(factors) -> sp.coo_matrix:
-    """One 1-D factor per axis of a C-ordered 3-D array, as one matrix."""
-    return sp.kron(sp.kron(factors[0], factors[1], "coo"), factors[2], "coo")
+def _kron3(factors):
+    """One 1-D factor per axis of a C-ordered 3-D array, as one triplet.
+
+    A triplet is (rows, cols, vals, shape).  The product is formed by
+    broadcasting, each value as (a * b) * c like nested Kronecker products.
+    """
+    (r0, c0, v0, (m0, n0)), (r1, c1, v1, (m1, n1)), (r2, c2, v2, (m2, n2)) = factors
+    rows = (r0[:, None, None] * m1 + r1[:, None]) * m2 + r2
+    cols = (c0[:, None, None] * n1 + c1[:, None]) * n2 + c2
+    vals = v0[:, None, None] * v1[:, None] * v2
+    return rows.ravel(), cols.ravel(), vals.ravel(), (m0 * m1 * m2, n0 * n1 * n2)
 
 
-def _stencil(row_shape, axis: int, d: float) -> sp.coo_matrix:
+def _assemble(blocks, shape) -> sp.csr_matrix:
+    """One CSR matrix from (row offset, column offset, rows, cols, vals) blocks."""
+    rows = np.concatenate([r0 + r for r0, _, r, _, _ in blocks])
+    cols = np.concatenate([c0 + c for _, c0, _, c, _ in blocks])
+    vals = np.concatenate([v for *_, v in blocks])
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _stencil(row_shape, axis: int, d: float):
     """Forward difference over spacing d along `axis`, identity elsewhere.
 
     Maps a C-ordered array one node longer along `axis` than `row_shape` onto
     `row_shape`: row i reads (u[i+1] - u[i]) / d.
     """
-    m = row_shape[axis]
     return _kron3([
-        sp.diags([-1.0 / d, 1.0 / d], [0, 1], shape=(m, m + 1)) if a == axis
-        else sp.identity(row_shape[a])
-        for a in range(3)
+        _difference(row_shape[a], d) if a == axis else _eye(row_shape[a]) for a in range(3)
     ])
 
 
-def _mean(m: int) -> sp.dia_matrix:
+def _eye(m: int):
+    """(m, m) identity, as the triplet (rows, cols, vals, shape)."""
+    i = np.arange(m)
+    return i, i, np.ones(m), (m, m)
+
+
+def _difference(m: int, d: float):
+    """(m, m+1): row i reads (u[i+1] - u[i]) / d."""
+    i = np.arange(m)
+    return np.r_[i, i], np.r_[i, i + 1], np.repeat([-1.0 / d, 1.0 / d], m), (m, m + 1)
+
+
+def _mean(m: int):
     """(m, m+1): row i reads (u[i] + u[i+1]) / 2."""
-    return sp.diags([0.5, 0.5], [0, 1], shape=(m, m + 1))
+    i = np.arange(m)
+    return np.r_[i, i], np.r_[i, i + 1], np.full(2 * m, 0.5), (m, m + 1)
 
 
-def _inner(m: int) -> sp.dia_matrix:
+def _inner(m: int):
     """(m-1, m+1): the m-1 interior entries of m+1 nodes."""
-    return sp.eye(m - 1, m + 1, k=1)
+    i = np.arange(m - 1)
+    return i, i + 1, np.ones(m - 1), (m - 1, m + 1)
 
 
-def _held_mean(m: int) -> sp.csr_matrix:
+def _held_mean(m: int):
     """(m+1, m): the neighbour mean of u padded by its own end values."""
-    ends = sp.coo_matrix(([0.5, 0.5], ([0, m], [0, m - 1])), shape=(m + 1, m))
-    return sp.diags([0.5, 0.5], [-1, 0], shape=(m + 1, m)) + ends
+    i = np.arange(m)
+    vals = np.full(2 * m, 0.5)
+    vals[[m - 1, m]] = 1.0  # rows m and 0 hold the end values
+    return np.r_[i + 1, i], np.r_[i, i], vals, (m + 1, m)
 
 
 def _build_reconstruction(layout: FieldLayout) -> sp.csr_matrix:
@@ -165,14 +196,16 @@ def _build_reconstruction(layout: FieldLayout) -> sp.csr_matrix:
 def _build_full_curl(layout: FieldLayout) -> sp.csr_matrix:
     """Textbook edge-to-face curl on the full edge arrays."""
     d = layout.grid.spacings
-    blocks = [[None] * 3 for _ in range(3)]
-    # (curl E)_a = dE_c/db - dE_b/dc for (a, b, c) cyclic
+    blocks = []
+    # (curl E)_a = dE_c/db - dE_b/dc for (a, b, c) cyclic; the difference over
+    # -d is the negated difference, bit for bit
     for a, comp in enumerate(EDGE_COMPS):
         b, c = (a + 1) % 3, (a + 2) % 3
-        shape = layout.face_shapes[comp]
-        blocks[a][c] = _stencil(shape, b, d[b])
-        blocks[a][b] = -_stencil(shape, c, d[c])
-    return sp.bmat(blocks).tocsr()
+        shape, row = layout.face_shapes[comp], layout.face_offsets[comp]
+        for edges, along, step in ((c, b, d[b]), (b, c, -d[c])):
+            rows, cols, vals, _ = _stencil(shape, along, step)
+            blocks.append((row, layout.full_edge_offsets[EDGE_COMPS[edges]], rows, cols, vals))
+    return _assemble(blocks, (layout.n_h, layout.n_full_edges))
 
 
 def _build_divergence(layout: FieldLayout, coeff_q: np.ndarray) -> sp.csr_matrix:
@@ -182,22 +215,22 @@ def _build_divergence(layout: FieldLayout, coeff_q: np.ndarray) -> sp.csr_matrix
     blocks = []
     for a, comp in enumerate(EDGE_COMPS):
         o = layout.int_offsets[comp]
-        coeff = coeff_q[o : o + int(np.prod(layout.int_edge_shapes[comp]))]
         # scale the +-1 pattern per entry, so each value is exactly coeff / d
-        sign = _stencil(node_shape, a, 1.0)
-        vals = sign.data * coeff[sign.col] / d[a]
-        blocks.append(sp.coo_matrix((vals, (sign.row, sign.col)), shape=sign.shape))
-    blocks.append(sp.csr_matrix((int(np.prod(node_shape)), 2 * layout.n_samples)))
-    return sp.hstack(blocks).tocsr()
+        rows, cols, sign, _ = _stencil(node_shape, a, 1.0)
+        blocks.append((0, o, rows, cols, sign * coeff_q[o + cols] / d[a]))
+    return _assemble(blocks, (int(np.prod(node_shape)), layout.n_q))
 
 
 def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
     """Gradient of interior-node functions (zero on the wall) at edge dofs."""
     d = layout.grid.spacings
     node_shape = tuple(n - 1 for n in layout.grid.shape)
-    blocks = [-_stencil(node_shape, a, d[a]).T for a in range(3)]
-    blocks.append(sp.csr_matrix((2 * layout.n_samples, int(np.prod(node_shape)))))
-    return sp.vstack(blocks).tocsr()
+    blocks = []
+    for a, comp in enumerate(EDGE_COMPS):
+        # minus the transposed forward difference
+        rows, cols, vals, _ = _stencil(node_shape, a, -d[a])
+        blocks.append((layout.int_offsets[comp], 0, cols, rows, vals))
+    return _assemble(blocks, (layout.n_q, int(np.prod(node_shape))))
 
 
 def _edge_material(cell_vals: np.ndarray, comp: str) -> np.ndarray:
@@ -299,7 +332,10 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wf.append(w.ravel())
     Wf = np.concatenate(Wf)
 
-    G = (sp.diags(1.0 / Wq) @ C.T @ sp.diags(Wf)).tocsr()
+    # Wq^-1 C^T Wf: each entry of C^T scaled as the two diagonal products would
+    G = C.T.tocsr()
+    g_rows = np.repeat(np.arange(layout.n_q), np.diff(G.indptr))
+    G.data = (1.0 / Wq)[g_rows] * G.data * Wf[G.indices]
 
     # diagonal material coefficients per slot
     eps_diag = eps.diag()
@@ -347,10 +383,12 @@ def _symmetrized(t: TensorField) -> np.ndarray:
 
 def _inverse_mass(inv: list, collocate) -> sp.csr_matrix:
     """Block matrix of diags(inv[c][..., c, j]) @ collocate(c, j): family c <- family j."""
-    return sp.bmat([
-        [sp.diags(inv[c][..., c, j].ravel()) @ collocate(c, j) for j in range(3)]
-        for c in range(3)
-    ]).tocsr()
+
+    def block(c, j):
+        rows, cols, vals, shape = collocate(c, j)
+        return sp.diags(inv[c][..., c, j].ravel()) @ sp.coo_matrix((vals, (rows, cols)), shape=shape)
+
+    return sp.bmat([[block(c, j) for j in range(3)] for c in range(3)]).tocsr()
 
 
 def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
@@ -371,7 +409,7 @@ def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     def edge_collocation(c, j):
         # full edge family j -> interior edges of family c
         return _kron3([
-            sp.identity(n[a]) if a == c == j
+            _eye(n[a]) if a == c == j
             else _mean(n[a]) if a == c
             else _mean(n[a] - 1) if a == j
             else _inner(n[a])
@@ -381,7 +419,7 @@ def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     def face_collocation(c, j):
         # face family j -> faces of family c
         return _kron3([
-            sp.identity(n[a] + (a == c)) if c == j or a not in (c, j)
+            _eye(n[a] + (a == c)) if c == j or a not in (c, j)
             else _held_mean(n[a]) if a == c
             else _mean(n[a])
             for a in range(3)

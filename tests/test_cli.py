@@ -103,6 +103,22 @@ def test_run_assert_flag_certificate_failure(tmp_path):
     assert main(["run", str(path), "--assert"]) == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the time-centered closure fails the two-sided dissipation check inside the "
+        "admissible region at high gain: gamma1 = 16, gamma2 = 4 on the 8^3 BASE "
+        "physics gives two_sided_dissipation = FAIL (worst upper -5.9e-5 on the "
+        "first record pairs), so run --assert exits 5"
+    ),
+)
+def test_run_assert_passes_at_high_admissible_gain(tmp_path):
+    # g1 c1 = 16 > g2 c2 = 4: the delay weight xi = 8 is admissible
+    text = BASE.replace("gamma1 = 1.0", "gamma1 = 16.0").replace("gamma2 = 0.5", "gamma2 = 4.0")
+    path, _ = write_cfg(tmp_path, text)
+    assert main(["run", str(path), "--assert"]) == 0
+
+
 def test_analyze_roundtrip(tmp_path):
     path, outdir = write_cfg(tmp_path, BASE)
     assert main(["run", str(path)]) == 0

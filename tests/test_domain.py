@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delayfdtd.domain import BoxDomain, build_grid, multiplier_field
+from delayfdtd.domain import FACES, BoxDomain, build_grid, multiplier_field, tangent_axes
 from delayfdtd.errors import ConfigError
 
 
@@ -37,6 +37,62 @@ def test_boundary_area_exact_for_anisotropic_box():
     grid = build_grid(BoxDomain(L, (8, 6, 4), (1.0, 0.35, 0.65)))
     exact = 2 * (L[0] * L[1] + L[1] * L[2] + L[2] * L[0])
     assert abs(grid.samples.areas.sum() - exact) <= 1e-12 * exact
+
+
+def _loop_samples(domain):
+    """The boundary samples built one at a time: the reference for build_grid."""
+    n, d, L = domain.resolution, domain.spacings, domain.lengths
+    pos, nrm, areas = [], [], []
+    ax_arr, side_arr, tans, cells, vol_mass = [], [], [], [], []
+    for axis, side in FACES:
+        t1, t2 = tangent_axes(axis)
+        n1, n2 = n[t1], n[t2]
+        for u in range(n1):
+            for v in range(n2):
+                p = np.zeros(3)
+                p[axis] = 0.0 if side < 0 else L[axis]
+                p[t1] = (u + 0.5) * d[t1]
+                p[t2] = (v + 0.5) * d[t2]
+                nu = np.zeros(3)
+                nu[axis] = float(side)
+                cell = [0, 0, 0]
+                cell[axis] = 0 if side < 0 else n[axis] - 1
+                cell[t1], cell[t2] = u, v
+                ext2 = d[t2] * (1.0 - 0.25 * (v == 0) - 0.25 * (v == n2 - 1))
+                ext1 = d[t1] * (1.0 - 0.25 * (u == 0) - 0.25 * (u == n1 - 1))
+                pos.append(p)
+                nrm.append(nu)
+                areas.append(d[t1] * d[t2])
+                ax_arr.append(axis)
+                side_arr.append(side)
+                tans.append((t1, t2))
+                cells.append(cell)
+                vol_mass.append((0.5 * d[axis] * d[t1] * ext2, 0.5 * d[axis] * ext1 * d[t2]))
+    return {
+        "positions": np.array(pos),
+        "normals": np.array(nrm),
+        "areas": np.array(areas),
+        "axis": np.array(ax_arr),
+        "side": np.array(side_arr),
+        "tangents": np.array(tans),
+        "cells": np.array(cells),
+        "vol_mass": np.array(vol_mass),
+    }
+
+
+def test_build_grid_matches_loop_reference():
+    domain = BoxDomain((2.0, 0.7, 1.3), (8, 6, 4), (1.0, 0.35, 0.65))
+    s = build_grid(domain).samples
+    for name, want in _loop_samples(domain).items():
+        got = getattr(s, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    # face f's samples run u-major from its start
+    start = 0
+    for fid, (axis, _) in enumerate(FACES):
+        n1, n2 = (domain.resolution[t] for t in tangent_axes(axis))
+        assert s.face_slices[fid] == (start, n1, n2)
+        start += n1 * n2
 
 
 def test_normals_are_signed_unit_axes():

@@ -7,6 +7,7 @@ from delayfdtd.feedback import FeedbackLaw
 from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
     ExtState,
+    _sbp_derivative,
     apply_generator,
     form_pairing,
     generator_constants,
@@ -112,6 +113,30 @@ def test_s_derivative_consistency():
         # second order in the interior
         err = np.abs(d[0, 2:-2, 0] - exact[2:-2]).max()
         assert err <= 40.0 / M**2 * (2 * np.pi) ** 3
+
+
+def _slice_sbp(Z):
+    """The SBP derivative row by row: one-sided ends, central interior."""
+    M = Z.shape[-2] - 1
+    ds = 1.0 / M
+    out = np.empty_like(Z)
+    out[..., 0, :] = (Z[..., 1, :] - Z[..., 0, :]) / ds
+    out[..., -1, :] = (Z[..., -1, :] - Z[..., -2, :]) / ds
+    out[..., 1:-1, :] = (Z[..., 2:, :] - Z[..., :-2, :]) / (2.0 * ds)
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 2, 16])
+def test_sbp_derivative_matches_slice_formula(ops6, M):
+    rng = np.random.default_rng(M)
+    S = ops6.grid.samples.count
+    single = rng.standard_normal((S, M + 1, 3))
+    batched = rng.standard_normal((2, S, M + 1, 3))
+    # the sample-major view of an (M+1, S, 3) draw, as random_F passes it
+    view = random_tangential(ops6, rng, shape=(M + 1,)).transpose(1, 0, 2)
+    assert not view.flags.c_contiguous
+    for Z in (single, batched, view):
+        assert np.array_equal(_sbp_derivative(Z), _slice_sbp(Z))
 
 
 def test_weighted_sbp_identity(ops8):

@@ -3,8 +3,22 @@ import pytest
 import scipy.sparse as sp
 
 from delayfdtd.domain import FACES, BoxDomain, build_grid, tangent_axes
-from delayfdtd.materials import constant_diagonal, constant_isotropic, diagonal_ramp
-from delayfdtd.operators import EDGE_COMPS, build_operators, sample_face_field, sample_vector_field
+from delayfdtd.materials import (
+    TensorField,
+    constant_diagonal,
+    constant_full,
+    constant_isotropic,
+    diagonal_ramp,
+)
+from delayfdtd.operators import (
+    EDGE_COMPS,
+    _edge_material,
+    _face_material,
+    build_operators,
+    full_tensor_inverses,
+    sample_face_field,
+    sample_vector_field,
+)
 
 from conftest import random_tangential
 
@@ -282,6 +296,102 @@ def test_assembly_matches_loop_reference(fixture, request):
         assert got.shape == want.shape, name
         assert got.nnz == want.nnz, name
         assert abs(got - want).max() == 0.0, name
+
+
+def _loop_reference(ops):
+    lay = ops.layout
+    R = _ref_reconstruction(lay)
+    C = (_ref_full_curl(lay) @ R).tocsr()
+    return {
+        "C": C,
+        "G": (sp.diags(1.0 / ops.Wq) @ C.T @ sp.diags(ops.Wf)).tocsr(),
+        "R": R,
+        "div_eps": _ref_divergence(lay, ops.eps_q),
+        "div_plain": _ref_divergence(lay, np.ones(lay.n_q)),
+        "grad_int": _ref_gradient(lay),
+    }
+
+
+def _assert_same_storage(got, want, name):
+    # equal CSR arrays make every mat-vec sum in the same order, bit for bit
+    assert got.shape == want.shape, name
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
+
+
+@pytest.mark.parametrize("fixture", ["ops6", "ops8", "ops_ramp_box", "ops_skew_box"])
+def test_assembly_storage_matches_loop_reference(fixture, request):
+    ops = request.getfixturevalue(fixture)
+    for name, want in _loop_reference(ops).items():
+        _assert_same_storage(getattr(ops, name), want, name)
+
+
+def _kron_reference_inverses(ops):
+    """full_tensor_inverses assembled from scipy 1-D factors and nested sp.kron."""
+    n = ops.grid.shape
+
+    def kron3(factors):
+        return sp.kron(sp.kron(factors[0], factors[1], "coo"), factors[2], "coo")
+
+    def mean(m):
+        return sp.diags([0.5, 0.5], [0, 1], shape=(m, m + 1))
+
+    def held_mean(m):
+        ends = sp.coo_matrix(([0.5, 0.5], ([0, m], [0, m - 1])), shape=(m + 1, m))
+        return sp.diags([0.5, 0.5], [-1, 0], shape=(m + 1, m)) + ends
+
+    def edge_collocation(c, j):
+        return kron3([
+            sp.identity(n[a]) if a == c == j
+            else mean(n[a]) if a == c
+            else mean(n[a] - 1) if a == j
+            else sp.eye(n[a] - 1, n[a] + 1, k=1)
+            for a in range(3)
+        ])
+
+    def face_collocation(c, j):
+        return kron3([
+            sp.identity(n[a] + (a == c)) if c == j or a not in (c, j)
+            else held_mean(n[a]) if a == c
+            else mean(n[a])
+            for a in range(3)
+        ])
+
+    def inverse_mass(inv, collocate):
+        return sp.bmat([
+            [sp.diags(inv[c][..., c, j].ravel()) @ collocate(c, j) for j in range(3)]
+            for c in range(3)
+        ]).tocsr()
+
+    def symmetrized(t):
+        return 0.5 * (t.values + np.swapaxes(t.values, -1, -2))
+
+    eps_inv = [np.linalg.inv(_edge_material(symmetrized(ops.eps), c)) for c in EDGE_COMPS]
+    mu_inv = [np.linalg.inv(_face_material(symmetrized(ops.mu), c)) for c in EDGE_COMPS]
+    return (
+        (inverse_mass(eps_inv, edge_collocation) @ ops.R).tocsr(),
+        inverse_mass(mu_inv, face_collocation),
+    )
+
+
+@pytest.mark.parametrize("field", ["constant_full", "random_spd"])
+def test_full_tensor_inverses_storage_matches_kron_reference(field):
+    # spacings 1.3/6, 0.9/5 and 1.1/7 are not powers of two
+    grid = build_grid(BoxDomain((1.3, 0.9, 1.1), (6, 5, 7), (0.6, 0.45, 0.5)))
+    if field == "constant_full":
+        eps = constant_full(grid, (2.0, 1.5, 1.8, 0.2, 0.1, 0.15))
+        mu = constant_full(grid, (1.2, 1.0, 1.4, -0.1, 0.0, 0.2))
+    else:
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((2,) + grid.shape + (3, 3))
+        spd = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(3)
+        eps, mu = TensorField.from_values(spd[0]), TensorField.from_values(spd[1])
+    ops = build_operators(grid, eps, mu)
+    eps_inv, mu_inv, _ = full_tensor_inverses(ops)
+    want_eps, want_mu = _kron_reference_inverses(ops)
+    _assert_same_storage(eps_inv, want_eps, "eps_inv")
+    _assert_same_storage(mu_inv, want_mu, "mu_inv")
 
 
 # -- CG on a symmetric positive definite matrix ----------------------------------
