@@ -253,9 +253,16 @@ def _lab_setup(cfg: Config):
     return sc, ops
 
 
+def _require_at_least_one(**counts: int):
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_operator(args) -> int:
     from . import operator_lab  # the lab commands alone need it
 
+    _require_at_least_one(pairs=args.pairs, m=args.m)
     cfg = _load_config(args.config)
     sc, ops = _lab_setup(cfg)
     mono = constants(sc.law)
@@ -283,12 +290,14 @@ def cmd_operator(args) -> int:
 def cmd_resolvent(args) -> int:
     from . import operator_lab
 
+    _require_at_least_one(m=args.m)
     cfg = _load_config(args.config)
     sc, ops = _lab_setup(cfg)
     F = operator_lab.random_forcing(ops, args.m, np.random.default_rng(args.seed))
     result = operator_lab.resolvent_solve(F, args.b, ops, sc.law)
     lines = [f"residual = {result.residual:.6e}", f"outer_iterations = {result.outer_iterations}", f"penalty = {result.penalty:.17g}"]
     lines += [f"residual_{k} = {v:.6e}" for k, v in result.residual_parts.items()]
+    lines.append(f"core_cg_iterations = {result.core_cg_iterations}")
     text = "\n".join(lines) + "\n"
     out = _outdir(cfg, args.out)
     _write(out / "resolvent_report.txt", text)

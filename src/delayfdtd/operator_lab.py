@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from .analysis import _dot
 from .domain import check_tangential
 from .errors import ConfigError, ContractError, NumericalError
-from .feedback import FeedbackLaw, required_H_trace
+from .feedback import FeedbackLaw, boundary_drive, required_H_trace
 from .operators import Operators
 from .solver import conjugate_gradients
 
@@ -46,6 +46,13 @@ class ExtState:
     q: np.ndarray
     h: np.ndarray
     Z: np.ndarray
+
+    def subtract(self, other: "ExtState") -> "ExtState":
+        """self - other, formed in place in self's arrays; returns self."""
+        self.q -= other.q
+        self.h -= other.h
+        self.Z -= other.Z
+        return self
 
     @property
     def n_s_cells(self) -> int:
@@ -128,8 +135,8 @@ def _sbp_derivative(Z: np.ndarray) -> np.ndarray:
     mid = out.reshape(-1)[3:-3]
     np.subtract(flat[6:], flat[:-6], out=mid)
     mid /= 2.0 * ds
-    ends = Z[..., [0, 1, -2, -1], :]
-    out[..., [0, -1], :] = (ends[..., 1::2, :] - ends[..., 0::2, :]) / ds
+    out[..., 0, :] = (Z[..., 1, :] - Z[..., 0, :]) / ds
+    out[..., -1, :] = (Z[..., -1, :] - Z[..., -2, :]) / ds
     return out
 
 
@@ -159,16 +166,23 @@ def apply_generator(
     """Image of the extended generator: (-eps^-1 curl H, mu^-1 curl E, dZ/ds / tau).
 
     The curl of H is closed at the boundary with the trace read from the
-    relation H x nu = -g1 g(E x nu) x nu - g2 g(Z|s=1) x nu.
+    relation H x nu = -g1 g(E x nu) x nu - g2 g(Z|s=1) x nu, whose tangential
+    components are those of nu x (g1 g(E x nu) + g2 g(Z|s=1)).
     """
     _require_diagonal(ops)
     if check:
         v.validate(ops)
     s = ops.grid.samples
     w = ops.boundary_trace_w(v.q)
-    h_tr = required_H_trace(law, w, v.Z[:, -1], s.normals)
-    Aq = -(ops.G @ v.h + ops.inject_trace(h_tr)) / ops.eps_q
-    Ah = (ops.C @ v.q) / ops.mu_f
+    z1 = v.Z[:, -1]
+    check_tangential("w_now", w, s.normals)
+    check_tangential("w_delayed", z1, s.normals)
+    Aq = ops.G @ v.h
+    Aq[ops.trace_idx] -= ops.inj_scale * s.cross.nu_cross(boundary_drive(law, w, z1))
+    np.negative(Aq, out=Aq)
+    Aq /= ops.eps_q
+    Ah = ops.C @ v.q
+    Ah /= ops.mu_f
     AZ = s_derivative(v.Z, c_weight)
     AZ /= law.tau
     return ExtState(q=Aq, h=Ah, Z=AZ)
@@ -258,8 +272,7 @@ def monotonicity_test(
         v2 = random_domain_state(ops, M, rng, z_interior_boost=z_interior_boost)
         a1 = apply_generator(v1, ops, law, c_weight=k.c_weight, check=False)
         a2 = apply_generator(v2, ops, law, c_weight=k.c_weight, check=False)
-        diff = ExtState(q=v1.q - v2.q, h=v1.h - v2.h, Z=v1.Z - v2.Z)
-        adiff = ExtState(q=a1.q - a2.q, h=a1.h - a2.h, Z=a1.Z - a2.Z)
+        diff, adiff = v1.subtract(v2), a1.subtract(a2)
         norm2 = weighted_inner(diff, diff, ops, k.xi_op, law.tau, k.c_weight)
         pairing = C * norm2 + weighted_inner(adiff, diff, ops, k.xi_op, law.tau, k.c_weight)
         rows[i] = (pairing, norm2, pairing / norm2)
@@ -296,6 +309,7 @@ class ResolventResult:
     residual_parts: dict
     outer_iterations: int
     penalty: float
+    core_cg_iterations: int  # summed over every CoreCG solve
 
 
 def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.ndarray:
@@ -393,8 +407,7 @@ class CoreCG:
     def solve(self, b: np.ndarray, x0: np.ndarray | None = None, atol: float = 0.0) -> tuple[np.ndarray, int]:
         """(x, iterations) of `solver.conjugate_gradients` on A x = b."""
         return conjugate_gradients(
-            lambda p: self.A @ p, lambda r: self._inv_d * r, self._inv_d, b, self.name,
-            CORE_CG_MAX_ITER, x0, atol,
+            lambda p: self.A @ p, None, self._inv_d, b, self.name, CORE_CG_MAX_ITER, x0, atol
         )
 
 
@@ -413,9 +426,14 @@ def resolvent_solve(
     factor, and solves the remaining symmetric positive definite system for
     E with a divergence penalty; `resolvent_core` holds the linear part of
     the boundary load and a damped outer fixed point carries the rest.  Each
-    outer round solves the core by CG from the current iterate, stopping at
-    INNER_GAP_SHARE of the last outer gap.  If the divergence of the
-    solution exceeds 1e-8 the penalty is doubled (at most ten times).
+    outer round solves the core by CG, stopping at INNER_GAP_SHARE of the
+    last outer gap.  Its start extrapolates the undamped inner solutions T of
+    the last two rounds, T_k + rho (T_k - T_{k-1}) with rho the ratio of the
+    last two outer gaps, capped at 1 (rho = 0 until two gaps exist): the
+    right-hand sides of successive rounds converge together, so the last
+    solutions predict the next one (Fischer, Comput. Methods Appl. Mech.
+    Engrg. 163, 1998).  If the divergence of the solution exceeds 1e-8 the
+    penalty is doubled (at most ten times).
     """
     _require_diagonal(ops)
     if b <= 0:
@@ -429,16 +447,26 @@ def resolvent_solve(
     rhs = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
     pen = penalty
+    core_its = 0
     for _ in range(10):
         core = CoreCG(resolvent_core(ops, law, b, pen), "resolvent core")
-        q, _ = core.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
+        q, its = core.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
+        core_its += its
         outer = 1
         damping = 1.0 if law.kind == "linear" else 0.5
         prev_gap = np.inf
         # the last outer gap, which ties the inner stop; max |q| stands in for round 1's
         step = float(np.max(np.abs(q)))
+        # the undamped inner solutions of the last two rounds (the cold solve
+        # is the first) and the extrapolation factor of the next start
+        t_last = t_prev = q
+        rho = 0.0
         while True:
-            q_next, _ = core.solve(rhs - _load_off_core(ops, law, b, q, tail), q, INNER_GAP_SHARE * step)
+            start = t_last + rho * (t_last - t_prev)
+            q_next, its = core.solve(
+                rhs - _load_off_core(ops, law, b, q, tail), start, INNER_GAP_SHARE * step
+            )
+            core_its += its
             gap = float(np.max(np.abs(q_next - q)))
             scale = 1.0 + float(np.max(np.abs(q_next)))
             if gap <= tol * scale:
@@ -446,7 +474,9 @@ def resolvent_solve(
                 break
             if gap > prev_gap:
                 damping = 0.5
+            rho = min(gap / prev_gap, 1.0)
             prev_gap = step = gap
+            t_prev, t_last = t_last, q_next
             q = q + damping * (q_next - q)
             outer += 1
             if outer > max_outer:
@@ -489,6 +519,7 @@ def resolvent_solve(
         residual_parts=parts,
         outer_iterations=outer,
         penalty=pen,
+        core_cg_iterations=core_its,
     )
 
 

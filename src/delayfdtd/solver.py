@@ -250,8 +250,10 @@ def conjugate_gradients(
 ) -> tuple[np.ndarray, int]:
     """Preconditioned CG for symmetric positive definite A x = b; returns (x, iterations).
 
-    `apply` and `precondition` give A p and M^-1 r, and `inv_diag` is
-    1 / diag(A).  Starts from x0 (default zero) and stops once
+    `apply` and `precondition` give A p and M^-1 r as new arrays (A p is
+    scaled in place), and `inv_diag` is 1 / diag(A); `precondition=None`
+    means Jacobi, M^-1 r = inv_diag r, which reuses the product the stop test
+    forms.  Starts from x0 (default zero) and stops once
     max |D^-1 (b - A x)| <= max(CG_RTOL max |D^-1 b|, atol), checked at x0
     first: each dof's residual against its own diagonal, so dofs with small
     coefficients converge as far as the others.  b is divided by its largest
@@ -271,12 +273,16 @@ def conjugate_gradients(
     if x0 is not None:
         r -= apply(x)
     it, rz = 0, 0.0
-    while (res := float(np.max(np.abs(inv_diag * r)))) > stop:
+    while (res := float(np.max(np.abs(dr := inv_diag * r)))) > stop:
         if it == max_iter:
             raise NumericalError(f"{name} did not converge in {it} iterations (residual {bmax * res:.3e})")
-        z = precondition(r)
+        z = dr if precondition is None else precondition(r)
         rz, rz_old = float(np.sum(r * z)), rz
-        p = z if it == 0 else z + (rz / rz_old) * p
+        if it == 0:
+            p = z
+        else:
+            p *= rz / rz_old
+            p += z
         it += 1
         Ap = apply(p)
         curv = float(np.sum(p * Ap))
@@ -284,7 +290,8 @@ def conjugate_gradients(
             raise NumericalError(f"{name} is not positive definite: curvature {curv:.3e}")
         alpha = rz / curv
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
     return bmax * x, it
 
 

@@ -173,6 +173,50 @@ def test_resolvent_subcommand(tmp_path):
     assert "residual" in report
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("operator", "--pairs", "0"), ("operator", "--pairs", "-3"), ("operator", "--m", "0"),
+     ("resolvent", "--m", "0")],
+)
+def test_lab_counts_below_one_exit_two_and_name_the_argument(tmp_path, capsys, command, flag, value):
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main([command, str(path), flag, value]) == 2
+    assert f"configuration error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_lab_commands_take_one_delay_cell(tmp_path):
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main(["operator", str(path), "--pairs", "1", "--m", "1"]) == 0
+    assert main(["resolvent", str(path), "--b", "2.0", "--m", "1"]) == 0
+    assert "pairs = 1" in (outdir / "monotonicity_report.txt").read_text()
+    assert "outer_iterations = " in (outdir / "resolvent_report.txt").read_text()
+
+
+def test_resolvent_report_counts_every_core_cg_iteration(tmp_path, monkeypatch):
+    from delayfdtd import operator_lab
+
+    solve = operator_lab.CoreCG.solve
+    counts = []
+
+    def counted(self, *args, **kwargs):
+        x, it = solve(self, *args, **kwargs)
+        counts.append(it)
+        return x, it
+
+    monkeypatch.setattr(operator_lab.CoreCG, "solve", counted)
+    text = BASE.replace("kind = linear", "kind = saturating\nb = 1.0")
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["resolvent", str(path), "--b", "2.0", "--m", "8"]) == 0
+    lines = (outdir / "resolvent_report.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == [
+        "residual", "outer_iterations", "penalty", "residual_E", "residual_H",
+        "residual_Z_transport", "residual_Z_slot0", "residual_div", "core_cg_iterations",
+    ]
+    assert len(counts) > 2
+    assert lines[-1] == f"core_cg_iterations = {sum(counts)}"
+
+
 def test_resolvent_core_that_does_not_converge_exits_four(tmp_path, monkeypatch, capsys):
     from delayfdtd import operator_lab
 

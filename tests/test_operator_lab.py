@@ -3,7 +3,7 @@ import pytest
 
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError, ContractError
-from delayfdtd.feedback import FeedbackLaw
+from delayfdtd.feedback import FeedbackLaw, required_H_trace
 from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
     ExtState,
@@ -25,6 +25,10 @@ from conftest import random_tangential
 
 LINEAR = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
 SATURATING = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
+TABLE = FeedbackLaw(
+    kind="table", gamma1=1.0, gamma2=0.5, tau=0.25,
+    table_r=(0.0, 0.5, 2.0, 4.0), table_g=(0.0, 1.0, 2.5, 3.0),
+)
 
 
 def random_F(ops, M, seed, project=True):
@@ -103,6 +107,36 @@ def test_generator_rejects_broken_slot0(ops8):
         apply_generator(v, ops8, LINEAR)
 
 
+def cross_generator(v, ops, law, c_weight):
+    """apply_generator with the H trace formed by np.cross and injected as a q-sized vector."""
+    w = ops.boundary_trace_w(v.q)
+    h_tr = required_H_trace(law, w, v.Z[:, -1], ops.grid.samples.normals)
+    Aq = -(ops.G @ v.h + ops.inject_trace(h_tr)) / ops.eps_q
+    Ah = (ops.C @ v.q) / ops.mu_f
+    AZ = s_derivative(v.Z, c_weight)
+    AZ /= law.tau
+    return ExtState(q=Aq, h=Ah, Z=AZ)
+
+
+@pytest.mark.parametrize("c_weight", [0.0, 0.8])
+@pytest.mark.parametrize("law", [LINEAR, SATURATING, TABLE], ids=["linear", "saturating", "table"])
+@pytest.mark.parametrize("box", ["ops8", "ops_aniso_box"])
+def test_generator_is_bit_identical_to_the_cross_product_trace(box, law, c_weight, request):
+    ops = request.getfixturevalue(box)
+    for seed in range(3):
+        v = random_domain_state(ops, 8, np.random.default_rng(seed))
+        got, ref = apply_generator(v, ops, law, c_weight=c_weight), cross_generator(v, ops, law, c_weight)
+        for name in ("q", "h", "Z"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_generator_rejects_a_normal_delayed_trace(ops8):
+    v = random_domain_state(ops8, 4, np.random.default_rng(0))
+    v.Z[:, -1] += ops8.grid.samples.normals
+    with pytest.raises(ContractError, match="w_delayed is not tangential"):
+        apply_generator(v, ops8, SATURATING, check=False)
+
+
 def test_s_derivative_consistency():
     M = 64
     s = np.arange(M + 1) / M
@@ -178,6 +212,33 @@ def test_monotonicity_negative_control(ops8):
     # the same stressed pairs pass once the shift is in place
     rep_ok = monotonicity_test(ops8, law, k, n_pairs=40, seed=7, M=16, z_interior_boost=4.0)
     assert rep_ok.passed
+
+
+def two_state_pair_rows(ops, law, k, n_pairs, seed, M, z_interior_boost):
+    """The pairings of monotonicity_test, with the differences formed as new states."""
+    rows = np.empty((n_pairs, 3))
+    for i in range(n_pairs):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        v1 = random_domain_state(ops, M, rng, z_interior_boost=z_interior_boost)
+        v2 = random_domain_state(ops, M, rng, z_interior_boost=z_interior_boost)
+        a1 = cross_generator(v1, ops, law, k.c_weight)
+        a2 = cross_generator(v2, ops, law, k.c_weight)
+        diff = ExtState(q=v1.q - v2.q, h=v1.h - v2.h, Z=v1.Z - v2.Z)
+        adiff = ExtState(q=a1.q - a2.q, h=a1.h - a2.h, Z=a1.Z - a2.Z)
+        norm2 = weighted_inner(diff, diff, ops, k.xi_op, law.tau, k.c_weight)
+        pairing = k.C_shift * norm2 + weighted_inner(adiff, diff, ops, k.xi_op, law.tau, k.c_weight)
+        rows[i] = (pairing, norm2, pairing / norm2)
+    return rows
+
+
+@pytest.mark.parametrize("boost", [1.0, 4.0])
+def test_monotonicity_rows_are_bit_identical_to_the_two_state_loop(ops8, boost):
+    law = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=2.0, tau=0.25)
+    k = generator_constants(1.0, 2.0, 1.0, 2.0, 0.25)
+    assert k.c_weight > 0
+    rep = monotonicity_test(ops8, law, k, n_pairs=20, seed=3, M=16, z_interior_boost=boost)
+    ref = two_state_pair_rows(ops8, law, k, 20, 3, 16, boost)
+    assert rep.pairings.tobytes() == ref.tobytes()
 
 
 def test_monotonicity_report_csv(ops8):
@@ -438,6 +499,29 @@ def test_gap_tied_inner_stop_keeps_rounds_and_cuts_iterations(ops8, monkeypatch)
     assert tied.outer_iterations == tight.outer_iterations == 24
     assert tied.residual <= 1e-8
     assert 2 * counts[1] < counts[0]
+
+
+# core CG iterations of this solve when each round started from the damped iterate
+DAMPED_START_CORE_ITERATIONS = 778
+
+
+def test_extrapolated_warm_start_keeps_rounds_and_cuts_iterations(ops8, monkeypatch):
+    from delayfdtd import operator_lab
+
+    solve = operator_lab.CoreCG.solve
+    counts = []
+
+    def counted(self, *args, **kwargs):
+        x, it = solve(self, *args, **kwargs)
+        counts.append(it)
+        return x, it
+
+    monkeypatch.setattr(operator_lab.CoreCG, "solve", counted)
+    res = resolvent_solve(random_F(ops8, 16, seed=6), 2.0, ops8, SATURATING)
+    assert res.outer_iterations == 24
+    assert res.residual <= 1e-8
+    assert res.core_cg_iterations == sum(counts)
+    assert res.core_cg_iterations <= 0.8 * DAMPED_START_CORE_ITERATIONS
 
 
 # outer rounds of the SuperLU-factored resolvent on the same data; the CG core keeps them

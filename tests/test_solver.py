@@ -528,6 +528,65 @@ def test_dst_preconditioner_inverts_the_constant_laplacian(ops6):
     assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
 
 
+def two_pass_cg(apply, precondition, inv_diag, b, x0=None, atol=0.0):
+    """solver.conjugate_gradients in two-pass form, the reference for its in-place updates.
+
+    It forms z, p and alpha A p as new arrays each iteration, and calls
+    `precondition` even for a Jacobi preconditioner.
+    """
+    from delayfdtd.solver import CG_RTOL
+
+    bmax = float(np.max(np.abs(b)))
+    r = b / bmax
+    stop = max(CG_RTOL * float(np.max(np.abs(inv_diag * r))), atol / bmax)
+    x = np.zeros_like(r) if x0 is None else x0 / bmax
+    if x0 is not None:
+        r -= apply(x)
+    it, rz = 0, 0.0
+    while float(np.max(np.abs(inv_diag * r))) > stop:
+        z = precondition(r)
+        rz, rz_old = float(np.sum(r * z)), rz
+        p = z if it == 0 else z + (rz / rz_old) * p
+        it += 1
+        Ap = apply(p)
+        alpha = rz / float(np.sum(p * Ap))
+        x += alpha * p
+        r -= alpha * Ap
+    return bmax * x, it
+
+
+@pytest.mark.parametrize("eps_name", ["diagonal_ramp", "exponential_k-10"])
+def test_projection_cg_is_bit_identical_to_the_two_pass_loop(eps_name):
+    lengths, cells = PROJECTION_BOXES["box_8x5x6"]
+    grid = build_grid(BoxDomain(lengths, cells, tuple(0.5 * L for L in lengths)))
+    ops = build_operators(grid, PROJECTION_EPS[eps_name][0](grid), constant_isotropic(grid, 1.0))
+    lap = NodeLaplacian(ops)
+    b = ops.div_eps @ np.random.default_rng(46).standard_normal(ops.layout.n_q)
+    (x, it), (x_ref, it_ref) = lap.solve(b), two_pass_cg(lap.apply, lap.precondition, lap._inv_s, b)
+    assert it == it_ref > 1
+    assert x.tobytes() == x_ref.tobytes()
+
+
+def test_core_cg_is_bit_identical_to_the_two_pass_loop(ops8):
+    from delayfdtd.operator_lab import CoreCG, resolvent_core
+
+    law = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
+    cg = CoreCG(resolvent_core(ops8, law, 2.0), "resolvent core")
+    rng = np.random.default_rng(47)
+    b, x0 = rng.standard_normal((2, ops8.layout.n_q))
+
+    def apply(p):
+        return cg.A @ p
+
+    def jacobi(r):
+        return cg._inv_d * r
+
+    for start, atol in ((None, 0.0), (x0, 0.0), (x0, 1e-6)):
+        (x, it), (x_ref, it_ref) = cg.solve(b, start, atol), two_pass_cg(apply, jacobi, cg._inv_d, b, start, atol)
+        assert it == it_ref > 0
+        assert x.tobytes() == x_ref.tobytes()
+
+
 def test_step_rebinds_h_prev_without_aliasing(ops8):
     law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
     dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
