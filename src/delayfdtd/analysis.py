@@ -116,7 +116,7 @@ class EnergyTrace:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, metadata: dict | None = None) -> "EnergyTrace":
+    def from_csv(cls, text: str) -> "EnergyTrace":
         lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines or lines[0][1].strip() != CSV_HEADER:
             raise ConfigError(f"energy CSV must start with header `{CSV_HEADER}`")
@@ -132,7 +132,7 @@ class EnergyTrace:
         if not rows:
             raise ConfigError("energy CSV holds no records")
         data = np.array(rows)
-        return cls(*(data[:, i] for i in range(6)), metadata=metadata or {})
+        return cls(*(data[:, i] for i in range(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +200,18 @@ def delay_weight(law: FeedbackLaw, xi: float | None) -> tuple[float, Dissipation
         return xi, None
 
 
-def _pair_sample(n: int, max_pairs: int, seed: int = 20240) -> np.ndarray:
+# record pairs a two-sided check samples at most
+MAX_PAIRS = 10_000
+
+
+def _pair_sample(n: int, max_pairs: int) -> np.ndarray:
     """(t1, t2) index pairs: all adjacent pairs plus a random spread."""
     adjacent = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     total = n * (n - 1) // 2
     if total <= max_pairs:
         i, j = np.triu_indices(n, k=1)
         return np.stack([i, j], axis=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240)
     n_random = max(0, max_pairs - len(adjacent))
     a = rng.integers(0, n - 1, size=n_random)
     b = rng.integers(1, n, size=n_random)
@@ -246,7 +250,7 @@ class InequalityReport:
 
 
 def lemma31_check(
-    trace: EnergyTrace, k: DissipationConstants, slack: float = 1.05, max_pairs: int = 10_000
+    trace: EnergyTrace, k: DissipationConstants, slack: float = 1.05, max_pairs: int = MAX_PAIRS
 ) -> InequalityReport:
     """Two-sided dissipation bound on E_xi over sampled record pairs."""
     if len(trace.t) < 2:
@@ -395,7 +399,6 @@ def appendix_analyze(
     c_T: float,
     T: float,
     slack: float = 1.05,
-    max_pairs: int = 10_000,
     obs_slack: float = 1.10,
 ) -> DecayCertificate:
     """Contraction-rate certificate from the dissipation and observation bounds.
@@ -417,7 +420,7 @@ def appendix_analyze(
     if len(t) < 2 or t[-1] < T - 1e-12 * max(1.0, T):
         raise ContractError("samples do not cover [0, T]")
 
-    upper, lower = _pair_margins(t, E, D, c1E, c2E, slack, max_pairs)
+    upper, lower = _pair_margins(t, E, D, c1E, c2E, slack, MAX_PAIRS)
     hyp_upper = bool(np.all(upper >= -_ATOL))
     hyp_lower = bool(np.all(lower >= -_ATOL))
     lhs, rhs = _observability_sides(t, E, D, c, c_T, T)

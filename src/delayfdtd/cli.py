@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 assumption violated,
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 import traceback
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import Config, echo_config, parse_config, scenario_from_config
+from .config import (
+    SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config, validate_config,
+)
 from .domain import build_grid, multiplier_field
 from .errors import AssumptionError, CertificateError, ConfigError, ContractError, NumericalError
 from .feedback import constants
@@ -138,70 +141,52 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _resolved_xi_for(cfg: Config) -> float:
-    """Explicit delay weight for a sweep row: g1 c1 / 2, also where no weight is admissible.
+    """Delay weight pinned into a sweep row with `xi = auto`: the midpoint g1 c1 / 2.
 
-    g1 c1 / 2 is the admissible-interval midpoint; a conservative row (g1 = 0) gets 0.
+    It is pinned also where no weight is admissible, so that such a row runs and
+    reports no certificate; a conservative row (g1 = 0) gets 0.
     """
     law = scenario_from_config(cfg).law
     return 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
 
 
-def _sweep_value(cfg_text: str, path: str, value: float, out_dir: str):
-    cfg = parse_config(cfg_text)
-    cfg.set_path(path, value)
-    cfg.set("analysis", "xi", _resolved_xi_for(cfg))
-    cfg.set("output", "dir", out_dir)
-    sc = scenario_from_config(cfg)
-    result = run_scenario(sc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    info, _ = _write_run(cfg, result, out)
-    lam = info.get("lambda_hat", float("nan"))
-    r2 = info.get("fit_r2", float("nan"))
-    return value, float(lam), float(r2), str(info["classification"])
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        values = [float(v) for v in args.values.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}") from exc
-    if not values:
-        raise ConfigError("sweep needs at least one value")
     section, _, key = args.param.partition(".")
-    if section not in ("domain", "materials", "feedback", "history", "initial", "run", "analysis"):
+    kind = SCHEMA.get(section, {}).get(key, (None,))[0]
+    if kind is None:
         raise ConfigError(f"bad parameter path {args.param!r}")
-    current = cfg.data.get(section, {}).get(key)
-    if not isinstance(current, (int, float)) or isinstance(current, bool):
+    if kind not in ("float", "int", "xi"):
         raise ConfigError(f"parameter path {args.param!r} does not point at a numeric value")
+    raw_values = args.values.replace(",", " ").split()
+    if not raw_values:
+        raise ConfigError("sweep needs at least one value")
+    # the key's own parser; a swept xi is a number, never `auto`
+    values = [
+        _parse_value("float" if kind == "xi" else kind, raw, f"--values for {args.param}")
+        for raw in raw_values
+    ]
 
     out_root = _outdir(cfg, args.out)
-    cfg_text = echo_config(cfg)
-    jobs = []
-    for v in values:
-        sub = out_root / f"{key}_{v:.6g}"
-        jobs.append((cfg_text, args.param, v, str(sub)))
-
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_value_star, jobs))
-    else:
-        rows = [_sweep_value(*job) for job in jobs]
-
     lines = ["value,lambda_hat,r2,classification"]
-    for value, lam, r2, cls in rows:
-        lines.append(f"{value:.17g},{lam:.17g},{r2:.17g},{cls}")
+    for value in values:
+        out = out_root / f"{key}_{value:.6g}"
+        row = copy.deepcopy(cfg)
+        row.set(section, key, value)
+        validate_config(row)
+        if row.get("analysis", "xi") == "auto":
+            row.set("analysis", "xi", _resolved_xi_for(row))
+        row.set("output", "dir", str(out))
+        result = run_scenario(scenario_from_config(row))
+        out.mkdir(parents=True, exist_ok=True)
+        info, _ = _write_run(row, result, out)
+        lam = float(info.get("lambda_hat", float("nan")))
+        r2 = float(info.get("fit_r2", float("nan")))
+        lines.append(f"{value:.17g},{lam:.17g},{r2:.17g},{info['classification']}")
     text = "\n".join(lines) + "\n"
     _write(out_root / "sweep_summary.csv", text)
     sys.stdout.write(text)
     return 0
-
-
-def _sweep_value_star(job):
-    return _sweep_value(*job)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("config")
     ps.add_argument("--param", required=True, help="e.g. feedback.gamma2")
     ps.add_argument("--values", required=True, help="comma or space separated")
-    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_sweep)
 

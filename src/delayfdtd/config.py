@@ -150,7 +150,10 @@ def _parse_value(kind: str, raw: str, where: str):
         parts = raw.split()
         if len(parts) != n:
             raise ConfigError(f"{where}: expected {n} numbers, got {raw!r}")
-        vals = tuple(float(p) for p in parts)
+        try:
+            vals = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: expected {n} numbers, got {raw!r}") from exc
         check_finite(vals)
         return vals
     if kind == "axis":
@@ -158,11 +161,7 @@ def _parse_value(kind: str, raw: str, where: str):
             return AXES[raw.strip()]
         raise ConfigError(f"{where}: expected axis x, y or z, got {raw!r}")
     if kind == "xi":
-        if raw.strip() == "auto":
-            return "auto"
-        v = float(raw)
-        check_finite([v])
-        return v
+        return "auto" if raw.strip() == "auto" else _parse_value("float", raw, where)
     return raw.strip()
 
 

@@ -116,11 +116,11 @@ class MonotonicityConstants:
             raise ConfigError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
 
 
-def constants(law: FeedbackLaw, n_pairs: int = 100_000, radius: float = 10.0) -> MonotonicityConstants:
+def constants(law: FeedbackLaw, n_pairs: int = 100_000) -> MonotonicityConstants:
     """Strong-monotonicity and Lipschitz constants of the law.
 
     Shipped laws have analytic constants.  Table laws are estimated from
-    difference quotients over quasi-random pairs in the ball |v| <= radius
+    difference quotients over quasi-random pairs in the ball |v| <= 10
     and rejected if the sampled monotonicity modulus is nonpositive.
     """
     if law.kind == "linear":
@@ -132,6 +132,7 @@ def constants(law: FeedbackLaw, n_pairs: int = 100_000, radius: float = 10.0) ->
 
     sampler = qmc.Sobol(d=6, scramble=True, seed=1905)
     m = int(np.ceil(np.log2(max(n_pairs, 2))))
+    radius = 10.0
     pts = sampler.random_base2(m) * 2.0 * radius - radius
     u, v = pts[:, :3], pts[:, 3:]
     keep = (np.linalg.norm(u, axis=1) <= radius) & (np.linalg.norm(v, axis=1) <= radius)
@@ -175,6 +176,10 @@ def required_H_trace(
     return -np.cross(boundary_drive(law, w_now, w_delayed), nu)
 
 
+# radius-solve iterations before the boundary update gives up
+BOUNDARY_MAX_ITER = 50
+
+
 def implicit_boundary_update(
     law: FeedbackLaw,
     curl_term: np.ndarray,
@@ -186,7 +191,6 @@ def implicit_boundary_update(
     eps_t: np.ndarray,
     kappa: np.ndarray,
     tol: float = 1e-12,
-    max_iter: int = 50,
     cross: TangentCross | None = None,
 ) -> np.ndarray:
     """Advance the boundary tangential components by one time step.
@@ -277,7 +281,7 @@ def implicit_boundary_update(
     r = np.sqrt(m0 * m0 + m1 * m1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # r = 0 or |m| = 0 make the Newton step NaN; the bracket test sends it to bisection
-        for _ in range(max_iter):
+        for _ in range(BOUNDARY_MAX_ITER):
             gain = law._radial_gain(r)
             solve = pencil(gain)
             m0, m1 = solve(p0, p1)
@@ -300,7 +304,7 @@ def implicit_boundary_update(
     bad = int(np.argmax(res))  # the first NaN, if any
     raise NumericalError(
         f"boundary update failed to converge: sample {bad}, residual {float(res[bad]):.3e} "
-        f"after {max_iter} iterations"
+        f"after {BOUNDARY_MAX_ITER} iterations"
     )
 
 

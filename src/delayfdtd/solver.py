@@ -295,7 +295,7 @@ def conjugate_gradients(
     return bmax * x, it
 
 
-def project_div_free(q: np.ndarray, ops: Operators, tol: float = 1e-10) -> np.ndarray:
+def project_div_free(q: np.ndarray, ops: Operators) -> np.ndarray:
     """Remove the gradient part so that div(eps E) vanishes at interior nodes.
 
     Solves -div(eps grad psi) = div(eps E) with psi zero on the wall (see
@@ -308,7 +308,7 @@ def project_div_free(q: np.ndarray, ops: Operators, tol: float = 1e-10) -> np.nd
     q0 = q + ops.grad_int @ psi
     resid = float(np.max(np.abs(ops.div_eps @ q0)))
     scale = max(float(np.max(np.abs(ops.div_eps @ np.abs(q)))), 1.0)
-    if resid > tol * scale:
+    if resid > 1e-10 * scale:
         raise NumericalError(f"divergence projection stalled: residual {resid:.3e}")
     return q0
 
@@ -381,11 +381,10 @@ class Stepper:
         if not self._diag:
             self._eps_inv, self._mu_inv, self._eps_t = full_tensor_inverses(ops)
 
-    def bootstrap(self, q0: np.ndarray, h0: np.ndarray | None = None) -> EMState:
-        """Half-step H to +/- dt/2 around t = 0 (time-symmetric start)."""
+    def bootstrap(self, q0: np.ndarray) -> EMState:
+        """Half-step H, at rest at t = 0, to +/- dt/2 (time-symmetric start)."""
         ops = self.ops
-        if h0 is None:
-            h0 = np.zeros(ops.layout.n_h)
+        h0 = np.zeros(ops.layout.n_h)
         curl = ops.C @ q0
         half = 0.5 * self.dt * curl / ops.mu_f if self._diag else 0.5 * self.dt * (self._mu_inv @ curl)
         return EMState(q=q0.copy(), h=h0 - half, h_prev=h0 + half, step=0, time=0.0)

@@ -9,6 +9,7 @@ import pytest
 from delayfdtd import cli
 from delayfdtd.analysis import EnergyTrace
 from delayfdtd.cli import main
+from delayfdtd.config import parse_config
 
 BASE = """
 [domain]
@@ -297,15 +298,54 @@ def test_history_file_roundtrip(tmp_path):
     assert np.allclose(ring.slots(), vals, atol=1e-15)
 
 
-def test_sweep_parallel_jobs(tmp_path):
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("feedback.gamma2", "nan", "non-finite number"),
+        ("domain.nx", "6.5", "expected an integer"),
+        ("run.record_every", "2.0", "expected an integer"),
+    ],
+)
+def test_sweep_value_its_key_rejects_exits_two(tmp_path, capsys, param, value, message):
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main(["sweep", str(path), "--param", param, "--values", f"1,{value}"]) == 2
+    err = capsys.readouterr().err
+    assert param in err and message in err
+    assert not outdir.exists()  # no row runs before every value parses
+
+
+def test_integer_sweep_row_reruns_to_the_same_bytes(tmp_path):
     text = BASE.replace("t_end = 2.0", "t_end = 0.5")
     path, outdir = write_cfg(tmp_path, text)
-    code = main(
-        ["sweep", str(path), "--param", "feedback.gamma2", "--values", "0,0.25", "--jobs", "2"]
-    )
-    assert code == 0
-    rows = (outdir / "sweep_summary.csv").read_text().strip().splitlines()
-    assert len(rows) == 3
+    assert main(["sweep", str(path), "--param", "run.record_every", "--values", "2"]) == 0
+    row = outdir / "record_every_2"
+    assert "record_every = 2\n" in (row / "resolved.cfg").read_text()
+    rerun = tmp_path / "rerun"
+    assert main(["run", str(row / "resolved.cfg"), "--out", str(rerun)]) == 0
+    assert (rerun / "energy.csv").read_bytes() == (row / "energy.csv").read_bytes()
+
+
+def test_sweep_row_with_explicit_xi_matches_run(tmp_path):
+    # the row keeps the configured xi = 0.3; the midpoint would be 0.5
+    text = BASE.replace("t_end = 2.0", "t_end = 0.5") + "\n[analysis]\nxi = 0.3\n"
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["sweep", str(path), "--param", "feedback.gamma2", "--values", "0.5"]) == 0
+    single = tmp_path / "single"
+    assert main(["run", str(path), "--out", str(single)]) == 0
+    row = outdir / "gamma2_0.5"
+    for name in ("energy.csv", "summary.txt"):
+        assert (row / name).read_bytes() == (single / name).read_bytes()
+
+
+def test_sweep_over_xi_records_each_value(tmp_path):
+    text = BASE.replace("t_end = 2.0", "t_end = 0.5")
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["sweep", str(path), "--param", "analysis.xi", "--values", "0.3,0.6"]) == 0
+    for xi in (0.3, 0.6):
+        resolved = (outdir / f"xi_{xi}" / "resolved.cfg").read_text()
+        assert parse_config(resolved).get("analysis", "xi") == xi
+        summary = (outdir / f"xi_{xi}" / "summary.txt").read_text()
+        assert f"xi = {xi:.17g}\n" in summary
 
 
 def test_analyze_assert_exit_five(tmp_path):

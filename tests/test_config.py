@@ -110,3 +110,13 @@ def test_comments_and_blank_lines():
     )
     cfg = parse_config(text)
     assert cfg.get("run", "t_end") == 1.0
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [("analysis", "xi = abc"), ("initial", "center = 0.5 half 0.5")],
+)
+def test_non_numeric_entry_is_a_config_error(section, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"line \d+ \({section}\.{key}\): expected"):
+        parse_config(MINIMAL + f"\n[{section}]\n{line}\n")

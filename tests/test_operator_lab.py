@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delayfdtd.domain import BoxDomain, build_grid
-from delayfdtd.errors import ConfigError, ContractError
+from delayfdtd.errors import ConfigError, ContractError, NumericalError
 from delayfdtd.feedback import FeedbackLaw, required_H_trace
 from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
@@ -13,6 +13,7 @@ from delayfdtd.operator_lab import (
     generator_constants,
     monotonicity_test,
     random_domain_state,
+    random_forcing,
     resolvent_solve,
     s_derivative,
     wepsilon_norm,
@@ -433,6 +434,24 @@ def test_random_domain_state_is_bit_identical_to_the_projection(boost):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
+def test_random_forcing_is_bit_identical_to_the_projection():
+    # zeroing the normal component by index gives the generic projection's
+    # bytes, sign bits included
+    grid = build_grid(BoxDomain((1.0, 0.75, 0.625), (8, 6, 5), (0.5, 0.375, 0.3125)))
+    eps = exponential_isotropic(grid, 1.0)
+    ops = build_operators(grid, eps, eps)
+    nu = grid.samples.normals[:, None, :]
+    for seed in range(3):
+        got = random_forcing(ops, 16, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        q = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
+        h = rng.standard_normal(ops.layout.n_h)
+        raw = rng.standard_normal((grid.samples.count, 17, 3))
+        Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
+        for name, ref in (("q", q), ("h", h), ("Z", Z)):
+            assert getattr(got, name).tobytes() == ref.tobytes()
+
+
 # -- resolvent core CG --------------------------------------------------------------
 
 def _superlu_reference(A):
@@ -503,6 +522,12 @@ def test_gap_tied_inner_stop_keeps_rounds_and_cuts_iterations(ops8, monkeypatch)
 
 # core CG iterations of this solve when each round started from the damped iterate
 DAMPED_START_CORE_ITERATIONS = 778
+
+
+def test_resolvent_rejects_a_forcing_that_is_not_divergence_free(ops8):
+    # only a projected F.q makes the solution divergence-free; the gate exits 4
+    with pytest.raises(NumericalError, match=r"not divergence-free: \|div\(eps E\)\| = "):
+        resolvent_solve(random_F(ops8, 16, seed=3, project=False), 2.0, ops8, LINEAR)
 
 
 def test_extrapolated_warm_start_keeps_rounds_and_cuts_iterations(ops8, monkeypatch):
