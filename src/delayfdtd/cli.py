@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import os
 import sys
 import traceback
@@ -41,7 +42,10 @@ def _load_config(path: str) -> Config:
 
 def _outdir(cfg: Config, override: str | None) -> Path:
     out = Path(override) if override else Path(cfg.get("output", "dir"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -166,11 +170,19 @@ def cmd_sweep(args) -> int:
         _parse_value("float" if kind == "xi" else kind, raw, f"--values for {args.param}")
         for raw in raw_values
     ]
+    rows: dict[str, float] = {}
+    for value in values:
+        name = f"{key}_{value:.6g}"
+        if name in rows:
+            raise ConfigError(
+                f"sweep values {rows[name]!r} and {value!r} share the row directory {name}"
+            )
+        rows[name] = value
 
     out_root = _outdir(cfg, args.out)
     lines = ["value,lambda_hat,r2,classification"]
-    for value in values:
-        out = out_root / f"{key}_{value:.6g}"
+    for name, value in rows.items():
+        out = out_root / name
         row = copy.deepcopy(cfg)
         row.set(section, key, value)
         validate_config(row)
@@ -178,7 +190,7 @@ def cmd_sweep(args) -> int:
             row.set("analysis", "xi", _resolved_xi_for(row))
         row.set("output", "dir", str(out))
         result = run_scenario(scenario_from_config(row))
-        out.mkdir(parents=True, exist_ok=True)
+        _outdir(row, None)
         info, _ = _write_run(row, result, out)
         lam = float(info.get("lambda_hat", float("nan")))
         r2 = float(info.get("fit_r2", float("nan")))
@@ -353,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the command owns the process: move the import-time heap into the
+        # permanent generation, so no later collection and no shutdown walks it
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -114,12 +114,6 @@ class Config:
             raise ConfigError(f"unknown parameter path {section}.{key}")
         self.data[section][key] = value
 
-    def set_path(self, path: str, value):
-        if "." not in path:
-            raise ConfigError(f"parameter path {path!r} must look like section.key")
-        section, key = path.split(".", 1)
-        self.set(section, key, value)
-
 
 def _parse_value(kind: str, raw: str, where: str):
     def check_finite(vals):

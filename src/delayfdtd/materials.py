@@ -62,7 +62,7 @@ class TensorField:
     def max_asymmetry(self) -> tuple[float, tuple]:
         gap = np.abs(self.values - np.swapaxes(self.values, -1, -2))
         idx = np.unravel_index(np.argmax(gap), gap.shape)
-        return float(gap[idx]), idx[:3]
+        return float(gap[idx]), tuple(int(i) for i in idx[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def check_assumption_geometry(
         cell = np.unravel_index(np.argmin(local), local.shape)
         if local[cell] < d1:
             d1 = float(local[cell])
-            worst_cell, worst_name = cell, name
+            worst_cell, worst_name = tuple(int(i) for i in cell), name
     report.d1 = d1
     report.beta = m.beta
     report.m_sup = m.m_sup

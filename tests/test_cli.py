@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -53,6 +54,24 @@ def test_check_exit_zero(tmp_path, capsys):
     assert "d1 = " in report
     assert "beta = 0.5" in report
     assert "box" in report  # geometry note
+
+
+def test_material_report_names_cells_as_plain_integers(tmp_path):
+    path, outdir = write_cfg(tmp_path, BASE)
+    assert main(["check", str(path)]) == 0
+    report = (outdir / "material_report.txt").read_text()
+    assert "max |A - A^T| = 0.000e+00 at cell (0, 0, 0))\n" in report
+    assert "worst cell (0, 0, 0) of eps)\n" in report
+    assert "np." not in report
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below_a_file"])
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, out):
+    path, _ = write_cfg(tmp_path, BASE)
+    (tmp_path / "afile").write_text("")
+    assert main(["check", str(path), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {tmp_path / out}: ")
 
 
 def test_check_exit_three_on_bad_materials(tmp_path):
@@ -346,6 +365,16 @@ def test_sweep_over_xi_records_each_value(tmp_path):
         assert parse_config(resolved).get("analysis", "xi") == xi
         summary = (outdir / f"xi_{xi}" / "summary.txt").read_text()
         assert f"xi = {xi:.17g}\n" in summary
+
+
+def test_sweep_values_that_share_a_row_directory_exit_two(tmp_path, capsys):
+    # both values print as gamma2_0.1 to six digits
+    path, outdir = write_cfg(tmp_path, BASE)
+    argv = ["sweep", str(path), "--param", "feedback.gamma2", "--values", "0.1000001,0.1000002"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "0.1000001" in err and "0.1000002" in err and "gamma2_0.1" in err
+    assert not outdir.exists()  # no row runs
 
 
 def test_analyze_assert_exit_five(tmp_path):
@@ -673,3 +702,51 @@ def test_run_table_law_end_to_end(tmp_path):
     trace = EnergyTrace.from_csv((outdir / "energy.csv").read_text())
     assert trace.E_xi[-1] < trace.E_xi[0]
     assert "classification = decaying" in (outdir / "summary.txt").read_text()
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_process_freezes_its_import_heap_and_main_with_argv_does_not(tmp_path):
+    path, _ = write_cfg(tmp_path, BASE)
+    code = (
+        "import gc, sys; from delayfdtd.cli import main; "
+        f"sys.argv = ['delayfdtd', 'check', {str(path)!r}]; "
+        "rc = main(); print(rc, gc.get_freeze_count())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    rc, frozen = out.stdout.split()[-2:]
+    assert rc == "0" and int(frozen) > 0
+    before = gc.get_freeze_count()
+    assert main(["check", str(path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_process_writes_the_same_bytes_as_main_with_argv(tmp_path):
+    # the freeze skips no finalizer that writes output: run and operator
+    # through sys.exit(main()) match the same commands through main(argv)
+    path, _ = write_cfg(tmp_path, BASE)
+    commands = {
+        "run": (["run", str(path)], ("energy.csv", "summary.txt", "resolved.cfg")),
+        "operator": (
+            ["operator", str(path), "--pairs", "2", "--m", "4"],
+            ("pairings.csv", "monotonicity_report.txt"),
+        ),
+    }
+    entry = "import sys; from delayfdtd.cli import main; sys.exit(main())"
+    for name, (argv, files) in commands.items():
+        console, inproc = tmp_path / f"{name}_console", tmp_path / f"{name}_inproc"
+        subprocess.run(
+            [sys.executable, "-c", entry, *argv, "--out", str(console)],
+            env=_src_env(), capture_output=True, check=True, timeout=120,
+        )
+        assert main([*argv, "--out", str(inproc)]) == 0
+        for f in files:
+            assert (console / f).read_bytes() == (inproc / f).read_bytes(), f

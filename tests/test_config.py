@@ -89,14 +89,12 @@ def test_scenario_construction():
     assert sc.analysis.xi is None  # auto
 
 
-def test_set_path():
+def test_set():
     cfg = parse_config(MINIMAL)
-    cfg.set_path("feedback.gamma2", 0.5)
+    cfg.set("feedback", "gamma2", 0.5)
     assert cfg.get("feedback", "gamma2") == 0.5
-    with pytest.raises(ConfigError):
-        cfg.set_path("feedback.nonsense", 1.0)
-    with pytest.raises(ConfigError):
-        cfg.set_path("gamma2", 1.0)
+    with pytest.raises(ConfigError, match="unknown parameter path feedback.nonsense"):
+        cfg.set("feedback", "nonsense", 1.0)
 
 
 def test_key_outside_section():
