@@ -59,6 +59,7 @@ def _write(path: Path, text: str):
 
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
+    out = _outdir(cfg, args.out)
     sc = scenario_from_config(cfg)
     grid = build_grid(sc.domain)
     eps = sc.eps.build(grid)
@@ -68,7 +69,6 @@ def cmd_check(args) -> int:
     lines = report.summary_lines()
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    out = _outdir(cfg, args.out)
     _write(out / "material_report.txt", text)
     if not report.passed:
         raise AssumptionError("material/geometry assumptions violated (see report)")
@@ -207,6 +207,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
+    out = _outdir(cfg, args.out)
     sc = scenario_from_config(cfg)
     trace = analysis.EnergyTrace.from_csv(_read(args.csv, "energy CSV"))
 
@@ -229,7 +230,6 @@ def cmd_analyze(args) -> int:
         analysis.dissipation_residual(trace) if len(trace.t) > 1 else analysis.NEED_TWO_RECORDS
     )
     text = _summary_text(info)
-    out = _outdir(cfg, args.out)
     _write(out / "certificates.txt", text)
     sys.stdout.write(text)
     if args.assert_certificates and failures:
@@ -261,6 +261,7 @@ def cmd_operator(args) -> int:
 
     _require_at_least_one(pairs=args.pairs, m=args.m)
     cfg = _load_config(args.config)
+    out = _outdir(cfg, args.out)
     sc, ops = _lab_setup(cfg)
     mono = constants(sc.law)
     k = operator_lab.generator_constants(
@@ -275,7 +276,6 @@ def cmd_operator(args) -> int:
         f"C_shift = {k.C_shift:.17g}",
     ]
     text = "\n".join(lines) + "\n"
-    out = _outdir(cfg, args.out)
     _write(out / "monotonicity_report.txt", text)
     _write(out / "pairings.csv", report.to_csv())
     sys.stdout.write(text)
@@ -289,6 +289,7 @@ def cmd_resolvent(args) -> int:
 
     _require_at_least_one(m=args.m)
     cfg = _load_config(args.config)
+    out = _outdir(cfg, args.out)
     sc, ops = _lab_setup(cfg)
     F = operator_lab.random_forcing(ops, args.m, np.random.default_rng(args.seed))
     result = operator_lab.resolvent_solve(F, args.b, ops, sc.law)
@@ -296,7 +297,6 @@ def cmd_resolvent(args) -> int:
     lines += [f"residual_{k} = {v:.6e}" for k, v in result.residual_parts.items()]
     lines.append(f"core_cg_iterations = {result.core_cg_iterations}")
     text = "\n".join(lines) + "\n"
-    out = _outdir(cfg, args.out)
     _write(out / "resolvent_report.txt", text)
     sys.stdout.write(text)
     if result.residual > 1e-8:

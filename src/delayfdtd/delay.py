@@ -111,12 +111,6 @@ class DelayRing:
 
     # -- quadrature ----------------------------------------------------------
 
-    def s_quadrature(self) -> np.ndarray:
-        """Trapezoid rule for the inner integral of |Z|^2 over s, per sample."""
-        Z = self.slots()
-        sq = np.einsum("jsi,jsi->js", Z, Z)
-        return (0.5 * sq[0] + sq[1:-1].sum(axis=0) + 0.5 * sq[-1]) / self.N
-
     def s_energy(self) -> np.ndarray:
         """Midpoint rule on adjacent-slot averages, per sample.
 

@@ -272,6 +272,8 @@ def monotonicity_test(
         norm2 = weighted_inner(diff, diff, ops, k.xi_op, law.tau, k.c_weight)
         pairing = C * norm2 + weighted_inner(adiff, diff, ops, k.xi_op, law.tau, k.c_weight)
         rows[i] = (pairing, norm2, pairing / norm2)
+        # the next pair is drawn with none of this pair's four states alive
+        del v1, v2, a1, a2, diff, adiff
     min_norm = float(np.min(rows[:, 2]))
     return PairingReport(
         min_normalized=min_norm, n_pairs=n_pairs, passed=min_norm >= -1e-10, pairings=rows
@@ -311,16 +313,25 @@ class ResolventResult:
 def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.ndarray:
     """Z(s_j) = e^{-tau b s_j} (w + tau * int_0^{s_j} F3 e^{tau b r} dr).
 
-    The integral uses the trapezoid rule on the s-nodes.
+    The integral uses the trapezoid rule on the s-nodes.  Formed in the
+    returned array, with one Z-sized temporary (the integrand).
     """
     M = F3.shape[1] - 1
     s_nodes = np.arange(M + 1) / M
-    growth = np.exp(tau * b * s_nodes)
-    integrand = F3 * growth[None, :, None]
+    growth = np.exp(tau * b * s_nodes)[None, :, None]
+    integrand = F3 * growth
     ds = 1.0 / M
-    incr = 0.5 * ds * (integrand[:, 1:] + integrand[:, :-1])
-    T = np.concatenate([np.zeros((F3.shape[0], 1, 3)), np.cumsum(incr, axis=1)], axis=1)
-    return (w[:, None, :] + tau * T) / growth[None, :, None]
+    Z = np.empty(F3.shape)
+    Z[:, 0] = 0.0
+    T = Z[:, 1:]
+    np.add(integrand[:, 1:], integrand[:, :-1], out=T)
+    del integrand
+    T *= 0.5 * ds
+    np.cumsum(T, axis=1, out=T)
+    Z *= tau
+    Z += w[:, None, :]
+    Z /= growth
+    return Z
 
 
 def _boundary_load(
@@ -367,18 +378,29 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
 
     b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
     part of the boundary load on the trace dofs; `resolvent_solve` solves
-    with it by CG (`CoreCG`), once per outer round.
+    with it by CG (`CoreCG`), once per outer round.  The two quadratic
+    parts are one weighted Gram product K^T diag(w) K of K = [C; div_eps],
+    and the two diagonal parts are added to its diagonal in place, so no
+    sum of sparse matrices is formed.  Returned as CSR, indices sorted.
     """
-    s = ops.grid.samples
-    bdry_diag = np.repeat(b * s.areas * _core_slope(law, b), 2)
-    idx = ops.trace_idx.ravel()
-    n = ops.layout.n_q
-    return (
-        b * b * sp.diags(ops.Wq_eps)
-        + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
-        + DIV_PENALTY * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
-        + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
+    K = sp.vstack([ops.C, ops.div_eps], format="csr")
+    Kt = K.T.tocsr()
+    w = np.concatenate(
+        [ops.Wf / ops.mu_f, np.full(ops.div_eps.shape[0], DIV_PENALTY * ops.node_weight)]
     )
+    # the weights go on the left factor: each curl term rounds as (C_ij w_i) C_ik
+    Kt.data *= w[Kt.indices]
+    del w
+    A = Kt @ K
+    del K, Kt
+    A.sort_indices()
+    # every diagonal entry is stored (each q dof is in a curl row, and w > 0),
+    # so setdiag writes in place
+    diag = A.diagonal()
+    diag += b * b * ops.Wq_eps
+    diag[ops.trace_idx.ravel()] += np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
+    A.setdiag(diag)
+    return A
 
 
 CORE_CG_MAX_ITER = 10000
@@ -475,6 +497,8 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
             raise NumericalError(
                 f"resolvent outer iteration failed: gap {gap:.3e} after {MAX_OUTER_ROUNDS} rounds"
             )
+    # the residual phase needs none of the core, its right-hand side or the iterates
+    del core, rhs, start, q_next, t_last, t_prev
     div_norm = float(np.max(np.abs(ops.div_eps @ q)))
     if div_norm > 1e-8:
         raise NumericalError(f"resolvent solution not divergence-free: |div(eps E)| = {div_norm:.3e}")
@@ -487,13 +511,18 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     AV = apply_generator(V, ops, law, check=False)
     r_E = b * q + AV.q - F.q
     r_H = b * h + AV.h - F.h
-    # transport part: the integrating-factor trapezoid identity the Z build used
+    del AV
+    # transport part: the integrating-factor trapezoid identity the Z build used,
+    # (Y_j - Y_{j-1}) - c G_j - c G_{j-1} with Y = Z growth, G = F3 growth, c = ds tau / 2
     growth = np.exp(tau * b * np.arange(M + 1) / M)[None, :, None]
-    Y = Z * growth
     ds = 1.0 / M
-    r_Z = (Y[:, 1:] - Y[:, :-1]) - 0.5 * ds * tau * (F.Z * growth)[:, 1:] - 0.5 * ds * tau * (
-        F.Z * growth
-    )[:, :-1]
+    Y = Z * growth
+    r_Z = Y[:, 1:] - Y[:, :-1]
+    G = np.multiply(F.Z, growth, out=Y)
+    G *= 0.5 * ds * tau
+    r_Z -= G[:, 1:]
+    r_Z -= G[:, :-1]
+    del Y, G
     scale = max(float(np.max(np.abs(F.q))), float(np.max(np.abs(F.h))), 1.0)
     parts = {
         "E": float(np.max(np.abs(r_E))) / scale,

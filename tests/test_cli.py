@@ -74,6 +74,30 @@ def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, out):
     assert err.startswith(f"configuration error: cannot create output directory {tmp_path / out}: ")
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("check", []), ("analyze", ["energy.csv"]), ("operator", ["--pairs", "1"]), ("resolvent", [])],
+    ids=["check", "analyze", "operator", "resolvent"],
+)
+def test_bad_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, extra):
+    from delayfdtd import operator_lab
+
+    def work_started(*args, **kwargs):
+        raise RuntimeError("work started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "full_report", work_started)
+    monkeypatch.setattr(operator_lab, "monotonicity_test", work_started)
+    monkeypatch.setattr(operator_lab, "resolvent_solve", work_started)
+    path, _ = write_cfg(tmp_path, BASE)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "energy.csv").write_text("t,E_weighted,E_plain,E_xi,D,flux\n0,1,1,1,0,0\n0.1,1,1,1,0,0\n")
+    args = [str(tmp_path / a) if a == "energy.csv" else a for a in extra]
+    assert main([command, str(path), *args, "--out", str(tmp_path / "afile" / "sub")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: cannot create output directory ")
+
+
 def test_check_exit_three_on_bad_materials(tmp_path):
     text = BASE + "\n[materials]\neps_kind = exponential_isotropic\neps_k = -10\n"
     path, _ = write_cfg(tmp_path, text)

@@ -81,28 +81,11 @@ def test_delay_tap_is_exact(n_slots, extra):
     assert np.array_equal(z1, expect)
 
 
-def test_s_quadrature_trapezoid_arithmetic():
-    # slots |Z(s_j)| = s_j with N = 4: trapezoid gives 0.34375, exact 1/3
-    ring = DelayRing(4, NORMALS[:1])
-    ring.fill(lambda s: np.array([[s, 0.0, 0.0]]))
-    got = ring.s_quadrature()[0]
-    assert got == pytest.approx(0.34375, abs=1e-15)
-    exact = 1.0 / 3.0
-    # trapezoid bound f''/12 * ds^2 * range = 1/96, attained exactly here
-    assert abs(got - exact) <= 1.0 / 96 + 1e-12
-
-
-def test_s_quadrature_constant_exact():
+def test_s_energy_constant_exact():
     w = np.array([[0.6, -0.8, 0.0]])
     ring = DelayRing(5, NORMALS[:1])
     ring.fill(np.broadcast_to(w, (1, 3)))
-    assert ring.s_quadrature()[0] == pytest.approx(1.0, abs=1e-15)
     assert ring.s_energy()[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_s_quadrature_zero():
-    ring = init_history("zero", 6, NORMALS)
-    assert np.array_equal(ring.s_quadrature(), np.zeros(3))
 
 
 def test_transport_residual_zero_for_shifts():

@@ -568,3 +568,76 @@ def test_banded_resolvent_keeps_outer_rounds(box, law, b, seed, outer, request):
     assert res.penalty == 1.0
     assert res.residual <= 1e-8
     assert max(res.residual_parts.values()) <= 1e-8
+
+
+# -- resolvent core assembly --------------------------------------------------------
+
+def four_term_core(ops, law, b):
+    """The core as the sum of its four terms, each a sparse matrix, returned as CSR."""
+    import scipy.sparse as sp
+
+    from delayfdtd.operator_lab import DIV_PENALTY, _core_slope
+
+    bdry_diag = np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
+    idx = ops.trace_idx.ravel()
+    n = ops.layout.n_q
+    return sp.csr_matrix(
+        b * b * sp.diags(ops.Wq_eps)
+        + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
+        + DIV_PENALTY * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
+        + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
+    )
+
+
+@pytest.mark.parametrize("b", [0.1, 2.0, 20.0])
+@pytest.mark.parametrize("law", [LINEAR, SATURATING, TABLE], ids=["linear", "saturating", "table"])
+def test_gram_core_matches_the_four_term_sum(ops8, ops_aniso_box, law, b):
+    from delayfdtd.operator_lab import resolvent_core
+
+    got, ref = resolvent_core(ops8, law, b), four_term_core(ops8, law, b)
+    assert got.format == "csr" and got.has_sorted_indices
+    # every product and sum is exact on the dyadic unit box
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    got, ref = resolvent_core(ops_aniso_box, law, b), four_term_core(ops_aniso_box, law, b)
+    ref.sort_indices()
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.max(np.abs(got.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peak over the call, in result bytes for the core, else in extended states
+@pytest.mark.parametrize("call, bound", [("core", 3.0), ("monotonicity", 5.0), ("resolvent", 6.0)])
+def test_lab_memory_stays_within_a_few_states(ops8, call, bound):
+    from delayfdtd.feedback import constants
+    from delayfdtd.operator_lab import resolvent_core
+
+    law, M = SATURATING, 16
+    mono = constants(law)
+    k = generator_constants(law.gamma1, law.gamma2, mono.c1, mono.c2, law.tau)
+    F = random_F(ops8, M, seed=6)
+    # anything built once per operator set is built before tracing
+    monotonicity_test(ops8, law, k, n_pairs=1, seed=0, M=M)
+    resolvent_solve(F, 2.0, ops8, law)
+    calls = {
+        "core": lambda: resolvent_core(ops8, law, 2.0),
+        "monotonicity": lambda: monotonicity_test(ops8, law, k, n_pairs=4, seed=0, M=M),
+        "resolvent": lambda: resolvent_solve(F, 2.0, ops8, law),
+    }
+    result, peak = _traced_peak(calls[call])
+    if call == "core":
+        unit = result.data.nbytes + result.indices.nbytes + result.indptr.nbytes
+    else:
+        unit = F.q.nbytes + F.h.nbytes + F.Z.nbytes
+    assert peak <= bound * unit
