@@ -109,47 +109,40 @@ def eval_g(law: FeedbackLaw, v: np.ndarray) -> np.ndarray:
 class MonotonicityConstants:
     c1: float
     c2: float
-    provenance: str  # "analytic" | "sampled"
 
     def __post_init__(self):
         if not (0 < self.c1 <= self.c2):
             raise ConfigError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
 
 
-def constants(law: FeedbackLaw, n_pairs: int = 100_000) -> MonotonicityConstants:
+def constants(law: FeedbackLaw) -> MonotonicityConstants:
     """Strong-monotonicity and Lipschitz constants of the law.
 
-    Shipped laws have analytic constants.  Table laws are estimated from
-    difference quotients over quasi-random pairs in the ball |v| <= 10
-    and rejected if the sampled monotonicity modulus is nonpositive.
+    g(v) = G(|v|) v/|v| has a symmetric Jacobian with eigenvalues G'(r)
+    (radial) and G(r)/r (tangential), so c1 = inf min(G', G/r) and
+    c2 = sup max(G', G/r).  A table's G is piecewise linear and G/r is
+    monotone on each segment, so both constants are the min and max over
+    the segment slopes and the knot ratios g_k/r_k; the last slope is also
+    the limit r -> inf.  A table must start at (0, 0), and a nonpositive
+    c1 is rejected.
     """
     if law.kind == "linear":
-        return MonotonicityConstants(law.a, law.a, "analytic")
+        return MonotonicityConstants(law.a, law.a)
     if law.kind == "saturating":
-        return MonotonicityConstants(law.a, law.a + law.b, "analytic")
-
-    from scipy.stats import qmc  # slow to import; only table laws need it
-
-    sampler = qmc.Sobol(d=6, scramble=True, seed=1905)
-    m = int(np.ceil(np.log2(max(n_pairs, 2))))
-    radius = 10.0
-    pts = sampler.random_base2(m) * 2.0 * radius - radius
-    u, v = pts[:, :3], pts[:, 3:]
-    keep = (np.linalg.norm(u, axis=1) <= radius) & (np.linalg.norm(v, axis=1) <= radius)
-    u, v = u[keep], v[keep]
-    du = u - v
-    norm2 = np.einsum("ij,ij->i", du, du)
-    ok = norm2 > 1e-20
-    u, v, du, norm2 = u[ok], v[ok], du[ok], norm2[ok]
-    dg = eval_g(law, u) - eval_g(law, v)
-    pair = np.einsum("ij,ij->i", dg, du)
-    c1 = float(np.min(pair / norm2))
-    c2 = float(np.max(np.linalg.norm(dg, axis=1) / np.sqrt(norm2)))
-    if c1 <= 0:
+        return MonotonicityConstants(law.a, law.a + law.b)
+    r = np.asarray(law.table_r, dtype=float)
+    g = np.asarray(law.table_g, dtype=float)
+    if r[0] != 0 or g[0] != 0:
         raise AssumptionError(
-            f"feedback table rejected: sampled monotonicity modulus c1 = {c1:.3e} <= 0"
+            f"feedback table rejected: it starts at ({r[0]:.6g}, {g[0]:.6g}), not (0, 0); below "
+            "its first radius the law holds g(r_0), so its slope there is 0 (c1 = 0), and a "
+            "nonzero g(r_0) makes |g(v)|/|v| unbounded near 0 (no finite c2)"
         )
-    return MonotonicityConstants(c1, c2, "sampled")
+    quotients = np.concatenate([np.diff(g) / np.diff(r), g[1:] / r[1:]])
+    c1, c2 = float(quotients.min()), float(quotients.max())
+    if c1 <= 0:
+        raise AssumptionError(f"feedback table rejected: monotonicity modulus c1 = {c1:.3e} <= 0")
+    return MonotonicityConstants(c1, c2)
 
 
 def boundary_drive(law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_03_dissipativity(run3):
 def test_criterion_04_two_sided_bound(run3):
     k = run3.diss
     assert (k.c1E, k.c2E) == (pytest.approx(0.25), pytest.approx(1.75))
-    rep = analysis.lemma31_check(run3.trace, k, slack=1.05, max_pairs=10_000)
+    rep = analysis.lemma31_check(run3.trace, k, slack=1.05)
     report(
         "4 two-sided dissipation bound",
         rep.passed and rep.n_pairs >= 10_000,

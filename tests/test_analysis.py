@@ -123,6 +123,47 @@ def test_lemma31_exact_exponential_pair():
     assert rep.passed
 
 
+def test_lemma31_finds_the_worst_pair_inside_a_short_window():
+    # D = 1, dt = 1, c1E/slack = 1: the adjacent upper margin is -1 - dE.
+    # Inside a 40-step window each adjacent margin is -1e-13 of E(0), which
+    # passes the 1e-12 tolerance alone; outside every margin is +1.  The
+    # window as a whole misses by 40 * 1e-13 = 4e-12 of E(0).
+    n, e0 = 5000, 1e4
+    t = np.arange(n, dtype=float)
+    window = (t[:-1] >= 2000) & (t[:-1] < 2040)
+    # R = E + int D falls by the adjacent margin at every step
+    R = e0 + np.concatenate([[0.0], np.cumsum(np.where(window, 1e-13 * e0, -1.0))])
+    trace = make_trace(t, R - t, np.ones(n))
+    k = DissipationConstants(0.5, 1.05, 3.0, (0.0, 1.0), 1, 0, 1, 1)
+    rep = lemma31_check(trace, k, slack=1.05)
+    assert not rep.passed
+    assert rep.worst_upper == pytest.approx(-4.0e-12, rel=1e-3)
+    assert rep.worst_lower > 0
+    assert rep.n_pairs == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lemma31_scan_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 201))
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+    t /= max(t[-1], 1.0)
+    E = rng.uniform(0.5, 1.5, n)
+    D = rng.uniform(0.0, 1.0, n)
+    k = DissipationConstants(0.5, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), (0.0, 1.0), 1, 0, 1, 1)
+    slack = 1.05
+    rep = lemma31_check(make_trace(t, E, D), k, slack=slack)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
+    i, j = np.triu_indices(n, k=1)
+    dE, integral = E[j] - E[i], cum[j] - cum[i]
+    upper = (-(k.c1E / slack) * integral - dE) / E[0]
+    lower = (dE + (k.c2E * slack) * integral) / E[0]
+    assert abs(rep.worst_upper - upper.min()) <= 1e-14
+    assert abs(rep.worst_lower - lower.min()) <= 1e-14
+    assert rep.n_pairs == len(i)
+    assert rep.passed == bool(upper.min() >= -1e-12 and lower.min() >= -1e-12)
+
+
 # -- observability ---------------------------------------------------------------
 
 def test_observability_constants_recipe():
@@ -138,10 +179,10 @@ def test_observability_constants_recipe():
 
 
 def test_observability_scaling_with_lambda_max():
-    base = observability_constants(1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25, weighted=False)
-    doubled = observability_constants(1.0, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25, weighted=False)
+    base = observability_constants(1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25)
+    doubled = observability_constants(1.0, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25)
     assert doubled.delta == pytest.approx(base.delta / 4.0)
-    assert doubled.c == pytest.approx(base.c * 2.0)
+    assert doubled.c / doubled.kappa == pytest.approx(base.c / base.kappa * 2.0)
 
 
 def test_observability_requires_d1():

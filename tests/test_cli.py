@@ -426,8 +426,8 @@ def test_run_zero_t_end_single_record(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a fresh process's import time; only table
-    # laws need it
+    # scipy.stats would cost most of a fresh process's import time, and
+    # nothing needs it
     code = "import sys, delayfdtd.cli; print('scipy.stats' in sys.modules)"
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -726,6 +726,39 @@ def test_run_table_law_end_to_end(tmp_path):
     trace = EnergyTrace.from_csv((outdir / "energy.csv").read_text())
     assert trace.E_xi[-1] < trace.E_xi[0]
     assert "classification = decaying" in (outdir / "summary.txt").read_text()
+
+
+def test_table_law_run_leaves_scipy_stats_unloaded(tmp_path):
+    table = tmp_path / "g.txt"
+    table.write_text("0 0\n1 1.5\n4 5\n")
+    path, _ = write_cfg(tmp_path, _table_cfg(table).replace("t_end = 2.0", "t_end = 0.1"))
+    code = (
+        "import sys; from delayfdtd.cli import main; "
+        f"rc = main(['run', {str(path)!r}]); print(rc, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        # exact c1 = 0.1 (the last slope) and c2 = 1: 0.1 < 0.5 * 1
+        ("0 0\n1 1\n10 10\n12 10.2\n", "the condition gamma1*c1 > gamma2*c2 fails"),
+        ("0.5 0.5\n1 1\n4 4\n", "feedback table rejected: it starts at (0.5, 0.5), not (0, 0)"),
+    ],
+    ids=["soft_tail", "off_origin"],
+)
+def test_run_table_law_without_admissible_constants_exits_three(tmp_path, capsys, rows, reason):
+    table = tmp_path / "g.txt"
+    table.write_text(rows)
+    path, _ = write_cfg(tmp_path, _table_cfg(table))
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violated:") and reason in err
 
 
 def _src_env() -> dict:

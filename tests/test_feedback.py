@@ -38,7 +38,7 @@ def test_eval_saturating_value():
 
 def test_constants_linear():
     k = constants(FeedbackLaw(kind="linear", a=2.0, gamma1=1.0, tau=0.25))
-    assert (k.c1, k.c2, k.provenance) == (2.0, 2.0, "analytic")
+    assert (k.c1, k.c2) == (2.0, 2.0)
 
 
 def test_constants_saturating_against_sampling_oracle():
@@ -72,13 +72,12 @@ def test_constants_saturating_against_sampling_oracle():
     assert np.max(lip_near) >= k.c2 - 0.01  # supremum approached at 0
 
 
-def test_table_law_sampled_constants(tmp_path):
+def test_table_law_constants_of_a_linear_table(tmp_path):
     path = tmp_path / "g.txt"
     rs = np.linspace(0, 12, 25)
     path.write_text("\n".join(f"{r} {1.5 * r}" for r in rs))
     law = load_table_law(path, gamma1=1.0, tau=0.25)
-    k = constants(law, n_pairs=20_000)
-    assert k.provenance == "sampled"
+    k = constants(law)
     assert k.c1 == pytest.approx(1.5, rel=1e-6)
     assert k.c2 == pytest.approx(1.5, rel=1e-6)
 
@@ -88,7 +87,40 @@ def test_table_law_decreasing_rejected(tmp_path):
     path.write_text("0 0\n1 -1\n10 -10\n")
     law = load_table_law(path, gamma1=1.0, tau=0.25)
     with pytest.raises(AssumptionError):
-        constants(law, n_pairs=5_000)
+        constants(law)
+
+
+@pytest.mark.parametrize(
+    "rs, gs, c1, c2",
+    [
+        # r + r/(1+r) on [0, 8]: the last slope is 1 + 1/78.75, the first 1.8
+        ([0.25 * i for i in range(33)], [0.25 * i + 0.25 * i / (1 + 0.25 * i) for i in range(33)],
+         1.0 + 1.0 / 78.75, 1.8),
+        # c1 is the last slope, continued past the table
+        ([0.0, 1.0, 10.0, 12.0], [0.0, 1.0, 10.0, 10.2], 0.1, 1.0),
+    ],
+    ids=["saturating_samples", "soft_tail"],
+)
+def test_table_law_exact_constants(rs, gs, c1, c2):
+    law = FeedbackLaw(kind="table", table_r=tuple(rs), table_g=tuple(gs), gamma1=1.0, tau=0.25)
+    k = constants(law)
+    assert abs(k.c1 - c1) <= 1e-12 and abs(k.c2 - c2) <= 1e-12
+    # every difference quotient lies in [c1, c2], out past the table too
+    rng = np.random.default_rng(5)
+    for scale in (0.1, rs[-1], 3 * rs[-1]):
+        u, v = scale * rng.uniform(-1, 1, (2, 20_000, 3))
+        du = u - v
+        n2 = np.einsum("ij,ij->i", du, du)
+        dg = eval_g(law, u) - eval_g(law, v)
+        assert np.all(np.einsum("ij,ij->i", dg, du) >= (k.c1 - 1e-9) * n2)
+        assert np.all(np.einsum("ij,ij->i", dg, dg) <= (k.c2 + 1e-9) ** 2 * n2)
+
+
+@pytest.mark.parametrize("r0, g0", [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5)])
+def test_table_law_must_start_at_the_origin(r0, g0):
+    law = FeedbackLaw(kind="table", table_r=(r0, 2.0, 4.0), table_g=(g0, 2.0, 4.0), gamma1=1.0, tau=0.25)
+    with pytest.raises(AssumptionError, match=f"starts at \\({r0:g}, {g0:g}\\), not \\(0, 0\\)"):
+        constants(law)
 
 
 @settings(max_examples=60, deadline=None)
