@@ -552,17 +552,3 @@ def dissipation_residual(trace: EnergyTrace) -> float:
     work = 0.5 * (trace.flux[1:] + trace.flux[:-1]) * np.diff(trace.t)
     scale = max(trace.E_xi[0], 1e-300)
     return float(np.max(np.abs(dE + work)) / scale)
-
-
-def xi_equivalence_bounds(trace: EnergyTrace, xi: float) -> tuple[float, float]:
-    """Pointwise check data for the norm equivalence of E and E_xi.
-
-    Returns the worst margins of
-        min(1, xi) * E <= E_xi <= max(1, xi) * E
-    where E is the trace's field+delay energy reconstructed with unit delay
-    weight: E = E_weighted + (E_xi - E_weighted)/xi.
-    """
-    e_one = trace.E_weighted + (trace.E_xi - trace.E_weighted) / xi
-    lower = trace.E_xi - min(1.0, xi) * e_one
-    upper = max(1.0, xi) * e_one - trace.E_xi
-    return float(lower.min()), float(upper.min())

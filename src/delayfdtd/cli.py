@@ -24,7 +24,7 @@ from .config import (
 from .domain import build_grid, multiplier_field
 from .errors import AssumptionError, CertificateError, ConfigError, ContractError, NumericalError
 from .feedback import constants
-from .materials import full_report
+from .materials import check_assumption_materials, full_report
 from .operators import build_operators
 from .solver import RunOutput, run as run_scenario
 
@@ -206,6 +206,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    _require_flag("T", args.T, args.T is None or np.isfinite(args.T), "finite")
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
     sc = scenario_from_config(cfg)
@@ -246,20 +247,26 @@ def _lab_setup(cfg: Config):
     grid = build_grid(sc.domain)
     eps = sc.eps.build(grid)
     mu = sc.mu.build(grid)
+    # well-posedness needs only these material checks; d1 and star shape serve decay
+    report = check_assumption_materials(eps, mu)
+    if not report.passed:
+        raise AssumptionError(f"material assumptions violated: {', '.join(report.failed)}")
     ops = build_operators(grid, eps, mu)
     return sc, ops
 
 
-def _require_at_least_one(**counts: int):
-    for name, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"--{name} must be at least 1, got {value}")
+def _require_flag(name: str, value, ok: bool, what: str):
+    """A command-line value out of its range is a configuration error, raised before any work."""
+    if not ok:
+        raise ConfigError(f"--{name} must be {what}, got {value}")
 
 
 def cmd_operator(args) -> int:
     from . import operator_lab  # the lab commands alone need it
 
-    _require_at_least_one(pairs=args.pairs, m=args.m)
+    _require_flag("pairs", args.pairs, args.pairs >= 1, "at least 1")
+    _require_flag("m", args.m, args.m >= 1, "at least 1")
+    _require_flag("seed", args.seed, args.seed >= 0, "non-negative")
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
     sc, ops = _lab_setup(cfg)
@@ -287,7 +294,9 @@ def cmd_operator(args) -> int:
 def cmd_resolvent(args) -> int:
     from . import operator_lab
 
-    _require_at_least_one(m=args.m)
+    _require_flag("m", args.m, args.m >= 1, "at least 1")
+    _require_flag("seed", args.seed, args.seed >= 0, "non-negative")
+    _require_flag("b", args.b, 0 < args.b < np.inf, "positive and finite")
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
     sc, ops = _lab_setup(cfg)

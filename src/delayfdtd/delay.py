@@ -169,21 +169,3 @@ def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
     vals[j[last], sid[last]] = data[last, 3:6]
     ring.fill(lambda s: vals[round(s * n_slots)])
     return ring
-
-
-def transport_residual(snapshots: list[np.ndarray], dt: float, tau: float) -> float:
-    """Residual of tau dZ/dt + dZ/ds = 0 across consecutive ring snapshots.
-
-    Each snapshot is a (N+1, n_samples, 3) logical-slot array.  With the
-    shift convention (slot j at step n+1 equals slot j-1 at step n) the
-    residual vanishes identically; a corrupted slot shows up localized.
-    """
-    if len(snapshots) < 2:
-        raise ContractError("need at least two consecutive snapshots")
-    N = snapshots[0].shape[0] - 1
-    worst = 0.0
-    for prev, cur in zip(snapshots[:-1], snapshots[1:]):
-        dt_term = tau * (cur[1:] - prev[1:]) / dt
-        ds_term = (prev[1:] - prev[:-1]) * N
-        worst = max(worst, float(np.max(np.abs(dt_term + ds_term))))
-    return worst

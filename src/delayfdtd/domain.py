@@ -121,7 +121,6 @@ class SampleSet:
     tangents: np.ndarray  # (S, 2) tangential axes
     cells: np.ndarray  # (S, 3) owning cell index
     vol_mass: np.ndarray  # (S, 2) per-component volume weight
-    face_slices: dict = field(default_factory=dict)  # face id -> (start, n1, n2)
     cross: TangentCross = field(init=False, repr=False)  # t x nu and nu x w
 
     def __post_init__(self):
@@ -130,14 +129,6 @@ class SampleSet:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
-
-    def to_vectors(self, comps: np.ndarray) -> np.ndarray:
-        """Expand (S, 2) tangential components into tangential 3-vectors."""
-        out = np.zeros((self.count, 3))
-        rows = np.arange(self.count)
-        out[rows, self.tangents[:, 0]] = comps[:, 0]
-        out[rows, self.tangents[:, 1]] = comps[:, 1]
-        return out
 
     def to_components(self, vectors: np.ndarray) -> np.ndarray:
         """Project tangential 3-vectors onto the per-face tangent axes."""
@@ -163,15 +154,6 @@ class YeeGrid:
     def spacings(self) -> tuple[float, float, float]:
         return self.domain.spacings
 
-    def edge_counts(self) -> dict[str, int]:
-        """Full per-family edge counts, boundary-sited edges included."""
-        nx, ny, nz = self.shape
-        return {
-            "x": nx * (ny + 1) * (nz + 1),
-            "y": (nx + 1) * ny * (nz + 1),
-            "z": (nx + 1) * (ny + 1) * nz,
-        }
-
     def cell_centers(self) -> np.ndarray:
         """(nx, ny, nz, 3) array of cell-center coordinates."""
         nx, ny, nz = self.shape
@@ -189,13 +171,10 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
     d = domain.spacings
     L = domain.lengths
 
-    faces, face_slices = [], {}
-    start = 0
-    for fid, (axis, side) in enumerate(FACES):
+    faces = []
+    for axis, side in FACES:
         t1, t2 = tangent_axes(axis)
         n1, n2 = n[t1], n[t2]
-        face_slices[fid] = (start, n1, n2)
-        start += n1 * n2
         # sample u * n2 + v of the face owns the cell at (u, v) on its tangent axes
         u, v = (g.ravel() for g in np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij"))
         positions = np.zeros((u.size, 3))
@@ -227,10 +206,7 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
             ),
         })
 
-    samples = SampleSet(
-        **{name: np.concatenate([f[name] for f in faces]) for name in faces[0]},
-        face_slices=face_slices,
-    )
+    samples = SampleSet(**{name: np.concatenate([f[name] for f in faces]) for name in faces[0]})
     return YeeGrid(domain=domain, samples=samples)
 
 

@@ -159,8 +159,13 @@ class MaterialReport:
     notes: tuple[str, ...] = (BOX_GEOMETRY_NOTE,)
 
     @property
+    def failed(self) -> list[str]:
+        """Names of the failed checks, in report order."""
+        return [name for name, (ok, _) in self.checks.items() if not ok]
+
+    @property
     def passed(self) -> bool:
-        return all(ok for ok, _ in self.checks.values())
+        return not self.failed
 
     def merge(self, other: "MaterialReport") -> "MaterialReport":
         out = MaterialReport(

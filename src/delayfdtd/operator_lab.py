@@ -168,6 +168,14 @@ def apply_generator(
     _require_diagonal(ops)
     if check:
         v.validate(ops)
+    Aq, Ah = _field_image(v, ops, law)
+    AZ = s_derivative(v.Z, c_weight)
+    AZ /= law.tau
+    return ExtState(q=Aq, h=Ah, Z=AZ)
+
+
+def _field_image(v: ExtState, ops: Operators, law: FeedbackLaw) -> tuple[np.ndarray, np.ndarray]:
+    """The E and H parts of the generator image; of Z it reads only Z|s=1."""
     s = ops.grid.samples
     w = ops.boundary_trace_w(v.q)
     z1 = v.Z[:, -1]
@@ -179,9 +187,7 @@ def apply_generator(
     Aq /= ops.eps_q
     Ah = ops.C @ v.q
     Ah /= ops.mu_f
-    AZ = s_derivative(v.Z, c_weight)
-    AZ /= law.tau
-    return ExtState(q=Aq, h=Ah, Z=AZ)
+    return Aq, Ah
 
 
 @dataclass(frozen=True)
@@ -281,22 +287,6 @@ def monotonicity_test(
 
 
 # ---------------------------------------------------------------------------
-# W_eps norm
-# ---------------------------------------------------------------------------
-
-def wepsilon_norm(q: np.ndarray, ops: Operators) -> float:
-    """Squared graph norm: |E|^2 + |curl E|^2 + |div(eps E)|^2 + trace term."""
-    val = _dot(ops.Wq * q, q)
-    curl = ops.C @ q
-    val += _dot(ops.Wf * curl, curl)
-    div = ops.div_eps @ q
-    val += ops.node_weight * _dot(div, div)
-    t = ops.trace_vectors(q)
-    val += _dot(ops.grid.samples.areas, np.einsum("ij,ij->i", t, t))
-    return val
-
-
-# ---------------------------------------------------------------------------
 # Resolvent
 # ---------------------------------------------------------------------------
 
@@ -310,28 +300,39 @@ class ResolventResult:
     core_cg_iterations: int  # summed over every CoreCG solve
 
 
+def _trapezoid_cells(F3: np.ndarray, tau: float, b: float, out: np.ndarray | None = None):
+    """(cells, growth): growth = e^{tau b s} on the s-nodes, and the trapezoid
+    cells ds (I_{j-1} + I_j) / 2 of I = F3 growth, formed in `out` if given."""
+    M = F3.shape[1] - 1
+    growth = np.exp(tau * b * (np.arange(M + 1) / M))[None, :, None]
+    integrand = F3 * growth
+    cells = np.add(integrand[:, 1:], integrand[:, :-1], out=out)
+    del integrand
+    cells *= 0.5 * (1.0 / M)
+    return cells, growth
+
+
 def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.ndarray:
     """Z(s_j) = e^{-tau b s_j} (w + tau * int_0^{s_j} F3 e^{tau b r} dr).
 
     The integral uses the trapezoid rule on the s-nodes.  Formed in the
     returned array, with one Z-sized temporary (the integrand).
     """
-    M = F3.shape[1] - 1
-    s_nodes = np.arange(M + 1) / M
-    growth = np.exp(tau * b * s_nodes)[None, :, None]
-    integrand = F3 * growth
-    ds = 1.0 / M
     Z = np.empty(F3.shape)
     Z[:, 0] = 0.0
-    T = Z[:, 1:]
-    np.add(integrand[:, 1:], integrand[:, :-1], out=T)
-    del integrand
-    T *= 0.5 * ds
+    T, growth = _trapezoid_cells(F3, tau, b, out=Z[:, 1:])
     np.cumsum(T, axis=1, out=T)
     Z *= tau
     Z += w[:, None, :]
     Z /= growth
     return Z
+
+
+def _z_tail(F3: np.ndarray, tau: float, b: float) -> np.ndarray:
+    """tau int_0^1 F3 e^{tau b r} dr, its cells summed in the order `cumsum` adds
+    them: bit for bit `_z_from_formula` at s = 1 with w = 0, times e^{tau b}."""
+    cells, growth = _trapezoid_cells(F3, tau, b)
+    return cells.sum(axis=1) * tau / growth[:, -1] / float(np.exp(-tau * b))
 
 
 def _boundary_load(
@@ -454,14 +455,12 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     NumericalError.
     """
     _require_diagonal(ops)
-    if b <= 0:
-        raise ConfigError("resolvent shift b must be positive")
-    s = ops.grid.samples
+    if not 0 < b < np.inf:
+        raise ConfigError(f"resolvent shift b must be positive and finite, got {b}")
     M = F.Z.shape[1] - 1
     tau = law.tau
 
-    # the w-independent part of Z|s=1, divided by e^{-tau b}
-    tail = _z_from_formula(np.zeros((s.count, 3)), F.Z, tau, b)[:, -1, :] / float(np.exp(-tau * b))
+    tail = _z_tail(F.Z, tau, b)
     rhs = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
     core = CoreCG(resolvent_core(ops, law, b), "resolvent core")
@@ -508,10 +507,10 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     Z = _z_from_formula(w, F.Z, tau, b)
     V = ExtState(q=q, h=h, Z=Z)
 
-    AV = apply_generator(V, ops, law, check=False)
-    r_E = b * q + AV.q - F.q
-    r_H = b * h + AV.h - F.h
-    del AV
+    Aq, Ah = _field_image(V, ops, law)
+    r_E = b * q + Aq - F.q
+    r_H = b * h + Ah - F.h
+    del Aq, Ah
     # transport part: the integrating-factor trapezoid identity the Z build used,
     # (Y_j - Y_{j-1}) - c G_j - c G_{j-1} with Y = Z growth, G = F3 growth, c = ds tau / 2
     growth = np.exp(tau * b * np.arange(M + 1) / M)[None, :, None]
@@ -539,13 +538,3 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
         penalty=DIV_PENALTY,
         core_cg_iterations=core_its,
     )
-
-
-def form_pairing(q1: np.ndarray, q2: np.ndarray, dq: np.ndarray, b: float, ops: Operators, law: FeedbackLaw, F3_tail: np.ndarray) -> float:
-    """<B q1 - B q2, dq> for the resolvent form (strong monotonicity probe).
-
-    B q is the core applied to q plus the load the core does not hold.
-    """
-    delta = resolvent_core(ops, law, b) @ (q1 - q2)
-    delta += _load_off_core(ops, law, b, q1, F3_tail) - _load_off_core(ops, law, b, q2, F3_tail)
-    return _dot(delta, dq)

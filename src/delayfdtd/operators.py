@@ -12,11 +12,12 @@ components (matrix R folded into C).  The face-to-edge curl is defined as the
 quadrature-weighted adjoint G = Wq^-1 C^T Wf, which reproduces the textbook
 interior stencil and closes boundary rows with one-sided half-cell
 differences.  Because G is built as an exact adjoint, the discrete integration
-by parts
+by parts, with the curl of H closed by boundary trace data hG,
 
-    sum_f Wf (C q) . H  -  sum_q Wq q . curl_h(H, hG)  =  sum_Gamma dA hG . t
+    sum_f Wf (C q) . H  -  sum_q Wq q . (G H - J hG)  =  sum_Gamma dA hG . t
 
-holds to round-off for any boundary trace data hG, which is the backbone of
+holds to round-off for any hG (J puts dA / Wq times the tangential components
+of hG on the trace slots; t is the tangential E), which is the backbone of
 every energy identity in the package.
 
 The stencils are Kronecker products of 1-D factors (forward differences
@@ -76,22 +77,6 @@ class FieldLayout:
         self.n_q = self.trace_offset + 2 * self.n_samples
         self.face_offsets, self.n_h = _offsets(self.face_shapes)
         self.full_edge_offsets, self.n_full_edges = _offsets(self.full_edge_shapes)
-
-    def split_h(self, h: np.ndarray):
-        out = []
-        for c in EDGE_COMPS:
-            o = self.face_offsets[c]
-            n = int(np.prod(self.face_shapes[c]))
-            out.append(h[o : o + n].reshape(self.face_shapes[c]))
-        return tuple(out)
-
-    def split_full_edges(self, vec: np.ndarray):
-        out = []
-        for c in EDGE_COMPS:
-            o = self.full_edge_offsets[c]
-            n = int(np.prod(self.full_edge_shapes[c]))
-            out.append(vec[o : o + n].reshape(self.full_edge_shapes[c]))
-        return tuple(out)
 
     def trace_view(self, q: np.ndarray) -> np.ndarray:
         return q[self.trace_offset :].reshape(self.n_samples, 2)
@@ -276,38 +261,9 @@ class Operators:
     grad_int: sp.csr_matrix  # q <- interior nodes, gradient of node functions
     node_weight: float
 
-    # -- basic applications ---------------------------------------------------
-
-    def curl_h(self, h: np.ndarray, h_trace: np.ndarray | None = None) -> np.ndarray:
-        """Curl of H at E-side sites, closed with the boundary trace H x nu."""
-        out = self.G @ h
-        if h_trace is not None:
-            out = out + self.inject_trace(h_trace)
-        return out
-
-    def inject_trace(self, h_trace: np.ndarray) -> np.ndarray:
-        """Boundary forcing of a trace field H x nu, as a q-sized vector."""
-        comps = self.grid.samples.to_components(np.asarray(h_trace, dtype=float))
-        out = np.zeros(self.layout.n_q)
-        out[self.trace_idx] = -self.inj_scale * comps
-        return out
-
-    def trace_vectors(self, q: np.ndarray) -> np.ndarray:
-        """Tangential E at the samples as 3-vectors."""
-        return self.grid.samples.to_vectors(self.layout.trace_view(q))
-
     def boundary_trace_w(self, q: np.ndarray) -> np.ndarray:
         """The trace E x nu at the samples."""
         return self.grid.samples.cross.cross_nu(self.layout.trace_view(q))
-
-    def green_residual(self, q: np.ndarray, h: np.ndarray, h_trace: np.ndarray) -> float:
-        """Relative defect of the discrete integration-by-parts identity."""
-        lhs = float(np.dot(self.Wf * (self.C @ q), h))
-        mid = float(np.dot(self.Wq * q, self.curl_h(h, h_trace)))
-        t = self.trace_vectors(q)
-        flux = float(np.sum(self.grid.samples.areas * np.einsum("ij,ij->i", h_trace, t)))
-        scale = max(abs(lhs), abs(mid), abs(flux), 1e-300)
-        return abs(lhs - mid - flux) / scale
 
 
 def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operators:
@@ -455,17 +411,6 @@ def edge_positions(grid: YeeGrid, comp: str) -> np.ndarray:
     return np.stack([X, Y, Z], axis=-1)
 
 
-def face_positions(grid: YeeGrid, comp: str) -> np.ndarray:
-    shape = FieldLayout(grid).face_shapes[comp]
-    axis = EDGE_COMPS.index(comp)
-    coords = []
-    for a, d_a in enumerate(grid.spacings):
-        idx = np.arange(shape[a])
-        coords.append(idx * d_a if a == axis else (idx + 0.5) * d_a)
-    X, Y, Z = np.meshgrid(*coords, indexing="ij")
-    return np.stack([X, Y, Z], axis=-1)
-
-
 def sample_vector_field(ops: Operators, func) -> np.ndarray:
     """Sample a vector field onto the packed E-side vector q.
 
@@ -484,14 +429,3 @@ def sample_vector_field(ops: Operators, func) -> np.ndarray:
     vals = np.asarray(func(s.positions))
     q[ops.trace_idx] = np.take_along_axis(vals, s.tangents, axis=1)
     return q
-
-
-def sample_face_field(ops: Operators, func) -> np.ndarray:
-    layout = ops.layout
-    h = np.zeros(layout.n_h)
-    for c in EDGE_COMPS:
-        pos = face_positions(ops.grid, c)
-        vals = np.asarray(func(pos))[..., EDGE_COMPS.index(c)]
-        o = layout.face_offsets[c]
-        h[o : o + vals.size] = vals.ravel()
-    return h

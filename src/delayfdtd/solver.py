@@ -473,8 +473,7 @@ def run(scenario: Scenario) -> RunOutput:
     m = multiplier_field(grid, scenario.domain.x0)
     report = full_report(eps, mu, m, grid)
     if not report.passed and not scenario.run.unsafe:
-        failed = [name for name, (ok, _) in report.checks.items() if not ok]
-        raise AssumptionError(f"material/geometry assumptions violated: {', '.join(failed)}")
+        raise AssumptionError(f"material/geometry assumptions violated: {', '.join(report.failed)}")
 
     law = scenario.law
     dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, law.tau)

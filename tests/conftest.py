@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from delayfdtd.analysis import _dot
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.materials import constant_isotropic
-from delayfdtd.operators import build_operators
+from delayfdtd.operator_lab import _load_off_core, resolvent_core
+from delayfdtd.operators import EDGE_COMPS, FieldLayout, build_operators
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,126 @@ def random_tangential(ops, rng, shape=()):
     raw = rng.standard_normal(shape + (s.count, 3))
     nu = np.broadcast_to(s.normals, raw.shape)
     return raw - np.einsum("...i,...i->...", raw, nu)[..., None] * nu
+
+
+# -- reference helpers that only the tests need ---------------------------------
+
+def split_h(layout, h):
+    """The three face families of a packed H-side vector, as arrays."""
+    out = []
+    for c in EDGE_COMPS:
+        o = layout.face_offsets[c]
+        n = int(np.prod(layout.face_shapes[c]))
+        out.append(h[o : o + n].reshape(layout.face_shapes[c]))
+    return tuple(out)
+
+
+def split_full_edges(layout, vec):
+    """The three full edge families of a vector in the range of R, as arrays."""
+    out = []
+    for c in EDGE_COMPS:
+        o = layout.full_edge_offsets[c]
+        n = int(np.prod(layout.full_edge_shapes[c]))
+        out.append(vec[o : o + n].reshape(layout.full_edge_shapes[c]))
+    return tuple(out)
+
+
+def to_vectors(samples, comps):
+    """Expand (S, 2) tangential components into tangential 3-vectors."""
+    out = np.zeros((samples.count, 3))
+    rows = np.arange(samples.count)
+    out[rows, samples.tangents[:, 0]] = comps[:, 0]
+    out[rows, samples.tangents[:, 1]] = comps[:, 1]
+    return out
+
+
+def inject_trace(ops, h_trace):
+    """Boundary forcing of a trace field H x nu, as a q-sized vector."""
+    comps = ops.grid.samples.to_components(np.asarray(h_trace, dtype=float))
+    out = np.zeros(ops.layout.n_q)
+    out[ops.trace_idx] = -ops.inj_scale * comps
+    return out
+
+
+def curl_h(ops, h, h_trace=None):
+    """Curl of H at E-side sites, closed with the boundary trace H x nu."""
+    out = ops.G @ h
+    if h_trace is not None:
+        out = out + inject_trace(ops, h_trace)
+    return out
+
+
+def trace_vectors(ops, q):
+    """Tangential E at the samples as 3-vectors."""
+    return to_vectors(ops.grid.samples, ops.layout.trace_view(q))
+
+
+def green_residual(ops, q, h, h_trace):
+    """Relative defect of the discrete integration-by-parts identity."""
+    lhs = float(np.dot(ops.Wf * (ops.C @ q), h))
+    mid = float(np.dot(ops.Wq * q, curl_h(ops, h, h_trace)))
+    t = trace_vectors(ops, q)
+    flux = float(np.sum(ops.grid.samples.areas * np.einsum("ij,ij->i", h_trace, t)))
+    scale = max(abs(lhs), abs(mid), abs(flux), 1e-300)
+    return abs(lhs - mid - flux) / scale
+
+
+def face_positions(grid, comp):
+    """Coordinates of the face centers of one family."""
+    shape = FieldLayout(grid).face_shapes[comp]
+    axis = EDGE_COMPS.index(comp)
+    coords = []
+    for a, d_a in enumerate(grid.spacings):
+        idx = np.arange(shape[a])
+        coords.append(idx * d_a if a == axis else (idx + 0.5) * d_a)
+    X, Y, Z = np.meshgrid(*coords, indexing="ij")
+    return np.stack([X, Y, Z], axis=-1)
+
+
+def sample_face_field(ops, func):
+    """Sample a vector field onto the packed H-side vector: each face family
+    takes its own component at the face centers."""
+    layout = ops.layout
+    h = np.zeros(layout.n_h)
+    for c in EDGE_COMPS:
+        pos = face_positions(ops.grid, c)
+        vals = np.asarray(func(pos))[..., EDGE_COMPS.index(c)]
+        o = layout.face_offsets[c]
+        h[o : o + vals.size] = vals.ravel()
+    return h
+
+
+def wepsilon_norm(q, ops):
+    """Squared graph norm: |E|^2 + |curl E|^2 + |div(eps E)|^2 + trace term."""
+    val = _dot(ops.Wq * q, q)
+    curl = ops.C @ q
+    val += _dot(ops.Wf * curl, curl)
+    div = ops.div_eps @ q
+    val += ops.node_weight * _dot(div, div)
+    t = trace_vectors(ops, q)
+    val += _dot(ops.grid.samples.areas, np.einsum("ij,ij->i", t, t))
+    return val
+
+
+def form_pairing(q1, q2, dq, b, ops, law, F3_tail):
+    """<B q1 - B q2, dq> for the resolvent form (strong monotonicity probe).
+
+    B q is the core applied to q plus the load the core does not hold.
+    """
+    delta = resolvent_core(ops, law, b) @ (q1 - q2)
+    delta += _load_off_core(ops, law, b, q1, F3_tail) - _load_off_core(ops, law, b, q2, F3_tail)
+    return _dot(delta, dq)
+
+
+def xi_equivalence_bounds(trace, xi):
+    """Pointwise check data for the norm equivalence of E and E_xi.
+
+    Returns the worst margins of
+        min(1, xi) * E <= E_xi <= max(1, xi) * E
+    where E is the trace's field+delay energy reconstructed with unit delay
+    weight: E = E_weighted + (E_xi - E_weighted)/xi.
+    """
+    e_one = trace.E_weighted + (trace.E_xi - trace.E_weighted) / xi
+    lower = trace.E_xi - min(1.0, xi) * e_one
+    upper = max(1.0, xi) * e_one - trace.E_xi
+    return float(lower.min()), float(upper.min())

@@ -16,7 +16,7 @@ from delayfdtd.analysis import (
 )
 from delayfdtd.delay import DelayRing, init_history
 from delayfdtd.errors import AssumptionError, ConfigError, ContractError
-from delayfdtd.operators import sample_face_field, sample_vector_field
+from delayfdtd.operators import sample_vector_field
 
 
 def make_trace(t, E_xi, D, flux=None, E_w=None):

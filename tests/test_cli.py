@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,67 @@ def test_lab_counts_below_one_exit_two_and_name_the_argument(tmp_path, capsys, c
     assert not outdir.exists()
 
 
+def _growing_trace_csv(path):
+    """An energy trace that grows with no damping, in the columns analyze reads."""
+    rows = ["t,E_weighted,E_plain,E_xi,D,flux"]
+    for ti in np.linspace(0.0, 10.0, 50):
+        e = 1.0 + ti
+        rows.append(f"{ti:.17g},{e:.17g},{e:.17g},{e:.17g},0,0")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, what",
+    [("analyze", "--T", "inf", "finite"), ("analyze", "--T", "nan", "finite"),
+     ("resolvent", "--b", "nan", "positive and finite"),
+     ("resolvent", "--b", "inf", "positive and finite"),
+     ("operator", "--seed", "-1", "non-negative"), ("resolvent", "--seed", "-1", "non-negative")],
+)
+def test_out_of_range_flags_exit_two_before_any_work(tmp_path, capsys, command, flag, value, what):
+    path, outdir = write_cfg(tmp_path, BASE)
+    extra = {"analyze": [str(_growing_trace_csv(tmp_path / "grow.csv"))], "operator": ["--pairs", "1"]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(path), *extra.get(command, []), flag, value])
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"configuration error: {flag} must be {what}, got {value}\n"
+    assert not outdir.exists()
+
+
+# a 6^3 saturating lab config; [materials] is appended per test
+LAB6 = BASE.replace("nx = 8\nny = 8\nnz = 8", "nx = 6\nny = 6\nnz = 6").replace(
+    "kind = linear\na = 1.0\ngamma1 = 1.0\ngamma2 = 0.5",
+    "kind = saturating\na = 1.0\nb = 1.0\ngamma1 = 1.0\ngamma2 = 0.25",
+)
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("operator", ["--pairs", "2"]), ("resolvent", [])], ids=["operator", "resolvent"]
+)
+def test_lab_rejects_materials_that_are_not_positive_definite(tmp_path, capsys, command, extra):
+    path, outdir = write_cfg(tmp_path, LAB6 + "\n[materials]\neps_value = -1.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(path), *extra])
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (3, "", [])
+    assert err == "assumption violated: material assumptions violated: positive_definite\n"
+    assert not (outdir / "monotonicity_report.txt").exists()
+    assert not (outdir / "resolvent_report.txt").exists()
+
+
+def test_lab_runs_where_only_the_decay_hypotheses_fail(tmp_path, capsys):
+    # eps = exp(-10 x) is symmetric positive definite, but its growth bound d1 is
+    # negative: `check` exits 3, and the lab, which needs no decay estimate, runs
+    path, outdir = write_cfg(tmp_path, LAB6 + "\n[materials]\neps_kind = exponential_isotropic\neps_k = -10.0\n")
+    assert main(["check", str(path)]) == 3
+    assert "check.growth_bound = FAIL" in capsys.readouterr().out
+    assert main(["operator", str(path), "--pairs", "2"]) == 0
+    assert "passed = True" in (outdir / "monotonicity_report.txt").read_text()
+
+
 def test_lab_commands_take_one_delay_cell(tmp_path):
     path, outdir = write_cfg(tmp_path, BASE)
     assert main(["operator", str(path), "--pairs", "1", "--m", "1"]) == 0
@@ -404,13 +466,7 @@ def test_sweep_values_that_share_a_row_directory_exit_two(tmp_path, capsys):
 def test_analyze_assert_exit_five(tmp_path):
     # a trace that grows with no damping violates the two-sided bound
     path, outdir = write_cfg(tmp_path, BASE)
-    t = np.linspace(0.0, 10.0, 50)
-    rows = ["t,E_weighted,E_plain,E_xi,D,flux"]
-    for ti in t:
-        e = 1.0 + ti
-        rows.append(f"{ti:.17g},{e:.17g},{e:.17g},{e:.17g},0,0")
-    csv = tmp_path / "grow.csv"
-    csv.write_text("\n".join(rows) + "\n")
+    csv = _growing_trace_csv(tmp_path / "grow.csv")
     assert main(["analyze", str(path), str(csv)]) == 0  # report-only by default
     assert main(["analyze", str(path), str(csv), "--assert"]) == 5
 

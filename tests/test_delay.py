@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayfdtd.delay import DelayRing, init_history, load_history_csv, transport_residual
+from delayfdtd.delay import DelayRing, init_history, load_history_csv
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError, ContractError
 
@@ -88,30 +88,26 @@ def test_s_energy_constant_exact():
     assert ring.s_energy()[0] == pytest.approx(1.0, abs=1e-15)
 
 
+def assert_exact_shifts(snaps):
+    """Each push moves logical slots 0..N-1 to 1..N unchanged.
+
+    With tau = N dt this is the exact solution of tau dZ/dt + dZ/ds = 0 on
+    the s-nodes, so the transport residual vanishes identically.
+    """
+    for prev, cur in zip(snaps[:-1], snaps[1:]):
+        assert np.array_equal(cur[1:], prev[:-1])
+
+
 def test_transport_residual_zero_for_shifts():
     rng = np.random.default_rng(0)
     ring = init_history("zero", 5, NORMALS)
     snaps = [ring.slots().copy()]
-    dt = 0.05
-    tau = 5 * dt
     for _ in range(8):
         raw = rng.standard_normal((3, 3))
         w = np.stack([tangential(raw[i], NORMALS[i]) for i in range(3)])
         ring.advance(w)
         snaps.append(ring.slots().copy())
-    assert transport_residual(snaps, dt, tau) <= 1e-14
-
-
-def test_transport_residual_detects_corruption():
-    ring = init_history("zero", 5, NORMALS)
-    w = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
-    snaps = [ring.slots().copy()]
-    ring.advance(w)
-    snap = ring.slots().copy()
-    snap[3, 1] += 0.5  # corrupt one slot
-    snaps.append(snap)
-    res = transport_residual(snaps, 0.05, 0.25)
-    assert res > 1.0
+    assert_exact_shifts(snaps)
 
 
 def test_constant_in_time_residual_zero():
@@ -121,7 +117,7 @@ def test_constant_in_time_residual_zero():
     for _ in range(3):
         ring.advance(w)
         snaps.append(ring.slots().copy())
-    assert transport_residual(snaps, 0.0625, 0.25) == 0.0
+    assert_exact_shifts(snaps)
 
 
 def test_advance_rejects_non_tangential():

@@ -3,6 +3,7 @@ import pytest
 
 from delayfdtd.domain import FACES, BoxDomain, build_grid, multiplier_field, tangent_axes
 from delayfdtd.errors import ConfigError
+from delayfdtd.operators import FieldLayout
 
 
 def brute_force_edge_counts(nx, ny, nz):
@@ -14,11 +15,13 @@ def brute_force_edge_counts(nx, ny, nz):
 
 
 def test_edge_counts_unit_cube_8():
-    grid = build_grid(BoxDomain((1, 1, 1), (8, 8, 8), (0.5, 0.5, 0.5)))
-    counts = grid.edge_counts()
+    # the full edge families that R maps onto
+    layout = FieldLayout(build_grid(BoxDomain((1, 1, 1), (8, 8, 8), (0.5, 0.5, 0.5))))
+    counts = {c: int(np.prod(shape)) for c, shape in layout.full_edge_shapes.items()}
     ex, ey, ez = brute_force_edge_counts(8, 8, 8)
     assert counts["x"] == ex == 8 * 9 * 9 == 648
     assert counts["x"] + counts["y"] + counts["z"] == ex + ey + ez == 1944
+    assert layout.n_full_edges == 1944
 
 
 def test_boundary_sample_count_and_area():
@@ -87,12 +90,6 @@ def test_build_grid_matches_loop_reference():
         got = getattr(s, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    # face f's samples run u-major from its start
-    start = 0
-    for fid, (axis, _) in enumerate(FACES):
-        n1, n2 = (domain.resolution[t] for t in tangent_axes(axis))
-        assert s.face_slices[fid] == (start, n1, n2)
-        start += n1 * n2
 
 
 def test_normals_are_signed_unit_axes():

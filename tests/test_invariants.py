@@ -17,6 +17,8 @@ from delayfdtd.solver import (
 )
 from delayfdtd.materials import constant_isotropic
 
+from conftest import xi_equivalence_bounds
+
 TAU = 0.25
 DAMPED = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.0, tau=TAU)
 SATURATING = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.25, tau=TAU)
@@ -95,7 +97,7 @@ def test_fit_decay_scale_invariance():
 
 def test_xi_equivalence_bounds():
     out = run(cube_scenario(10, SATURATING, 300))
-    lo, hi = analysis.xi_equivalence_bounds(out.trace, out.xi)
+    lo, hi = xi_equivalence_bounds(out.trace, out.xi)
     tol = 1e-12 * max(1.0, out.trace.E_xi[0])
     assert lo >= -tol
     assert hi >= -tol

@@ -8,21 +8,21 @@ from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
     ExtState,
     _sbp_derivative,
+    _z_from_formula,
+    _z_tail,
     apply_generator,
-    form_pairing,
     generator_constants,
     monotonicity_test,
     random_domain_state,
     random_forcing,
     resolvent_solve,
     s_derivative,
-    wepsilon_norm,
 )
 from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import project_div_free
 from delayfdtd.operator_lab import weighted_inner
 
-from conftest import random_tangential
+from conftest import form_pairing, inject_trace, random_tangential, wepsilon_norm
 
 LINEAR = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
 SATURATING = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
@@ -112,7 +112,7 @@ def cross_generator(v, ops, law, c_weight):
     """apply_generator with the H trace formed by np.cross and injected as a q-sized vector."""
     w = ops.boundary_trace_w(v.q)
     h_tr = required_H_trace(law, w, v.Z[:, -1], ops.grid.samples.normals)
-    Aq = -(ops.G @ v.h + ops.inject_trace(h_tr)) / ops.eps_q
+    Aq = -(ops.G @ v.h + inject_trace(ops, h_tr)) / ops.eps_q
     Ah = (ops.C @ v.q) / ops.mu_f
     AZ = s_derivative(v.Z, c_weight)
     AZ /= law.tau
@@ -342,6 +342,19 @@ def test_resolvent_generator_consistency(ops8):
     scale = max(np.abs(F.q).max(), np.abs(F.h).max())
     assert np.abs(2.0 * res.V.q + img.q - F.q).max() <= 1e-10 * scale
     assert np.abs(2.0 * res.V.h + img.h - F.h).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("M", [1, 8, 9, 16, 300])
+@pytest.mark.parametrize("b", [0.5, 2.0])
+def test_z_tail_is_the_profile_at_s_one_bit_for_bit(M, b):
+    # the sum over the s-cells must add in cumsum's order: a pairwise or
+    # blocked sum would differ in the last bits, and so would every round
+    rng = np.random.default_rng(M)
+    n_samples, tau = 3456, 0.25
+    F3 = rng.standard_normal((n_samples, M + 1, 3))
+    F3[:, :, rng.integers(0, 3)] = 0.0
+    profile = _z_from_formula(np.zeros((n_samples, 3)), F3, tau, b)
+    assert np.array_equal(_z_tail(F3, tau, b), profile[:, -1] / float(np.exp(-tau * b)))
 
 
 def test_resolvent_z_refinement(ops8):

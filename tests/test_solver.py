@@ -33,6 +33,8 @@ from delayfdtd.solver import (
     run,
 )
 
+from conftest import split_full_edges, split_h, to_vectors
+
 UNIT = BoxDomain((1.0, 1.0, 1.0), (12, 12, 12), (0.5, 0.5, 0.5))
 PMC = FeedbackLaw(kind="linear", a=1.0, gamma1=0.0, gamma2=0.0, tau=0.25)
 DAMPED = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.0, tau=0.25)
@@ -180,7 +182,7 @@ def test_single_step_hand_stencil():
     dt, _ = compute_dt(grid, eps, eps, 0.5, 0.25)
     stepper = Stepper(ops, PMC, dt)
     state = stepper.bootstrap(q0)
-    hz = ops.layout.split_h(state.h)[2]
+    hz = split_h(ops.layout, state.h)[2]
     assert hz[2, 3, 3] == pytest.approx(-0.5 * dt * 2.0, rel=1e-12)
 
 
@@ -366,8 +368,8 @@ def test_tangent_cross_matches_np_cross_on_every_face():
     rng = np.random.default_rng(21)
     comps = rng.standard_normal((s.count, 2))
     comps[::7, 0] = 0.0  # exact zeros map to zeros (of either sign)
-    assert np.all(s.cross.cross_nu(comps) == np.cross(s.to_vectors(comps), s.normals))
-    w = np.cross(s.to_vectors(rng.standard_normal((s.count, 2))), s.normals)
+    assert np.all(s.cross.cross_nu(comps) == np.cross(to_vectors(s, comps), s.normals))
+    w = np.cross(to_vectors(s, rng.standard_normal((s.count, 2))), s.normals)
     assert np.all(s.cross.nu_cross(w) == s.to_components(np.cross(s.normals, w)))
     assert np.all(s.cross.nu_cross(s.cross.cross_nu(comps)) == comps)
 
@@ -379,7 +381,7 @@ class NpCross:
         self.s = samples
 
     def cross_nu(self, comps):
-        return np.cross(self.s.to_vectors(comps), self.s.normals)
+        return np.cross(to_vectors(self.s, comps), self.s.normals)
 
     def nu_cross(self, vectors):
         return self.s.to_components(np.cross(self.s.normals, vectors))
@@ -680,7 +682,7 @@ def _ref_cells_to_faces(vals, comp):
 def _ref_eps_inv_interior(ops, rhs):
     """eps^-1 rhs at interior edges, collocating cross components."""
     vals = 0.5 * (ops.eps.values + np.swapaxes(ops.eps.values, -1, -2))
-    coll = _ref_collocate_edges(*ops.layout.split_full_edges(ops.R @ rhs))
+    coll = _ref_collocate_edges(*split_full_edges(ops.layout, ops.R @ rhs))
     out = np.empty(ops.layout.trace_offset)
     for a, c in enumerate("xyz"):
         inv = np.linalg.inv(_ref_cells_to_int_edges(vals, c))
@@ -693,7 +695,7 @@ def _ref_eps_inv_interior(ops, rhs):
 def _ref_mu_inv_apply(ops, curl):
     """mu^-1 curl at faces, collocating cross components."""
     vals = 0.5 * (ops.mu.values + np.swapaxes(ops.mu.values, -1, -2))
-    own = ops.layout.split_h(curl)
+    own = split_h(ops.layout, curl)
     coll = _ref_collocate_faces(*own)
     out = np.empty_like(curl)
     for a, c in enumerate("xyz"):
