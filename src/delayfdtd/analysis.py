@@ -132,7 +132,10 @@ class EnergyTrace:
         if not rows:
             raise ConfigError("energy CSV holds no records")
         data = np.array(rows)
-        return cls(*(data[:, i] for i in range(6)))
+        try:
+            return cls(*(data[:, i] for i in range(6)))
+        except ContractError as exc:  # a malformed file, not a program fault
+            raise ConfigError(f"energy CSV: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,6 @@ class DissipationConstants:
     xi: float
     c1E: float
     c2E: float
-    interval: tuple[float, float]
     gamma1: float
     gamma2: float
     c1: float
@@ -176,7 +178,7 @@ def xi_default(gamma1: float, gamma2: float, c1: float, c2: float, xi: float | N
         )
     c1E = min(hi - value, value - lo)
     c2E = gamma1 * c2 + 0.5 * gamma2 * c2 + value
-    return DissipationConstants(value, c1E, c2E, (lo, hi), gamma1, gamma2, c1, c2)
+    return DissipationConstants(value, c1E, c2E, gamma1, gamma2, c1, c2)
 
 
 def delay_weight(law: FeedbackLaw, xi: float | None) -> tuple[float, DissipationConstants | None]:
@@ -226,7 +228,6 @@ class InequalityReport:
     worst_upper: float
     worst_lower: float
     n_pairs: int
-    slack: float
 
 
 def lemma31_check(trace: EnergyTrace, k: DissipationConstants, slack: float = 1.05) -> InequalityReport:
@@ -240,7 +241,6 @@ def lemma31_check(trace: EnergyTrace, k: DissipationConstants, slack: float = 1.
         worst_upper=upper,
         worst_lower=lower,
         n_pairs=n * (n - 1) // 2,
-        slack=slack,
     )
 
 
@@ -253,7 +253,6 @@ class ObservabilityConstants:
     delta: float
     c: float
     c_T: float
-    kappa: float
 
 
 def observability_constants(
@@ -289,7 +288,7 @@ def observability_constants(
     c = m_sup * lambda_max_eps * lambda_max_mu / (d1 * alpha)
     c_T = (0.5 / delta + c2**2 * max(gamma1, gamma2) ** 2 / delta) / (d1 * alpha) + xi * tau
     kappa = max(lambda_max_eps, lambda_max_mu, 1.0)
-    return ObservabilityConstants(delta=delta, c=c * kappa, c_T=c_T * kappa, kappa=kappa)
+    return ObservabilityConstants(delta=delta, c=c * kappa, c_T=c_T * kappa)
 
 
 def _observability_sides(t, E, D, c: float, c_T: float, T: float) -> tuple[float, float]:
@@ -306,9 +305,6 @@ def _observability_sides(t, E, D, c: float, c_T: float, T: float) -> tuple[float
 class ObservabilityReport:
     passed: bool
     ratio: float
-    lhs: float
-    rhs: float
-    slack: float
 
 
 def lemma32_check(
@@ -318,9 +314,7 @@ def lemma32_check(
     T = trace.t[-1] if T is None else float(T)
     lhs, rhs = _observability_sides(trace.t, trace.E_xi, trace.D, oc.c, oc.c_T, T)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return ObservabilityReport(
-        passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio, lhs=lhs, rhs=rhs, slack=slack
-    )
+    return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +351,6 @@ class DecayCertificate:
     gamma: float
     lam: float
     c_tilde: float
-    T: float
-    hypothesis_upper: bool
-    hypothesis_lower: bool
-    hypothesis_observability: bool
-    conclusion: bool
 
 
 def appendix_analyze(
@@ -412,11 +401,6 @@ def appendix_analyze(
         gamma=float(gamma),
         lam=float(lam),
         c_tilde=float(c_tilde),
-        T=float(T),
-        hypothesis_upper=hyp_upper,
-        hypothesis_lower=hyp_lower,
-        hypothesis_observability=hyp_obs,
-        conclusion=conclusion,
     )
 
 

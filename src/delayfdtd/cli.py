@@ -22,22 +22,17 @@ from .config import (
     SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config, validate_config,
 )
 from .domain import build_grid, multiplier_field
-from .errors import AssumptionError, CertificateError, ConfigError, ContractError, NumericalError
+from .errors import (
+    AssumptionError, CertificateError, ConfigError, ContractError, NumericalError, read_input,
+)
 from .feedback import constants
 from .materials import check_assumption_materials, full_report
 from .operators import build_operators
 from .solver import RunOutput, run as run_scenario
 
 
-def _read(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _load_config(path: str) -> Config:
-    return parse_config(_read(path, "config"))
+    return parse_config(read_input(path, "config"))
 
 
 def _outdir(cfg: Config, override: str | None) -> Path:
@@ -210,7 +205,7 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
     sc = scenario_from_config(cfg)
-    trace = analysis.EnergyTrace.from_csv(_read(args.csv, "energy CSV"))
+    trace = analysis.EnergyTrace.from_csv(read_input(args.csv, "energy CSV"))
 
     grid = build_grid(sc.domain)
     eps = sc.eps.build(grid)

@@ -70,7 +70,6 @@ SCHEMA = {
     },
     "history": {
         "kind": ("str", "zero"),
-        "value": ("vec3", (0.0, 0.0, 0.0)),
         "file": ("str", ""),
     },
     "initial": {
@@ -241,7 +240,7 @@ def validate_config(cfg: Config):
         raise ConfigError("feedback.tau must be positive")
     if d["run"]["t_end"] < 0:
         raise ConfigError("run.t_end must be nonnegative")
-    if d["history"]["kind"] not in ("zero", "constant", "replay", "file"):
+    if d["history"]["kind"] not in ("zero", "replay", "file"):
         raise ConfigError(f"unknown history.kind {d['history']['kind']!r}")
 
 
@@ -301,9 +300,7 @@ def scenario_from_config(cfg: Config, unsafe: bool = False) -> Scenario:
         eps=_material_spec(d["materials"], "eps"),
         mu=_material_spec(d["materials"], "mu"),
         law=law,
-        history=HistorySpec(
-            kind=d["history"]["kind"], value=d["history"]["value"], path=d["history"]["file"]
-        ),
+        history=HistorySpec(kind=d["history"]["kind"], path=d["history"]["file"]),
         initial=InitialSpec(
             preset=d["initial"]["preset"],
             center=d["initial"]["center"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import check_tangential
+from .domain import TANGENT_TOL, check_tangential
 from .errors import ConfigError, ContractError
 
 
@@ -122,21 +122,14 @@ class DelayRing:
         return self._mid2.sum(axis=0) / self.N
 
 
-def init_history(kind: str, n_slots: int, normals: np.ndarray, *, value=None, initial_trace=None) -> DelayRing:
+def init_history(kind: str, n_slots: int, normals: np.ndarray, *, initial_trace=None) -> DelayRing:
     """Build a ring holding one of the preset histories.
 
-    kind "zero": all slots zero; "constant": every slot equals `value`
-    (rejected unless tangential at every sample); "replay": every slot
-    equals the initial boundary trace `initial_trace`.
+    kind "zero": all slots zero; "replay": every slot equals the initial
+    boundary trace `initial_trace`.
     """
     ring = DelayRing(n_slots, normals)
     if kind == "zero":
-        return ring
-    if kind == "constant":
-        if value is None:
-            raise ConfigError("constant history needs a value")
-        vals = np.broadcast_to(np.asarray(value, dtype=float), (ring.n_samples, 3))
-        ring.fill(vals)
         return ring
     if kind == "replay":
         if initial_trace is None:
@@ -157,11 +150,26 @@ def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
         data = data.reshape(0, 6)
     if data.shape[1] != 6:
         raise ConfigError(f"{path}: rows hold {data.shape[1]} columns, need 6")
+    index = data[:, 1:3]
+    bad = np.flatnonzero(~(np.isfinite(index) & (index == np.trunc(index))).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} names sample and slot {index[bad[0]].tolist()}")
     vals = np.zeros((n_slots + 1, ring.n_samples, 3))
     sid, j = data[:, 1].astype(int), data[:, 2].astype(int)
     bad = np.flatnonzero((j < 0) | (j > n_slots) | (sid < 0) | (sid >= ring.n_samples))
     if bad.size:
         raise ConfigError(f"{path}: slot ({sid[bad[0]]},{j[bad[0]]}) out of range")
+    # checked here, not by `fill`: a file is input, and inf passes the relative tangency test
+    vecs = data[:, 3:6]
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = np.abs(np.einsum("ri,ri->r", vecs, ring.normals[sid]))
+        tangential = normal <= TANGENT_TOL * (1.0 + np.linalg.norm(vecs, axis=1))
+    bad = np.flatnonzero(~(np.isfinite(vecs).all(axis=1) & tangential))
+    if bad.size:
+        r = bad[0]
+        raise ConfigError(
+            f"{path}: sample {sid[r]}, slot {j[r]} holds {vecs[r].tolist()}, not a finite tangential vector"
+        )
     # a dump of several steps repeats every slot: the last row of each wins
     key = j * ring.n_samples + sid
     _, first_from_end = np.unique(key[::-1], return_index=True)

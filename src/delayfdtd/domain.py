@@ -215,7 +215,6 @@ class MultiplierField:
     """The radial multiplier field x - x0 and its geometric extremes."""
 
     x0: np.ndarray
-    at_samples: np.ndarray  # (S, 3)
     at_cells: np.ndarray  # (nx, ny, nz, 3)
     beta: float  # min over boundary samples of m . nu
     m_sup: float  # exact sup of |m| over the closed box
@@ -242,7 +241,6 @@ def multiplier_field(grid: YeeGrid, x0) -> MultiplierField:
     m_sup = float(np.max(np.linalg.norm(corners - x0, axis=1)))
     return MultiplierField(
         x0=x0,
-        at_samples=m_samples,
         at_cells=grid.cell_centers() - x0,
         beta=beta,
         m_sup=m_sup,

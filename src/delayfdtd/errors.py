@@ -5,6 +5,8 @@ classifiable: configuration errors (2), violated modelling assumptions (3),
 numerical failures (4), and certificate failures under --assert (5).
 """
 
+from pathlib import Path
+
 
 class ConfigError(ValueError):
     """Bad user input: malformed config, invalid parameter ranges."""
@@ -34,3 +36,11 @@ class ContractError(ValueError):
     """A caller violated an operation precondition (programming error)."""
 
     exit_code = 4
+
+
+def read_input(path, what: str) -> str:
+    """The text of an input file; one that cannot be read is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

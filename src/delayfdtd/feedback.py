@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import TangentCross, check_tangential
-from .errors import AssumptionError, ConfigError, NumericalError
+from .errors import AssumptionError, ConfigError, NumericalError, read_input
 
 
 @dataclass(frozen=True)
@@ -303,13 +303,8 @@ def implicit_boundary_update(
 
 def load_table_law(path, **kwargs) -> FeedbackLaw:
     """Read a radial `r g(r)` table and build a table law (validated later)."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read feedback table {path}: {exc}") from exc
     rs, gs = [], []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(read_input(path, "feedback table").splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import MultiplierField, YeeGrid
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 
 SYMMETRY_TOL = 1e-12
 
@@ -117,24 +117,26 @@ def load_tensor_file(grid: YeeGrid, path) -> TensorField:
     nx, ny, nz = grid.shape
     vals = np.zeros((nx, ny, nz, 3, 3))
     seen = np.zeros((nx, ny, nz), dtype=bool)
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) not in (6, 9):
-                raise ConfigError(f"{path}:{ln}: expected 6 or 9 fields, got {len(parts)}")
+    for ln, line in enumerate(read_input(path, "material file").splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) not in (6, 9):
+            raise ConfigError(f"{path}:{ln}: expected 6 or 9 fields, got {len(parts)}")
+        try:
             i, j, k = (int(p) for p in parts[:3])
-            if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-                raise ConfigError(f"{path}:{ln}: cell index ({i},{j},{k}) out of range")
             nums = [float(p) for p in parts[3:]]
-            if not all(np.isfinite(nums)):
-                raise ConfigError(f"{path}:{ln}: non-finite entry")
-            e11, e22, e33 = nums[:3]
-            e12, e13, e23 = (nums[3:] + [0.0, 0.0, 0.0])[:3]
-            vals[i, j, k] = [[e11, e12, e13], [e12, e22, e23], [e13, e23, e33]]
-            seen[i, j, k] = True
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from exc
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            raise ConfigError(f"{path}:{ln}: cell index ({i},{j},{k}) out of range")
+        if not all(np.isfinite(nums)):
+            raise ConfigError(f"{path}:{ln}: non-finite entry")
+        e11, e22, e33 = nums[:3]
+        e12, e13, e23 = (nums[3:] + [0.0, 0.0, 0.0])[:3]
+        vals[i, j, k] = [[e11, e12, e13], [e12, e22, e23], [e13, e23, e33]]
+        seen[i, j, k] = True
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise ConfigError(f"{path}: no entry for cell {tuple(int(v) for v in missing)}")

@@ -12,6 +12,7 @@ flux, to round-off.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import analysis
 from .delay import DelayRing, init_history, load_history_csv
 from .domain import BoxDomain, YeeGrid, build_grid, multiplier_field
-from .errors import AssumptionError, ConfigError, NumericalError
+from .errors import AssumptionError, ConfigError, NumericalError, read_input
 from .feedback import FeedbackLaw, implicit_boundary_update
 from .materials import (
     MaterialReport,
@@ -86,8 +87,7 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class HistorySpec:
-    kind: str = "zero"  # zero | constant | replay | file
-    value: tuple = (0.0, 0.0, 0.0)
+    kind: str = "zero"  # zero | replay | file
     path: str = ""
 
 
@@ -331,13 +331,28 @@ def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     return q
 
 
+def _load_field_file(path) -> np.ndarray:
+    """Whitespace-separated numbers with `#` comments, in file order; each must be finite."""
+    vals = []
+    for ln, line in enumerate(read_input(path, "initial field file").splitlines(), start=1):
+        for part in line.split("#", 1)[0].split():
+            try:
+                value = float(part)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}:{ln}: expected a finite number, got {part!r}")
+            vals.append(value)
+    return np.array(vals)
+
+
 def initial_state_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     if spec.preset == "off":
         return np.zeros(ops.layout.n_q)
     if spec.preset == "gaussian_pulse":
         return gaussian_pulse_q(ops, spec)
     if spec.preset == "file":
-        q = np.loadtxt(spec.path)
+        q = _load_field_file(spec.path)
         if q.shape != (ops.layout.n_q,):
             raise ConfigError(
                 f"initial field file holds {q.shape}, expected ({ops.layout.n_q},)"
@@ -488,13 +503,8 @@ def run(scenario: Scenario) -> RunOutput:
     if scenario.history.kind == "file":
         ring = load_history_csv(scenario.history.path, n_slots, s.normals)
     else:
-        w0 = ops.boundary_trace_w(q0)
         ring = init_history(
-            scenario.history.kind,
-            n_slots,
-            s.normals,
-            value=np.asarray(scenario.history.value, dtype=float),
-            initial_trace=w0,
+            scenario.history.kind, n_slots, s.normals, initial_trace=ops.boundary_trace_w(q0)
         )
 
     n_steps = int(np.ceil(scenario.run.t_end / dt - 1e-12)) if scenario.run.t_end > 0 else 0

@@ -58,7 +58,8 @@ def test_energies_delay_term_constant_ring(ops8):
     s = ops8.grid.samples
     w = np.cross(s.normals, np.where(np.abs(s.normals[:, [1]]) == 1.0, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
     w /= np.linalg.norm(w, axis=1)[:, None]
-    ring = init_history("constant", 4, s.normals, value=w)
+    ring = DelayRing(4, s.normals)
+    ring.fill(w)
     q = np.zeros(ops8.layout.n_q)
     h = np.zeros(ops8.layout.n_h)
     _, _, e_xi, d_val = energies(q, h, h, ring, ops8, 0.5, 0.25)
@@ -68,9 +69,18 @@ def test_energies_delay_term_constant_ring(ops8):
 
 # -- xi_default ----------------------------------------------------------------
 
+def assert_open_interval(args, lo, hi):
+    """xi_default(*args, xi=) accepts exactly the xi strictly between lo and hi."""
+    for xi in (lo, hi):
+        with pytest.raises(AssumptionError):
+            xi_default(*args, xi=xi)
+    for xi in (np.nextafter(lo, hi), np.nextafter(hi, lo)):
+        assert xi_default(*args, xi=xi).xi == xi
+
+
 def test_xi_default_with_delay():
     k = xi_default(1.0, 0.5, 1.0, 1.0)
-    assert k.interval == (0.25, 0.75)
+    assert_open_interval((1.0, 0.5, 1.0, 1.0), 0.25, 0.75)
     assert k.xi == 0.5
     assert k.c1E == pytest.approx(0.25)
     assert k.c2E == pytest.approx(1.75)
@@ -78,7 +88,7 @@ def test_xi_default_with_delay():
 
 def test_xi_default_no_delay():
     k = xi_default(1.0, 0.0, 1.0, 1.0)
-    assert k.interval == (0.0, 1.0)
+    assert_open_interval((1.0, 0.0, 1.0, 1.0), 0.0, 1.0)
     assert (k.xi, k.c1E, k.c2E) == (0.5, 0.5, 1.5)
 
 
@@ -97,7 +107,7 @@ def test_xi_explicit_outside_interval():
 def test_lemma31_pmc_degenerate():
     t = np.linspace(0, 1, 50)
     trace = make_trace(t, np.ones_like(t), np.zeros_like(t))
-    k = DissipationConstants(0.5, 0.25, 1.75, (0.25, 0.75), 1, 0.5, 1, 1)
+    k = DissipationConstants(0.5, 0.25, 1.75, 1, 0.5, 1, 1)
     rep = lemma31_check(trace, k)
     assert rep.passed
     assert rep.worst_upper == pytest.approx(0.0, abs=1e-15)
@@ -106,7 +116,7 @@ def test_lemma31_pmc_degenerate():
 def test_lemma31_detects_growth_with_zero_damping():
     t = np.linspace(0, 1, 50)
     trace = make_trace(t, 1.0 + t, np.zeros_like(t))
-    k = DissipationConstants(0.5, 0.25, 1.75, (0.25, 0.75), 1, 0.5, 1, 1)
+    k = DissipationConstants(0.5, 0.25, 1.75, 1, 0.5, 1, 1)
     rep = lemma31_check(trace, k)
     assert not rep.passed
     assert rep.worst_upper < 0
@@ -118,7 +128,7 @@ def test_lemma31_exact_exponential_pair():
     E = np.exp(-t)
     D = np.exp(-t)
     trace = make_trace(t, E, D)
-    k = DissipationConstants(0.5, 1.0, 1.0, (0.0, 1.0), 1, 0, 1, 1)
+    k = DissipationConstants(0.5, 1.0, 1.0, 1, 0, 1, 1)
     rep = lemma31_check(trace, k, slack=1.01)
     assert rep.passed
 
@@ -134,7 +144,7 @@ def test_lemma31_finds_the_worst_pair_inside_a_short_window():
     # R = E + int D falls by the adjacent margin at every step
     R = e0 + np.concatenate([[0.0], np.cumsum(np.where(window, 1e-13 * e0, -1.0))])
     trace = make_trace(t, R - t, np.ones(n))
-    k = DissipationConstants(0.5, 1.05, 3.0, (0.0, 1.0), 1, 0, 1, 1)
+    k = DissipationConstants(0.5, 1.05, 3.0, 1, 0, 1, 1)
     rep = lemma31_check(trace, k, slack=1.05)
     assert not rep.passed
     assert rep.worst_upper == pytest.approx(-4.0e-12, rel=1e-3)
@@ -150,7 +160,7 @@ def test_lemma31_scan_matches_brute_force(seed):
     t /= max(t[-1], 1.0)
     E = rng.uniform(0.5, 1.5, n)
     D = rng.uniform(0.0, 1.0, n)
-    k = DissipationConstants(0.5, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), (0.0, 1.0), 1, 0, 1, 1)
+    k = DissipationConstants(0.5, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), 1, 0, 1, 1)
     slack = 1.05
     rep = lemma31_check(make_trace(t, E, D), k, slack=slack)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
@@ -174,15 +184,15 @@ def test_observability_constants_recipe():
     )
     assert oc.delta == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert oc.c == pytest.approx(np.sqrt(3) / 2, rel=1e-12)
-    assert oc.c_T == pytest.approx(2.375, rel=1e-12)
-    assert oc.kappa == 1.0
+    assert oc.c_T == pytest.approx(2.375, rel=1e-12)  # kappa = max(1, 1, 1): unscaled
 
 
 def test_observability_scaling_with_lambda_max():
     base = observability_constants(1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25)
     doubled = observability_constants(1.0, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.25)
     assert doubled.delta == pytest.approx(base.delta / 4.0)
-    assert doubled.c / doubled.kappa == pytest.approx(base.c / base.kappa * 2.0)
+    # c doubles with lmax(eps), and kappa = max(2, 1, 1) doubles it again
+    assert doubled.c / 2.0 == pytest.approx(base.c * 2.0)
 
 
 def test_observability_requires_d1():
@@ -247,7 +257,8 @@ def test_appendix_gamma_lambda_arithmetic():
     assert cert.c_tilde == pytest.approx(1.0, rel=1e-12)
     assert cert.gamma == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert cert.lam == pytest.approx(np.log(3.0) / 4.0, rel=1e-12)
-    assert cert.hypothesis_upper and cert.hypothesis_lower
+    # the two-sided hypothesis, at the certificate's default slack
+    assert lemma31_check(make_trace(t, E, D), DissipationConstants(0.5, 1.0, 1.0, 1, 0, 1, 1)).passed
 
 
 def test_appendix_exact_identity_hypothesis():
@@ -268,7 +279,8 @@ def test_appendix_flags_growth():
     E = 1.0 + t  # grows with no damping: upper hypothesis must fail
     D = np.zeros_like(t)
     cert = appendix_analyze(t, E, D, 1.0, 1.0, c=0.5, c_T=0.5, T=10.0)
-    assert not cert.hypothesis_upper
+    rep = lemma31_check(make_trace(t, E, D), DissipationConstants(0.5, 1.0, 1.0, 1, 0, 1, 1))
+    assert rep.worst_upper < -1e-12
     assert not cert.passed
 
 

@@ -549,8 +549,11 @@ def test_debug_prints_traceback_of_unexpected_failure(capsys, monkeypatch, how):
         ("0,1,1,1,0,0\n0.1,1,1,1,0\n", "line 3"),  # ragged row
         ("0,1,1,1,0,0\n0.1,abc,1,1,0,0\n", "line 3"),  # non-numeric field
         (None, "cannot read energy CSV"),  # missing file
+        ("0,1,1,1,0,0\n0.1,1,1,nan,0,0\n", "non-finite entries in energy column E_xi"),
+        ("0,1,1,1,0,0\n0,1,1,1,0,0\n", "record times must be strictly increasing"),
+        ("0,-1,1,1,0,0\n0.1,1,1,1,0,0\n", "negative entries in energy column E_weighted"),
     ],
-    ids=["ragged", "non_numeric", "missing"],
+    ids=["ragged", "non_numeric", "missing", "nan", "repeated_time", "negative_energy"],
 )
 def test_analyze_bad_energy_csv_exit_two(tmp_path, capsys, body, message):
     path, _ = write_cfg(tmp_path, BASE)
@@ -608,8 +611,9 @@ def test_run_and_analyze_agree_without_a_certificate(tmp_path, edit):
     [
         ("boundary_mode", "boundary_mode = lagged\n"),  # BASE ends inside [run]
         ("weighting", "\n[analysis]\nweighting = plain\n"),
+        ("value", "\n[history]\nvalue = 0 0 0\n"),
     ],
-    ids=["boundary_mode", "weighting"],
+    ids=["boundary_mode", "weighting", "history_value"],
 )
 def test_deleted_config_keys_exit_two(tmp_path, capsys, key, extra):
     path, _ = write_cfg(tmp_path, BASE + extra)
@@ -771,6 +775,91 @@ def test_run_missing_history_file_exit_two(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot read history file") and str(history) in err
+
+
+def test_constant_history_kind_exits_two(tmp_path, capsys):
+    # a constant vector is tangential to all six walls only if it is zero
+    path, _ = write_cfg(tmp_path, BASE + "\n[history]\nkind = constant\n")
+    assert main(["run", str(path)]) == 2
+    assert "configuration error: unknown history.kind 'constant'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0,1,nan,0,0", "sample 0, slot 1 holds [nan, 0.0, 0.0]"),
+        # inf passes the relative tangency test: inf > 1e-12 * inf is false
+        ("0,0,1,inf,0,0", "sample 0, slot 1 holds [inf, 0.0, 0.0]"),
+        ("0,0,1,1,1,1", "sample 0, slot 1 holds [1.0, 1.0, 1.0]"),  # a normal component
+    ],
+    ids=["nan", "inf", "normal"],
+)
+def test_run_bad_history_row_exit_two(tmp_path, capsys, row, message):
+    history = tmp_path / "history.csv"
+    history.write_text(f"step,sample_id,s_index,vx,vy,vz\n{row}\n")
+    path, _ = write_cfg(tmp_path, BASE + f"\n[history]\nkind = file\nfile = {history}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {history}: {message}")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (None, "cannot read material file {path}"),
+        ("0.5 0 0 1 1 1\n", "{path}:1: invalid literal for int()"),  # a fractional cell index
+        ("# i j k e11 e22 e33\n0 0 0 1 x 1\n", "{path}:2: could not convert string to float"),
+        ("0 0 0 1 nan 1\n", "{path}:1: non-finite entry"),
+    ],
+    ids=["missing", "fractional_index", "non_numeric", "nan"],
+)
+def test_bad_material_file_exits_two(tmp_path, capsys, command, body, message):
+    eps = tmp_path / "eps.txt"
+    if body is not None:
+        eps.write_text(body)
+    path, _ = write_cfg(tmp_path, BASE + f"\n[materials]\neps_kind = file\neps_file = {eps}\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: " + message.format(path=eps))
+
+
+def _field_file_cfg(field):
+    return BASE.replace("preset = gaussian_pulse", f"preset = file\nfile = {field}")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (None, "cannot read initial field file {path}"),
+        ("0.0\n# a comment\n\nnan\n", "{path}:4: expected a finite number, got 'nan'"),
+        ("0.0 1e400\n", "{path}:1: expected a finite number, got '1e400'"),
+        ("0.0\n0.x\n", "{path}:2: expected a finite number, got '0.x'"),
+    ],
+    ids=["missing", "nan", "overflow", "non_numeric"],
+)
+def test_bad_initial_field_file_exits_two(tmp_path, capsys, body, message):
+    field = tmp_path / "q.txt"
+    if body is not None:
+        field.write_text(body)
+    path, _ = write_cfg(tmp_path, _field_file_cfg(field))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: " + message.format(path=field))
+
+
+def test_initial_field_file_reproduces_the_run_it_was_saved_from(tmp_path):
+    from delayfdtd.config import parse_config, scenario_from_config
+    from delayfdtd.solver import run
+
+    text = BASE.replace("t_end = 2.0", "t_end = 0.5")
+    path, outdir = write_cfg(tmp_path, text)
+    assert main(["run", str(path)]) == 0
+    q0 = run(scenario_from_config(parse_config(path.read_text().replace("t_end = 0.5", "t_end = 0")))).state.q
+    field = tmp_path / "q.txt"
+    np.savetxt(field, q0, fmt="%.17g", header="E side of the projected pulse")
+    path2, outdir2 = write_cfg(tmp_path, _field_file_cfg(field).replace("t_end = 2.0", "t_end = 0.5"),
+                               name="file.cfg", outdir=tmp_path / "out2")
+    assert main(["run", str(path2)]) == 0
+    assert (outdir2 / "energy.csv").read_bytes() == (outdir / "energy.csv").read_bytes()
 
 
 def test_run_table_law_end_to_end(tmp_path):

@@ -12,6 +12,13 @@ from delayfdtd.errors import ConfigError, ContractError
 NORMALS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+def filled(n_slots, normals, history):
+    """A ring with every slot filled from `history` (see DelayRing.fill)."""
+    ring = DelayRing(n_slots, normals)
+    ring.fill(history)
+    return ring
+
+
 def tangential(vec, nu):
     v = np.asarray(vec, dtype=float)
     return v - np.dot(v, nu) * nu
@@ -24,13 +31,13 @@ def test_zero_history():
 
 def test_constant_history_requires_tangential():
     w = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])  # tangential per row
-    ring = init_history("constant", 4, NORMALS, value=w)
+    ring = filled(4, NORMALS, w)
     for j in range(5):
         assert np.array_equal(ring.slot(j), w)
     bad = w.copy()
     bad[0, 2] = 0.1  # normal component on the first sample
     with pytest.raises(ContractError):
-        init_history("constant", 4, NORMALS, value=bad)
+        filled(4, NORMALS, bad)
 
 
 def test_replay_history():
@@ -112,7 +119,7 @@ def test_transport_residual_zero_for_shifts():
 
 def test_constant_in_time_residual_zero():
     w = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
-    ring = init_history("constant", 4, NORMALS, value=w)
+    ring = filled(4, NORMALS, w)
     snaps = [ring.slots().copy()]
     for _ in range(3):
         ring.advance(w)
@@ -157,7 +164,7 @@ def test_cache_after_fill_constant_replay_and_csv(tmp_path):
     rng = np.random.default_rng(31)
     normals = box_normals()
     n_slots = 6
-    assert_cache_matches(init_history("constant", n_slots, normals, value=random_traces(rng, normals)))
+    assert_cache_matches(filled(n_slots, normals, random_traces(rng, normals)))
     assert_cache_matches(init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals)))
     vals = random_traces(rng, normals, (n_slots + 1,))
     lines = ["step,sample_id,s_index,vx,vy,vz"]
@@ -211,7 +218,7 @@ def test_slot_norms_after_fill_constant_replay_and_csv(tmp_path):
     normals = box_normals()
     n_slots = 6
     assert_slot_norms_match(init_history("zero", n_slots, normals))
-    assert_slot_norms_match(init_history("constant", n_slots, normals, value=random_traces(rng, normals)))
+    assert_slot_norms_match(filled(n_slots, normals, random_traces(rng, normals)))
     assert_slot_norms_match(
         init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
     )
@@ -295,3 +302,13 @@ def test_history_csv_rejects_out_of_range_slots(tmp_path, row):
     path.write_text("step,sample_id,s_index,vx,vy,vz\n0,0,0,0,0,0\n" + row + "\n")
     with pytest.raises(ConfigError, match="out of range"):
         load_history_csv(path, 4, NORMALS)
+
+
+@pytest.mark.parametrize("row", ["0,0.5,0,0,0,0", "0,0,1.9,0,0,0", "0,nan,0,0,0,0", "0,0,inf,0,0,0"])
+def test_history_csv_rejects_indices_that_are_not_integers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("step,sample_id,s_index,vx,vy,vz\n0,0,0,0,0,0\n" + row + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="data row 2 names sample and slot"):
+            load_history_csv(path, 4, NORMALS)

@@ -125,7 +125,7 @@ def test_multiplier_boundary_x0_rejected():
 def test_multiplier_sup_dominates_samples():
     grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (6, 5, 4), (0.4, 0.6, 0.9)))
     m = multiplier_field(grid, (0.4, 0.6, 0.9))
-    assert np.all(np.linalg.norm(m.at_samples, axis=1) <= m.m_sup + 1e-14)
+    assert np.all(np.linalg.norm(grid.samples.positions - m.x0, axis=1) <= m.m_sup + 1e-14)
     assert np.all(np.linalg.norm(m.at_cells.reshape(-1, 3), axis=1) <= m.m_sup + 1e-14)
 
 
