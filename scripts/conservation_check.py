@@ -40,7 +40,7 @@ def main():
 
     stepper = Stepper(ops, law, dt)
     state = stepper.bootstrap(gaussian_pulse_q(ops, InitialSpec(preset="gaussian_pulse", width=0.12)))
-    ring = init_history("zero", n_slots, grid.samples.normals)
+    ring = init_history("zero", n_slots, grid.samples.count)
 
     e0 = analysis.field_energies(state.q, state.h, state.h_prev, ops)[0]
     div0 = ops.div_eps @ state.q

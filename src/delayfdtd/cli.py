@@ -111,8 +111,9 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
 
 
 def _dump_boundary(out: RunOutput, path: Path):
-    """The final ring as `step,sample_id,s_index,vx,vy,vz` rows, sample-major."""
-    slots = out.ring.slots()
+    """The final ring as `step,sample_id,s_index,vx,vy,vz` rows of Z = E x nu, sample-major."""
+    cross = out.ops.grid.samples.cross
+    slots = np.stack([cross.cross_nu(t) for t in out.ring.slots()])
     n_slots, n_samples = slots.shape[:2]
     sid, j = np.divmod(np.arange(n_samples * n_slots), n_slots)
     rows = np.column_stack([np.full(sid.size, out.state.step), sid, j, slots[j, sid]])

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import TANGENT_TOL, check_tangential
+from .domain import TANGENT_TOL, SampleSet
 from .errors import ConfigError, ContractError
 
 
 class DelayRing:
-    """Per-sample circular array of N+1 tangential 3-vectors.
+    """Per-sample circular array of N+1 tangential E traces.
+
+    Each slot holds, per sample, the two components of E on the sample's
+    tangent axes: the numbers the stepper keeps in the trace slots of q.
+    The paper's profile Z = E x nu is that trace turned a quarter about nu,
+    a swap and a sign per sample, so |Z|, Z.Z' and g(Z) x nu read the same
+    off the components; the 3-vector form appears only in the history file.
 
     Alongside the slots the ring caches per-sample energies.  Invariants:
     ``_z2[p]`` holds |Z_p|^2 for each physical row p; ``_mid2[p]`` holds
@@ -26,41 +32,29 @@ class DelayRing:
     so it updates three rows; ``fill`` rebuilds them all.  ``s_energy`` then
     sums N+1 rows of S scalars instead of forming N*S midpoint vectors, and
     the energy records read the tap energies from ``slot_norm2``.
-
-    The normals must be unit axis vectors (the box walls), so the normal
-    component of a pushed trace is one gathered entry per sample.
     """
 
-    def __init__(self, n_slots: int, normals: np.ndarray):
+    def __init__(self, n_slots: int, n_samples: int):
         if n_slots < 1:
             raise ConfigError(f"history depth must be >= 1, got {n_slots}")
         self.N = int(n_slots)
-        self.normals = np.asarray(normals, dtype=float)
-        self.n_samples = self.normals.shape[0]
-        rows = np.arange(self.n_samples)
-        axis = np.argmax(np.abs(self.normals), axis=1)
-        if not np.array_equal(np.abs(self.normals), np.eye(3)[axis]):
-            raise ContractError("ring normals must be unit vectors along a coordinate axis")
-        self._normal_idx = 3 * rows + axis  # flat (S, 3) index of each normal component
-        self._buf = np.zeros((self.N + 1, self.n_samples, 3))
+        self.n_samples = int(n_samples)
+        self._buf = np.zeros((self.N + 1, self.n_samples, 2))
         self._z2 = np.zeros((self.N + 1, self.n_samples))
         self._mid2 = np.zeros((self.N + 1, self.n_samples))
         self._cursor = 0  # physical index of logical slot 0
 
     # -- slot access --------------------------------------------------------
 
-    def _phys(self, j) -> np.ndarray:
-        return (self._cursor + np.atleast_1d(j)) % (self.N + 1)
-
     def slot(self, j: int) -> np.ndarray:
-        """Logical slot j (s_j = j/N); 0 is the most recent push."""
+        """Logical slot j (s_j = j/N) as (n_samples, 2); 0 is the most recent push."""
         if not (0 <= j <= self.N):
             raise ContractError(f"slot index {j} outside 0..{self.N}")
         return self._buf[(self._cursor + j) % (self.N + 1)]
 
     def slots(self) -> np.ndarray:
-        """(N+1, n_samples, 3) array in logical order."""
-        return self._buf[self._phys(np.arange(self.N + 1))]
+        """(N+1, n_samples, 2) array in logical order."""
+        return np.roll(self._buf, -self._cursor, axis=0)
 
     def slot_norm2(self, j: int) -> np.ndarray:
         """|Z|^2 per sample at logical slot j, from the cache."""
@@ -70,44 +64,30 @@ class DelayRing:
 
     # -- construction -------------------------------------------------------
 
-    def fill(self, history) -> None:
-        """Set slot j to history(s_j) for all samples.
-
-        `history` is a callable s -> (n_samples, 3) array or a constant
-        (n_samples, 3) array.
-        """
-        for j in range(self.N + 1):
-            vals = history(j / self.N) if callable(history) else history
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), (self.n_samples, 3))
-            check_tangential(f"history at s={j}/{self.N}", vals, self.normals)
-            self._buf[(self._cursor + j) % (self.N + 1)] = vals
+    def fill(self, values) -> None:
+        """Set every slot from `values`, broadcast to (N+1, n_samples, 2) in logical order."""
+        self._cursor = 0
+        self._buf[:] = np.broadcast_to(np.asarray(values, dtype=float), self._buf.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             self._z2[:] = np.einsum("psi,psi->ps", self._buf, self._buf)
             mid = 0.5 * (self._buf + np.roll(self._buf, -1, axis=0))
             self._mid2[:] = np.einsum("psi,psi->ps", mid, mid)
-        self._mid2[(self._cursor + self.N) % (self.N + 1)] = 0.0
+        self._mid2[self.N] = 0.0
 
     # -- dynamics ------------------------------------------------------------
 
-    def advance(self, new_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shift the FIFO by one slot and write the new trace into slot 0.
-
-        Returns (Z|s=0, Z|s=1) after the shift.  The full tangency test runs
-        only when some sample's normal component is nonzero.
-        """
-        new_trace = np.asarray(new_trace, dtype=float)
-        if np.any(new_trace.take(self._normal_idx) != 0.0):
-            check_tangential("pushed trace", new_trace, self.normals)
+    def advance(self, new_trace: np.ndarray) -> None:
+        """Shift the FIFO by one slot and write the (n_samples, 2) `new_trace` into slot 0."""
         c = self._cursor = (self._cursor - 1) % (self.N + 1)
-        self._buf[c] = new_trace
+        z = self._buf[c]
+        z[:] = new_trace
         # the pair (slot 0, slot 1) is new; the pair (slot N, slot 0) is retired.
         # A diverging run overflows here silently and is reported at its record.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._z2[c] = np.einsum("si,si->s", new_trace, new_trace)
-            mid = 0.5 * (self._buf[c] + self._buf[(c + 1) % (self.N + 1)])
+            self._z2[c] = np.einsum("si,si->s", z, z)
+            mid = 0.5 * (z + self._buf[(c + 1) % (self.N + 1)])
             self._mid2[c] = np.einsum("si,si->s", mid, mid)
         self._mid2[(c + self.N) % (self.N + 1)] = 0.0
-        return self.slot(0), self.slot(self.N)
 
     # -- quadrature ----------------------------------------------------------
 
@@ -122,26 +102,31 @@ class DelayRing:
         return self._mid2.sum(axis=0) / self.N
 
 
-def init_history(kind: str, n_slots: int, normals: np.ndarray, *, initial_trace=None) -> DelayRing:
+def init_history(kind: str, n_slots: int, n_samples: int, *, initial_trace=None) -> DelayRing:
     """Build a ring holding one of the preset histories.
 
     kind "zero": all slots zero; "replay": every slot equals the initial
-    boundary trace `initial_trace`.
+    boundary trace `initial_trace`, as (n_samples, 2) components.
     """
-    ring = DelayRing(n_slots, normals)
+    ring = DelayRing(n_slots, n_samples)
     if kind == "zero":
         return ring
     if kind == "replay":
         if initial_trace is None:
             raise ConfigError("replay history needs the initial trace")
-        ring.fill(np.asarray(initial_trace, dtype=float))
+        ring.fill(initial_trace)
         return ring
     raise ConfigError(f"unknown history kind {kind!r}")
 
 
-def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
-    """Read a `step,sample_id,s_index,vx,vy,vz` dump into a fresh ring."""
-    ring = DelayRing(n_slots, normals)
+def load_history_csv(path, n_slots: int, samples: SampleSet) -> DelayRing:
+    """Read a `step,sample_id,s_index,vx,vy,vz` dump of Z = E x nu into a fresh ring.
+
+    Every (sample, slot) pair needs a row; a normal component within the
+    tangency tolerance is dropped when the vectors are turned back into
+    trace components.
+    """
+    ring = DelayRing(n_slots, samples.count)
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -154,15 +139,14 @@ def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
     bad = np.flatnonzero(~(np.isfinite(index) & (index == np.trunc(index))).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path}: data row {bad[0] + 1} names sample and slot {index[bad[0]].tolist()}")
-    vals = np.zeros((n_slots + 1, ring.n_samples, 3))
     sid, j = data[:, 1].astype(int), data[:, 2].astype(int)
     bad = np.flatnonzero((j < 0) | (j > n_slots) | (sid < 0) | (sid >= ring.n_samples))
     if bad.size:
         raise ConfigError(f"{path}: slot ({sid[bad[0]]},{j[bad[0]]}) out of range")
-    # checked here, not by `fill`: a file is input, and inf passes the relative tangency test
     vecs = data[:, 3:6]
+    # finiteness is checked on its own: inf passes the relative tangency test
     with np.errstate(over="ignore", invalid="ignore"):
-        normal = np.abs(np.einsum("ri,ri->r", vecs, ring.normals[sid]))
+        normal = np.abs(np.einsum("ri,ri->r", vecs, samples.normals[sid]))
         tangential = normal <= TANGENT_TOL * (1.0 + np.linalg.norm(vecs, axis=1))
     bad = np.flatnonzero(~(np.isfinite(vecs).all(axis=1) & tangential))
     if bad.size:
@@ -170,10 +154,16 @@ def load_history_csv(path, n_slots: int, normals: np.ndarray) -> DelayRing:
         raise ConfigError(
             f"{path}: sample {sid[r]}, slot {j[r]} holds {vecs[r].tolist()}, not a finite tangential vector"
         )
+    seen = np.zeros((ring.n_samples, n_slots + 1), dtype=bool)
+    seen[sid, j] = True
+    if not seen.all():
+        s, k = np.argwhere(~seen)[0]
+        raise ConfigError(f"{path}: no row for sample {s}, slot {k}")
     # a dump of several steps repeats every slot: the last row of each wins
     key = j * ring.n_samples + sid
     _, first_from_end = np.unique(key[::-1], return_index=True)
     last = len(key) - 1 - first_from_end
-    vals[j[last], sid[last]] = data[last, 3:6]
-    ring.fill(lambda s: vals[round(s * n_slots)])
+    vals = np.empty((n_slots + 1, ring.n_samples, 3))
+    vals[j[last], sid[last]] = vecs[last]
+    ring.fill([samples.cross.nu_cross(v) for v in vals])
     return ring

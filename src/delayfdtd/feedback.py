@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TangentCross, check_tangential
+from .domain import check_tangential
 from .errors import AssumptionError, ConfigError, NumericalError, read_input
 
 
@@ -178,13 +178,10 @@ def implicit_boundary_update(
     curl_term: np.ndarray,
     t_old: np.ndarray,
     z1_mid: np.ndarray,
-    nu: np.ndarray,
-    tangents: np.ndarray,
     dt: float,
     eps_t: np.ndarray,
     kappa: np.ndarray,
     tol: float = 1e-12,
-    cross: TangentCross | None = None,
 ) -> np.ndarray:
     """Advance the boundary tangential components by one time step.
 
@@ -193,14 +190,13 @@ def implicit_boundary_update(
     with the feedback forcing fb = -kappa * (H x nu) on the tangent axes,
     H x nu = -gamma1 g(w) x nu - gamma2 g(z1_mid) x nu.  For the tangential
     trace w = t x nu, g(w) x nu = -g(t) on the components, so the
-    instantaneous part is -kappa gamma1 g(t) and needs no cross product; the
-    delayed part is fixed within the step.  Vectorized over samples:
-    `curl_term`, `t_old` are (S, 2) tangential components, `z1_mid` the
-    (S, 3) time-centered delayed trace, `kappa` the (S, 2) injection scale
-    (area over volume mass), `eps_t` the tangential permittivity, either
-    (S, 2) diagonal entries or an (S, 2, 2) block.  `cross` is the
-    `TangentCross` of `nu` and `tangents`; it is built from them when not
-    given.
+    instantaneous part is -kappa gamma1 g(t) and, with z1_mid given as the
+    components of the delayed E trace, the delayed part is
+    -kappa gamma2 g(z1_mid), fixed within the step.  Vectorized over samples:
+    `curl_term`, `t_old` and `z1_mid` (the time-centered delay tap) are
+    (S, 2) tangential components, `kappa` the (S, 2) injection scale (area
+    over volume mass), `eps_t` the tangential permittivity, either (S, 2)
+    diagonal entries or an (S, 2, 2) block.
 
     With m = (t_old + t_new)/2, p = 2 t_old + dt eps_t^{-1} (curl_term +
     delayed part) and B = dt eps_t^{-1} diag(kappa gamma1), the update reads
@@ -214,14 +210,11 @@ def implicit_boundary_update(
     """
     t_old = np.asarray(t_old, dtype=float)
     eps_t = np.asarray(eps_t, dtype=float)
-    if cross is None:
-        cross = TangentCross(nu, tangents)
 
     if law.kind == "linear" and eps_t.ndim == 2:
-        # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*(nu x z1))]
-        u1_c = cross.nu_cross(z1_mid)
+        # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*z1_mid)]
         q = dt / eps_t * kappa * law.a
-        rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * u1_c
+        rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * z1_mid
         return rhs / (1.0 + 0.5 * q * law.gamma1)
 
     # every 2x2 operation runs on the two tangential columns
@@ -262,8 +255,7 @@ def implicit_boundary_update(
 
     load = curl_term
     if law.gamma2 != 0.0:
-        # the components of g(z1) x nu are those of -(nu x g(z1))
-        load = curl_term - kappa * law.gamma2 * cross.nu_cross(eval_g(law, z1_mid))
+        load = curl_term - kappa * law.gamma2 * eval_g(law, z1_mid)
     t0, t1 = t_old[:, 0], t_old[:, 1]
     c0, c1 = mass(load[:, 0], load[:, 1])
     p0, p1 = 2.0 * t0 + c0, 2.0 * t1 + c1

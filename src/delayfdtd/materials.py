@@ -169,18 +169,6 @@ class MaterialReport:
     def passed(self) -> bool:
         return not self.failed
 
-    def merge(self, other: "MaterialReport") -> "MaterialReport":
-        out = MaterialReport(
-            alpha=self.alpha if other.alpha is None else other.alpha,
-            d1=self.d1 if other.d1 is None else other.d1,
-            beta=self.beta if other.beta is None else other.beta,
-            m_sup=self.m_sup if other.m_sup is None else other.m_sup,
-            lambda_max_eps=other.lambda_max_eps or self.lambda_max_eps,
-            lambda_max_mu=other.lambda_max_mu or self.lambda_max_mu,
-        )
-        out.checks = {**self.checks, **other.checks}
-        return out
-
     def summary_lines(self) -> list[str]:
         lines = []
         for key in ("alpha", "d1", "beta", "m_sup", "lambda_max_eps", "lambda_max_mu"):
@@ -280,4 +268,7 @@ def full_report(
     base = check_assumption_materials(eps, mu)
     if not base.passed:
         return base
-    return base.merge(check_assumption_geometry(eps, mu, m, grid))
+    geometry = check_assumption_geometry(eps, mu, m, grid)
+    base.d1, base.beta, base.m_sup = geometry.d1, geometry.beta, geometry.m_sup
+    base.checks.update(geometry.checks)
+    return base

@@ -383,10 +383,6 @@ class Stepper:
         self.ops = ops
         self.law = law
         self.dt = float(dt)
-        s = ops.grid.samples
-        self._normals = s.normals
-        self._tangents = s.tangents
-        self._cross = s.cross
         self._kappa = ops.inj_scale
         self._eps_t = ops.eps_trace
         layout = ops.layout
@@ -422,21 +418,10 @@ class Stepper:
             state.q[self._int_slice] += dt * rhs[self._int_slice] / ops.eps_q[self._int_slice]
         else:
             state.q[self._int_slice] += dt * (self._eps_inv @ rhs)
-        t_new = implicit_boundary_update(
-            law,
-            curl_term,
-            t_old,
-            z1_mid,
-            self._normals,
-            self._tangents,
-            dt,
-            self._eps_t,
-            self._kappa,
-            cross=self._cross,
-        )
+        t_new = implicit_boundary_update(law, curl_term, t_old, z1_mid, dt, self._eps_t, self._kappa)
 
         state.q[self._trace_slice] = t_new.ravel()
-        ring.advance(self._cross.cross_nu(t_new))
+        ring.advance(t_new)
 
         curl = ops.C @ state.q
         state.h_prev = state.h  # rebound, not copied: h is replaced below
@@ -501,11 +486,10 @@ def run(scenario: Scenario) -> RunOutput:
 
     s = grid.samples
     if scenario.history.kind == "file":
-        ring = load_history_csv(scenario.history.path, n_slots, s.normals)
+        ring = load_history_csv(scenario.history.path, n_slots, s)
     else:
-        ring = init_history(
-            scenario.history.kind, n_slots, s.normals, initial_trace=ops.boundary_trace_w(q0)
-        )
+        q0_trace = ops.layout.trace_view(q0)
+        ring = init_history(scenario.history.kind, n_slots, s.count, initial_trace=q0_trace)
 
     n_steps = int(np.ceil(scenario.run.t_end / dt - 1e-12)) if scenario.run.t_end > 0 else 0
     rows = []

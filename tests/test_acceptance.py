@@ -93,7 +93,7 @@ def test_criterion_02_divergence_conservation():
     dt, n_slots = compute_dt(grid, eps, mu, 0.5, TAU)
     stepper = Stepper(ops, law, dt)
     state = stepper.bootstrap(gaussian_pulse_q(ops, PULSE))
-    ring = init_history("zero", n_slots, grid.samples.normals)
+    ring = init_history("zero", n_slots, grid.samples.count)
     div0 = ops.div_eps @ state.q
     scale = float((np.abs(ops.div_eps) @ np.abs(state.q)).max())
     worst = 0.0

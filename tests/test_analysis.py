@@ -31,7 +31,7 @@ def make_trace(t, E_xi, D, flux=None, E_w=None):
 # -- energies ------------------------------------------------------------------
 
 def test_energies_zero(ops8):
-    ring = init_history("zero", 4, ops8.grid.samples.normals)
+    ring = init_history("zero", 4, ops8.grid.samples.count)
     q = np.zeros(ops8.layout.n_q)
     h = np.zeros(ops8.layout.n_h)
     assert energies(q, h, h, ring, ops8, 0.5, 0.25) == (0.0, 0.0, 0.0, 0.0)
@@ -46,7 +46,7 @@ def test_energies_constant_field_weighted():
     ops = build_operators(grid, constant_isotropic(grid, 2.0), constant_isotropic(grid, 1.0))
     q = sample_vector_field(ops, lambda p: np.broadcast_to([1.0, 0, 0], p.shape))
     h = np.zeros(ops.layout.n_h)
-    ring = init_history("zero", 4, grid.samples.normals)
+    ring = init_history("zero", 4, grid.samples.count)
     e_w, e_p, _, _ = energies(q, h, h, ring, ops, 0.5, 0.25)
     assert e_w == pytest.approx(1.0, rel=1e-13)
     assert e_p == pytest.approx(0.5, rel=1e-13)
@@ -55,11 +55,8 @@ def test_energies_constant_field_weighted():
 def test_energies_delay_term_constant_ring(ops8):
     # ring slots all of magnitude 1 over the unit-cube boundary:
     # delay term = xi * tau * area = 0.5 * 0.25 * 6
-    s = ops8.grid.samples
-    w = np.cross(s.normals, np.where(np.abs(s.normals[:, [1]]) == 1.0, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    ring = DelayRing(4, s.normals)
-    ring.fill(w)
+    ring = DelayRing(4, ops8.grid.samples.count)
+    ring.fill([0.6, 0.8])
     q = np.zeros(ops8.layout.n_q)
     h = np.zeros(ops8.layout.n_h)
     _, _, e_xi, d_val = energies(q, h, h, ring, ops8, 0.5, 0.25)

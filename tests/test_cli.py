@@ -399,8 +399,8 @@ def test_history_file_roundtrip(tmp_path):
             lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
     path = tmp_path / "history.csv"
     path.write_text("\n".join(lines) + "\n")
-    ring = load_history_csv(path, n_slots, s.normals)
-    assert np.allclose(ring.slots(), vals, atol=1e-15)
+    ring = load_history_csv(path, n_slots, s)
+    assert np.allclose([s.cross.cross_nu(t) for t in ring.slots()], vals, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -652,20 +652,22 @@ def test_one_step_run_leaves_sparse_linalg_unloaded(tmp_path):
 
 
 def test_boundary_dump_seeds_a_file_history(tmp_path):
-    # the dump of a run, read back as a file history, is that run's final ring
+    # the dump of a run, read back as a file history, is that run's final ring;
+    # a run shorter than tau (t_end = 0.1) keeps never-pushed zero slots
     from delayfdtd.config import parse_config, scenario_from_config
     from delayfdtd.solver import run
 
-    text = BASE.replace("= 8", "= 4").replace("t_end = 2.0", "t_end = 0.3")
-    path, outdir = write_cfg(tmp_path, text)
-    assert main(["run", str(path), "--dump-boundary"]) == 0
-    final = run(scenario_from_config(parse_config(path.read_text()))).ring.slots()
+    for t_end in ("0.3", "0.1"):
+        text = BASE.replace("= 8", "= 4").replace("t_end = 2.0", f"t_end = {t_end}")
+        path, outdir = write_cfg(tmp_path, text, outdir=tmp_path / f"out_{t_end}")
+        assert main(["run", str(path), "--dump-boundary"]) == 0
+        final = run(scenario_from_config(parse_config(path.read_text()))).ring.slots()
 
-    dump = outdir / "boundary_trace.csv"
-    seeded = text.replace("t_end = 0.3", "t_end = 0") + f"\n[history]\nkind = file\nfile = {dump}\n"
-    path2, _ = write_cfg(tmp_path, seeded, name="seeded.cfg", outdir=tmp_path / "out2")
-    ring = run(scenario_from_config(parse_config(path2.read_text()))).ring
-    assert np.array_equal(ring.slots(), final)
+        dump = outdir / "boundary_trace.csv"
+        seeded = text.replace(f"t_end = {t_end}", "t_end = 0") + f"\n[history]\nkind = file\nfile = {dump}\n"
+        path2, _ = write_cfg(tmp_path, seeded, name="seeded.cfg", outdir=tmp_path / "out2")
+        ring = run(scenario_from_config(parse_config(path2.read_text()))).ring
+        assert np.array_equal(ring.slots(), final)
 
 
 def test_resolvent_report_independent_of_blas_threads(tmp_path):
@@ -698,7 +700,7 @@ def test_boundary_dump_holds_the_final_ring_once(tmp_path):
     path, outdir = write_cfg(tmp_path, text)
     assert main(["run", str(path), "--dump-boundary"]) == 0
     out = run(scenario_from_config(parse_config(path.read_text())))
-    slots = out.ring.slots()
+    slots = np.stack([out.ops.grid.samples.cross.cross_nu(t) for t in out.ring.slots()])
     lines = (outdir / "boundary_trace.csv").read_text().splitlines()
     assert lines[0] == "step,sample_id,s_index,vx,vy,vz"
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
@@ -791,8 +793,9 @@ def test_constant_history_kind_exits_two(tmp_path, capsys):
         # inf passes the relative tangency test: inf > 1e-12 * inf is false
         ("0,0,1,inf,0,0", "sample 0, slot 1 holds [inf, 0.0, 0.0]"),
         ("0,0,1,1,1,1", "sample 0, slot 1 holds [1.0, 1.0, 1.0]"),  # a normal component
+        ("0,0,0,0,0.5,0", "no row for sample 0, slot 1"),  # every other pair has no row
     ],
-    ids=["nan", "inf", "normal"],
+    ids=["nan", "inf", "normal", "incomplete"],
 )
 def test_run_bad_history_row_exit_two(tmp_path, capsys, row, message):
     history = tmp_path / "history.csv"

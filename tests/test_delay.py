@@ -6,15 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayfdtd.delay import DelayRing, init_history, load_history_csv
-from delayfdtd.domain import BoxDomain, build_grid
+from delayfdtd.domain import BoxDomain, SampleSet, build_grid, tangent_axes
 from delayfdtd.errors import ConfigError, ContractError
 
 NORMALS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def filled(n_slots, normals, history):
+def sample_set(normals):
+    """Samples with the given axis normals; only the geometry the history reader uses."""
+    n = len(normals)
+    axis = np.argmax(np.abs(normals), axis=1)
+    return SampleSet(
+        positions=np.zeros((n, 3)), normals=normals, areas=np.ones(n), axis=axis,
+        side=normals[np.arange(n), axis], tangents=np.array([tangent_axes(a) for a in axis]),
+        cells=np.zeros((n, 3), dtype=int), vol_mass=np.ones((n, 2)),
+    )
+
+
+SAMPLES = sample_set(NORMALS)
+
+
+def filled(n_slots, n_samples, history):
     """A ring with every slot filled from `history` (see DelayRing.fill)."""
-    ring = DelayRing(n_slots, normals)
+    ring = DelayRing(n_slots, n_samples)
     ring.fill(history)
     return ring
 
@@ -24,41 +38,39 @@ def tangential(vec, nu):
     return v - np.dot(v, nu) * nu
 
 
+def history_lines(samples, comps):
+    """Dump rows of the (N+1, S, 2) components `comps`, as Z = E x nu vectors."""
+    lines = ["step,sample_id,s_index,vx,vy,vz"]
+    for j, slot in enumerate(comps):
+        for sid, v in enumerate(samples.cross.cross_nu(slot)):
+            lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    return lines
+
+
 def test_zero_history():
-    ring = init_history("zero", 4, NORMALS)
-    assert np.array_equal(ring.slots(), np.zeros((5, 3, 3)))
-
-
-def test_constant_history_requires_tangential():
-    w = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])  # tangential per row
-    ring = filled(4, NORMALS, w)
-    for j in range(5):
-        assert np.array_equal(ring.slot(j), w)
-    bad = w.copy()
-    bad[0, 2] = 0.1  # normal component on the first sample
-    with pytest.raises(ContractError):
-        filled(4, NORMALS, bad)
+    ring = init_history("zero", 4, 3)
+    assert np.array_equal(ring.slots(), np.zeros((5, 3, 2)))
 
 
 def test_replay_history():
-    w0 = np.array([[0.5, -1.0, 0], [2.0, 0, 0.3], [0, 1.0, 1.0]])
-    ring = init_history("replay", 3, NORMALS, initial_trace=w0)
+    w0 = np.array([[0.5, -1.0], [2.0, 0.3], [0, 1.0]])
+    ring = init_history("replay", 3, 3, initial_trace=w0)
     for j in range(4):
         assert np.array_equal(ring.slot(j), w0)
 
 
 def test_history_depth_floor():
     with pytest.raises(ConfigError):
-        DelayRing(0, NORMALS)
+        DelayRing(0, 3)
 
 
 def test_fifo_tags():
-    ring = init_history("zero", 4, NORMALS)
+    ring = init_history("zero", 4, 3)
     for tag in range(1, 6):
-        w = np.zeros((3, 3))
+        w = np.zeros((3, 2))
         w[:, 0] = [tag, tag, 0]
-        w[0] = tangential(w[0], NORMALS[0])
-        z0, z1 = ring.advance(w)
+        ring.advance(w)
+    z0, z1 = ring.slot(0), ring.slot(ring.N)
     assert z1[1, 0] == 1.0  # pushed 5 steps ago... slot N after 5 pushes of N=4
     assert z0[1, 0] == 5.0
 
@@ -66,32 +78,32 @@ def test_fifo_tags():
 def test_constant_pushes_fill_after_n():
     # the s=1 tap after k pushes is push k-N, so the constant value arrives
     # once the initial history has been flushed through all N slots
-    ring = init_history("zero", 4, NORMALS)
-    w = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0.5, 0]])
+    ring = init_history("zero", 4, 3)
+    w = np.array([[1.0, 0], [0, 1.0], [0, 0.5]])
     for _ in range(4):
-        _, z1 = ring.advance(w)
-        assert np.array_equal(z1, np.zeros((3, 3)))
-    _, z1 = ring.advance(w)
-    assert np.array_equal(z1, w)
+        ring.advance(w)
+        assert np.array_equal(ring.slot(ring.N), np.zeros((3, 2)))
+    ring.advance(w)
+    assert np.array_equal(ring.slot(ring.N), w)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 20))
 def test_delay_tap_is_exact(n_slots, extra):
-    ring = init_history("zero", n_slots, NORMALS[:1])
+    ring = init_history("zero", n_slots, 1)
     pushes = []
     for k in range(n_slots + extra):
-        w = np.array([[float(k + 1), 2.0 * (k + 1), 0.0]])
+        w = np.array([[float(k + 1), 2.0 * (k + 1)]])
         pushes.append(w)
-        _, z1 = ring.advance(w)
-    expect = pushes[-1 - n_slots] if len(pushes) > n_slots else np.zeros((1, 3))
-    assert np.array_equal(z1, expect)
+        ring.advance(w)
+    expect = pushes[-1 - n_slots] if len(pushes) > n_slots else np.zeros((1, 2))
+    assert np.array_equal(ring.slot(ring.N), expect)
 
 
 def test_s_energy_constant_exact():
-    w = np.array([[0.6, -0.8, 0.0]])
-    ring = DelayRing(5, NORMALS[:1])
-    ring.fill(np.broadcast_to(w, (1, 3)))
+    w = np.array([[0.6, -0.8]])
+    ring = DelayRing(5, 1)
+    ring.fill(w)
     assert ring.s_energy()[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -107,31 +119,22 @@ def assert_exact_shifts(snaps):
 
 def test_transport_residual_zero_for_shifts():
     rng = np.random.default_rng(0)
-    ring = init_history("zero", 5, NORMALS)
+    ring = init_history("zero", 5, 3)
     snaps = [ring.slots().copy()]
     for _ in range(8):
-        raw = rng.standard_normal((3, 3))
-        w = np.stack([tangential(raw[i], NORMALS[i]) for i in range(3)])
-        ring.advance(w)
+        ring.advance(rng.standard_normal((3, 2)))
         snaps.append(ring.slots().copy())
     assert_exact_shifts(snaps)
 
 
 def test_constant_in_time_residual_zero():
-    w = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
-    ring = filled(4, NORMALS, w)
+    w = np.array([[1.0, 0], [0, 1.0], [1.0, 0]])
+    ring = filled(4, 3, w)
     snaps = [ring.slots().copy()]
     for _ in range(3):
         ring.advance(w)
         snaps.append(ring.slots().copy())
     assert_exact_shifts(snaps)
-
-
-def test_advance_rejects_non_tangential():
-    ring = init_history("zero", 4, NORMALS)
-    bad = np.array([[0, 0, 1.0], [0, 0, 1.0], [0, 1.0, 0]])  # normal on sample 0
-    with pytest.raises(ContractError):
-        ring.advance(bad)
 
 
 # -- cached pair energies ----------------------------------------------------
@@ -150,55 +153,51 @@ def assert_cache_matches(ring):
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
-def box_normals():
-    return build_grid(BoxDomain((1.0, 1.0, 1.0), (4, 5, 6), (0.5, 0.5, 0.5))).samples.normals
+def box_samples():
+    return build_grid(BoxDomain((1.0, 1.0, 1.0), (4, 5, 6), (0.5, 0.5, 0.5))).samples
 
 
-def random_traces(rng, normals, shape=()):
-    raw = rng.standard_normal(shape + normals.shape)
-    nu = np.broadcast_to(normals, raw.shape)
-    return raw - np.einsum("...i,...i->...", raw, nu)[..., None] * nu
+def random_traces(rng, samples, shape=()):
+    return rng.standard_normal(shape + (samples.count, 2))
 
 
 def test_cache_after_fill_constant_replay_and_csv(tmp_path):
     rng = np.random.default_rng(31)
-    normals = box_normals()
+    samples = box_samples()
     n_slots = 6
-    assert_cache_matches(filled(n_slots, normals, random_traces(rng, normals)))
-    assert_cache_matches(init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals)))
-    vals = random_traces(rng, normals, (n_slots + 1,))
-    lines = ["step,sample_id,s_index,vx,vy,vz"]
-    for j in range(n_slots + 1):
-        for sid, v in enumerate(vals[j]):
-            lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    assert_cache_matches(filled(n_slots, samples.count, random_traces(rng, samples)))
+    assert_cache_matches(
+        init_history("replay", n_slots, samples.count, initial_trace=random_traces(rng, samples))
+    )
+    vals = random_traces(rng, samples, (n_slots + 1,))
     path = tmp_path / "history.csv"
-    path.write_text("\n".join(lines) + "\n")
-    ring = load_history_csv(path, n_slots, normals)
+    path.write_text("\n".join(history_lines(samples, vals)) + "\n")
+    ring = load_history_csv(path, n_slots, samples)
     assert_cache_matches(ring)
     # a ring that was already pushed is rebuilt by fill
-    ring.advance(random_traces(rng, normals))
-    ring.fill(random_traces(rng, normals))
+    ring.advance(random_traces(rng, samples))
+    ring.fill(random_traces(rng, samples))
     assert_cache_matches(ring)
 
 
 @pytest.mark.parametrize("n_slots", [1, 5])
 def test_cache_tracks_pushes_across_wraps(n_slots):
     rng = np.random.default_rng(32 + n_slots)
-    normals = box_normals()
-    ring = init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+    samples = box_samples()
+    ring = init_history("replay", n_slots, samples.count, initial_trace=random_traces(rng, samples))
     for _ in range(2 * (n_slots + 1) + 3):
-        ring.advance(random_traces(rng, normals))
+        ring.advance(random_traces(rng, samples))
         assert_cache_matches(ring)
 
 
 def test_cache_overflow_is_inf_without_warning():
     rng = np.random.default_rng(33)
-    normals = box_normals()
-    ring = init_history("zero", 4, normals)
-    big = 1e300 * random_traces(rng, normals)
+    samples = box_samples()
+    ring = init_history("zero", 4, samples.count)
+    big = 1e300 * random_traces(rng, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ring.advance(random_traces(rng, normals))
+        ring.advance(random_traces(rng, samples))
         ring.advance(big)
         energy = ring.s_energy()
     assert np.all(np.isinf(energy[np.any(big != 0, axis=1)]))
@@ -215,42 +214,38 @@ def assert_slot_norms_match(ring):
 
 def test_slot_norms_after_fill_constant_replay_and_csv(tmp_path):
     rng = np.random.default_rng(51)
-    normals = box_normals()
+    samples = box_samples()
     n_slots = 6
-    assert_slot_norms_match(init_history("zero", n_slots, normals))
-    assert_slot_norms_match(filled(n_slots, normals, random_traces(rng, normals)))
+    assert_slot_norms_match(init_history("zero", n_slots, samples.count))
+    assert_slot_norms_match(filled(n_slots, samples.count, random_traces(rng, samples)))
     assert_slot_norms_match(
-        init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+        init_history("replay", n_slots, samples.count, initial_trace=random_traces(rng, samples))
     )
-    vals = random_traces(rng, normals, (n_slots + 1,))
-    lines = ["step,sample_id,s_index,vx,vy,vz"]
-    for j in range(n_slots + 1):
-        for sid, v in enumerate(vals[j]):
-            lines.append(f"0,{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
+    vals = random_traces(rng, samples, (n_slots + 1,))
     path = tmp_path / "history.csv"
-    path.write_text("\n".join(lines) + "\n")
-    ring = load_history_csv(path, n_slots, normals)
+    path.write_text("\n".join(history_lines(samples, vals)) + "\n")
+    ring = load_history_csv(path, n_slots, samples)
     assert_slot_norms_match(ring)
-    ring.advance(random_traces(rng, normals))
-    ring.fill(random_traces(rng, normals))
+    ring.advance(random_traces(rng, samples))
+    ring.fill(random_traces(rng, samples))
     assert_slot_norms_match(ring)
 
 
 @pytest.mark.parametrize("n_slots", [1, 5])
 def test_slot_norms_track_pushes_across_wraps(n_slots):
     rng = np.random.default_rng(52 + n_slots)
-    normals = box_normals()
-    ring = init_history("replay", n_slots, normals, initial_trace=random_traces(rng, normals))
+    samples = box_samples()
+    ring = init_history("replay", n_slots, samples.count, initial_trace=random_traces(rng, samples))
     for _ in range(2 * (n_slots + 1) + 3):
-        ring.advance(random_traces(rng, normals))
+        ring.advance(random_traces(rng, samples))
         assert_slot_norms_match(ring)
 
 
 def test_slot_norm_overflow_is_inf_without_warning():
     rng = np.random.default_rng(53)
-    normals = box_normals()
-    ring = init_history("zero", 4, normals)
-    big = 1e300 * random_traces(rng, normals)
+    samples = box_samples()
+    ring = init_history("zero", 4, samples.count)
+    big = 1e300 * random_traces(rng, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ring.advance(big)
@@ -259,24 +254,9 @@ def test_slot_norm_overflow_is_inf_without_warning():
 
 
 def test_slot_norm_index_is_checked():
-    ring = init_history("zero", 3, NORMALS)
+    ring = init_history("zero", 3, 3)
     with pytest.raises(ContractError):
         ring.slot_norm2(4)
-
-
-def test_advance_accepts_round_off_normal_component():
-    # a nonzero normal component inside the tolerance still passes the full test
-    ring = init_history("zero", 4, NORMALS)
-    w = np.array([[1.0, 0.0, 1e-14], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    ring.advance(w)
-    assert np.array_equal(ring.slot(0), w)
-    with pytest.raises(ContractError, match="pushed trace is not tangential"):
-        ring.advance(np.array([[1.0, 0.0, 1e-9], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
-
-def test_ring_rejects_normals_off_the_axes():
-    with pytest.raises(ContractError):
-        DelayRing(2, np.array([[0.6, 0.8, 0.0]]))
 
 
 def test_history_csv_keeps_the_last_row_of_each_slot(tmp_path):
@@ -290,10 +270,24 @@ def test_history_csv_keeps_the_last_row_of_each_slot(tmp_path):
                 lines.append(f"{step},{sid},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")
     path = tmp_path / "dump.csv"
     path.write_text("\n".join(lines) + "\n")
-    ring = load_history_csv(path, 2, normals)
+    ring = load_history_csv(path, 2, SAMPLES)
     for sid in range(3):
         for j in range(3):
-            assert np.array_equal(ring.slot(j)[sid], tangential([3.0, sid + 2.0, j + 3.0], normals[sid]))
+            # the ring holds E, the components of nu x Z on the tangent axes
+            z = tangential([3.0, sid + 2.0, j + 3.0], normals[sid])
+            expect = np.cross(normals[sid], z)[SAMPLES.tangents[sid]]
+            assert np.array_equal(ring.slot(j)[sid], expect)
+
+
+def test_history_csv_drops_a_round_off_normal_component(tmp_path):
+    path = tmp_path / "dump.csv"
+    comps = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]] * 2)
+    lines = history_lines(SAMPLES, comps)
+    z = SAMPLES.cross.cross_nu(comps[0])[0]
+    lines[1] = f"0,0,0,{z[0]:.17g},{z[1]:.17g},1e-14"  # sample 0 has normal +z
+    path.write_text("\n".join(lines) + "\n")
+    ring = load_history_csv(path, 1, SAMPLES)
+    assert np.array_equal(ring.slots(), comps)
 
 
 @pytest.mark.parametrize("row", ["0,3,0,0,0,0", "0,0,5,0,0,0", "0,-1,0,0,0,0"])
@@ -301,7 +295,7 @@ def test_history_csv_rejects_out_of_range_slots(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text("step,sample_id,s_index,vx,vy,vz\n0,0,0,0,0,0\n" + row + "\n")
     with pytest.raises(ConfigError, match="out of range"):
-        load_history_csv(path, 4, NORMALS)
+        load_history_csv(path, 4, SAMPLES)
 
 
 @pytest.mark.parametrize("row", ["0,0.5,0,0,0,0", "0,0,1.9,0,0,0", "0,nan,0,0,0,0", "0,0,inf,0,0,0"])
@@ -311,4 +305,12 @@ def test_history_csv_rejects_indices_that_are_not_integers(tmp_path, row):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="data row 2 names sample and slot"):
-            load_history_csv(path, 4, NORMALS)
+            load_history_csv(path, 4, SAMPLES)
+
+
+def test_history_csv_rejects_the_dump_of_a_shorter_delay_line(tmp_path):
+    # slots 3 and 4 have no row; they must not start as zeros
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(history_lines(SAMPLES, np.ones((3, 3, 2)))) + "\n")
+    with pytest.raises(ConfigError, match="no row for sample 0, slot 3$"):
+        load_history_csv(path, 4, SAMPLES)

@@ -184,9 +184,20 @@ def _metrics(n_samples=1):
     return nu, tangents, eps_t, kappa
 
 
+def closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, **kwargs):
+    """`implicit_boundary_update` with the delayed tap given as the 3-vector Z = E x nu.
+
+    The closure takes the E trace, the tangent-axis components of nu x Z.
+    """
+    u = np.cross(nu, z1)
+    rows = np.arange(u.shape[0])
+    e1 = np.stack([u[rows, tangents[:, 0]], u[rows, tangents[:, 1]]], axis=1)
+    return implicit_boundary_update(law, curl, t_old, e1, dt, eps_t, kappa, **kwargs)
+
+
 def test_implicit_update_rest_is_fixed_point():
     nu, tangents, eps_t, kappa = _metrics()
-    out = implicit_boundary_update(
+    out = closure(
         SATURATING,
         np.zeros((1, 2)),
         np.zeros((1, 2)),
@@ -219,13 +230,13 @@ def test_implicit_linear_matches_closed_form():
     t_old = rng.standard_normal((64, 2))
     z1 = rng.standard_normal((64, 3))
     z1[:, 2] = 0.0  # tangential for nu = e_z
-    got = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, 0.02, eps_t, kappa)
+    got = closure(law, curl, t_old, z1, nu, tangents, 0.02, eps_t, kappa)
     ref = closed_form_linear(law, curl, t_old, z1, nu, tangents, 0.02, eps_t, kappa)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
     # the general fixed-point path must agree with the closed form too
     bent = FeedbackLaw(kind="saturating", a=1.3, b=0.0, gamma1=0.8, gamma2=0.4, tau=0.25)
-    got_fp = implicit_boundary_update(bent, curl, t_old, z1, nu, tangents, 0.02, eps_t, kappa)
+    got_fp = closure(bent, curl, t_old, z1, nu, tangents, 0.02, eps_t, kappa)
     assert np.max(np.abs(got_fp - ref)) <= 1e-11
 
 
@@ -239,7 +250,7 @@ def test_implicit_saturating_converges_on_random_batch():
     t_old = rng.uniform(-1, 1, (n, 2))
     z1 = rng.uniform(-1, 1, (n, 3))
     z1[:, 2] = 0.0
-    out = implicit_boundary_update(
+    out = closure(
         SATURATING, curl, t_old, z1, nu, tangents, dt, eps_t, kappa
     )
     assert np.all(np.isfinite(out))
@@ -317,7 +328,7 @@ def test_newton_converges_on_random_batch_at_ten_times_cfl(monkeypatch):
     dt = 10 * 0.95 / (16 * np.sqrt(3.0))
     for law in (SATURATING, FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=64.0, gamma2=16.0)):
         calls.clear()
-        out = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+        out = closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
         assert len(calls) <= 12
         # round-off of the cross-product rebuild grows with dt * kappa * gamma1
         slack = 1e-15 * dt * kappa.max() * law.gamma1 * 10
@@ -334,10 +345,10 @@ def test_table_law_closure_satisfies_centered_equation():
     rng = np.random.default_rng(44)
     curl, t_old, z1, nu, tangents, eps_t, kappa = _random_batch(rng, 2_000)
     dt = 0.95 / (16 * np.sqrt(3.0))
-    out = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, tol=1e-12)
+    out = closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, tol=1e-12)
     assert _centered_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + 1e-14
     # and lands next to the saturating law it samples
-    ref = implicit_boundary_update(SATURATING, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+    ref = closure(SATURATING, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
     assert np.max(np.abs(out - ref)) <= 1e-3
 
 
@@ -349,8 +360,8 @@ def test_tensor_block_matches_diagonal_entries():
     block = eps_t[:, :, None] * np.eye(2)
     dt = 0.95 / (16 * np.sqrt(3.0))
     for law in (SATURATING, FeedbackLaw(kind="linear", a=1.3, gamma1=0.8, gamma2=0.4, tau=0.25)):
-        diag = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
-        full = implicit_boundary_update(law, curl, t_old, z1, nu, tangents, dt, block, kappa)
+        diag = closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
+        full = closure(law, curl, t_old, z1, nu, tangents, dt, block, kappa)
         assert np.max(np.abs(full - diag)) <= 1e-12
 
 
@@ -470,13 +481,13 @@ def test_radial_closure_matches_newton_reference(profile, block, gamma1, cfl_mul
     dt = cfl_multiple * CFL_16
     args = (curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
 
-    out = implicit_boundary_update(law, *args)
+    out = closure(law, *args)
     assert np.max(np.abs(out - newton_2x2_reference(law, *args))) <= 1e-11
     slack = 1e-15 * dt * kappa.max() * law.gamma1 * 10
     assert _block_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + slack
 
     zeros2, zeros3 = np.zeros((n, 2)), np.zeros((n, 3))
-    rest = implicit_boundary_update(law, zeros2, zeros2, zeros3, nu, tangents, dt, eps_t, kappa)
+    rest = closure(law, zeros2, zeros2, zeros3, nu, tangents, dt, eps_t, kappa)
     assert not np.any(rest)
 
 
@@ -490,7 +501,7 @@ def test_block_closure_finds_roots_past_half_p():
     kappa = rng.uniform(4.0, 64.0, (n, 2))
     law = FeedbackLaw(gamma1=0.25, gamma2=0.0625, tau=0.25, **CLOSURE_PROFILES["saturating"])
     args = (curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
-    out = implicit_boundary_update(law, *args)
+    out = closure(law, *args)
     assert np.max(np.abs(out - newton_2x2_reference(law, *args))) <= 1e-11
 
     m = 0.5 * (t_old + out)
@@ -507,7 +518,7 @@ def test_radial_closure_names_a_nan_sample(block):
     curl[7, 1] = np.nan
     eps_t = _random_eps_t(rng, 50, block)
     with pytest.raises(NumericalError, match="boundary update failed to converge: sample 7,"):
-        implicit_boundary_update(SATURATING, curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
+        closure(SATURATING, curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["diagonal", "block"])
@@ -528,5 +539,5 @@ def test_radius_solve_takes_few_iterations_at_ten_times_cfl(monkeypatch, block):
         eps_t = _random_eps_t(rng, 10_000, block=True)
     for law in (SATURATING, FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=64.0, gamma2=16.0)):
         calls.clear()
-        implicit_boundary_update(law, curl, t_old, z1, nu, tangents, 10 * CFL_16, eps_t, kappa)
+        closure(law, curl, t_old, z1, nu, tangents, 10 * CFL_16, eps_t, kappa)
         assert len(calls) <= 2 + 2 * 8

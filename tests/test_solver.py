@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delayfdtd.delay import init_history
+from delayfdtd.delay import DelayRing, init_history
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
 from delayfdtd.feedback import FeedbackLaw, implicit_boundary_update
@@ -141,7 +141,7 @@ def test_zero_state_is_fixed_point(ops8):
     dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
     stepper = Stepper(ops8, law, dt)
     state = stepper.bootstrap(np.zeros(ops8.layout.n_q))
-    ring = init_history("zero", n_slots, ops8.grid.samples.normals)
+    ring = init_history("zero", n_slots, ops8.grid.samples.count)
     for _ in range(10):
         stepper.step(state, ring)
     assert np.abs(state.q).max() == 0.0
@@ -157,7 +157,7 @@ def test_pmc_interior_update_matches_damped(ops8):
         dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
         stepper = Stepper(ops8, law, dt)
         state = stepper.bootstrap(q0)
-        ring = init_history("zero", n_slots, ops8.grid.samples.normals)
+        ring = init_history("zero", n_slots, ops8.grid.samples.count)
         stepper.step(state, ring)
         states[name] = state
     tr = ops8.layout.trace_offset
@@ -197,7 +197,7 @@ def test_divergence_conserved_diag_ramp():
     dt, n_slots = compute_dt(grid, eps, mu, 0.5, 0.25)
     stepper = Stepper(ops, DAMPED, dt)
     state = stepper.bootstrap(q)
-    ring = init_history("zero", n_slots, grid.samples.normals)
+    ring = init_history("zero", n_slots, grid.samples.count)
     div0 = ops.div_eps @ state.q
     scale = np.abs(state.q).max() / 0.125
     for _ in range(100):
@@ -212,11 +212,10 @@ def test_ring_slot0_tracks_boundary_trace(ops8):
     dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
     stepper = Stepper(ops8, law, dt)
     state = stepper.bootstrap(project_div_free(rng.standard_normal(ops8.layout.n_q), ops8))
-    ring = init_history("zero", n_slots, ops8.grid.samples.normals)
+    ring = init_history("zero", n_slots, ops8.grid.samples.count)
     for _ in range(5):
         stepper.step(state, ring)
-        w = ops8.boundary_trace_w(state.q)
-        assert np.abs(ring.slot(0) - w).max() <= 1e-14
+        assert np.abs(ring.slot(0) - ops8.layout.trace_view(state.q)).max() <= 1e-14
 
 
 def test_run_zero_steps():
@@ -337,9 +336,7 @@ def test_full_tensor_path_matches_diagonal_path():
         stepper = Stepper(ops, law, dt)
         assert stepper._diag == e.diagonal_only
         state = stepper.bootstrap(q0)
-        ring = init_history(
-            "replay", n_slots, grid.samples.normals, initial_trace=ops.boundary_trace_w(q0)
-        )
+        ring = init_history("replay", n_slots, grid.samples.count, initial_trace=ops.layout.trace_view(q0))
         for _ in range(20):
             stepper.step(state, ring)
         states.append(state)
@@ -387,8 +384,16 @@ class NpCross:
         return self.s.to_components(np.cross(self.s.normals, vectors))
 
 
+class VectorRing(DelayRing):
+    """The delay ring over (N+1, S, 3) vectors Z = E x nu, with the same FIFO and caches."""
+
+    def __init__(self, n_slots, n_samples):
+        super().__init__(n_slots, n_samples)
+        self._buf = np.zeros((self.N + 1, self.n_samples, 3))
+
+
 def np_cross_step(stepper, state, ring):
-    """Stepper.step on the diagonal path, with every cross product by np.cross."""
+    """Stepper.step on the diagonal path over a `VectorRing`, with every cross product by np.cross."""
     ops, dt = stepper.ops, stepper.dt
     cross = NpCross(ops.grid.samples)
     rhs = ops.G @ state.h
@@ -397,8 +402,7 @@ def np_cross_step(stepper, state, ring):
     curl_term = rhs[stepper._trace_slice].reshape(-1, 2)
     state.q[stepper._int_slice] += dt * rhs[stepper._int_slice] / ops.eps_q[stepper._int_slice]
     t_new = implicit_boundary_update(
-        stepper.law, curl_term, t_old, z1_mid, stepper._normals, stepper._tangents, dt,
-        stepper._eps_t, stepper._kappa, cross=cross,
+        stepper.law, curl_term, t_old, cross.nu_cross(z1_mid), dt, stepper._eps_t, stepper._kappa
     )
     state.q[stepper._trace_slice] = t_new.ravel()
     ring.advance(cross.cross_nu(t_new))
@@ -423,15 +427,16 @@ def test_cross_free_step_is_bit_identical(law):
     dt, n_slots = compute_dt(grid, eps, mu, 0.5, law.tau)
     q0 = np.random.default_rng(22).standard_normal(ops.layout.n_q)
     stepper = Stepper(ops, law, dt)
-    runs = []
-    for step in (Stepper.step, np_cross_step):
-        state = stepper.bootstrap(q0)
-        ring = init_history("replay", n_slots, grid.samples.normals,
-                            initial_trace=NpCross(grid.samples).cross_nu(ops.layout.trace_view(q0)))
-        for _ in range(20):
-            step(stepper, state, ring)
-        runs.append(state)
-    got, ref = runs
+    got, ref = stepper.bootstrap(q0), stepper.bootstrap(q0)
+    ring = init_history("replay", n_slots, grid.samples.count, initial_trace=ops.layout.trace_view(q0))
+    ref_ring = VectorRing(n_slots, grid.samples.count)
+    ref_ring.fill(NpCross(grid.samples).cross_nu(ops.layout.trace_view(q0)))
+    for _ in range(20):
+        stepper.step(got, ring)
+        np_cross_step(stepper, ref, ref_ring)
+        assert ring.s_energy().tobytes() == ref_ring.s_energy().tobytes()
+        assert ring.slot_norm2(0).tobytes() == ref_ring.slot_norm2(0).tobytes()
+        assert ring.slot_norm2(ring.N).tobytes() == ref_ring.slot_norm2(ring.N).tobytes()
     assert got.q.tobytes() == ref.q.tobytes()
     assert got.h.tobytes() == ref.h.tobytes()
 
@@ -594,7 +599,7 @@ def test_step_rebinds_h_prev_without_aliasing(ops8):
     dt, n_slots = compute_dt(ops8.grid, ops8.eps, ops8.mu, 0.5, law.tau)
     stepper = Stepper(ops8, law, dt)
     state = stepper.bootstrap(np.random.default_rng(44).standard_normal(ops8.layout.n_q))
-    ring = init_history("zero", n_slots, ops8.grid.samples.normals)
+    ring = init_history("zero", n_slots, ops8.grid.samples.count)
     for _ in range(3):
         h_before = state.h
         stepper.step(state, ring)
