@@ -53,14 +53,6 @@ class BoxDomain:
         return tuple(L / n for L, n in zip(self.lengths, self.resolution))
 
 
-def check_tangential(what: str, v: np.ndarray, normals: np.ndarray) -> None:
-    """Raise ContractError unless |v . nu| <= TANGENT_TOL (1 + |v|) everywhere."""
-    dots = np.abs(np.einsum("...i,...i->...", v, normals))
-    scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", v, v))
-    if np.any(dots > TANGENT_TOL * scale):
-        raise ContractError(f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}")
-
-
 class TangentCross:
     """Cross products with axis-aligned unit normals, on the tangent axes.
 
@@ -129,14 +121,6 @@ class SampleSet:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
-
-    def to_components(self, vectors: np.ndarray) -> np.ndarray:
-        """Project tangential 3-vectors onto the per-face tangent axes."""
-        rows = np.arange(self.count)
-        return np.stack(
-            [vectors[rows, self.tangents[:, 0]], vectors[rows, self.tangents[:, 1]]],
-            axis=1,
-        )
 
 
 @dataclass

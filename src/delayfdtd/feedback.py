@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_tangential
 from .errors import AssumptionError, ConfigError, NumericalError, read_input
 
 
@@ -96,7 +95,7 @@ class FeedbackLaw:
 
 
 def eval_g(law: FeedbackLaw, v: np.ndarray) -> np.ndarray:
-    """Evaluate the feedback nonlinearity; works on (..., 3) stacks."""
+    """Evaluate the feedback nonlinearity; works on (..., 2) component and (..., 3) vector stacks."""
     v = np.asarray(v, dtype=float)
     if law.kind == "linear":
         return law.a * v  # the gain does not depend on |v|
@@ -151,22 +150,6 @@ def boundary_drive(law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray) -
     if law.gamma2 != 0.0:
         drive = drive + law.gamma2 * eval_g(law, w_delayed)
     return drive
-
-
-def required_H_trace(
-    law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray, nu: np.ndarray
-) -> np.ndarray:
-    """Tangential H x nu demanded by the boundary relation.
-
-    h = -gamma1 g(w_now) x nu - gamma2 g(w_delayed) x nu, with w_now and
-    w_delayed the instantaneous and delayed tangential traces E x nu.
-    """
-    w_now = np.asarray(w_now, dtype=float)
-    w_delayed = np.asarray(w_delayed, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    check_tangential("w_now", w_now, nu)
-    check_tangential("w_delayed", w_delayed, nu)
-    return -np.cross(boundary_drive(law, w_now, w_delayed), nu)
 
 
 # radius-solve iterations before the boundary update gives up

@@ -1,7 +1,11 @@
 """Stationary studies of the extended evolution generator.
 
 The extended state (E, H, Z) couples the Maxwell fields with the boundary
-delay profile Z on an s-grid of M+1 nodes.  This module realizes the
+delay profile Z on an s-grid of M+1 nodes.  Z holds, per sample and node,
+the two tangent-axis components of E, as the stepper's delay ring does, so
+the lab forms no cross product: on the components the trace H x nu that the
+boundary relation demands is the drive gamma1 g(w) + gamma2 g(Z|s=1) itself,
+because (g(t x nu)) x nu = -g(t).  This module realizes the
 generator action, measures the monotonicity of its shifted version under the
 exponentially weighted inner product, and solves the resolvent equation
 (b id + A)V = F by the reduction to a curl-curl problem for E, elimination
@@ -23,9 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analysis import _dot
-from .domain import check_tangential
 from .errors import ConfigError, NumericalError
-from .feedback import FeedbackLaw, boundary_drive, required_H_trace
+from .feedback import FeedbackLaw, boundary_drive
 from .operators import Operators
 from .solver import conjugate_gradients
 
@@ -41,7 +44,11 @@ def _require_diagonal(ops: Operators):
 
 @dataclass
 class ExtState:
-    """(E side, H faces, boundary delay profile Z of shape (S, M+1, 3))."""
+    """(E side, H faces, boundary delay profile Z of shape (S, M+1, 2)).
+
+    Z[:, j] holds the tangent-axis components of E at s-node j, in the order
+    of `SampleSet.tangents`, as `layout.trace_view` reads them from q.
+    """
 
     q: np.ndarray
     h: np.ndarray
@@ -67,29 +74,31 @@ def random_domain_state(
 ) -> ExtState:
     """Draw a random extended state satisfying the domain constraints.
 
-    Free interior fields and Z values are drawn first; the s=0 slice is then
-    overwritten with E x nu.  The boundary relation is realized
-    constructively: the generator reads the H trace from the relation, so
-    membership is exact by construction.  `z_interior_boost` scales the
-    interior s-nodes of Z, emphasizing delay-line content (useful as a
-    stress profile for shift-necessity controls).
+    Only the free parameters are drawn, each coordinate iid N(0, 1), in the
+    order q, h, then Z at the s-nodes 1..M as (S, M, 2); the s = 0 slice is
+    the trace of q.  The boundary relation is realized constructively: the
+    generator reads the H trace from the relation, so membership is exact by
+    construction.  `z_interior_boost` scales the interior s-nodes of Z,
+    emphasizing delay-line content (useful as a stress profile for
+    shift-necessity controls).
     """
-    s = ops.grid.samples
-    q = rng.standard_normal(ops.layout.n_q)
-    h = rng.standard_normal(ops.layout.n_h)
-    Z = rng.standard_normal((s.count, M + 1, 3))
-    # the normals are unit axis vectors: projecting them out zeroes one component
-    Z[np.arange(s.count), :, s.axis] = 0.0
+    layout = ops.layout
+    q = rng.standard_normal(layout.n_q)
+    h = rng.standard_normal(layout.n_h)
+    Z = np.empty((layout.n_samples, M + 1, 2))
+    Z[:, 1:] = rng.standard_normal((layout.n_samples, M, 2))
     if z_interior_boost != 1.0:
         Z[:, 1:-1] *= z_interior_boost
-    Z[:, 0] = ops.boundary_trace_w(q)
+    Z[:, 0] = layout.trace_view(q)
     return ExtState(q=q, h=h, Z=Z)
 
 
 def random_forcing(ops: Operators, M: int, rng: np.random.Generator) -> ExtState:
-    """Random resolvent data F: divergence-free E part, free H part, tangential Z.
+    """Random resolvent data F: divergence-free E part, free H part, Z profile.
 
-    Draws the three parts in the order q, h, Z.
+    Draws the three parts in the order q, h, Z; Z is drawn as (S, M+1, 3)
+    vectors per node, whose tangent-axis components nu x Z form the profile
+    (the normal draws are read by none).
     """
     # imported per call, so that the solver module's current binding is used
     from .solver import project_div_free
@@ -97,8 +106,8 @@ def random_forcing(ops: Operators, M: int, rng: np.random.Generator) -> ExtState
     s = ops.grid.samples
     q = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
     h = rng.standard_normal(ops.layout.n_h)
-    Z = rng.standard_normal((s.count, M + 1, 3))
-    Z[np.arange(s.count), :, s.axis] = 0.0  # as in random_domain_state
+    raw = rng.standard_normal((s.count, M + 1, 3))
+    Z = np.stack([s.cross.nu_cross(raw[:, j]) for j in range(M + 1)], axis=1)
     return ExtState(q=q, h=h, Z=Z)
 
 
@@ -113,16 +122,16 @@ def s_weights(M: int) -> np.ndarray:
 
 
 def _sbp_derivative(Z: np.ndarray) -> np.ndarray:
-    """(..., M+1, 3) -> same shape; central interior, one-sided ends."""
-    M = Z.shape[-2] - 1
+    """(..., M+1, k) -> same shape; central interior, one-sided ends."""
+    M, k = Z.shape[-2] - 1, Z.shape[-1]
     ds = 1.0 / M
     flat = np.ascontiguousarray(Z).reshape(-1)
     out = np.empty(Z.shape)
-    # one contiguous pass, written in place: six flat entries are one s-node,
+    # one contiguous pass, written in place: k flat entries are one s-node,
     # and the rows at s = 0 and s = 1, which this pass fills across samples,
     # are overwritten below
-    mid = out.reshape(-1)[3:-3]
-    np.subtract(flat[6:], flat[:-6], out=mid)
+    mid = out.reshape(-1)[k:-k]
+    np.subtract(flat[2 * k :], flat[: -2 * k], out=mid)
     mid /= 2.0 * ds
     out[..., 0, :] = (Z[..., 1, :] - Z[..., 0, :]) / ds
     out[..., -1, :] = (Z[..., -1, :] - Z[..., -2, :]) / ds
@@ -153,8 +162,8 @@ def apply_generator(v: ExtState, ops: Operators, law: FeedbackLaw, c_weight: flo
     """Image of the extended generator: (-eps^-1 curl H, mu^-1 curl E, dZ/ds / tau).
 
     The curl of H is closed at the boundary with the trace read from the
-    relation H x nu = -g1 g(E x nu) x nu - g2 g(Z|s=1) x nu, whose tangential
-    components are those of nu x (g1 g(E x nu) + g2 g(Z|s=1)).
+    relation H x nu = -g1 g(E x nu) x nu - g2 g(Z1 x nu) x nu, Z1 the delayed
+    E; its tangent-axis components are g1 g(w) + g2 g(Z|s=1), with w those of E.
     """
     _require_diagonal(ops)
     Aq, Ah = _field_image(v, ops, law)
@@ -165,13 +174,9 @@ def apply_generator(v: ExtState, ops: Operators, law: FeedbackLaw, c_weight: flo
 
 def _field_image(v: ExtState, ops: Operators, law: FeedbackLaw) -> tuple[np.ndarray, np.ndarray]:
     """The E and H parts of the generator image; of Z it reads only Z|s=1."""
-    s = ops.grid.samples
-    w = ops.boundary_trace_w(v.q)
-    z1 = v.Z[:, -1]
-    check_tangential("w_now", w, s.normals)
-    check_tangential("w_delayed", z1, s.normals)
+    trace_view = ops.layout.trace_view
     Aq = ops.G @ v.h
-    Aq[ops.trace_idx] -= ops.inj_scale * s.cross.nu_cross(boundary_drive(law, w, z1))
+    trace_view(Aq)[:] -= ops.inj_scale * boundary_drive(law, trace_view(v.q), v.Z[:, -1])
     np.negative(Aq, out=Aq)
     Aq /= ops.eps_q
     Ah = ops.C @ v.q
@@ -329,14 +334,14 @@ def _boundary_load(
 ) -> np.ndarray:
     """b dA (H x nu) on the trace components: the boundary term of the resolvent form.
 
-    H x nu is the trace the boundary relation demands at w = E x nu of q and
+    H x nu is the trace the boundary relation demands at the trace w of q and
     at the delayed trace Z|s=1 = e^{-tau b} (w + tail) of the integrating
-    factor formula, tail = tau int_0^1 F3 e^{tau b r} dr.
+    factor formula, tail = tau int_0^1 F3 e^{tau b r} dr; on the components
+    it is the drive gamma1 g(w) + gamma2 g(Z|s=1).
     """
-    s = ops.grid.samples
-    w = ops.boundary_trace_w(q)
-    h_tr = required_H_trace(law, w, float(np.exp(-law.tau * b)) * (w + tail), s.normals)
-    return b * s.areas[:, None] * s.to_components(h_tr)
+    w = ops.layout.trace_view(q)
+    drive = boundary_drive(law, w, float(np.exp(-law.tau * b)) * (w + tail))
+    return b * ops.grid.samples.areas[:, None] * drive
 
 
 def _core_slope(law: FeedbackLaw, b: float) -> float:
@@ -492,7 +497,7 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
         raise NumericalError(f"resolvent solution not divergence-free: |div(eps E)| = {div_norm:.3e}")
 
     h = (F.h - (ops.C @ q) / ops.mu_f) / b
-    w = ops.boundary_trace_w(q)
+    w = ops.layout.trace_view(q)
     Z = _z_from_formula(w, F.Z, tau, b)
     V = ExtState(q=q, h=h, Z=Z)
 

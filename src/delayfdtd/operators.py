@@ -261,10 +261,6 @@ class Operators:
     grad_int: sp.csr_matrix  # q <- interior nodes, gradient of node functions
     node_weight: float
 
-    def boundary_trace_w(self, q: np.ndarray) -> np.ndarray:
-        """The trace E x nu at the samples."""
-        return self.grid.samples.cross.cross_nu(self.layout.trace_view(q))
-
 
 def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operators:
     if eps.shape != grid.shape or mu.shape != grid.shape:

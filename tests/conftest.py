@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from delayfdtd.analysis import _dot
-from delayfdtd.domain import BoxDomain, build_grid
+from delayfdtd.domain import TANGENT_TOL, BoxDomain, build_grid
+from delayfdtd.errors import ContractError
+from delayfdtd.feedback import boundary_drive
 from delayfdtd.materials import constant_isotropic
 from delayfdtd.operator_lab import _load_off_core, resolvent_core
 from delayfdtd.operators import EDGE_COMPS, FieldLayout, build_operators
@@ -40,6 +42,11 @@ def random_tangential(ops, rng, shape=()):
     return raw - np.einsum("...i,...i->...", raw, nu)[..., None] * nu
 
 
+def nu_cross_nodes(samples, vectors):
+    """(S, M+1, 2) tangent-axis components of nu x w, node by node, from (S, M+1, 3) vectors."""
+    return np.stack([samples.cross.nu_cross(vectors[:, j]) for j in range(vectors.shape[1])], axis=1)
+
+
 # -- reference helpers that only the tests need ---------------------------------
 
 def split_h(layout, h):
@@ -71,9 +78,45 @@ def to_vectors(samples, comps):
     return out
 
 
+def to_components(samples, vectors):
+    """Project tangential 3-vectors onto the per-face tangent axes."""
+    rows = np.arange(samples.count)
+    return np.stack(
+        [vectors[rows, samples.tangents[:, 0]], vectors[rows, samples.tangents[:, 1]]],
+        axis=1,
+    )
+
+
+def check_tangential(what, v, normals):
+    """Raise ContractError unless |v . nu| <= TANGENT_TOL (1 + |v|) everywhere."""
+    dots = np.abs(np.einsum("...i,...i->...", v, normals))
+    scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", v, v))
+    if np.any(dots > TANGENT_TOL * scale):
+        raise ContractError(f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}")
+
+
+def required_H_trace(law, w_now, w_delayed, nu):
+    """Tangential H x nu demanded by the boundary relation.
+
+    h = -gamma1 g(w_now) x nu - gamma2 g(w_delayed) x nu, with w_now and
+    w_delayed the instantaneous and delayed tangential traces E x nu.
+    """
+    w_now = np.asarray(w_now, dtype=float)
+    w_delayed = np.asarray(w_delayed, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    check_tangential("w_now", w_now, nu)
+    check_tangential("w_delayed", w_delayed, nu)
+    return -np.cross(boundary_drive(law, w_now, w_delayed), nu)
+
+
+def boundary_trace_w(ops, q):
+    """The trace E x nu at the samples."""
+    return ops.grid.samples.cross.cross_nu(ops.layout.trace_view(q))
+
+
 def inject_trace(ops, h_trace):
     """Boundary forcing of a trace field H x nu, as a q-sized vector."""
-    comps = ops.grid.samples.to_components(np.asarray(h_trace, dtype=float))
+    comps = to_components(ops.grid.samples, np.asarray(h_trace, dtype=float))
     out = np.zeros(ops.layout.n_q)
     out[ops.trace_idx] = -ops.inj_scale * comps
     return out

@@ -36,7 +36,7 @@ from delayfdtd.solver import (
     run,
 )
 
-from conftest import green_residual, random_tangential
+from conftest import boundary_trace_w, green_residual, nu_cross_nodes, random_tangential, required_H_trace
 
 CUBE16 = BoxDomain((1.0, 1.0, 1.0), (16, 16, 16), (0.5, 0.5, 0.5))
 PULSE = InitialSpec(preset="gaussian_pulse", width=0.12, amplitude=1.0)
@@ -253,12 +253,12 @@ def test_criterion_09_resolvent():
     F = ExtState(
         q=project_div_free(rng.standard_normal(ops.layout.n_q), ops),
         h=rng.standard_normal(ops.layout.n_h),
-        Z=random_tangential(ops, rng, shape=(M + 1,)).transpose(1, 0, 2),
+        Z=nu_cross_nodes(ops.grid.samples, random_tangential(ops, rng, shape=(M + 1,)).transpose(1, 0, 2)),
     )
     lin = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=TAU)
     res = resolvent_solve(F, b, ops, lin)
 
-    w = ops.boundary_trace_w(res.V.q)
+    w = ops.layout.trace_view(res.V.q)
     s_nodes = np.arange(M + 1) / M
     growth = np.exp(TAU * b * s_nodes)
     integrand = F.Z * growth[None, :, None]
@@ -331,10 +331,8 @@ def test_criterion_11_green_identity(ops8):
         q = rng.standard_normal(ops8.layout.n_q)
         h = rng.standard_normal(ops8.layout.n_h)
         # compatible pair: the H trace is the one the boundary relation demands
-        from delayfdtd.feedback import required_H_trace
-
         law = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.5, tau=TAU)
-        w = ops8.boundary_trace_w(q)
+        w = boundary_trace_w(ops8, q)
         h_tr = required_H_trace(law, w, random_tangential(ops8, rng), ops8.grid.samples.normals)
         worst = max(worst, green_residual(ops8, q, h, h_tr))
     report("11 discrete Green identity", worst <= 1e-10, f"worst relative residual {worst:.3e}")

@@ -10,8 +10,9 @@ from delayfdtd.feedback import (
     eval_g,
     implicit_boundary_update,
     load_table_law,
-    required_H_trace,
 )
+
+from conftest import required_H_trace
 
 vec3 = st.tuples(
     st.floats(-5, 5, allow_nan=False), st.floats(-5, 5), st.floats(-5, 5)

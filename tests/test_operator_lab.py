@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from delayfdtd.domain import BoxDomain, build_grid
-from delayfdtd.errors import ConfigError, ContractError, NumericalError
-from delayfdtd.feedback import FeedbackLaw, required_H_trace
+from delayfdtd.errors import ConfigError, NumericalError
+from delayfdtd.feedback import FeedbackLaw
 from delayfdtd.materials import diagonal_ramp, exponential_isotropic
 from delayfdtd.operator_lab import (
     ExtState,
@@ -22,7 +22,15 @@ from delayfdtd.operators import build_operators, sample_vector_field
 from delayfdtd.solver import project_div_free
 from delayfdtd.operator_lab import weighted_inner
 
-from conftest import form_pairing, inject_trace, random_tangential, wepsilon_norm
+from conftest import (
+    boundary_trace_w,
+    form_pairing,
+    inject_trace,
+    nu_cross_nodes,
+    random_tangential,
+    required_H_trace,
+    wepsilon_norm,
+)
 
 LINEAR = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
 SATURATING = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
@@ -39,7 +47,7 @@ def random_F(ops, M, seed, project=True):
         q = project_div_free(q, ops)
     h = rng.standard_normal(ops.layout.n_h)
     Z = random_tangential(ops, rng, shape=(M + 1,)).transpose(1, 0, 2)
-    return ExtState(q=q, h=h, Z=Z)
+    return ExtState(q=q, h=h, Z=nu_cross_nodes(ops.grid.samples, Z))
 
 
 # -- generator constants --------------------------------------------------------
@@ -72,7 +80,7 @@ def test_generator_zero_state(ops8):
     v = ExtState(
         q=np.zeros(ops8.layout.n_q),
         h=np.zeros(ops8.layout.n_h),
-        Z=np.zeros((ops8.grid.samples.count, M + 1, 3)),
+        Z=np.zeros((ops8.grid.samples.count, M + 1, 2)),
     )
     img = apply_generator(v, ops8, SATURATING)
     assert np.abs(img.q).max() == 0.0
@@ -86,7 +94,7 @@ def test_generator_constant_field_compatible(ops8):
     law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=1.0, tau=0.25)
     M = 8
     q = sample_vector_field(ops8, lambda p: np.broadcast_to([1.0, 0.5, -0.25], p.shape))
-    w = ops8.boundary_trace_w(q)
+    w = ops8.layout.trace_view(q)
     s_nodes = np.arange(M + 1) / M
     Z = w[:, None, :] * (1.0 - 2.0 * s_nodes)[None, :, None]
     v = ExtState(q=q, h=np.zeros(ops8.layout.n_h), Z=Z)
@@ -101,8 +109,9 @@ def test_generator_constant_field_compatible(ops8):
 
 def cross_generator(v, ops, law, c_weight):
     """apply_generator with the H trace formed by np.cross and injected as a q-sized vector."""
-    w = ops.boundary_trace_w(v.q)
-    h_tr = required_H_trace(law, w, v.Z[:, -1], ops.grid.samples.normals)
+    s = ops.grid.samples
+    w = boundary_trace_w(ops, v.q)
+    h_tr = required_H_trace(law, w, s.cross.cross_nu(v.Z[:, -1]), s.normals)
     Aq = -(ops.G @ v.h + inject_trace(ops, h_tr)) / ops.eps_q
     Ah = (ops.C @ v.q) / ops.mu_f
     AZ = s_derivative(v.Z, c_weight)
@@ -120,13 +129,6 @@ def test_generator_is_bit_identical_to_the_cross_product_trace(box, law, c_weigh
         got, ref = apply_generator(v, ops, law, c_weight=c_weight), cross_generator(v, ops, law, c_weight)
         for name in ("q", "h", "Z"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-
-
-def test_generator_rejects_a_normal_delayed_trace(ops8):
-    v = random_domain_state(ops8, 4, np.random.default_rng(0))
-    v.Z[:, -1] += ops8.grid.samples.normals
-    with pytest.raises(ContractError, match="w_delayed is not tangential"):
-        apply_generator(v, ops8, SATURATING)
 
 
 def test_s_derivative_consistency():
@@ -154,15 +156,18 @@ def _slice_sbp(Z):
 
 @pytest.mark.parametrize("M", [1, 2, 16])
 def test_sbp_derivative_matches_slice_formula(ops6, M):
+    # the flat offsets of the interior pass follow the width of the last axis:
+    # 2 for a delay profile, 3 for vectors
     rng = np.random.default_rng(M)
     S = ops6.grid.samples.count
-    single = rng.standard_normal((S, M + 1, 3))
-    batched = rng.standard_normal((2, S, M + 1, 3))
-    # the sample-major view of an (M+1, S, 3) draw, as random_F passes it
-    view = random_tangential(ops6, rng, shape=(M + 1,)).transpose(1, 0, 2)
-    assert not view.flags.c_contiguous
-    for Z in (single, batched, view):
-        assert np.array_equal(_sbp_derivative(Z), _slice_sbp(Z))
+    for width in (2, 3):
+        single = rng.standard_normal((S, M + 1, width))
+        batched = rng.standard_normal((2, S, M + 1, width))
+        # the sample-major view of an (M+1, S, width) draw
+        view = rng.standard_normal((M + 1, S, width)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        for Z in (single, batched, view):
+            assert np.array_equal(_sbp_derivative(Z), _slice_sbp(Z)), (width, Z.shape)
 
 
 def test_weighted_sbp_identity(ops8):
@@ -271,7 +276,7 @@ def test_resolvent_zero(ops8):
     F = ExtState(
         q=np.zeros(ops8.layout.n_q),
         h=np.zeros(ops8.layout.n_h),
-        Z=np.zeros((ops8.grid.samples.count, M + 1, 3)),
+        Z=np.zeros((ops8.grid.samples.count, M + 1, 2)),
     )
     res = resolvent_solve(F, 2.0, ops8, LINEAR)
     assert np.abs(res.V.q).max() <= 1e-14
@@ -288,7 +293,7 @@ def test_resolvent_linear_residual_and_formula(ops8):
 
     # independent nodewise re-evaluation of the exponential formula
     tau, b = LINEAR.tau, 2.0
-    w = ops8.boundary_trace_w(res.V.q)
+    w = ops8.layout.trace_view(res.V.q)
     s_nodes = np.arange(M + 1) / M
     growth = np.exp(tau * b * s_nodes)
     integrand = F.Z * growth[None, :, None]
@@ -358,10 +363,10 @@ def test_resolvent_z_refinement(ops8):
         F = random_F(ops8, M, seed=31)
         # smooth F3 profile in s so refinement is observable
         s_nodes = np.arange(M + 1) / M
-        base = random_tangential(ops8, rng)
+        base = ops8.grid.samples.cross.nu_cross(random_tangential(ops8, rng))
         F = ExtState(q=F.q, h=F.h, Z=base[:, None, :] * np.sin(np.pi * s_nodes)[None, :, None])
         res = resolvent_solve(F, b, ops8, LINEAR)
-        w = ops8.boundary_trace_w(res.V.q)
+        w = ops8.layout.trace_view(res.V.q)
         from scipy.integrate import quad
 
         # continuous solution at s = 1 for one sample/component
@@ -382,7 +387,7 @@ def test_resolvent_z_refinement(ops8):
 def test_strong_monotonicity_of_form(ops8):
     rng = np.random.default_rng(21)
     M = 8
-    F3_tail = random_tangential(ops8, rng)
+    F3_tail = ops8.grid.samples.cross.nu_cross(random_tangential(ops8, rng))
     worst = np.inf
     for _ in range(25):
         q1 = rng.standard_normal(ops8.layout.n_q)
@@ -405,7 +410,7 @@ def test_lab_requires_diagonal_tensors():
     v = ExtState(
         q=np.zeros(ops.layout.n_q),
         h=np.zeros(ops.layout.n_h),
-        Z=np.zeros((grid.samples.count, M + 1, 3)),
+        Z=np.zeros((grid.samples.count, M + 1, 2)),
     )
     with pytest.raises(ConfigError):
         apply_generator(v, ops, LINEAR)
@@ -413,34 +418,30 @@ def test_lab_requires_diagonal_tensors():
 
 # -- random domain states ------------------------------------------------------------
 
-def einsum_domain_state(ops, M, rng, z_interior_boost=1.0):
-    """random_domain_state with the normal part removed by the generic projection."""
-    s = ops.grid.samples
-    q = rng.standard_normal(ops.layout.n_q)
-    h = rng.standard_normal(ops.layout.n_h)
-    raw = rng.standard_normal((s.count, M + 1, 3))
-    nu = s.normals[:, None, :]
-    Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
-    Z[:, 1:-1] *= z_interior_boost
-    Z[:, 0] = ops.boundary_trace_w(q)
-    return ExtState(q=q, h=h, Z=Z)
-
-
 @pytest.mark.parametrize("boost", [1.0, 3.0])
-def test_random_domain_state_is_bit_identical_to_the_projection(boost):
+def test_random_domain_state_draws_only_the_free_parameters(boost):
+    # q, h and Z at s > 0 are drawn in that order and no draw is discarded:
+    # the generator ends where a twin that drew just those parameters ends
     grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
     eps = diagonal_ramp(grid, (1.0, 1.5, 2.0), axis=0, slope=1.0)
     ops = build_operators(grid, eps, eps)
+    M, S = 7, grid.samples.count
     for seed in range(3):
-        got = random_domain_state(ops, 7, np.random.default_rng(seed), z_interior_boost=boost)
-        ref = einsum_domain_state(ops, 7, np.random.default_rng(seed), z_interior_boost=boost)
-        for name in ("q", "h", "Z"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_domain_state(ops, M, rng, z_interior_boost=boost)
+        q = twin.standard_normal(ops.layout.n_q)
+        h = twin.standard_normal(ops.layout.n_h)
+        Z = twin.standard_normal((S, M, 2))
+        Z[:, :-1] *= boost
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert got.q.tobytes() == q.tobytes() and got.h.tobytes() == h.tobytes()
+        assert got.Z[:, 1:].tobytes() == Z.tobytes()
+        assert got.Z[:, 0].tobytes() == ops.layout.trace_view(got.q).tobytes()
 
 
 def test_random_forcing_is_bit_identical_to_the_projection():
-    # zeroing the normal component by index gives the generic projection's
-    # bytes, sign bits included
+    # the components nu x Z of the raw draw are those of its generic
+    # projection, sign bits included
     grid = build_grid(BoxDomain((1.0, 0.75, 0.625), (8, 6, 5), (0.5, 0.375, 0.3125)))
     eps = exponential_isotropic(grid, 1.0)
     ops = build_operators(grid, eps, eps)
@@ -452,6 +453,7 @@ def test_random_forcing_is_bit_identical_to_the_projection():
         h = rng.standard_normal(ops.layout.n_h)
         raw = rng.standard_normal((grid.samples.count, 17, 3))
         Z = raw - np.einsum("smi,smi->sm", raw, np.broadcast_to(nu, raw.shape))[..., None] * nu
+        Z = nu_cross_nodes(grid.samples, Z)
         for name, ref in (("q", q), ("h", h), ("Z", Z)):
             assert getattr(got, name).tobytes() == ref.tobytes()
 

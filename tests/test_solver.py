@@ -33,7 +33,7 @@ from delayfdtd.solver import (
     run,
 )
 
-from conftest import split_full_edges, split_h, to_vectors
+from conftest import split_full_edges, split_h, to_components, to_vectors
 
 UNIT = BoxDomain((1.0, 1.0, 1.0), (12, 12, 12), (0.5, 0.5, 0.5))
 PMC = FeedbackLaw(kind="linear", a=1.0, gamma1=0.0, gamma2=0.0, tau=0.25)
@@ -367,7 +367,7 @@ def test_tangent_cross_matches_np_cross_on_every_face():
     comps[::7, 0] = 0.0  # exact zeros map to zeros (of either sign)
     assert np.all(s.cross.cross_nu(comps) == np.cross(to_vectors(s, comps), s.normals))
     w = np.cross(to_vectors(s, rng.standard_normal((s.count, 2))), s.normals)
-    assert np.all(s.cross.nu_cross(w) == s.to_components(np.cross(s.normals, w)))
+    assert np.all(s.cross.nu_cross(w) == to_components(s, np.cross(s.normals, w)))
     assert np.all(s.cross.nu_cross(s.cross.cross_nu(comps)) == comps)
 
 
@@ -381,7 +381,7 @@ class NpCross:
         return np.cross(to_vectors(self.s, comps), self.s.normals)
 
     def nu_cross(self, vectors):
-        return self.s.to_components(np.cross(self.s.normals, vectors))
+        return to_components(self.s, np.cross(self.s.normals, vectors))
 
 
 class VectorRing(DelayRing):
