@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, delay
 from .config import (
     SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config, validate_config,
 )
@@ -110,18 +110,6 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
     return info, failures
 
 
-def _dump_boundary(out: RunOutput, path: Path):
-    """The final ring as `step,sample_id,s_index,vx,vy,vz` rows of Z = E x nu, sample-major."""
-    cross = out.ops.grid.samples.cross
-    slots = np.stack([cross.cross_nu(t) for t in out.ring.slots()])
-    n_slots, n_samples = slots.shape[:2]
-    sid, j = np.divmod(np.arange(n_samples * n_slots), n_slots)
-    rows = np.column_stack([np.full(sid.size, out.state.step), sid, j, slots[j, sid]])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt=["%d"] * 3 + ["%.17g"] * 3, delimiter=",",
-                   header="step,sample_id,s_index,vx,vy,vz", comments="")
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     sc = scenario_from_config(cfg, unsafe=args.unsafe)
@@ -130,7 +118,9 @@ def cmd_run(args) -> int:
     info, failures = _write_run(cfg, result, out_dir)
     sys.stdout.write(_summary_text(info))
     if args.dump_boundary:
-        _dump_boundary(result, out_dir / "boundary_trace.csv")
+        delay.write_history_csv(
+            out_dir / "boundary_trace.csv", result.ring, result.ops.grid.samples, result.state.step
+        )
     if args.assert_certificates and failures:
         raise CertificateError(f"certificate checks failed: {', '.join(failures)}")
     return 0

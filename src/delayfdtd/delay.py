@@ -1,4 +1,4 @@
-"""Boundary history of tangential traces as a fixed-capacity FIFO.
+"""Boundary history of tangential traces as a fixed-capacity FIFO, and its history file.
 
 Slot j holds the trace pushed j steps ago, realizing the delayed trace on
 the unit interval with nodes s_j = j/N and tau = N*dt exactly.  Advancing
@@ -165,5 +165,15 @@ def load_history_csv(path, n_slots: int, samples: SampleSet) -> DelayRing:
     last = len(key) - 1 - first_from_end
     vals = np.empty((n_slots + 1, ring.n_samples, 3))
     vals[j[last], sid[last]] = vecs[last]
-    ring.fill([samples.cross.nu_cross(v) for v in vals])
+    ring.fill(samples.cross.nu_cross(vals))
     return ring
+
+
+def write_history_csv(path, ring: DelayRing, samples: SampleSet, step: int) -> None:
+    """Write the ring as `step,sample_id,s_index,vx,vy,vz` rows of Z = E x nu, sample-major."""
+    vecs = samples.cross.cross_nu(ring.slots()).swapaxes(0, 1).reshape(-1, 3)
+    sid, j = np.divmod(np.arange(len(vecs)), ring.N + 1)
+    rows = np.column_stack([np.full(sid.size, step), sid, j, vecs])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=["%d"] * 3 + ["%.17g"] * 3, delimiter=",",
+                   header="step,sample_id,s_index,vx,vy,vz", comments="")

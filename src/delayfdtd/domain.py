@@ -79,19 +79,19 @@ class TangentCross:
         if np.any(np.abs(side) != 1.0) or not np.array_equal(axis_vectors, normals):
             raise ContractError("normals must be unit vectors along the axis off the tangent axes")
         sigma = side * np.where((axis - t1) % 3 == 1, 1.0, -1.0)
-        self._idx = 3 * rows[:, None] + tangents[:, ::-1]  # flat (S, 3) index of the swap
+        self._rows = rows[:, None]
+        self._cols = tangents[:, ::-1]  # the swap: component k sits on the other tangent axis
         self._sign = sigma[:, None] * np.array([1.0, -1.0])
-        self._shape = normals.shape
 
     def cross_nu(self, comps: np.ndarray) -> np.ndarray:
-        """t x nu as (S, 3) vectors, from the (S, 2) tangential components of t."""
-        out = np.zeros(self._shape)
-        out.put(self._idx, comps * self._sign)
+        """t x nu as (..., S, 3) vectors, from the (..., S, 2) tangential components of t."""
+        out = np.zeros(comps.shape[:-1] + (3,))
+        out[..., self._rows, self._cols] = comps * self._sign
         return out
 
     def nu_cross(self, vectors: np.ndarray) -> np.ndarray:
-        """(S, 2) tangential components of nu x w, from (S, 3) vectors w."""
-        return np.take(vectors, self._idx) * self._sign
+        """(..., S, 2) tangential components of nu x w, from (..., S, 3) vectors w."""
+        return vectors[..., self._rows, self._cols] * self._sign
 
 
 @dataclass

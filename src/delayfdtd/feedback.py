@@ -54,12 +54,16 @@ class FeedbackLaw:
         if self.tau <= 0:
             raise ConfigError("delay tau must be positive")
         if self.kind == "table":
-            r = np.asarray(self.table_r, dtype=float)
-            g = np.asarray(self.table_g, dtype=float)
-            if r.size < 2 or r.size != g.size:
-                raise ConfigError("table law needs at least two (r, g) pairs")
-            if r[0] < 0 or np.any(np.diff(r) <= 0):
-                raise ConfigError("table radii must be nonnegative and increasing")
+            object.__setattr__(self, "_knots", self._table_knots())
+
+    def _table_knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Radii, values and segment slopes of the table as arrays, checked and converted once."""
+        r, g = np.asarray(self.table_r, dtype=float), np.asarray(self.table_g, dtype=float)
+        if r.size < 2 or r.size != g.size:
+            raise ConfigError("table law needs at least two (r, g) pairs")
+        if r[0] < 0 or np.any(np.diff(r) <= 0):
+            raise ConfigError("table radii must be nonnegative and increasing")
+        return r, g, np.diff(g) / np.diff(r)
 
     def _radial_gain(self, norms: np.ndarray) -> np.ndarray:
         """g(v) = gain(|v|) * v; returns gain(|v|)."""
@@ -67,19 +71,13 @@ class FeedbackLaw:
             return np.full_like(norms, self.a)
         if self.kind == "saturating":
             return self.a + self.b / (1.0 + norms)
-        r = np.asarray(self.table_r, dtype=float)
-        g = np.asarray(self.table_g, dtype=float)
+        r, g, slopes = self._knots
         vals = np.interp(norms, r, g)
         # continue with the last segment slope beyond the table
         hi = norms > r[-1]
         if np.any(hi):
-            slope = (g[-1] - g[-2]) / (r[-1] - r[-2])
-            vals = np.where(hi, g[-1] + slope * (norms - r[-1]), vals)
-        out = np.empty_like(norms)
-        pos = norms > 0
-        out[pos] = vals[pos] / norms[pos]
-        out[~pos] = 0.0
-        return out
+            vals = np.where(hi, g[-1] + slopes[-1] * (norms - r[-1]), vals)
+        return np.divide(vals, norms, out=np.zeros_like(norms), where=norms > 0)
 
     def _radial_slope(self, norms: np.ndarray) -> np.ndarray:
         """G'(|v|) for the radial profile G(r) = gain(r) * r."""
@@ -87,8 +85,7 @@ class FeedbackLaw:
             return np.full_like(norms, self.a)
         if self.kind == "saturating":
             return self.a + self.b / (1.0 + norms) ** 2
-        r = np.asarray(self.table_r, dtype=float)
-        slopes = np.diff(np.asarray(self.table_g, dtype=float)) / np.diff(r)
+        r, _, slopes = self._knots
         seg = np.clip(np.searchsorted(r, norms, side="right") - 1, 0, len(slopes) - 1)
         # np.interp holds g(r[0]) below the table
         return np.where(norms < r[0], 0.0, slopes[seg])
@@ -129,15 +126,14 @@ def constants(law: FeedbackLaw) -> MonotonicityConstants:
         return MonotonicityConstants(law.a, law.a)
     if law.kind == "saturating":
         return MonotonicityConstants(law.a, law.a + law.b)
-    r = np.asarray(law.table_r, dtype=float)
-    g = np.asarray(law.table_g, dtype=float)
+    r, g, slopes = law._knots
     if r[0] != 0 or g[0] != 0:
         raise AssumptionError(
             f"feedback table rejected: it starts at ({r[0]:.6g}, {g[0]:.6g}), not (0, 0); below "
             "its first radius the law holds g(r_0), so its slope there is 0 (c1 = 0), and a "
             "nonzero g(r_0) makes |g(v)|/|v| unbounded near 0 (no finite c2)"
         )
-    quotients = np.concatenate([np.diff(g) / np.diff(r), g[1:] / r[1:]])
+    quotients = np.concatenate([slopes, g[1:] / r[1:]])
     c1, c2 = float(quotients.min()), float(quotients.max())
     if c1 <= 0:
         raise AssumptionError(f"feedback table rejected: monotonicity modulus c1 = {c1:.3e} <= 0")
@@ -152,19 +148,37 @@ def boundary_drive(law: FeedbackLaw, w_now: np.ndarray, w_delayed: np.ndarray) -
     return drive
 
 
-# radius-solve iterations before the boundary update gives up
+# radius-solve iterations before the boundary update gives up, and its residual tolerance
 BOUNDARY_MAX_ITER = 50
+BOUNDARY_TOL = 1e-12
+
+
+# Per-sample 2x2 algebra: x, y are (2, S) component rows, a is (2, 2, S)
+# blocks, or the (2, S) diagonals of diagonal ones where `_apply` takes them.
+
+def _rows(x: np.ndarray) -> np.ndarray:  # (S, 2) or (S, 2, 2) per-sample data as rows or blocks
+    return np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(1, 2, 0))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[0] * y[0] + x[1] * y[1]
+
+
+def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return a * x if a.ndim == 2 else a[:, 0] * x[0] + a[:, 1] * x[1]
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:  # [[a11, -a01], [-a10, a00]]
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
 
 
 def implicit_boundary_update(
-    law: FeedbackLaw,
-    curl_term: np.ndarray,
-    t_old: np.ndarray,
-    z1_mid: np.ndarray,
-    dt: float,
-    eps_t: np.ndarray,
-    kappa: np.ndarray,
-    tol: float = 1e-12,
+    law: FeedbackLaw, curl_term: np.ndarray, t_old: np.ndarray, z1_mid: np.ndarray, dt: float,
+    eps_t: np.ndarray, kappa: np.ndarray,
 ) -> np.ndarray:
     """Advance the boundary tangential components by one time step.
 
@@ -189,83 +203,62 @@ def implicit_boundary_update(
     back to bisection when they leave the bracket [0, sqrt(cond eps_t)
     |p|/2] (2 m.eps_t m <= m.eps_t p).  The loop stops once the centered
     residual F = p - (2I + gain(|m|) B) m = (gain(r) - gain(|m|)) B m is
-    below `tol` (max norm per sample).
+    below BOUNDARY_TOL (max norm per sample).
     """
-    t_old = np.asarray(t_old, dtype=float)
-    eps_t = np.asarray(eps_t, dtype=float)
-
     if law.kind == "linear" and eps_t.ndim == 2:
         # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*z1_mid)]
         q = dt / eps_t * kappa * law.a
         rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * z1_mid
         return rhs / (1.0 + 0.5 * q * law.gamma1)
 
-    # every 2x2 operation runs on the two tangential columns
-    d0, d1 = dt * law.gamma1 * kappa[:, 0], dt * law.gamma1 * kappa[:, 1]
+    # every 2x2 operation runs on (2, S) rows, one per tangential component
+    d, e = dt * law.gamma1 * _rows(kappa), _rows(eps_t)
+    load = _rows(curl_term - kappa * law.gamma2 * eval_g(law, z1_mid) if law.gamma2 else curl_term)
     if eps_t.ndim == 2:
-        e0, e1 = eps_t[:, 0], eps_t[:, 1]
-        b00, b11 = d0 / e0, d1 / e1
-        bound = 0.5
-
-        def mass(x0, x1):  # dt eps_t^{-1} x
-            return dt * x0 / e0, dt * x1 / e1
-
-        def times_b(x0, x1):
-            return b00 * x0, b11 * x1
+        b, c, bound = d / e, dt * load / e, 0.5  # c = dt eps_t^{-1} load
 
         def pencil(gain):  # x -> (2I + gain B)^{-1} x
-            a0, a1 = 2.0 + gain * b00, 2.0 + gain * b11
-            return lambda x0, x1: (x0 / a0, x1 / a1)
+            a = 2.0 + gain * b
+            return lambda x: x / a
     else:
-        e00, e01, e10, e11 = eps_t[:, 0, 0], eps_t[:, 0, 1], eps_t[:, 1, 0], eps_t[:, 1, 1]
-        det = e00 * e11 - e01 * e10
-        # eps_t^{-1} by its adjugate; B = dt eps_t^{-1} diag(d)
-        b00, b01, b10, b11 = e11 * d0 / det, -e01 * d1 / det, -e10 * d0 / det, e00 * d1 / det
+        adj, det = _adjugate(e), _det(e)
+        # B = dt eps_t^{-1} diag(d), eps_t^{-1} by its adjugate
+        b, c = adj * d / det, dt * _apply(adj, load) / det
         # sqrt(cond eps_t) / 2 = lambda_max / (2 sqrt(det))
-        lam_max = 0.5 * (e00 + e11) + np.sqrt(0.25 * (e00 - e11) ** 2 + e01 * e10)
+        lam_max = 0.5 * (e[0, 0] + e[1, 1]) + np.sqrt(0.25 * (e[0, 0] - e[1, 1]) ** 2 + e[0, 1] * e[1, 0])
         bound = 0.5 * lam_max / np.sqrt(det)
-
-        def mass(x0, x1):
-            return dt * (e11 * x0 - e01 * x1) / det, dt * (e00 * x1 - e10 * x0) / det
-
-        def times_b(x0, x1):
-            return b00 * x0 + b01 * x1, b10 * x0 + b11 * x1
+        # the adjugate is linear on 2x2 blocks: adj(2I + gain B) = 2I + gain adj(B)
+        adj_b = _adjugate(b)
 
         def pencil(gain):
-            a00, a01, a10, a11 = 2.0 + gain * b00, gain * b01, gain * b10, 2.0 + gain * b11
-            det_a = a00 * a11 - a01 * a10
-            return lambda x0, x1: ((a11 * x0 - a01 * x1) / det_a, (a00 * x1 - a10 * x0) / det_a)
+            adj_a = gain * adj_b
+            adj_a[[0, 1], [0, 1]] += 2.0
+            det_a = _det(adj_a)
+            return lambda x: _apply(adj_a, x) / det_a
 
-    load = curl_term
-    if law.gamma2 != 0.0:
-        load = curl_term - kappa * law.gamma2 * eval_g(law, z1_mid)
-    t0, t1 = t_old[:, 0], t_old[:, 1]
-    c0, c1 = mass(load[:, 0], load[:, 1])
-    p0, p1 = 2.0 * t0 + c0, 2.0 * t1 + c1
-    lo = np.zeros_like(p0)
-    hi = bound * np.sqrt(p0 * p0 + p1 * p1)
+    t = _rows(t_old)
+    p = 2.0 * t + c
+    lo, hi = np.zeros(p.shape[1]), bound * np.sqrt(_dot(p, p))
     # start one fixed-point step off the old radius
-    m0, m1 = pencil(law._radial_gain(np.minimum(np.sqrt(t0 * t0 + t1 * t1), hi)))(p0, p1)
-    r = np.sqrt(m0 * m0 + m1 * m1)
+    m = pencil(law._radial_gain(np.minimum(np.sqrt(_dot(t, t)), hi)))(p)
+    r = np.sqrt(_dot(m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         # r = 0 or |m| = 0 make the Newton step NaN; the bracket test sends it to bisection
         for _ in range(BOUNDARY_MAX_ITER):
             gain = law._radial_gain(r)
             solve = pencil(gain)
-            m0, m1 = solve(p0, p1)
-            s = np.sqrt(m0 * m0 + m1 * m1)
-            bm0, bm1 = times_b(m0, m1)
-            lag = gain - law._radial_gain(s)
-            res = np.maximum(np.abs(lag * bm0), np.abs(lag * bm1))
-            done = res <= tol  # a NaN residual stays active
+            m = solve(p)
+            s = np.sqrt(_dot(m, m))
+            bm = _apply(b, m)
+            res = np.abs((gain - law._radial_gain(s)) * bm).max(axis=0)
+            done = res <= BOUNDARY_TOL  # a NaN residual stays active
             if done.all():
-                return np.stack([2.0 * m0 - t0, 2.0 * m1 - t1], axis=1)
+                return (2.0 * m - t).T
             phi = r - s
             lo = np.where(phi < 0, r, lo)
             hi = np.where(phi > 0, r, hi)
             # d|m|/dr = -gain'(r) m.(2I + gain B)^{-1} B m / |m|, gain' = (G' - gain) / r
-            w0, w1 = solve(bm0, bm1)
-            slope = 1.0 + (law._radial_slope(r) - gain) / r * (m0 * w0 + m1 * w1) / s
+            slope = 1.0 + (law._radial_slope(r) - gain) / r * _dot(m, solve(bm)) / s
             step = r - phi / slope
             step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
             r = np.where(done, r, step)
@@ -287,8 +280,11 @@ def load_table_law(path, **kwargs) -> FeedbackLaw:
         if len(parts) != 2:
             raise ConfigError(f"{path}:{ln}: expected `r g` pairs")
         try:
-            rs.append(float(parts[0]))
-            gs.append(float(parts[1]))
+            r, g = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"{path}:{ln}: {exc}") from exc
+        if not np.isfinite([r, g]).all():
+            raise ConfigError(f"{path}:{ln}: non-finite entry")
+        rs.append(r)
+        gs.append(g)
     return FeedbackLaw(kind="table", table_r=tuple(rs), table_g=tuple(gs), **kwargs)

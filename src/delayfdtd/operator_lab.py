@@ -107,7 +107,7 @@ def random_forcing(ops: Operators, M: int, rng: np.random.Generator) -> ExtState
     q = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
     h = rng.standard_normal(ops.layout.n_h)
     raw = rng.standard_normal((s.count, M + 1, 3))
-    Z = np.stack([s.cross.nu_cross(raw[:, j]) for j in range(M + 1)], axis=1)
+    Z = np.ascontiguousarray(s.cross.nu_cross(raw.swapaxes(0, 1)).swapaxes(0, 1))
     return ExtState(q=q, h=h, Z=Z)
 
 

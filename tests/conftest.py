@@ -3,8 +3,8 @@ import pytest
 
 from delayfdtd.analysis import _dot
 from delayfdtd.domain import TANGENT_TOL, BoxDomain, build_grid
-from delayfdtd.errors import ContractError
-from delayfdtd.feedback import boundary_drive
+from delayfdtd.errors import ContractError, NumericalError
+from delayfdtd.feedback import BOUNDARY_MAX_ITER, FeedbackLaw, boundary_drive, eval_g
 from delayfdtd.materials import constant_isotropic
 from delayfdtd.operator_lab import _load_off_core, resolvent_core
 from delayfdtd.operators import EDGE_COMPS, FieldLayout, build_operators
@@ -43,8 +43,8 @@ def random_tangential(ops, rng, shape=()):
 
 
 def nu_cross_nodes(samples, vectors):
-    """(S, M+1, 2) tangent-axis components of nu x w, node by node, from (S, M+1, 3) vectors."""
-    return np.stack([samples.cross.nu_cross(vectors[:, j]) for j in range(vectors.shape[1])], axis=1)
+    """(S, M+1, 2) tangent-axis components of nu x w, from (S, M+1, 3) vectors."""
+    return samples.cross.nu_cross(vectors.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 # -- reference helpers that only the tests need ---------------------------------
@@ -204,3 +204,99 @@ def xi_equivalence_bounds(trace, xi):
     lower = trace.E_xi - min(1.0, xi) * e_one
     upper = max(1.0, xi) * e_one - trace.E_xi
     return float(lower.min()), float(upper.min())
+
+
+def two_column_closure(
+    law: FeedbackLaw,
+    curl_term: np.ndarray,
+    t_old: np.ndarray,
+    z1_mid: np.ndarray,
+    dt: float,
+    eps_t: np.ndarray,
+    kappa: np.ndarray,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """`implicit_boundary_update` as written on the two tangential columns, the reference for the rows form."""
+    t_old = np.asarray(t_old, dtype=float)
+    eps_t = np.asarray(eps_t, dtype=float)
+
+    if law.kind == "linear" and eps_t.ndim == 2:
+        # (t_new - t_old)/dt = eps^{-1}[curl - kappa*(gamma1*a*t_mid + gamma2*a*z1_mid)]
+        q = dt / eps_t * kappa * law.a
+        rhs = t_old * (1.0 - 0.5 * q * law.gamma1) + dt * curl_term / eps_t - q * law.gamma2 * z1_mid
+        return rhs / (1.0 + 0.5 * q * law.gamma1)
+
+    # every 2x2 operation runs on the two tangential columns
+    d0, d1 = dt * law.gamma1 * kappa[:, 0], dt * law.gamma1 * kappa[:, 1]
+    if eps_t.ndim == 2:
+        e0, e1 = eps_t[:, 0], eps_t[:, 1]
+        b00, b11 = d0 / e0, d1 / e1
+        bound = 0.5
+
+        def mass(x0, x1):  # dt eps_t^{-1} x
+            return dt * x0 / e0, dt * x1 / e1
+
+        def times_b(x0, x1):
+            return b00 * x0, b11 * x1
+
+        def pencil(gain):  # x -> (2I + gain B)^{-1} x
+            a0, a1 = 2.0 + gain * b00, 2.0 + gain * b11
+            return lambda x0, x1: (x0 / a0, x1 / a1)
+    else:
+        e00, e01, e10, e11 = eps_t[:, 0, 0], eps_t[:, 0, 1], eps_t[:, 1, 0], eps_t[:, 1, 1]
+        det = e00 * e11 - e01 * e10
+        # eps_t^{-1} by its adjugate; B = dt eps_t^{-1} diag(d)
+        b00, b01, b10, b11 = e11 * d0 / det, -e01 * d1 / det, -e10 * d0 / det, e00 * d1 / det
+        # sqrt(cond eps_t) / 2 = lambda_max / (2 sqrt(det))
+        lam_max = 0.5 * (e00 + e11) + np.sqrt(0.25 * (e00 - e11) ** 2 + e01 * e10)
+        bound = 0.5 * lam_max / np.sqrt(det)
+
+        def mass(x0, x1):
+            return dt * (e11 * x0 - e01 * x1) / det, dt * (e00 * x1 - e10 * x0) / det
+
+        def times_b(x0, x1):
+            return b00 * x0 + b01 * x1, b10 * x0 + b11 * x1
+
+        def pencil(gain):
+            a00, a01, a10, a11 = 2.0 + gain * b00, gain * b01, gain * b10, 2.0 + gain * b11
+            det_a = a00 * a11 - a01 * a10
+            return lambda x0, x1: ((a11 * x0 - a01 * x1) / det_a, (a00 * x1 - a10 * x0) / det_a)
+
+    load = curl_term
+    if law.gamma2 != 0.0:
+        load = curl_term - kappa * law.gamma2 * eval_g(law, z1_mid)
+    t0, t1 = t_old[:, 0], t_old[:, 1]
+    c0, c1 = mass(load[:, 0], load[:, 1])
+    p0, p1 = 2.0 * t0 + c0, 2.0 * t1 + c1
+    lo = np.zeros_like(p0)
+    hi = bound * np.sqrt(p0 * p0 + p1 * p1)
+    # start one fixed-point step off the old radius
+    m0, m1 = pencil(law._radial_gain(np.minimum(np.sqrt(t0 * t0 + t1 * t1), hi)))(p0, p1)
+    r = np.sqrt(m0 * m0 + m1 * m1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r = 0 or |m| = 0 make the Newton step NaN; the bracket test sends it to bisection
+        for _ in range(BOUNDARY_MAX_ITER):
+            gain = law._radial_gain(r)
+            solve = pencil(gain)
+            m0, m1 = solve(p0, p1)
+            s = np.sqrt(m0 * m0 + m1 * m1)
+            bm0, bm1 = times_b(m0, m1)
+            lag = gain - law._radial_gain(s)
+            res = np.maximum(np.abs(lag * bm0), np.abs(lag * bm1))
+            done = res <= tol  # a NaN residual stays active
+            if done.all():
+                return np.stack([2.0 * m0 - t0, 2.0 * m1 - t1], axis=1)
+            phi = r - s
+            lo = np.where(phi < 0, r, lo)
+            hi = np.where(phi > 0, r, hi)
+            # d|m|/dr = -gain'(r) m.(2I + gain B)^{-1} B m / |m|, gain' = (G' - gain) / r
+            w0, w1 = solve(bm0, bm1)
+            slope = 1.0 + (law._radial_slope(r) - gain) / r * (m0 * w0 + m1 * w1) / s
+            step = r - phi / slope
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            r = np.where(done, r, step)
+    bad = int(np.argmax(res))  # the first NaN, if any
+    raise NumericalError(
+        f"boundary update failed to converge: sample {bad}, residual {float(res[bad]):.3e} "
+        f"after {BOUNDARY_MAX_ITER} iterations"
+    )

@@ -400,7 +400,7 @@ def test_history_file_roundtrip(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("\n".join(lines) + "\n")
     ring = load_history_csv(path, n_slots, s)
-    assert np.allclose([s.cross.cross_nu(t) for t in ring.slots()], vals, atol=1e-15)
+    assert np.allclose(s.cross.cross_nu(ring.slots()), vals, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -700,7 +700,7 @@ def test_boundary_dump_holds_the_final_ring_once(tmp_path):
     path, outdir = write_cfg(tmp_path, text)
     assert main(["run", str(path), "--dump-boundary"]) == 0
     out = run(scenario_from_config(parse_config(path.read_text())))
-    slots = np.stack([out.ops.grid.samples.cross.cross_nu(t) for t in out.ring.slots()])
+    slots = out.ops.grid.samples.cross.cross_nu(out.ring.slots())
     lines = (outdir / "boundary_trace.csv").read_text().splitlines()
     assert lines[0] == "step,sample_id,s_index,vx,vy,vz"
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
@@ -769,6 +769,17 @@ def test_run_unparsable_table_entry_names_its_line(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {table}:3:")
+
+
+@pytest.mark.parametrize("line", ["2 inf", "1 nan"], ids=["inf", "nan"])
+def test_run_non_finite_table_entry_names_its_line(tmp_path, capsys, line):
+    # before the check, `2 inf` reached the delay-weight test (exit 3) and
+    # `1 nan` the monotonicity constants, whose message names no file
+    table = tmp_path / "g.txt"
+    table.write_text(f"0 0\n{line}\n4 4\n")
+    path, _ = write_cfg(tmp_path, _table_cfg(table))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {table}:2: non-finite entry\n"
 
 
 def test_run_missing_history_file_exit_two(tmp_path, capsys):

@@ -12,7 +12,7 @@ from delayfdtd.feedback import (
     load_table_law,
 )
 
-from conftest import required_H_trace
+from conftest import required_H_trace, two_column_closure
 
 vec3 = st.tuples(
     st.floats(-5, 5, allow_nan=False), st.floats(-5, 5), st.floats(-5, 5)
@@ -185,7 +185,7 @@ def _metrics(n_samples=1):
     return nu, tangents, eps_t, kappa
 
 
-def closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, **kwargs):
+def closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa):
     """`implicit_boundary_update` with the delayed tap given as the 3-vector Z = E x nu.
 
     The closure takes the E trace, the tangent-axis components of nu x Z.
@@ -193,7 +193,7 @@ def closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, **kwargs):
     u = np.cross(nu, z1)
     rows = np.arange(u.shape[0])
     e1 = np.stack([u[rows, tangents[:, 0]], u[rows, tangents[:, 1]]], axis=1)
-    return implicit_boundary_update(law, curl, t_old, e1, dt, eps_t, kappa, **kwargs)
+    return implicit_boundary_update(law, curl, t_old, e1, dt, eps_t, kappa)
 
 
 def test_implicit_update_rest_is_fixed_point():
@@ -346,7 +346,7 @@ def test_table_law_closure_satisfies_centered_equation():
     rng = np.random.default_rng(44)
     curl, t_old, z1, nu, tangents, eps_t, kappa = _random_batch(rng, 2_000)
     dt = 0.95 / (16 * np.sqrt(3.0))
-    out = closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa, tol=1e-12)
+    out = closure(law, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
     assert _centered_defect(law, curl, t_old, out, z1, nu, tangents, dt, eps_t, kappa) <= 1e-12 + 1e-14
     # and lands next to the saturating law it samples
     ref = closure(SATURATING, curl, t_old, z1, nu, tangents, dt, eps_t, kappa)
@@ -520,6 +520,50 @@ def test_radial_closure_names_a_nan_sample(block):
     eps_t = _random_eps_t(rng, 50, block)
     with pytest.raises(NumericalError, match="boundary update failed to converge: sample 7,"):
         closure(SATURATING, curl, t_old, z1, nu, tangents, CFL_16, eps_t, kappa)
+
+
+def _closure_inputs(seed, n, block):
+    """Component inputs of one closure call: random, with a block of rest samples and a large one."""
+    rng = np.random.default_rng(seed)
+    curl, t_old, z1 = (rng.uniform(-1, 1, (n, 2)) for _ in range(3))
+    for a in (curl, t_old, z1):
+        a[:8] = 0.0
+        a[8:16] *= 5.0
+    return curl, t_old, z1, _random_eps_t(rng, n, block), rng.uniform(4.0, 64.0, (n, 2))
+
+
+# every nonlinear profile on both tangential-permittivity shapes, and the
+# linear law on blocks, the one linear case that runs the radius solve
+ROWS_CASES = [(name, block) for name in sorted(CLOSURE_PROFILES) for block in (False, True)]
+ROWS_CASES.append(("linear", True))
+ROWS_IDS = [f"{name}-{'block' if block else 'diagonal'}" for name, block in ROWS_CASES]
+
+
+@pytest.mark.parametrize("profile, block", ROWS_CASES, ids=ROWS_IDS)
+@pytest.mark.parametrize("gamma1, cfl_multiple", [(1.0, 1.0), (64.0, 10.0)])
+def test_rows_closure_equals_the_two_column_reference(profile, block, gamma1, cfl_multiple):
+    # the (2, S) rows form performs the two-column arithmetic, operation for operation
+    params = CLOSURE_PROFILES.get(profile, dict(kind="linear", a=1.3))
+    law = FeedbackLaw(gamma1=gamma1, gamma2=gamma1 / 4.0, tau=0.25, **params)
+    curl, t_old, z1, eps_t, kappa = _closure_inputs(61, 300, block)
+    dt = cfl_multiple * CFL_16
+    got = implicit_boundary_update(law, curl, t_old, z1, dt, eps_t, kappa)
+    ref = two_column_closure(law, curl, t_old, z1, dt, eps_t, kappa)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["diagonal", "block"])
+def test_rows_closure_names_the_reference_nan_sample(block):
+    curl, t_old, z1, eps_t, kappa = _closure_inputs(62, 50, block)
+    curl[23, 0] = np.nan
+    messages = []
+    for closure_fn in (implicit_boundary_update, two_column_closure):
+        with pytest.raises(NumericalError) as info:
+            closure_fn(SATURATING, curl, t_old, z1, CFL_16, eps_t, kappa)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "sample 23," in messages[0]
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["diagonal", "block"])

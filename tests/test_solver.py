@@ -371,6 +371,26 @@ def test_tangent_cross_matches_np_cross_on_every_face():
     assert np.all(s.cross.nu_cross(s.cross.cross_nu(comps)) == comps)
 
 
+def test_tangent_cross_turns_a_stack_as_its_slots():
+    # a (K, S, .) stack turns in one call to the bytes of the per-slot loop,
+    # zeros of either sign included
+    s = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75))).samples
+    rng = np.random.default_rng(22)
+    comps = rng.standard_normal((5, s.count, 2))
+    comps[:, ::3, 0] = 0.0
+    comps[:, ::5, 1] = -0.0
+    vectors = rng.standard_normal((5, s.count, 3))
+    vectors[:, ::4] = -0.0
+    vectors[:, ::6, 1] = 0.0
+    for turn, stack in ((s.cross.cross_nu, comps), (s.cross.nu_cross, vectors)):
+        per_slot = np.stack([turn(slot) for slot in stack])
+        whole = turn(stack)
+        assert whole.shape == per_slot.shape
+        assert whole.tobytes() == per_slot.tobytes()
+        # any number of leading axes
+        assert turn(stack.reshape(5, 1, *stack.shape[1:])).tobytes() == per_slot.tobytes()
+
+
 class NpCross:
     """The np.cross form of `TangentCross`, the reference for the step."""
 
