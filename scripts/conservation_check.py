@@ -42,13 +42,13 @@ def main():
     state = stepper.bootstrap(gaussian_pulse_q(ops, InitialSpec(preset="gaussian_pulse", width=0.12)))
     ring = init_history("zero", n_slots, grid.samples.count)
 
-    e0 = analysis.field_energies(state.q, state.h, state.h_prev, ops)[0]
+    e0 = analysis.energies(state.q, state.h, state.h_prev, ring, ops, 0.0, law.tau)[0]
     div0 = ops.div_eps @ state.q
     div_scale = float((np.abs(ops.div_eps) @ np.abs(state.q)).max())
     worst_e, worst_div = 0.0, 0.0
     for _ in range(args.steps):
         stepper.step(state, ring)
-        e = analysis.field_energies(state.q, state.h, state.h_prev, ops)[0]
+        e = analysis.energies(state.q, state.h, state.h_prev, ring, ops, 0.0, law.tau)[0]
         worst_e = max(worst_e, abs(e - e0) / e0)
         worst_div = max(worst_div, float(np.abs(ops.div_eps @ state.q - div0).max()) / div_scale)
 

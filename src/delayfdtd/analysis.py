@@ -41,44 +41,43 @@ def _dot(a, b) -> float:
         return float(np.sum(a * b))
 
 
-def field_energies(q, h, h_prev, ops: Operators) -> tuple[float, float]:
-    """(weighted, plain) field energy: E part plus staggered H product.
-
-    Each row of the stacked masses is one contiguous pairwise sum, so the
-    pair costs one pass and equals two separate `_dot`s bit for bit.  The
-    products are formed in place: a second (2, n) temporary costs more than
-    the arithmetic.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        wq = ops.Wq_pair * q
-        wq *= q
-        wh = ops.Wf_pair * h_prev
-        wh *= h
-        e = 0.5 * np.sum(wq, axis=1)
-        e += 0.5 * np.sum(wh, axis=1)
-    return float(e[0]), float(e[1])
-
-
 def energies(
     q, h, h_prev, ring: DelayRing, ops: Operators, xi: float, tau: float
 ) -> tuple[float, float, float, float]:
-    """(E_weighted, E_plain, E_xi, D) at the current time level."""
-    e_w, e_p = field_energies(q, h, h_prev, ops)
+    """(E_weighted, E_plain, E_xi, D) at the current time level.
+
+    Each field is read once: one product q*q (and h_prev*h) feeds both rows
+    of the stacked masses, weighted and plain, in one einsum, and the two
+    ring sums are einsums too.  einsum without `optimize` never calls BLAS,
+    so the result does not depend on the BLAS thread count.  Overflow on a
+    diverging run yields inf without a warning; the caller reports it.
+    """
     areas = ops.grid.samples.areas
-    e_xi = e_w + xi * tau * _dot(areas, ring.s_energy())
-    d_val = _dot(areas, ring.slot_norm2(0) + ring.slot_norm2(ring.N))
-    return e_w, e_p, e_xi, d_val
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.einsum("ij,j->i", ops.Wq_pair, q * q)
+        e += np.einsum("ij,j->i", ops.Wf_pair, h_prev * h)
+        delay = np.einsum("s,s->", areas, ring.s_energy())
+        d_val = np.einsum("s,s->", areas, ring.slot_norm2(0) + ring.slot_norm2(ring.N))
+    e_w = 0.5 * float(e[0])
+    return e_w, 0.5 * float(e[1]), e_w + xi * tau * float(delay), float(d_val)
 
 
 def boundary_outflow(ring: DelayRing, law: FeedbackLaw, xi: float, areas: np.ndarray) -> float:
     """Instantaneous -dE_xi/dt from the boundary terms.
 
     flux = sum dA [ (g1 g(Z0) + g2 g(Z1)) . Z0 - xi (|Z0|^2 - |Z1|^2) ].
+    The per-sample dot runs on the two component columns (an einsum over
+    the two-long axis loops once per sample); the sum over samples is an
+    einsum, as in `energies`.  An overflowed trace gives a non-finite flux
+    without a warning.
     """
     z0 = ring.slot(0)
-    work = boundary_drive(law, z0, ring.slot(ring.N))
-    integrand = np.einsum("ij,ij->i", work, z0) - xi * (ring.slot_norm2(0) - ring.slot_norm2(ring.N))
-    return _dot(areas, integrand)
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = boundary_drive(law, z0, ring.slot(ring.N))
+        integrand = work[:, 0] * z0[:, 0]
+        integrand += work[:, 1] * z0[:, 1]
+        integrand -= xi * (ring.slot_norm2(0) - ring.slot_norm2(ring.N))
+        return float(np.einsum("s,s->", areas, integrand))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,17 @@ from .domain import TANGENT_TOL, SampleSet
 from .errors import ConfigError, ContractError
 
 
+def _norm2(v: np.ndarray, out: np.ndarray) -> None:
+    """Write |v_s|^2 over the last axis of (S, k) `v` into `out`, one column at a time.
+
+    For k = 2 these are the bits of einsum("si,si->s"), which costs twice
+    as much: it runs its inner loop once per sample over two entries.
+    """
+    np.multiply(v[:, 0], v[:, 0], out=out)
+    for i in range(1, v.shape[1]):
+        out += v[:, i] * v[:, i]
+
+
 class DelayRing:
     """Per-sample circular array of N+1 tangential E traces.
 
@@ -84,9 +95,10 @@ class DelayRing:
         # the pair (slot 0, slot 1) is new; the pair (slot N, slot 0) is retired.
         # A diverging run overflows here silently and is reported at its record.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._z2[c] = np.einsum("si,si->s", z, z)
-            mid = 0.5 * (z + self._buf[(c + 1) % (self.N + 1)])
-            self._mid2[c] = np.einsum("si,si->s", mid, mid)
+            _norm2(z, out=self._z2[c])
+            mid = z + self._buf[(c + 1) % (self.N + 1)]
+            mid *= 0.5
+            _norm2(mid, out=self._mid2[c])
         self._mid2[(c + self.N) % (self.N + 1)] = 0.0
 
     # -- quadrature ----------------------------------------------------------

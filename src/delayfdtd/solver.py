@@ -367,7 +367,11 @@ def initial_state_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
 
 @dataclass
 class EMState:
-    """Fields at one leapfrog level: E at t, H at t +/- dt/2."""
+    """Fields at one leapfrog level: E at t, H at t +/- dt/2.
+
+    `Stepper.step` writes the new H over the array of h_prev, so h and
+    h_prev must not share memory.
+    """
 
     q: np.ndarray
     h: np.ndarray
@@ -388,6 +392,10 @@ class Stepper:
         layout = ops.layout
         self._trace_slice = slice(layout.trace_offset, layout.n_q)
         self._int_slice = slice(0, layout.trace_offset)
+        self._eps_int = ops.eps_q[self._int_slice]
+        # per-step (S, 2) scratch: the time-centered delay tap and the old trace
+        self._z1_mid = np.empty((layout.n_samples, 2))
+        self._t_old = np.empty((layout.n_samples, 2))
         self._diag = ops.eps.diagonal_only and ops.mu.diagonal_only
         if not self._diag:
             self._eps_inv, self._mu_inv, self._eps_t = full_tensor_inverses(ops)
@@ -403,34 +411,42 @@ class Stepper:
     # -- one full step ---------------------------------------------------------
 
     def step(self, state: EMState, ring: DelayRing) -> EMState:
-        ops, law, dt = self.ops, self.law, self.dt
+        """Advance E, then H, in place; the new H is written over the retired h_prev array."""
+        ops, dt = self.ops, self.dt
         rhs = ops.G @ state.h
 
         # delayed tap, time-centered across the shift
-        z1_now = ring.slot(ring.N)
-        z1_next = ring.slot(ring.N - 1)
-        z1_mid = 0.5 * (z1_now + z1_next)
+        z1_mid = np.add(ring.slot(ring.N), ring.slot(ring.N - 1), out=self._z1_mid)
+        z1_mid *= 0.5
 
-        t_old = ops.layout.trace_view(state.q).copy()
+        trace = ops.layout.trace_view(state.q)
+        t_old = self._t_old
+        t_old[:] = trace
         curl_term = rhs[self._trace_slice].reshape(-1, 2)
 
         if self._diag:
-            state.q[self._int_slice] += dt * rhs[self._int_slice] / ops.eps_q[self._int_slice]
+            inc = rhs[self._int_slice]  # scaled in place: only the trace rows of rhs are read below
+            inc *= dt
+            inc /= self._eps_int
+            state.q[self._int_slice] += inc
         else:
             state.q[self._int_slice] += dt * (self._eps_inv @ rhs)
-        t_new = implicit_boundary_update(law, curl_term, t_old, z1_mid, dt, self._eps_t, self._kappa)
+        t_new = implicit_boundary_update(self.law, curl_term, t_old, z1_mid, dt, self._eps_t, self._kappa)
 
-        state.q[self._trace_slice] = t_new.ravel()
+        trace[:] = t_new
         ring.advance(t_new)
 
         curl = ops.C @ state.q
-        state.h_prev = state.h  # rebound, not copied: h is replaced below
         if self._diag:
-            state.h = state.h - dt * curl / ops.mu_f
+            curl *= dt
+            curl /= ops.mu_f
         else:
-            state.h = state.h - dt * (self._mu_inv @ curl)
+            curl = dt * (self._mu_inv @ curl)
+        h_new, state.h_prev = state.h_prev, state.h
+        state.h = np.subtract(state.h_prev, curl, out=h_new)
         state.step += 1
-        state.time += dt
+        # a product, not a running sum: record times carry no accumulated round-off
+        state.time = state.step * dt
         return state
 
 
@@ -453,10 +469,10 @@ class RunOutput:
     scenario: Scenario
 
 
-def _require_finite(name: str, value: float, st: EMState) -> float:
-    if not np.isfinite(value):
-        raise NumericalError(f"non-finite energy column {name} at step {st.step} (t = {st.time:.6g})")
-    return value
+def _non_finite(row: tuple, st: EMState) -> NumericalError:
+    """The error naming the first non-finite column of a record."""
+    name = next(n for n, v in zip(analysis.CSV_HEADER.split(",")[1:], row) if not math.isfinite(v))
+    return NumericalError(f"non-finite energy column {name} at step {st.step} (t = {st.time:.6g})")
 
 
 def run(scenario: Scenario) -> RunOutput:
@@ -495,12 +511,11 @@ def run(scenario: Scenario) -> RunOutput:
     rows = []
 
     def record(st: EMState):
-        vals = analysis.energies(st.q, st.h, st.h_prev, ring, ops, xi, law.tau)
-        for name, v in zip(("E_weighted", "E_plain", "E_xi", "D"), vals):
-            _require_finite(name, v, st)
-        # checked only now: the outflow of an overflowed trace would warn
-        flux = _require_finite("flux", analysis.boundary_outflow(ring, law, xi, s.areas), st)
-        rows.append((st.time, *vals, flux))
+        row = (*analysis.energies(st.q, st.h, st.h_prev, ring, ops, xi, law.tau),
+               analysis.boundary_outflow(ring, law, xi, s.areas))
+        if not all(map(math.isfinite, row)):
+            raise _non_finite(row, st)
+        rows.append((st.time, *row))
 
     record(state)
     for n in range(n_steps):

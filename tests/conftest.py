@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from delayfdtd.analysis import _dot
+from delayfdtd.delay import DelayRing
 from delayfdtd.domain import TANGENT_TOL, BoxDomain, build_grid
 from delayfdtd.errors import ContractError, NumericalError
 from delayfdtd.feedback import BOUNDARY_MAX_ITER, FeedbackLaw, boundary_drive, eval_g
 from delayfdtd.materials import constant_isotropic
 from delayfdtd.operator_lab import _load_off_core, resolvent_core
-from delayfdtd.operators import EDGE_COMPS, FieldLayout, build_operators
+from delayfdtd.operators import EDGE_COMPS, FieldLayout, Operators, build_operators
 
 
 @pytest.fixture(scope="session")
@@ -300,3 +301,45 @@ def two_column_closure(
         f"boundary update failed to converge: sample {bad}, residual {float(res[bad]):.3e} "
         f"after {BOUNDARY_MAX_ITER} iterations"
     )
+
+
+# -- the recorder as it summed before the one-pass einsum form --------------------
+
+def field_energies(q, h, h_prev, ops: Operators) -> tuple[float, float]:
+    """(weighted, plain) field energy: E part plus staggered H product.
+
+    Each row of the stacked masses is one contiguous pairwise sum, so the
+    pair costs one pass and equals two separate `_dot`s bit for bit.  The
+    products are formed in place: a second (2, n) temporary costs more than
+    the arithmetic.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        wq = ops.Wq_pair * q
+        wq *= q
+        wh = ops.Wf_pair * h_prev
+        wh *= h
+        e = 0.5 * np.sum(wq, axis=1)
+        e += 0.5 * np.sum(wh, axis=1)
+    return float(e[0]), float(e[1])
+
+
+def pairwise_energies(
+    q, h, h_prev, ring: DelayRing, ops: Operators, xi: float, tau: float
+) -> tuple[float, float, float, float]:
+    """(E_weighted, E_plain, E_xi, D) at the current time level, the reference for `analysis.energies`."""
+    e_w, e_p = field_energies(q, h, h_prev, ops)
+    areas = ops.grid.samples.areas
+    e_xi = e_w + xi * tau * _dot(areas, ring.s_energy())
+    d_val = _dot(areas, ring.slot_norm2(0) + ring.slot_norm2(ring.N))
+    return e_w, e_p, e_xi, d_val
+
+
+def pairwise_outflow(ring: DelayRing, law: FeedbackLaw, xi: float, areas: np.ndarray) -> float:
+    """Instantaneous -dE_xi/dt from the boundary terms, the reference for `analysis.boundary_outflow`.
+
+    flux = sum dA [ (g1 g(Z0) + g2 g(Z1)) . Z0 - xi (|Z0|^2 - |Z1|^2) ].
+    """
+    z0 = ring.slot(0)
+    work = boundary_drive(law, z0, ring.slot(ring.N))
+    integrand = np.einsum("ij,ij->i", work, z0) - xi * (ring.slot_norm2(0) - ring.slot_norm2(ring.N))
+    return _dot(areas, integrand)

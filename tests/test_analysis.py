@@ -6,6 +6,7 @@ from delayfdtd.analysis import (
     DissipationConstants,
     EnergyTrace,
     appendix_analyze,
+    boundary_outflow,
     dissipation_residual,
     energies,
     fit_decay,
@@ -15,8 +16,13 @@ from delayfdtd.analysis import (
     xi_default,
 )
 from delayfdtd.delay import DelayRing, init_history
+from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, ContractError
-from delayfdtd.operators import sample_vector_field
+from delayfdtd.feedback import FeedbackLaw
+from delayfdtd.materials import constant_isotropic, diagonal_ramp
+from delayfdtd.operators import build_operators, sample_vector_field
+
+from conftest import pairwise_energies, pairwise_outflow
 
 
 def make_trace(t, E_xi, D, flux=None, E_w=None):
@@ -62,6 +68,38 @@ def test_energies_delay_term_constant_ring(ops8):
     _, _, e_xi, d_val = energies(q, h, h, ring, ops8, 0.5, 0.25)
     assert e_xi == pytest.approx(0.75, rel=1e-13)
     assert d_val == pytest.approx(12.0, rel=1e-13)  # |Z0|^2 + |Z1|^2 over area 6
+
+
+TABLE_R = tuple(0.25 * i for i in range(33))
+RECORDER_LAWS = {
+    "linear": FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25),
+    "saturating": FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=2.0, gamma2=0.5, tau=0.25),
+    "table": FeedbackLaw(kind="table", table_r=TABLE_R, table_g=tuple(r + r / (1 + r) for r in TABLE_R),
+                         gamma1=1.0, gamma2=0.25, tau=0.25),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDER_LAWS))
+def test_recorder_matches_the_pairwise_reference(kind):
+    # the one-pass einsum recorder sums in another order than the pairwise
+    # `_dot` form it replaced; each column agrees to 1e-13 of its largest value
+    law = RECORDER_LAWS[kind]
+    grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
+    ops = build_operators(grid, diagonal_ramp(grid, (1.0, 1.5, 2.0), axis=0, slope=0.5),
+                          constant_isotropic(grid, 1.5))
+    areas = grid.samples.areas
+    rng = np.random.default_rng(61)
+    ring = init_history("replay", 5, grid.samples.count, initial_trace=rng.standard_normal((grid.samples.count, 2)))
+    got, ref = [], []
+    for _ in range(8):
+        ring.advance(rng.standard_normal((grid.samples.count, 2)))
+        q, h, h_prev = rng.standard_normal(ops.layout.n_q), *rng.standard_normal((2, ops.layout.n_h))
+        got.append((*energies(q, h, h_prev, ring, ops, 0.3, law.tau), boundary_outflow(ring, law, 0.3, areas)))
+        ref.append((*pairwise_energies(q, h, h_prev, ring, ops, 0.3, law.tau),
+                    pairwise_outflow(ring, law, 0.3, areas)))
+    got, ref = np.array(got), np.array(ref)
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 # -- xi_default ----------------------------------------------------------------

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from delayfdtd.analysis import energies
 from delayfdtd.delay import DelayRing, init_history
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, NumericalError
@@ -625,6 +627,49 @@ def test_step_rebinds_h_prev_without_aliasing(ops8):
         stepper.step(state, ring)
         assert state.h_prev is h_before
         assert not np.shares_memory(state.h, state.h_prev)
+
+
+def test_record_times_are_exact_step_multiples():
+    # t = n dt as one product per step, not a running sum of dt
+    out = run(small_scenario(steps=200))
+    n = len(out.trace.t)
+    assert n == 201
+    assert out.trace.t.tobytes() == (np.arange(n) * out.dt).tobytes()
+
+
+def _traced_peak(fn, calls: int) -> int:
+    """Peak bytes that `calls` calls of fn hold at once beyond what was live before them."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_step_and_record_allocate_less_than_one_field_set():
+    # in units of one q and one H: the step updates E and H in place, the
+    # record forms one field product at a time
+    grid = build_grid(BoxDomain((1.0, 1.0, 1.0), (10, 10, 10), (0.5, 0.5, 0.5)))
+    eps = constant_isotropic(grid, 1.0)
+    ops = build_operators(grid, eps, eps)
+    law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.5, tau=0.25)
+    dt, n_slots = compute_dt(grid, eps, eps, 0.5, law.tau)
+    stepper = Stepper(ops, law, dt)
+    state = stepper.bootstrap(np.random.default_rng(46).standard_normal(ops.layout.n_q))
+    ring = init_history("zero", n_slots, grid.samples.count)
+    stepper.step(state, ring)
+    unit = 8 * (ops.layout.n_q + ops.layout.n_h)
+    per_step = _traced_peak(lambda: stepper.step(state, ring), 5) / unit
+    per_record = _traced_peak(lambda: energies(state.q, state.h, state.h_prev, ring, ops, 0.5, law.tau), 5) / unit
+    assert per_step <= 1.5
+    assert per_record <= 1.0
 
 
 # -- assembled full-tensor inverse masses --------------------------------------
