@@ -13,6 +13,7 @@ import gc
 import os
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +53,33 @@ def _write(path: Path, text: str):
 # check
 # ---------------------------------------------------------------------------
 
+def _material_setup(sc, geometry: bool):
+    """Grid, eps, mu and assumption report of a scenario's materials.
+
+    `geometry` adds d1 and star shape, which serve the decay estimates only.
+    """
+    grid = build_grid(sc.domain)
+    eps, mu = sc.eps.build(grid), sc.mu.build(grid)
+    if geometry:
+        report = full_report(eps, mu, multiplier_field(grid, sc.domain.x0), grid)
+    else:
+        report = check_assumption_materials(eps, mu)
+    return grid, eps, mu, report
+
+
+def _require_assumptions(report, what: str):
+    if not report.passed:
+        raise AssumptionError(f"{what} assumptions violated: {', '.join(report.failed)}")
+
+
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
-    sc = scenario_from_config(cfg)
-    grid = build_grid(sc.domain)
-    eps = sc.eps.build(grid)
-    mu = sc.mu.build(grid)
-    m = multiplier_field(grid, sc.domain.x0)
-    report = full_report(eps, mu, m, grid)
-    lines = report.summary_lines()
-    text = "\n".join(lines) + "\n"
+    *_, report = _material_setup(scenario_from_config(cfg), geometry=True)
+    text = "\n".join(report.summary_lines()) + "\n"
     sys.stdout.write(text)
     _write(out / "material_report.txt", text)
-    if not report.passed:
-        raise AssumptionError("material/geometry assumptions violated (see report)")
+    _require_assumptions(report, "material/geometry")
     return 0
 
 
@@ -130,16 +143,6 @@ def cmd_run(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _resolved_xi_for(cfg: Config) -> float:
-    """Delay weight pinned into a sweep row with `xi = auto`: the midpoint g1 c1 / 2.
-
-    It is pinned also where no weight is admissible, so that such a row runs and
-    reports no certificate; a conservative row (g1 = 0) gets 0.
-    """
-    law = scenario_from_config(cfg).law
-    return 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     section, _, key = args.param.partition(".")
@@ -166,18 +169,24 @@ def cmd_sweep(args) -> int:
         rows[name] = value
 
     out_root = _outdir(cfg, args.out)
-    lines = ["value,lambda_hat,r2,classification"]
+    checked = []  # every row is checked, and given its directory, before the first one runs
     for name, value in rows.items():
-        out = out_root / name
         row = copy.deepcopy(cfg)
         row.set(section, key, value)
         validate_config(row)
-        if row.get("analysis", "xi") == "auto":
-            row.set("analysis", "xi", _resolved_xi_for(row))
-        row.set("output", "dir", str(out))
-        result = run_scenario(scenario_from_config(row))
-        _outdir(row, None)
-        info, _ = _write_run(row, result, out)
+        row.set("output", "dir", str(out_root / name))
+        sc = scenario_from_config(row)
+        if sc.analysis.xi is None:
+            # pin the midpoint g1 c1 / 2, also where no weight is admissible, so that
+            # such a row runs and reports no certificate; a conservative row gets 0
+            law = sc.law
+            xi = 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
+            row.set("analysis", "xi", xi)
+            sc = replace(sc, analysis=replace(sc.analysis, xi=xi))
+        checked.append((value, row, sc, _outdir(row, None)))
+    lines = ["value,lambda_hat,r2,classification"]
+    for value, row, sc, out in checked:
+        info, _ = _write_run(row, run_scenario(sc), out)
         lam = float(info.get("lambda_hat", float("nan")))
         r2 = float(info.get("fit_r2", float("nan")))
         lines.append(f"{value:.17g},{lam:.17g},{r2:.17g},{info['classification']}")
@@ -198,13 +207,8 @@ def cmd_analyze(args) -> int:
     sc = scenario_from_config(cfg)
     trace = analysis.EnergyTrace.from_csv(read_input(args.csv, "energy CSV"))
 
-    grid = build_grid(sc.domain)
-    eps = sc.eps.build(grid)
-    mu = sc.mu.build(grid)
-    m = multiplier_field(grid, sc.domain.x0)
-    report = full_report(eps, mu, m, grid)
-    if not report.passed:
-        raise AssumptionError("material/geometry assumptions violated")
+    *_, report = _material_setup(sc, geometry=True)
+    _require_assumptions(report, "material/geometry")
     xi, k = analysis.delay_weight(sc.law, sc.analysis.xi)
 
     block, failures = analysis.certify(
@@ -230,13 +234,8 @@ def cmd_analyze(args) -> int:
 
 def _lab_setup(cfg: Config):
     sc = scenario_from_config(cfg)
-    grid = build_grid(sc.domain)
-    eps = sc.eps.build(grid)
-    mu = sc.mu.build(grid)
-    # well-posedness needs only these material checks; d1 and star shape serve decay
-    report = check_assumption_materials(eps, mu)
-    if not report.passed:
-        raise AssumptionError(f"material assumptions violated: {', '.join(report.failed)}")
+    grid, eps, mu, report = _material_setup(sc, geometry=False)
+    _require_assumptions(report, "material")
     ops = build_operators(grid, eps, mu)
     return sc, ops
 

@@ -105,6 +105,20 @@ def test_check_exit_three_on_bad_materials(tmp_path):
     assert main(["check", str(path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("check", []), ("analyze", ["energy.csv"])], ids=["check", "analyze"]
+)
+def test_decay_hypothesis_failure_names_the_failed_check(tmp_path, capsys, command, extra):
+    # eps = exp(-10 x) is positive definite, but its growth bound d1 is negative
+    text = BASE + "\n[materials]\neps_kind = exponential_isotropic\neps_k = -10\n"
+    path, _ = write_cfg(tmp_path, text)
+    (tmp_path / "energy.csv").write_text("t,E_weighted,E_plain,E_xi,D,flux\n0,1,1,1,0,0\n0.1,1,1,1,0,0\n")
+    args = [str(tmp_path / a) for a in extra]
+    assert main([command, str(path), *args]) == 3
+    err = capsys.readouterr().err
+    assert err == "assumption violated: material/geometry assumptions violated: growth_bound\n"
+
+
 def test_run_outputs_and_schema(tmp_path):
     path, outdir = write_cfg(tmp_path, BASE)
     assert main(["run", str(path)]) == 0
@@ -461,6 +475,41 @@ def test_sweep_values_that_share_a_row_directory_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0.1000001" in err and "0.1000002" in err and "gamma2_0.1" in err
     assert not outdir.exists()  # no row runs
+
+
+# the linear law on a 6^3 box to t_end = 0.8: 20 steps
+BOX6 = BASE.replace("nx = 8\nny = 8\nnz = 8", "nx = 6\nny = 6\nnz = 6").replace(
+    "t_end = 2.0", "t_end = 0.8"
+)
+
+
+@pytest.mark.parametrize(
+    "param, values, blocker",
+    [
+        ("feedback.gamma2", "0.25,-1", None),
+        ("run.record_every", "1,0", None),
+        ("feedback.gamma2", "0.25,0.5", "gamma2_0.5"),
+    ],
+    ids=["negative_gain", "zero_record_every", "row_directory_is_a_file"],
+)
+def test_sweep_checks_every_row_before_the_first_runs(tmp_path, capsys, param, values, blocker):
+    path, outdir = write_cfg(tmp_path, BOX6)
+    if blocker:
+        outdir.mkdir()
+        (outdir / blocker).write_text("")
+    assert main(["sweep", str(path), "--param", param, "--values", values]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not list(outdir.glob("*/energy.csv"))
+
+
+def test_sweep_short_trace_is_not_a_failure(tmp_path):
+    # 20 steps end far below 4c, where the certificate does not apply
+    path, outdir = write_cfg(tmp_path, BOX6)
+    assert main(["sweep", str(path), "--param", "feedback.gamma2", "--values", "0.5"]) == 0
+    summary = (outdir / "gamma2_0.5" / "summary.txt").read_text()
+    assert "steps = 20\n" in summary
+    assert "FAIL" not in summary
+    assert "certificate = not applicable (trace too short" in summary
 
 
 def test_analyze_assert_exit_five(tmp_path):
