@@ -13,17 +13,7 @@ import numpy as np
 
 from .domain import TANGENT_TOL, SampleSet
 from .errors import ConfigError, ContractError
-
-
-def _norm2(v: np.ndarray, out: np.ndarray) -> None:
-    """Write |v_s|^2 over the last axis of (S, k) `v` into `out`, one column at a time.
-
-    For k = 2 these are the bits of einsum("si,si->s"), which costs twice
-    as much: it runs its inner loop once per sample over two entries.
-    """
-    np.multiply(v[:, 0], v[:, 0], out=out)
-    for i in range(1, v.shape[1]):
-        out += v[:, i] * v[:, i]
+from .feedback import norm2
 
 
 class DelayRing:
@@ -80,9 +70,9 @@ class DelayRing:
         self._cursor = 0
         self._buf[:] = np.broadcast_to(np.asarray(values, dtype=float), self._buf.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._z2[:] = np.einsum("psi,psi->ps", self._buf, self._buf)
+            norm2(self._buf, out=self._z2)
             mid = 0.5 * (self._buf + np.roll(self._buf, -1, axis=0))
-            self._mid2[:] = np.einsum("psi,psi->ps", mid, mid)
+            norm2(mid, out=self._mid2)
         self._mid2[self.N] = 0.0
 
     # -- dynamics ------------------------------------------------------------
@@ -95,10 +85,10 @@ class DelayRing:
         # the pair (slot 0, slot 1) is new; the pair (slot N, slot 0) is retired.
         # A diverging run overflows here silently and is reported at its record.
         with np.errstate(over="ignore", invalid="ignore"):
-            _norm2(z, out=self._z2[c])
+            norm2(z, out=self._z2[c])
             mid = z + self._buf[(c + 1) % (self.N + 1)]
             mid *= 0.5
-            _norm2(mid, out=self._mid2[c])
+            norm2(mid, out=self._mid2[c])
         self._mid2[(c + self.N) % (self.N + 1)] = 0.0
 
     # -- quadrature ----------------------------------------------------------

@@ -91,14 +91,26 @@ class FeedbackLaw:
         return np.where(norms < r[0], 0.0, slopes[seg])
 
 
+def norm2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|v|^2 over the last axis of a (..., 2) or (..., 3) stack, from column products.
+
+    These are the bits of einsum("...i,...i->...", v, v) at about half its
+    cost: on an axis this short, einsum runs its inner loop once per vector.
+    Einsum's vector lanes pair entries 0 and 2 of a three-long axis, so
+    entry 2 is added before entry 1.  Writes into `out` when given.
+    """
+    out = np.multiply(v[..., 0], v[..., 0], out=out)
+    for i in (1,) if v.shape[-1] == 2 else (2, 1):
+        out += v[..., i] * v[..., i]
+    return out
+
+
 def eval_g(law: FeedbackLaw, v: np.ndarray) -> np.ndarray:
     """Evaluate the feedback nonlinearity; works on (..., 2) component and (..., 3) vector stacks."""
     v = np.asarray(v, dtype=float)
     if law.kind == "linear":
         return law.a * v  # the gain does not depend on |v|
-    # np.linalg.norm over the short last axis costs twice as much as this
-    norms = np.sqrt(np.einsum("...i,...i->...", v, v))
-    return law._radial_gain(norms)[..., None] * v
+    return law._radial_gain(np.sqrt(norm2(v)))[..., None] * v
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .domain import YeeGrid
 from .errors import ConfigError
@@ -327,6 +328,18 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         grad_int=_build_gradient(layout),
         node_weight=vol,
     )
+
+
+def matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ x written into the float64 vector `out`, which must not share memory with x.
+
+    Runs `csr_matvec`, the kernel that `a @ x` runs for a CSR matrix, on a
+    zeroed `out`, so the result has the bits of `a @ x` without scipy's
+    operator dispatch or a fresh result array.
+    """
+    out.fill(0.0)  # the kernel adds each row's sum to out
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 def _symmetrized(t: TensorField) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .operators import (
     Operators,
     build_operators,
     full_tensor_inverses,
+    matvec,
     sample_vector_field,
 )
 
@@ -393,7 +395,9 @@ class Stepper:
         self._trace_slice = slice(layout.trace_offset, layout.n_q)
         self._int_slice = slice(0, layout.trace_offset)
         self._eps_int = ops.eps_q[self._int_slice]
-        # per-step (S, 2) scratch: the time-centered delay tap and the old trace
+        # per-step scratch: the two curl products, the time-centered delay tap and the old trace
+        self._rhs = np.empty(layout.n_q)
+        self._curl = np.empty(layout.n_h)
         self._z1_mid = np.empty((layout.n_samples, 2))
         self._t_old = np.empty((layout.n_samples, 2))
         self._diag = ops.eps.diagonal_only and ops.mu.diagonal_only
@@ -413,7 +417,7 @@ class Stepper:
     def step(self, state: EMState, ring: DelayRing) -> EMState:
         """Advance E, then H, in place; the new H is written over the retired h_prev array."""
         ops, dt = self.ops, self.dt
-        rhs = ops.G @ state.h
+        rhs = matvec(ops.G, state.h, self._rhs)
 
         # delayed tap, time-centered across the shift
         z1_mid = np.add(ring.slot(ring.N), ring.slot(ring.N - 1), out=self._z1_mid)
@@ -436,7 +440,7 @@ class Stepper:
         trace[:] = t_new
         ring.advance(t_new)
 
-        curl = ops.C @ state.q
+        curl = matvec(ops.C, state.q, self._curl)
         if self._diag:
             curl *= dt
             curl /= ops.mu_f
@@ -475,28 +479,87 @@ def _non_finite(row: tuple, st: EMState) -> NumericalError:
     return NumericalError(f"non-finite energy column {name} at step {st.step} (t = {st.time:.6g})")
 
 
-def run(scenario: Scenario) -> RunOutput:
-    """Simulate a scenario and record its energy trace.
+@dataclass
+class RunSetup:
+    """What a run builds before its first step, from scenario parts that the gains do not touch."""
 
-    Deterministic for a fixed scenario: no threading, fixed evaluation order.
-    Raises AssumptionError when material/geometry checks fail (unless the
-    run is marked unsafe) or when xi is requested automatically but no
-    admissible value exists (see `analysis.delay_weight`).
+    grid: YeeGrid
+    report: MaterialReport
+    dt: float
+    n_slots: int
+    ops: Operators
+    q0: np.ndarray | None = None  # the start, read-only; `run` builds it after the delay weight's checks
+
+
+# At most one entry, the set-up of the last run, keyed by `_setup_key`: the
+# rows of a gain sweep or ladder share it.
+_SETUP: dict[tuple, RunSetup] = {}
+
+
+def _file_digest(path) -> bytes | None:
+    """Digest of an input file's bytes; None when it cannot be read (its builder then reports why)."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).digest()
+    except OSError:
+        return None
+
+
+def _setup_key(scenario: Scenario) -> tuple:
+    """Everything the set-up reads: the scenario parts (by repr, so -0.0 and 0.0 differ) and input files."""
+    files = [spec.path for spec in (scenario.eps, scenario.mu) if spec.kind == "file"]
+    if scenario.initial.preset == "file":
+        files.append(scenario.initial.path)
+    parts = (scenario.domain, scenario.eps, scenario.mu, scenario.initial)
+    return (repr((*parts, scenario.run.cfl_safety, scenario.law.tau)), *map(_file_digest, files))
+
+
+def _check_report(report: MaterialReport, unsafe: bool):
+    if not report.passed and not unsafe:
+        raise AssumptionError(f"material/geometry assumptions violated: {', '.join(report.failed)}")
+
+
+def run_setup(scenario: Scenario) -> RunSetup:
+    """The set-up of `scenario`, from `_SETUP` when the last run's key matches.
+
+    A new set-up replaces the old one, which is dropped before the build so
+    that two never live at once.  The builders are looked up in this
+    module's namespace at each call, where a tracer or a test may wrap them.
     """
+    key = _setup_key(scenario)
+    setup = _SETUP.get(key)
+    if setup is not None:
+        _check_report(setup.report, scenario.run.unsafe)
+        return setup
+    _SETUP.clear()
     grid = build_grid(scenario.domain)
     eps = scenario.eps.build(grid)
     mu = scenario.mu.build(grid)
-    m = multiplier_field(grid, scenario.domain.x0)
-    report = full_report(eps, mu, m, grid)
-    if not report.passed and not scenario.run.unsafe:
-        raise AssumptionError(f"material/geometry assumptions violated: {', '.join(report.failed)}")
+    report = full_report(eps, mu, multiplier_field(grid, scenario.domain.x0), grid)
+    _check_report(report, scenario.run.unsafe)
+    dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, scenario.law.tau)
+    setup = _SETUP[key] = RunSetup(grid, report, dt, n_slots, build_operators(grid, eps, mu))
+    return setup
 
+
+def run(scenario: Scenario) -> RunOutput:
+    """Simulate a scenario and record its energy trace.
+
+    Deterministic for a fixed scenario: no threading, fixed evaluation order;
+    the set-up comes from `run_setup`, so a run in a warm process writes the
+    same bytes as one in a fresh process.  Raises AssumptionError when
+    material/geometry checks fail (unless the run is marked unsafe) or when
+    xi is requested automatically but no admissible value exists (see
+    `analysis.delay_weight`).
+    """
+    setup = run_setup(scenario)
+    grid, ops, dt, n_slots = setup.grid, setup.ops, setup.dt, setup.n_slots
     law = scenario.law
-    dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, law.tau)
-    ops = build_operators(grid, eps, mu)
     xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 
-    q0 = initial_state_q(ops, scenario.initial)
+    if setup.q0 is None:
+        setup.q0 = initial_state_q(ops, scenario.initial)
+        setup.q0.flags.writeable = False
+    q0 = setup.q0
     stepper = Stepper(ops, law, dt)
     state = stepper.bootstrap(q0)
 
@@ -538,7 +601,7 @@ def run(scenario: Scenario) -> RunOutput:
         state=state,
         ops=ops,
         ring=ring,
-        report=report,
+        report=setup.report,
         diss=diss,
         law=law,
         dt=dt,

@@ -444,6 +444,25 @@ def test_integer_sweep_row_reruns_to_the_same_bytes(tmp_path):
     assert (rerun / "energy.csv").read_bytes() == (row / "energy.csv").read_bytes()
 
 
+def test_gain_sweep_builds_one_set_up_and_each_row_matches_a_cold_run(tmp_path, monkeypatch):
+    from delayfdtd import solver
+
+    builds = []
+    build = solver.build_operators
+    monkeypatch.setattr(solver, "build_operators", lambda *args: builds.append(args) or build(*args))
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
+    solver._SETUP.clear()
+    assert main(["sweep", str(path), "--param", "feedback.gamma1", "--values", "0.8,1,1.5"]) == 0
+    assert len(builds) == 1
+    for name in ("gamma1_0.8", "gamma1_1", "gamma1_1.5"):
+        solver._SETUP.clear()
+        row, cold = outdir / name, tmp_path / "cold" / name
+        assert main(["run", str(row / "resolved.cfg"), "--out", str(cold)]) == 0
+        for fname in ("energy.csv", "summary.txt"):
+            assert (cold / fname).read_bytes() == (row / fname).read_bytes()
+    assert len(builds) == 4
+
+
 def test_sweep_row_with_explicit_xi_matches_run(tmp_path):
     # the row keeps the configured xi = 0.3; the midpoint would be 0.5
     text = BASE.replace("t_end = 2.0", "t_end = 0.5") + "\n[analysis]\nxi = 0.3\n"

@@ -10,6 +10,7 @@ from delayfdtd.feedback import (
     eval_g,
     implicit_boundary_update,
     load_table_law,
+    norm2,
 )
 
 from conftest import required_H_trace, two_column_closure
@@ -372,6 +373,22 @@ def test_linear_eval_g_matches_the_radial_form_bitwise():
     norms = np.sqrt(np.einsum("...i,...i->...", v, v))
     assert eval_g(law, v).tobytes() == (law._radial_gain(norms)[..., None] * v).tobytes()
 
+
+
+@pytest.mark.parametrize("shape", [(300, 2), (40, 17, 3), (3,), (2,)], ids=["S_2", "S_M_3", "vec3", "vec2"])
+def test_norm2_has_the_bits_of_einsum(shape):
+    # magnitudes from 1e-150 to 1e150 per row, so every rounding of the sums shows
+    rng = np.random.default_rng(62)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape[:-1] + (1,))
+    ref = np.einsum("...i,...i->...", v, v)
+    assert np.shape(norm2(v)) == np.shape(ref)
+    assert np.asarray(norm2(v)).tobytes() == np.asarray(ref).tobytes()
+    norms = np.sqrt(ref)
+    assert eval_g(SATURATING, v).tobytes() == (SATURATING._radial_gain(norms)[..., None] * v).tobytes()
+    if v.ndim > 1:
+        out = np.full(shape[:-1], np.nan)
+        assert norm2(v, out=out) is out
+        assert out.tobytes() == ref.tobytes()
 
 # -- the radial closure against the 2x2 Newton it replaced -----------------------
 

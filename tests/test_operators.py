@@ -16,6 +16,7 @@ from delayfdtd.operators import (
     _face_material,
     build_operators,
     full_tensor_inverses,
+    matvec,
     sample_vector_field,
 )
 
@@ -428,3 +429,21 @@ def test_factor_symmetric_small_matrices_solve_exactly(dense, x):
     A = np.array(dense)
     solution, _ = CoreCG(sp.csr_matrix(A), "small matrix").solve(A @ np.array(x))
     assert np.array_equal(solution, np.array(x))
+
+
+def test_matvec_has_the_bits_of_the_scipy_product():
+    grid = build_grid(BoxDomain((1.3, 0.9, 1.1), (6, 5, 7), (0.6, 0.45, 0.5)))
+    eps = diagonal_ramp(grid, (1.0, 2.0, 1.5), axis=1, slope=0.7, entry=2)
+    ops = build_operators(grid, eps, constant_diagonal(grid, (1.0, 3.0, 2.0)))
+    rng = np.random.default_rng(63)
+    # unsorted column indices with duplicates within a row, and an empty row
+    odd = sp.csr_matrix(
+        (rng.standard_normal(7), np.array([3, 0, 3, 1, 2, 2, 0]), np.array([0, 3, 3, 7])), shape=(3, 4)
+    )
+    assert not odd.has_canonical_format
+    for a in (ops.G, ops.C, odd):
+        out = np.full(a.shape[0], np.nan)  # the result must not depend on what out held
+        for _ in range(2):
+            x = rng.standard_normal(a.shape[1]) * 10.0 ** rng.uniform(-100, 100, a.shape[1])
+            assert matvec(a, x, out) is out
+            assert out.tobytes() == (a @ x).tobytes()

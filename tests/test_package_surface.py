@@ -1,6 +1,6 @@
 """Every definition and dataclass field in the package is used by the program.
 
-The program is `src/`, `scripts/` and `perfbench/`, not the tests.  A
+The program is `src/` and `perfbench/`, not the tests.  A
 definition is used when its name appears there, outside the definition
 itself, as a name, an attribute or an exact string constant (the benchmark
 tracer patches by string).  A dataclass field is read when its name appears
@@ -16,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delayfdtd"
-PROGRAM = ("src", "scripts", "perfbench")
+PROGRAM = ("src", "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -17,7 +17,7 @@ from delayfdtd.materials import (
     diagonal_ramp,
     exponential_isotropic,
 )
-from delayfdtd.operators import build_operators, full_tensor_inverses, sample_vector_field
+from delayfdtd.operators import FieldLayout, build_operators, full_tensor_inverses, sample_vector_field
 from delayfdtd.solver import (
     AnalysisOptions,
     EMState,
@@ -814,3 +814,125 @@ def test_assembled_inverse_masses_match_collocation(field):
         t = s.tangents[i]
         block = cell_inv[i][np.ix_(t, t)]
         assert np.allclose(eps_t[i] @ block, np.eye(2), rtol=0, atol=1e-14)
+
+
+# -- the set-up memo ---------------------------------------------------------------
+# `run` keeps the last run's grid, report, dt, operators and start; the
+# builders are counted where `run_setup` looks them up.
+
+MEMO_LAW = FeedbackLaw(kind="saturating", a=1.0, b=1.0, gamma1=1.0, gamma2=0.25, tau=0.25)
+MEMO_BASE = Scenario(
+    domain=BoxDomain((1.0, 1.0, 1.0), (6, 6, 6), (0.5, 0.5, 0.5)),
+    law=MEMO_LAW,
+    initial=InitialSpec(preset="gaussian_pulse", width=0.15),
+    run=RunControls(t_end=0.1, cfl_safety=0.5),
+)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The argument tuples of every `build_operators` call a run makes, from a cold memo."""
+    import delayfdtd.solver as solver
+
+    calls = []
+    build = solver.build_operators
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "build_operators", counted)
+    solver._SETUP.clear()
+    yield calls
+    solver._SETUP.clear()
+
+
+def cold_csv(sc: Scenario) -> str:
+    import delayfdtd.solver as solver
+
+    solver._SETUP.clear()
+    return run(sc).trace.to_csv()
+
+
+def test_runs_that_differ_only_in_gains_share_one_set_up(operator_builds):
+    first = run(MEMO_BASE).trace.to_csv()
+    assert run(MEMO_BASE).trace.to_csv() == first
+    other = dataclasses.replace(
+        MEMO_BASE,
+        law=dataclasses.replace(MEMO_LAW, gamma1=2.0, gamma2=0.5),
+        history=HistorySpec(kind="replay"),
+        run=dataclasses.replace(MEMO_BASE.run, t_end=0.2, record_every=2),
+        analysis=AnalysisOptions(xi=0.4),
+    )
+    warm = run(other).trace.to_csv()
+    assert len(operator_builds) == 1
+    assert warm == cold_csv(other)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(domain=BoxDomain((1.0, 1.0, 1.0), (6, 6, 7), (0.5, 0.5, 0.5))),
+        dict(domain=BoxDomain((1.0, 1.0, 1.0), (6, 6, 6), (0.5, 0.5, 0.4))),
+        dict(eps=MaterialSpec(value=2.0)),
+        dict(mu=MaterialSpec(kind="constant_diagonal", diag=(1.0, 1.5, 2.0))),
+        dict(initial=InitialSpec(preset="gaussian_pulse", width=0.2)),
+        dict(run=RunControls(t_end=0.1, cfl_safety=0.4)),
+        dict(law=dataclasses.replace(MEMO_LAW, tau=0.3)),
+    ],
+    ids=["resolution", "star_center", "eps", "mu", "initial", "cfl_safety", "tau"],
+)
+def test_a_changed_set_up_input_rebuilds_the_set_up(operator_builds, change):
+    run(MEMO_BASE)
+    changed = dataclasses.replace(MEMO_BASE, **change)
+    warm = run(changed).trace.to_csv()
+    assert len(operator_builds) == 2
+    assert warm == cold_csv(changed)
+
+
+@pytest.mark.parametrize("kind", ["material", "start"])
+def test_a_rewritten_input_file_is_read_again(tmp_path, operator_builds, kind):
+    path = tmp_path / "input.txt"
+    if kind == "material":
+        sc = dataclasses.replace(MEMO_BASE, eps=MaterialSpec(kind="file", path=str(path)))
+
+        def write(version):  # a constant diagonal eps, one value per version
+            d = f"{1.0 + 0.5 * version!r} 1.0 {1.0 + 0.25 * version!r}"
+            path.write_text("".join(f"{i} {j} {k} {d}\n" for i, j, k in np.ndindex(6, 6, 6)))
+    else:
+        sc = dataclasses.replace(MEMO_BASE, initial=InitialSpec(preset="file", path=str(path)))
+        n_q = FieldLayout(build_grid(MEMO_BASE.domain)).n_q
+
+        def write(version):
+            q = np.random.default_rng(version).standard_normal(n_q)
+            path.write_text("\n".join(map(repr, q.tolist())) + "\n")
+
+    write(1)
+    first = run(sc).trace.to_csv()
+    assert run(sc).trace.to_csv() == first
+    assert len(operator_builds) == 1
+    write(2)
+    second = run(sc).trace.to_csv()
+    assert len(operator_builds) == 2
+    assert second != first
+    assert second == cold_csv(sc)
+
+
+def test_a_warm_set_up_keeps_the_material_check(operator_builds):
+    failing = dataclasses.replace(
+        MEMO_BASE, eps=MaterialSpec(kind="exponential_isotropic", k=-10.0), initial=InitialSpec(preset="off")
+    )
+    run(dataclasses.replace(failing, run=RunControls(t_end=0.1, cfl_safety=0.5, unsafe=True)))
+    with pytest.raises(AssumptionError, match="material/geometry assumptions violated"):
+        run(failing)
+    assert len(operator_builds) == 1
+
+
+def test_the_memo_holds_one_read_only_start(operator_builds):
+    import delayfdtd.solver as solver
+
+    run(MEMO_BASE)
+    run(dataclasses.replace(MEMO_BASE, run=RunControls(t_end=0.1, cfl_safety=0.4)))
+    (setup,) = solver._SETUP.values()
+    assert setup.dt == compute_dt(setup.grid, setup.ops.eps, setup.ops.mu, 0.4, MEMO_LAW.tau)[0]
+    assert not setup.q0.flags.writeable
