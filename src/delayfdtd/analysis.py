@@ -142,6 +142,24 @@ class EnergyTrace:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class AnalysisOptions:
+    """The delay weight and the multiplicative slacks of the certificate checks.
+
+    The slack defaults are those of `lemma31_check`, `lemma32_check`,
+    `appendix_analyze`, `certify` and the config's [analysis] section.
+    """
+
+    xi: float | None = None  # None means auto
+    slack_dissipation: float = 1.05
+    slack_observability: float = 1.10
+
+    def __post_init__(self):
+        for key in ("slack_dissipation", "slack_observability"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+
+
+@dataclass(frozen=True)
 class DissipationConstants:
     xi: float
     c1E: float
@@ -229,7 +247,9 @@ class InequalityReport:
     n_pairs: int
 
 
-def lemma31_check(trace: EnergyTrace, k: DissipationConstants, slack: float = 1.05) -> InequalityReport:
+def lemma31_check(
+    trace: EnergyTrace, k: DissipationConstants, slack: float = AnalysisOptions.slack_dissipation
+) -> InequalityReport:
     """Two-sided dissipation bound on E_xi over every record pair."""
     n = len(trace.t)
     if n < 2:
@@ -307,7 +327,8 @@ class ObservabilityReport:
 
 
 def lemma32_check(
-    trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None, slack: float = 1.10
+    trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None,
+    slack: float = AnalysisOptions.slack_observability,
 ) -> ObservabilityReport:
     """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D]."""
     T = trace.t[-1] if T is None else float(T)
@@ -361,8 +382,8 @@ def appendix_analyze(
     c: float,
     c_T: float,
     T: float,
-    slack: float = 1.05,
-    obs_slack: float = 1.10,
+    slack: float = AnalysisOptions.slack_dissipation,
+    obs_slack: float = AnalysisOptions.slack_observability,
 ) -> DecayCertificate:
     """Contraction-rate certificate from the dissipation and observation bounds.
 
@@ -431,8 +452,8 @@ def certify(
     k: DissipationConstants | None,
     tau: float,
     T: float | None = None,
-    slack_dissipation: float = 1.05,
-    slack_observability: float = 1.10,
+    slack_dissipation: float = AnalysisOptions.slack_dissipation,
+    slack_observability: float = AnalysisOptions.slack_observability,
 ) -> tuple[dict[str, object], list[str]]:
     """The decay-certificate chain on a trace: (ordered block, failed checks).
 

@@ -59,7 +59,7 @@ def _material_setup(sc, geometry: bool):
     `geometry` adds d1 and star shape, which serve the decay estimates only.
     """
     grid = build_grid(sc.domain)
-    eps, mu = sc.eps.build(grid), sc.mu.build(grid)
+    eps, mu = sc.build_materials(grid)
     if geometry:
         report = full_report(eps, mu, multiplier_field(grid, sc.domain.x0), grid)
     else:
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("config")
     po.add_argument("--pairs", type=int, default=200)
     po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--m", type=int, default=16)
+    po.add_argument("--m", type=int, default=delay.LAB_S_CELLS)
     po.add_argument("--out")
     po.set_defaults(func=cmd_operator)
 
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("config")
     pv.add_argument("--b", type=float, default=2.0)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--m", type=int, default=16)
+    pv.add_argument("--m", type=int, default=delay.LAB_S_CELLS)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_resolvent)
     return p

@@ -13,22 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import AnalysisOptions
 from .domain import BoxDomain
 from .errors import ConfigError
 from .feedback import FeedbackLaw, load_table_law
-from .solver import (
-    AnalysisOptions,
-    HistorySpec,
-    InitialSpec,
-    MaterialSpec,
-    RunControls,
-    Scenario,
-)
+from .solver import HistorySpec, InitialSpec, MaterialSpec, RunControls, Scenario
 
 AXES = {"x": 0, "y": 1, "z": 2}
 AXIS_NAMES = {v: k for k, v in AXES.items()}
 
-# (type, default); default None means required, "auto" handled as xi special
+# The keys each scenario type holds, with their value kinds; a `file` key is
+# the type's `path` field.
+MATERIAL_KEYS = {
+    "kind": "str", "value": "float", "diag": "vec3", "axis": "axis", "slope": "float",
+    "entry": "int", "k": "float", "upper": "vec6", "file": "str",
+}
+LAW_KEYS = {"kind": "str", "a": "float", "b": "float", "gamma1": "float", "gamma2": "float", "tau": "float"}
+HISTORY_KEYS = {"kind": "str", "file": "str"}
+INITIAL_KEYS = {
+    "preset": "str", "center": "vec3", "width": "float", "amplitude": "float",
+    "polarization": "vec3", "project": "bool", "file": "str",
+}
+RUN_KEYS = {"t_end": "float", "cfl_safety": "float", "record_every": "int"}
+SLACK_KEYS = {"slack_dissipation": "float", "slack_observability": "float"}
+
+
+def _field(key: str) -> str:
+    return "path" if key == "file" else key
+
+
+def _rows(spec_type, keys: dict, prefix: str = "") -> dict:
+    """Schema rows of the keys a scenario type holds, each defaulting to the type's default."""
+    return {prefix + key: (kind, getattr(spec_type, _field(key))) for key, kind in keys.items()}
+
+
+# (type, default); default None means required, "auto" handled as xi special.
+# A key repeated after a `**_rows(...)` spread keeps the spread's place in the echo.
 SCHEMA = {
     "domain": {
         "Lx": ("float", None),
@@ -39,58 +59,12 @@ SCHEMA = {
         "nz": ("int", None),
         "x0": ("vec3", "center"),
     },
-    "materials": {
-        "eps_kind": ("str", "constant_isotropic"),
-        "eps_value": ("float", 1.0),
-        "eps_diag": ("vec3", (1.0, 1.0, 1.0)),
-        "eps_axis": ("axis", 0),
-        "eps_slope": ("float", 1.0),
-        "eps_entry": ("int", 0),
-        "eps_k": ("float", 1.0),
-        "eps_upper": ("vec6", (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)),
-        "eps_file": ("str", ""),
-        "mu_kind": ("str", "constant_isotropic"),
-        "mu_value": ("float", 1.0),
-        "mu_diag": ("vec3", (1.0, 1.0, 1.0)),
-        "mu_axis": ("axis", 0),
-        "mu_slope": ("float", 1.0),
-        "mu_entry": ("int", 0),
-        "mu_k": ("float", 1.0),
-        "mu_upper": ("vec6", (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)),
-        "mu_file": ("str", ""),
-    },
-    "feedback": {
-        "kind": ("str", "linear"),
-        "a": ("float", 1.0),
-        "b": ("float", 0.0),
-        "gamma1": ("float", 1.0),
-        "gamma2": ("float", 0.0),
-        "tau": ("float", 0.25),
-        "table_file": ("str", ""),
-    },
-    "history": {
-        "kind": ("str", "zero"),
-        "file": ("str", ""),
-    },
-    "initial": {
-        "preset": ("str", "off"),
-        "center": ("vec3", "center"),
-        "width": ("float", 0.1),
-        "amplitude": ("float", 1.0),
-        "polarization": ("vec3", (0.0, 0.0, 1.0)),
-        "project": ("bool", True),
-        "file": ("str", ""),
-    },
-    "run": {
-        "t_end": ("float", None),
-        "cfl_safety": ("float", 0.95),
-        "record_every": ("int", 1),
-    },
-    "analysis": {
-        "xi": ("xi", "auto"),
-        "slack_dissipation": ("float", 1.05),
-        "slack_observability": ("float", 1.10),
-    },
+    "materials": {**_rows(MaterialSpec, MATERIAL_KEYS, "eps_"), **_rows(MaterialSpec, MATERIAL_KEYS, "mu_")},
+    "feedback": {**_rows(FeedbackLaw, LAW_KEYS), "table_file": ("str", "")},
+    "history": _rows(HistorySpec, HISTORY_KEYS),
+    "initial": {**_rows(InitialSpec, INITIAL_KEYS), "center": ("vec3", "center")},
+    "run": {**_rows(RunControls, RUN_KEYS), "t_end": ("float", None)},
+    "analysis": {"xi": ("xi", "auto"), **_rows(AnalysisOptions, SLACK_KEYS)},
     "output": {
         "dir": ("str", "out"),
     },
@@ -254,18 +228,12 @@ def echo_config(cfg: Config) -> str:
     return "\n".join(lines)
 
 
-def _material_spec(d: dict, prefix: str) -> MaterialSpec:
-    return MaterialSpec(
-        kind=d[f"{prefix}_kind"],
-        value=d[f"{prefix}_value"],
-        diag=d[f"{prefix}_diag"],
-        axis=d[f"{prefix}_axis"],
-        slope=d[f"{prefix}_slope"],
-        entry=d[f"{prefix}_entry"],
-        k=d[f"{prefix}_k"],
-        upper=d[f"{prefix}_upper"],
-        path=d[f"{prefix}_file"],
-    )
+def _spec(spec_type, section: dict, keys: dict, prefix: str = "", **extra):
+    """A scenario type from its keys in a resolved section; its errors name the key."""
+    try:
+        return spec_type(**{_field(key): section[prefix + key] for key in keys}, **extra)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def scenario_from_config(cfg: Config, unsafe: bool = False) -> Scenario:
@@ -278,47 +246,18 @@ def scenario_from_config(cfg: Config, unsafe: bool = False) -> Scenario:
     fb = d["feedback"]
     if fb["kind"] == "table":
         law = load_table_law(
-            fb["table_file"],
-            a=1.0,
-            b=fb["b"],
-            gamma1=fb["gamma1"],
-            gamma2=fb["gamma2"],
-            tau=fb["tau"],
+            fb["table_file"], b=fb["b"], gamma1=fb["gamma1"], gamma2=fb["gamma2"], tau=fb["tau"]
         )
     else:
-        law = FeedbackLaw(
-            kind=fb["kind"],
-            a=fb["a"],
-            b=fb["b"],
-            gamma1=fb["gamma1"],
-            gamma2=fb["gamma2"],
-            tau=fb["tau"],
-        )
+        law = _spec(FeedbackLaw, fb, LAW_KEYS)
     xi = d["analysis"]["xi"]
     return Scenario(
         domain=dom,
-        eps=_material_spec(d["materials"], "eps"),
-        mu=_material_spec(d["materials"], "mu"),
+        eps=_spec(MaterialSpec, d["materials"], MATERIAL_KEYS, "eps_"),
+        mu=_spec(MaterialSpec, d["materials"], MATERIAL_KEYS, "mu_"),
         law=law,
-        history=HistorySpec(kind=d["history"]["kind"], path=d["history"]["file"]),
-        initial=InitialSpec(
-            preset=d["initial"]["preset"],
-            center=d["initial"]["center"],
-            width=d["initial"]["width"],
-            amplitude=d["initial"]["amplitude"],
-            polarization=d["initial"]["polarization"],
-            project=d["initial"]["project"],
-            path=d["initial"]["file"],
-        ),
-        run=RunControls(
-            t_end=d["run"]["t_end"],
-            cfl_safety=d["run"]["cfl_safety"],
-            record_every=d["run"]["record_every"],
-            unsafe=unsafe,
-        ),
-        analysis=AnalysisOptions(
-            xi=None if xi == "auto" else float(xi),
-            slack_dissipation=d["analysis"]["slack_dissipation"],
-            slack_observability=d["analysis"]["slack_observability"],
-        ),
+        history=_spec(HistorySpec, d["history"], HISTORY_KEYS),
+        initial=_spec(InitialSpec, d["initial"], INITIAL_KEYS),
+        run=_spec(RunControls, d["run"], RUN_KEYS, unsafe=unsafe),
+        analysis=_spec(AnalysisOptions, d["analysis"], SLACK_KEYS, xi=None if xi == "auto" else float(xi)),
     )

@@ -15,6 +15,10 @@ from .domain import TANGENT_TOL, SampleSet
 from .errors import ConfigError, ContractError
 from .feedback import norm2
 
+# Cells of the s-grid in the operator lab, which has no step to fix N: the
+# default of `operator_lab.monotonicity_test` and of the lab commands' --m.
+LAB_S_CELLS = 16
+
 
 class DelayRing:
     """Per-sample circular array of N+1 tangential E traces.

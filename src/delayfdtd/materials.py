@@ -36,20 +36,27 @@ class TensorField:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "TensorField":
+        """The one constructor: rejects a wrong shape and a non-finite entry."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 5 or values.shape[3:] != (3, 3):
             raise ConfigError(f"tensor field must have shape (nx,ny,nz,3,3), got {values.shape}")
-        off = values.copy()
-        off[..., range(3), range(3)] = 0.0
-        diagonal = bool(np.all(off == 0.0))
-        sym = 0.5 * (values + np.swapaxes(values, -1, -2))
-        eig = np.linalg.eigvalsh(sym.reshape(-1, 3, 3))
-        return cls(
-            values=values,
-            diagonal_only=diagonal,
-            lambda_min_global=float(eig.min()),
-            lambda_max_global=float(eig.max()),
-        )
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, j, k, a, b = (int(v) for v in np.argwhere(~finite)[0])
+            raise ConfigError(f"tensor entry {values[i, j, k, a, b]} at cell ({i}, {j}, {k}) is not finite")
+        diagonal = not np.any(values[..., [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]])
+        t = cls(values, diagonal, np.nan, np.nan)
+        eig = np.linalg.eigvalsh(t.sym.reshape(-1, 3, 3))
+        t.lambda_min_global, t.lambda_max_global = float(eig.min()), float(eig.max())
+        return t
+
+    @property
+    def sym(self) -> np.ndarray:
+        """The symmetric part 0.5 (A + A^T), which the eigenvalues and full-tensor masses read.
+
+        Formed on each read: held, it would add the size of `values` to every run.
+        """
+        return 0.5 * (self.values + np.swapaxes(self.values, -1, -2))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -69,53 +76,48 @@ class TensorField:
 # Shipped presets
 # ---------------------------------------------------------------------------
 
-def constant_isotropic(grid: YeeGrid, value: float) -> TensorField:
+def diagonal_field(grid: YeeGrid, diag) -> TensorField:
+    """diag(d) per cell, with `diag` broadcast against (nx, ny, nz, 3)."""
     nx, ny, nz = grid.shape
     vals = np.zeros((nx, ny, nz, 3, 3))
-    vals[..., range(3), range(3)] = value
+    vals[..., range(3), range(3)] = diag
     return TensorField.from_values(vals)
+
+
+def _symmetric_field(upper: np.ndarray) -> TensorField:
+    """Symmetric tensors from (nx, ny, nz, 6) entries (e11, e22, e33, e12, e13, e23)."""
+    return TensorField.from_values(upper[..., [[0, 3, 4], [3, 1, 5], [4, 5, 2]]])
+
+
+def constant_isotropic(grid: YeeGrid, value: float) -> TensorField:
+    return diagonal_field(grid, value)
 
 
 def constant_diagonal(grid: YeeGrid, diag) -> TensorField:
-    nx, ny, nz = grid.shape
-    vals = np.zeros((nx, ny, nz, 3, 3))
-    vals[..., range(3), range(3)] = np.asarray(diag, dtype=float)
-    return TensorField.from_values(vals)
+    return diagonal_field(grid, diag)
 
 
 def diagonal_ramp(grid: YeeGrid, base, axis: int = 0, slope: float = 1.0, entry: int = 0) -> TensorField:
     """diag(base) with a linear ramp slope*x_axis added to one diagonal entry."""
-    nx, ny, nz = grid.shape
-    vals = np.zeros((nx, ny, nz, 3, 3))
-    vals[..., range(3), range(3)] = np.asarray(base, dtype=float)
-    coord = grid.cell_centers()[..., axis]
-    vals[..., entry, entry] += slope * coord
-    return TensorField.from_values(vals)
+    diag = np.broadcast_to(np.asarray(base, dtype=float), (*grid.shape, 3)).copy()
+    diag[..., entry] += slope * grid.cell_centers()[..., axis]
+    return diagonal_field(grid, diag)
 
 
 def exponential_isotropic(grid: YeeGrid, k: float, axis: int = 0) -> TensorField:
     """exp(k * x_axis) times the identity."""
-    nx, ny, nz = grid.shape
-    coord = grid.cell_centers()[..., axis]
-    vals = np.zeros((nx, ny, nz, 3, 3))
-    for c in range(3):
-        vals[..., c, c] = np.exp(k * coord)
-    return TensorField.from_values(vals)
+    return diagonal_field(grid, np.exp(k * grid.cell_centers()[..., axis, None]))
 
 
 def constant_full(grid: YeeGrid, upper) -> TensorField:
     """Constant full symmetric tensor from (e11,e22,e33,e12,e13,e23)."""
-    e11, e22, e33, e12, e13, e23 = (float(v) for v in upper)
-    mat = np.array([[e11, e12, e13], [e12, e22, e23], [e13, e23, e33]])
-    nx, ny, nz = grid.shape
-    vals = np.broadcast_to(mat, (nx, ny, nz, 3, 3)).copy()
-    return TensorField.from_values(vals)
+    return _symmetric_field(np.broadcast_to(np.asarray(upper, dtype=float), (*grid.shape, 6)))
 
 
 def load_tensor_file(grid: YeeGrid, path) -> TensorField:
     """Read `i j k e11 e22 e33 [e12 e13 e23]` lines, row-major cell indices."""
     nx, ny, nz = grid.shape
-    vals = np.zeros((nx, ny, nz, 3, 3))
+    upper = np.zeros((nx, ny, nz, 6))
     seen = np.zeros((nx, ny, nz), dtype=bool)
     for ln, line in enumerate(read_input(path, "material file").splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -133,14 +135,12 @@ def load_tensor_file(grid: YeeGrid, path) -> TensorField:
             raise ConfigError(f"{path}:{ln}: cell index ({i},{j},{k}) out of range")
         if not all(np.isfinite(nums)):
             raise ConfigError(f"{path}:{ln}: non-finite entry")
-        e11, e22, e33 = nums[:3]
-        e12, e13, e23 = (nums[3:] + [0.0, 0.0, 0.0])[:3]
-        vals[i, j, k] = [[e11, e12, e13], [e12, e22, e23], [e13, e23, e33]]
+        upper[i, j, k] = (nums + [0.0, 0.0, 0.0])[:6]
         seen[i, j, k] = True
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise ConfigError(f"{path}: no entry for cell {tuple(int(v) for v in missing)}")
-    return TensorField.from_values(vals)
+    return _symmetric_field(upper)
 
 
 # ---------------------------------------------------------------------------

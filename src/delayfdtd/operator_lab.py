@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analysis import _dot
+from .delay import LAB_S_CELLS
 from .errors import ConfigError, NumericalError
 from .feedback import FeedbackLaw, boundary_drive
 from .operators import Operators
@@ -248,7 +249,7 @@ def monotonicity_test(
     k: GeneratorConstants,
     n_pairs: int,
     seed: int,
-    M: int = 16,
+    M: int = LAB_S_CELLS,
     C_shift: float | None = None,
     z_interior_boost: float = 1.0,
 ) -> PairingReport:

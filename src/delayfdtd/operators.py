@@ -342,10 +342,6 @@ def matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrized(t: TensorField) -> np.ndarray:
-    return 0.5 * (t.values + np.swapaxes(t.values, -1, -2))
-
-
 def _inverse_mass(inv: list, collocate) -> sp.csr_matrix:
     """Block matrix of diags(inv[c][..., c, j]) @ collocate(c, j): family c <- family j."""
 
@@ -369,7 +365,7 @@ def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     tangential 2x2 block of the cellwise inverse (a Schur complement).
     """
     n = ops.grid.shape
-    vals_eps, vals_mu = _symmetrized(ops.eps), _symmetrized(ops.mu)
+    vals_eps, vals_mu = ops.eps.sym, ops.mu.sym
 
     def edge_collocation(c, j):
         # full edge family j -> interior edges of family c

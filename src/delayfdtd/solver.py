@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+from .analysis import AnalysisOptions
 from .delay import DelayRing, init_history, load_history_csv
 from .domain import BoxDomain, YeeGrid, build_grid, multiplier_field
 from .errors import AssumptionError, ConfigError, NumericalError, read_input
@@ -50,6 +51,12 @@ from .operators import (
 
 @dataclass(frozen=True)
 class MaterialSpec:
+    """One material tensor: a preset `kind` and the parameters it reads.
+
+    Its own checks name the field first, so that the config can prefix
+    eps_ or mu_ to name the key.
+    """
+
     kind: str = "constant_isotropic"
     value: float = 1.0
     diag: tuple = (1.0, 1.0, 1.0)
@@ -59,6 +66,10 @@ class MaterialSpec:
     k: float = 1.0
     upper: tuple = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     path: str = ""
+
+    def __post_init__(self):
+        if self.entry not in (0, 1, 2):
+            raise ConfigError(f"entry must be 0, 1 or 2 (the diagonal entry to ramp), got {self.entry}")
 
     def build(self, grid: YeeGrid) -> TensorField:
         if self.kind == "constant_isotropic":
@@ -86,6 +97,11 @@ class InitialSpec:
     project: bool = True
     path: str = ""
 
+    def __post_init__(self):
+        # a width whose square underflows would divide by zero in the pulse
+        if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width**2 > 0):
+            raise ConfigError(f"width must be positive for a gaussian_pulse start (width**2 > 0), got {self.width}")
+
 
 @dataclass(frozen=True)
 class HistorySpec:
@@ -112,13 +128,6 @@ class RunControls:
 
 
 @dataclass(frozen=True)
-class AnalysisOptions:
-    xi: float | None = None  # None means auto
-    slack_dissipation: float = 1.05
-    slack_observability: float = 1.10
-
-
-@dataclass(frozen=True)
 class Scenario:
     domain: BoxDomain
     eps: MaterialSpec = MaterialSpec()
@@ -131,6 +140,21 @@ class Scenario:
 
     def digest(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
+
+    def build_materials(self, grid: YeeGrid) -> tuple[TensorField, TensorField]:
+        """eps and mu on `grid`; an error building either names it.
+
+        An overflow in a preset leaves a non-finite entry, which
+        `TensorField.from_values` rejects, so no RuntimeWarning escapes.
+        """
+        fields = []
+        for name, spec in (("eps", self.eps), ("mu", self.mu)):
+            try:
+                with np.errstate(over="ignore"):
+                    fields.append(spec.build(grid))
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} ({name}_kind = {spec.kind})") from exc
+        return tuple(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +556,7 @@ def run_setup(scenario: Scenario) -> RunSetup:
         return setup
     _SETUP.clear()
     grid = build_grid(scenario.domain)
-    eps = scenario.eps.build(grid)
-    mu = scenario.mu.build(grid)
+    eps, mu = scenario.build_materials(grid)
     report = full_report(eps, mu, multiplier_field(grid, scenario.domain.x0), grid)
     _check_report(report, scenario.run.unsafe)
     dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, scenario.law.tau)

@@ -689,6 +689,48 @@ def test_deleted_config_keys_exit_two(tmp_path, capsys, key, extra):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+BASE6 = BASE.replace("nx = 8\nny = 8\nnz = 8", "nx = 6\nny = 6\nnz = 6")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (BASE6 + "\n[materials]\neps_kind = diagonal_ramp\neps_entry = 5\n", "eps_entry must be 0, 1 or 2"),
+        (BASE6 + "\n[materials]\nmu_kind = diagonal_ramp\nmu_entry = -1\n", "mu_entry must be 0, 1 or 2"),
+        (BASE6.replace("width = 0.15", "width = 0.0"), "width must be positive for a gaussian_pulse start"),
+        (BASE6.replace("width = 0.15", "width = 1e-200"), "width must be positive for a gaussian_pulse start"),
+        (BASE6 + "\n[analysis]\nslack_dissipation = 0\n", "slack_dissipation must be positive, got 0.0"),
+        (BASE6 + "\n[analysis]\nslack_observability = -1\n", "slack_observability must be positive, got -1.0"),
+        (
+            BASE6 + "\n[materials]\neps_kind = exponential_isotropic\neps_k = 1000\n",
+            "tensor entry inf at cell (4, 0, 0) is not finite (eps_kind = exponential_isotropic)",
+        ),
+        (
+            BASE6 + "\n[materials]\nmu_kind = exponential_isotropic\nmu_k = 1000\n",
+            "tensor entry inf at cell (4, 0, 0) is not finite (mu_kind = exponential_isotropic)",
+        ),
+    ],
+    ids=[
+        "eps_entry", "mu_entry", "width", "width_underflow", "slack_dissipation", "slack_observability",
+        "eps_k", "mu_k",
+    ],
+)
+def test_out_of_range_run_inputs_exit_two_before_any_step(tmp_path, capsys, monkeypatch, text, message):
+    from delayfdtd import solver
+
+    def stepped(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(solver.Stepper, "step", stepped)
+    path, outdir = write_cfg(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    assert (code, caught) == (2, [])
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not (outdir / "energy.csv").exists()
+
+
 def test_analyze_window_before_second_record_exit_two(tmp_path, capsys):
     path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
     assert main(["run", str(path)]) == 0

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from delayfdtd.config import echo_config, parse_config, scenario_from_config
 from delayfdtd.errors import ConfigError
+from delayfdtd.solver import Scenario
 
 MINIMAL = """
 [domain]
@@ -87,6 +90,17 @@ def test_scenario_construction():
     assert sc.domain.resolution == (8, 8, 8)
     assert sc.law.gamma1 == 1.0
     assert sc.analysis.xi is None  # auto
+
+
+def test_minimal_config_scenario_holds_the_scenario_types_defaults():
+    # MINIMAL sets only required keys and values equal to the defaults: a unit
+    # box (its centre is InitialSpec's default), gamma1 = 1, tau = 0.25, t_end = 1
+    sc = scenario_from_config(parse_config(MINIMAL))
+    defaults = Scenario(domain=sc.domain)
+    for part in dataclasses.fields(Scenario):
+        got, want = getattr(sc, part.name), getattr(defaults, part.name)
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f"{part.name}.{f.name}"
 
 
 def test_set():
