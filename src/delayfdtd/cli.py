@@ -22,14 +22,16 @@ from . import analysis, delay
 from .config import (
     SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config, validate_config,
 )
-from .domain import build_grid, multiplier_field
 from .errors import (
     AssumptionError, CertificateError, ConfigError, ContractError, NumericalError, read_input,
 )
 from .feedback import constants
-from .materials import check_assumption_materials, full_report
+from .solver import RunOutput, require_assumptions, run as run_scenario, run_setup
+
+# unused here: bound only because perfbench/tracer.py patches these names in this module (ROADMAP item 15)
+from .domain import build_grid
+from .materials import full_report
 from .operators import build_operators
-from .solver import RunOutput, run as run_scenario
 
 
 def _load_config(path: str) -> Config:
@@ -53,33 +55,14 @@ def _write(path: Path, text: str):
 # check
 # ---------------------------------------------------------------------------
 
-def _material_setup(sc, geometry: bool):
-    """Grid, eps, mu and assumption report of a scenario's materials.
-
-    `geometry` adds d1 and star shape, which serve the decay estimates only.
-    """
-    grid = build_grid(sc.domain)
-    eps, mu = sc.build_materials(grid)
-    if geometry:
-        report = full_report(eps, mu, multiplier_field(grid, sc.domain.x0), grid)
-    else:
-        report = check_assumption_materials(eps, mu)
-    return grid, eps, mu, report
-
-
-def _require_assumptions(report, what: str):
-    if not report.passed:
-        raise AssumptionError(f"{what} assumptions violated: {', '.join(report.failed)}")
-
-
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.out)
-    *_, report = _material_setup(scenario_from_config(cfg), geometry=True)
+    report = run_setup(scenario_from_config(cfg)).report
     text = "\n".join(report.summary_lines()) + "\n"
     sys.stdout.write(text)
     _write(out / "material_report.txt", text)
-    _require_assumptions(report, "material/geometry")
+    require_assumptions(report)
     return 0
 
 
@@ -207,8 +190,8 @@ def cmd_analyze(args) -> int:
     sc = scenario_from_config(cfg)
     trace = analysis.EnergyTrace.from_csv(read_input(args.csv, "energy CSV"))
 
-    *_, report = _material_setup(sc, geometry=True)
-    _require_assumptions(report, "material/geometry")
+    report = run_setup(sc).report
+    require_assumptions(report)
     xi, k = analysis.delay_weight(sc.law, sc.analysis.xi)
 
     block, failures = analysis.certify(
@@ -234,10 +217,9 @@ def cmd_analyze(args) -> int:
 
 def _lab_setup(cfg: Config):
     sc = scenario_from_config(cfg)
-    grid, eps, mu, report = _material_setup(sc, geometry=False)
-    _require_assumptions(report, "material")
-    ops = build_operators(grid, eps, mu)
-    return sc, ops
+    setup = run_setup(sc)
+    require_assumptions(setup.report, "material")  # the lab tests well-posedness, which needs no decay hypothesis
+    return sc, setup.operators()
 
 
 def _require_flag(name: str, value, ok: bool, what: str):

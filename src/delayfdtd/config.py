@@ -214,8 +214,6 @@ def validate_config(cfg: Config):
         raise ConfigError("feedback.tau must be positive")
     if d["run"]["t_end"] < 0:
         raise ConfigError("run.t_end must be nonnegative")
-    if d["history"]["kind"] not in ("zero", "replay", "file"):
-        raise ConfigError(f"unknown history.kind {d['history']['kind']!r}")
 
 
 def echo_config(cfg: Config) -> str:

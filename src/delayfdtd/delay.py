@@ -115,14 +115,11 @@ def init_history(kind: str, n_slots: int, n_samples: int, *, initial_trace=None)
     boundary trace `initial_trace`, as (n_samples, 2) components.
     """
     ring = DelayRing(n_slots, n_samples)
-    if kind == "zero":
-        return ring
     if kind == "replay":
         if initial_trace is None:
             raise ConfigError("replay history needs the initial trace")
         ring.fill(initial_trace)
-        return ring
-    raise ConfigError(f"unknown history kind {kind!r}")
+    return ring
 
 
 def load_history_csv(path, n_slots: int, samples: SampleSet) -> DelayRing:

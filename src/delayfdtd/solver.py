@@ -49,6 +49,17 @@ from .operators import (
 # Scenario description
 # ---------------------------------------------------------------------------
 
+# Each material kind and how it builds from the MaterialSpec fields it reads.
+MATERIAL_BUILDERS = {
+    "constant_isotropic": lambda spec, grid: constant_isotropic(grid, spec.value),
+    "constant_diagonal": lambda spec, grid: constant_diagonal(grid, spec.diag),
+    "diagonal_ramp": lambda spec, grid: diagonal_ramp(grid, spec.diag, axis=spec.axis, slope=spec.slope, entry=spec.entry),
+    "exponential_isotropic": lambda spec, grid: exponential_isotropic(grid, spec.k, axis=spec.axis),
+    "constant_full": lambda spec, grid: constant_full(grid, spec.upper),
+    "file": lambda spec, grid: load_tensor_file(grid, spec.path),
+}
+
+
 @dataclass(frozen=True)
 class MaterialSpec:
     """One material tensor: a preset `kind` and the parameters it reads.
@@ -68,23 +79,13 @@ class MaterialSpec:
     path: str = ""
 
     def __post_init__(self):
+        if self.kind not in MATERIAL_BUILDERS:
+            raise ConfigError(f"kind must be one of {', '.join(MATERIAL_BUILDERS)}, got {self.kind!r}")
         if self.entry not in (0, 1, 2):
             raise ConfigError(f"entry must be 0, 1 or 2 (the diagonal entry to ramp), got {self.entry}")
 
     def build(self, grid: YeeGrid) -> TensorField:
-        if self.kind == "constant_isotropic":
-            return constant_isotropic(grid, self.value)
-        if self.kind == "constant_diagonal":
-            return constant_diagonal(grid, self.diag)
-        if self.kind == "diagonal_ramp":
-            return diagonal_ramp(grid, self.diag, axis=self.axis, slope=self.slope, entry=self.entry)
-        if self.kind == "exponential_isotropic":
-            return exponential_isotropic(grid, self.k, axis=self.axis)
-        if self.kind == "constant_full":
-            return constant_full(grid, self.upper)
-        if self.kind == "file":
-            return load_tensor_file(grid, self.path)
-        raise ConfigError(f"unknown material kind {self.kind!r}")
+        return MATERIAL_BUILDERS[self.kind](self, grid)
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,23 @@ class InitialSpec:
     path: str = ""
 
     def __post_init__(self):
+        if self.preset not in ("off", "gaussian_pulse", "file"):
+            raise ConfigError(f"preset must be off, gaussian_pulse or file, got {self.preset!r}")
         # a width whose square underflows would divide by zero in the pulse
         if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width**2 > 0):
             raise ConfigError(f"width must be positive for a gaussian_pulse start (width**2 > 0), got {self.width}")
+        if self.preset == "gaussian_pulse" and not np.linalg.norm(self.polarization) > 0:
+            raise ConfigError(f"polarization must be a nonzero vector for a gaussian_pulse start, got {self.polarization}")
 
 
 @dataclass(frozen=True)
 class HistorySpec:
     kind: str = "zero"  # zero | replay | file
     path: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "replay", "file"):
+            raise ConfigError(f"unknown history.kind {self.kind!r}: expected zero, replay or file")
 
 
 @dataclass(frozen=True)
@@ -342,10 +351,7 @@ def project_div_free(q: np.ndarray, ops: Operators) -> np.ndarray:
 def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     center = np.asarray(spec.center, dtype=float)
     pol = np.asarray(spec.polarization, dtype=float)
-    norm = np.linalg.norm(pol)
-    if norm == 0:
-        raise ConfigError("pulse polarization must be a nonzero vector")
-    pol = pol / norm
+    pol = pol / np.linalg.norm(pol)
 
     def func(p):
         r2 = np.sum((p - center) ** 2, axis=-1)
@@ -377,14 +383,10 @@ def initial_state_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
         return np.zeros(ops.layout.n_q)
     if spec.preset == "gaussian_pulse":
         return gaussian_pulse_q(ops, spec)
-    if spec.preset == "file":
-        q = _load_field_file(spec.path)
-        if q.shape != (ops.layout.n_q,):
-            raise ConfigError(
-                f"initial field file holds {q.shape}, expected ({ops.layout.n_q},)"
-            )
-        return q
-    raise ConfigError(f"unknown initial preset {spec.preset!r}")
+    q = _load_field_file(spec.path)
+    if q.shape != (ops.layout.n_q,):
+        raise ConfigError(f"initial field file holds {q.shape}, expected ({ops.layout.n_q},)")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +507,29 @@ def _non_finite(row: tuple, st: EMState) -> NumericalError:
 
 @dataclass
 class RunSetup:
-    """What a run builds before its first step, from scenario parts that the gains do not touch."""
+    """What a command builds before its work, from scenario parts that the gains do not touch.
+
+    `dt`, the operators and the start are added by the first caller that
+    needs them, after its assumption check.
+    """
 
     grid: YeeGrid
+    eps: TensorField
+    mu: TensorField
     report: MaterialReport
-    dt: float
-    n_slots: int
-    ops: Operators
+    dt: float | None = None
+    n_slots: int | None = None
+    ops: Operators | None = None
     q0: np.ndarray | None = None  # the start, read-only; `run` builds it after the delay weight's checks
 
+    def operators(self) -> Operators:
+        if self.ops is None:
+            self.ops = build_operators(self.grid, self.eps, self.mu)
+        return self.ops
 
-# At most one entry, the set-up of the last run, keyed by `_setup_key`: the
-# rows of a gain sweep or ladder share it.
+
+# At most one entry, the last set-up built, keyed by `_setup_key`: the rows
+# of a gain sweep or ladder, and commands on one config, share it.
 _SETUP: dict[tuple, RunSetup] = {}
 
 
@@ -537,30 +550,30 @@ def _setup_key(scenario: Scenario) -> tuple:
     return (repr((*parts, scenario.run.cfl_safety, scenario.law.tau)), *map(_file_digest, files))
 
 
-def _check_report(report: MaterialReport, unsafe: bool):
-    if not report.passed and not unsafe:
-        raise AssumptionError(f"material/geometry assumptions violated: {', '.join(report.failed)}")
+def require_assumptions(report: MaterialReport, what: str = "material/geometry"):
+    """Raise AssumptionError naming the failed checks; `what = "material"` skips the decay-only geometry checks."""
+    failed = [n for n in report.failed if what != "material" or n not in ("growth_bound", "star_shaped")]
+    if failed:
+        raise AssumptionError(f"{what} assumptions violated: {', '.join(failed)}")
 
 
 def run_setup(scenario: Scenario) -> RunSetup:
-    """The set-up of `scenario`, from `_SETUP` when the last run's key matches.
+    """The set-up of `scenario`, from `_SETUP` when the last set-up's key matches.
 
-    A new set-up replaces the old one, which is dropped before the build so
-    that two never live at once.  The builders are looked up in this
-    module's namespace at each call, where a tracer or a test may wrap them.
+    Every command builds its grid, materials and report here and checks the
+    report itself.  A new set-up replaces the old one, which is dropped
+    before the build so that two never live at once.  The builders are
+    looked up in this module's namespace at each call, where a tracer or a
+    test may wrap them.
     """
     key = _setup_key(scenario)
     setup = _SETUP.get(key)
-    if setup is not None:
-        _check_report(setup.report, scenario.run.unsafe)
-        return setup
-    _SETUP.clear()
-    grid = build_grid(scenario.domain)
-    eps, mu = scenario.build_materials(grid)
-    report = full_report(eps, mu, multiplier_field(grid, scenario.domain.x0), grid)
-    _check_report(report, scenario.run.unsafe)
-    dt, n_slots = compute_dt(grid, eps, mu, scenario.run.cfl_safety, scenario.law.tau)
-    setup = _SETUP[key] = RunSetup(grid, report, dt, n_slots, build_operators(grid, eps, mu))
+    if setup is None:
+        _SETUP.clear()
+        grid = build_grid(scenario.domain)
+        eps, mu = scenario.build_materials(grid)
+        report = full_report(eps, mu, multiplier_field(grid, scenario.domain.x0), grid)
+        setup = _SETUP[key] = RunSetup(grid, eps, mu, report)
     return setup
 
 
@@ -575,7 +588,13 @@ def run(scenario: Scenario) -> RunOutput:
     `analysis.delay_weight`).
     """
     setup = run_setup(scenario)
-    grid, ops, dt, n_slots = setup.grid, setup.ops, setup.dt, setup.n_slots
+    if not scenario.run.unsafe:
+        require_assumptions(setup.report)
+    if setup.dt is None:
+        setup.dt, setup.n_slots = compute_dt(
+            setup.grid, setup.eps, setup.mu, scenario.run.cfl_safety, scenario.law.tau
+        )
+    grid, ops, dt, n_slots = setup.grid, setup.operators(), setup.dt, setup.n_slots
     law = scenario.law
     xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 

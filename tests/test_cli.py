@@ -81,12 +81,12 @@ def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, out):
     ids=["check", "analyze", "operator", "resolvent"],
 )
 def test_bad_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, extra):
-    from delayfdtd import operator_lab
+    from delayfdtd import operator_lab, solver
 
     def work_started(*args, **kwargs):
         raise RuntimeError("work started before the output directory was checked")
 
-    monkeypatch.setattr(cli, "full_report", work_started)
+    monkeypatch.setattr(solver, "full_report", work_started)
     monkeypatch.setattr(operator_lab, "monotonicity_test", work_started)
     monkeypatch.setattr(operator_lab, "resolvent_solve", work_started)
     path, _ = write_cfg(tmp_path, BASE)
@@ -303,6 +303,72 @@ def test_lab_runs_where_only_the_decay_hypotheses_fail(tmp_path, capsys):
     assert "check.growth_bound = FAIL" in capsys.readouterr().out
     assert main(["operator", str(path), "--pairs", "2"]) == 0
     assert "passed = True" in (outdir / "monotonicity_report.txt").read_text()
+
+
+def _count_calls(monkeypatch, name):
+    """Every call of the builder `name`, under both names the commands could look up."""
+    from delayfdtd import solver
+
+    calls = []
+    for module in (cli, solver):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, build=build: calls.append(args) or build(*args))
+    solver._SETUP.clear()
+    return calls
+
+
+def test_lab_commands_in_one_process_share_one_set_up(tmp_path, monkeypatch):
+    from delayfdtd import solver
+
+    builds = _count_calls(monkeypatch, "build_operators")
+    path, outdir = write_cfg(tmp_path, LAB6)
+    commands = {
+        "operator": (["--pairs", "2"], ("monotonicity_report.txt", "pairings.csv")),
+        "resolvent": ([], ("resolvent_report.txt",)),
+    }
+    for name, (extra, _) in commands.items():
+        assert main([name, str(path), *extra]) == 0
+    assert len(builds) == 1
+    for name, (extra, files) in commands.items():
+        solver._SETUP.clear()
+        cold = tmp_path / "cold" / name
+        assert main([name, str(path), *extra, "--out", str(cold)]) == 0
+        for fname in files:
+            assert (cold / fname).read_bytes() == (outdir / fname).read_bytes(), fname
+
+
+def test_check_then_run_build_one_material_report(tmp_path, monkeypatch):
+    reports = _count_calls(monkeypatch, "full_report")
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.1"))
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "preset = bogus", "preset must be off, gaussian_pulse or file, got 'bogus'"),
+        ("check", "preset = bogus", "preset must be off, gaussian_pulse or file, got 'bogus'"),
+        ("operator", "preset = bogus", "preset must be off, gaussian_pulse or file, got 'bogus'"),
+        ("run", "preset = gaussian_pulse\npolarization = 0 0 0", "polarization must be a nonzero vector"),
+        ("run", "[materials]\neps_kind = bogus", "eps_kind must be one of constant_isotropic, "),
+        ("check", "[materials]\nmu_kind = bogus", "mu_kind must be one of constant_isotropic, "),
+    ],
+    ids=["preset_run", "preset_check", "preset_operator", "polarization", "eps_kind", "mu_kind"],
+)
+def test_unknown_kind_exits_two_before_the_set_up(tmp_path, capsys, monkeypatch, command, text, message):
+    from delayfdtd import solver
+
+    def set_up_started(*args, **kwargs):
+        raise RuntimeError("the set-up started before the scenario was checked")
+
+    monkeypatch.setattr(solver, "build_grid", set_up_started)
+    body = BASE.replace("preset = gaussian_pulse", text) if text.startswith("preset") else BASE + "\n" + text + "\n"
+    path, outdir = write_cfg(tmp_path, body)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: " + message)
+    assert not list(outdir.glob("*"))
 
 
 def test_lab_commands_take_one_delay_cell(tmp_path):
