@@ -176,10 +176,9 @@ def xi_default(gamma1: float, gamma2: float, c1: float, c2: float, xi: float | N
     The admissible interval is (g2 c2 / 2, g1 c1 - g2 c2 / 2); it is nonempty
     exactly when g1 c1 > g2 c2.  The default weight is the interval midpoint
     g1 c1 / 2.  With an explicit `xi` the constants are built at that value
-    (which must lie in the interval).
+    (which must lie in the interval).  The arguments are those of a law with
+    gamma1 > 0: `FeedbackLaw` and `MonotonicityConstants` own their ranges.
     """
-    if min(gamma1, c1, c2) <= 0 or gamma2 < 0:
-        raise ConfigError("need gamma1, c1, c2 > 0 and gamma2 >= 0")
     lo = 0.5 * gamma2 * c2
     hi = gamma1 * c1 - 0.5 * gamma2 * c2
     if hi <= lo:

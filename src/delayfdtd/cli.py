@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, delay
-from .config import (
-    SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config, validate_config,
-)
+from .config import SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config
 from .errors import (
     AssumptionError, CertificateError, ConfigError, ContractError, NumericalError, read_input,
 )
@@ -156,7 +154,6 @@ def cmd_sweep(args) -> int:
     for name, value in rows.items():
         row = copy.deepcopy(cfg)
         row.set(section, key, value)
-        validate_config(row)
         row.set("output", "dir", str(out_root / name))
         sc = scenario_from_config(row)
         if sc.analysis.xi is None:

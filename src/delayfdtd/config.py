@@ -2,9 +2,10 @@
 
 Format: `[section]` headers, `key = value` lines, `#` comments, decimal
 numbers only.  Unknown keys, duplicate keys and non-finite numbers are
-rejected with line numbers.  A parsed config resolves every key to a value
-(defaults filled in), and `echo` emits the resolved text such that parsing
-the echo reproduces the config exactly.
+rejected with line numbers; value ranges are the scenario types' own rules,
+checked where `scenario_from_config` builds them.  A parsed config resolves
+every key to a value (defaults filled in), and `echo` emits the resolved
+text such that parsing the echo reproduces the config exactly.
 """
 
 from __future__ import annotations
@@ -199,21 +200,7 @@ def parse_config(text: str) -> Config:
     if data["initial"]["center"] == "center":
         data["initial"]["center"] = center
 
-    cfg = Config(data=data)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: Config):
-    d = cfg.data
-    if d["feedback"]["gamma1"] < 0:
-        raise ConfigError("feedback.gamma1 must be positive (0 only for the conservative limit)")
-    if d["feedback"]["gamma2"] < 0:
-        raise ConfigError("feedback.gamma2 must be nonnegative")
-    if d["feedback"]["tau"] <= 0:
-        raise ConfigError("feedback.tau must be positive")
-    if d["run"]["t_end"] < 0:
-        raise ConfigError("run.t_end must be nonnegative")
+    return Config(data=data)
 
 
 def echo_config(cfg: Config) -> str:

@@ -46,11 +46,11 @@ class FeedbackLaw:
         if self.gamma1 < 0:
             # gamma1 = 0 is admitted only as the conservative control limit
             # (together with gamma2 = 0); decay analysis requires gamma1 > 0
-            raise ConfigError("gamma1 must be positive")
-        if self.gamma1 == 0 and self.gamma2 != 0:
-            raise ConfigError("delay-only feedback (gamma1 = 0, gamma2 > 0) is not supported")
+            raise ConfigError("gamma1 must be nonnegative (0 only for the conservative limit)")
         if self.gamma2 < 0:
             raise ConfigError("gamma2 must be nonnegative")
+        if self.gamma1 == 0 and self.gamma2 != 0:
+            raise ConfigError("delay-only feedback (gamma1 = 0, gamma2 > 0) is not supported")
         if self.tau <= 0:
             raise ConfigError("delay tau must be positive")
         if self.kind == "table":

@@ -295,39 +295,26 @@ class ResolventResult:
     core_cg_iterations: int  # summed over every CoreCG solve
 
 
-def _trapezoid_cells(F3: np.ndarray, tau: float, b: float, out: np.ndarray | None = None):
-    """(cells, growth): growth = e^{tau b s} on the s-nodes, and the trapezoid
-    cells ds (I_{j-1} + I_j) / 2 of I = F3 growth, formed in `out` if given."""
-    M = F3.shape[1] - 1
-    growth = np.exp(tau * b * (np.arange(M + 1) / M))[None, :, None]
-    integrand = F3 * growth
-    cells = np.add(integrand[:, 1:], integrand[:, :-1], out=out)
-    del integrand
-    cells *= 0.5 * (1.0 / M)
-    return cells, growth
-
-
 def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.ndarray:
     """Z(s_j) = e^{-tau b s_j} (w + tau * int_0^{s_j} F3 e^{tau b r} dr).
 
-    The integral uses the trapezoid rule on the s-nodes.  Formed in the
-    returned array, with one Z-sized temporary (the integrand).
+    The integral uses the trapezoid rule on the s-nodes, its cells
+    ds (I_{j-1} + I_j) / 2 of I = F3 e^{tau b s} summed by `cumsum`.  Formed
+    in the returned array, with one Z-sized temporary (the integrand).
     """
+    M = F3.shape[1] - 1
+    growth = np.exp(tau * b * (np.arange(M + 1) / M))[None, :, None]
+    integrand = F3 * growth
     Z = np.empty(F3.shape)
     Z[:, 0] = 0.0
-    T, growth = _trapezoid_cells(F3, tau, b, out=Z[:, 1:])
+    T = np.add(integrand[:, 1:], integrand[:, :-1], out=Z[:, 1:])
+    del integrand
+    T *= 0.5 * (1.0 / M)
     np.cumsum(T, axis=1, out=T)
     Z *= tau
     Z += w[:, None, :]
     Z /= growth
     return Z
-
-
-def _z_tail(F3: np.ndarray, tau: float, b: float) -> np.ndarray:
-    """tau int_0^1 F3 e^{tau b r} dr, its cells summed in the order `cumsum` adds
-    them: bit for bit `_z_from_formula` at s = 1 with w = 0, times e^{tau b}."""
-    cells, growth = _trapezoid_cells(F3, tau, b)
-    return cells.sum(axis=1) * tau / growth[:, -1] / float(np.exp(-tau * b))
 
 
 def _boundary_load(
@@ -455,7 +442,8 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     M = F.Z.shape[1] - 1
     tau = law.tau
 
-    tail = _z_tail(F.Z, tau, b)
+    # tail = tau int_0^1 F3 e^{tau b r} dr: Z|s=1 at w = 0, times e^{tau b}
+    tail = _z_from_formula(np.zeros_like(F.Z[:, 0]), F.Z, tau, b)[:, -1] / float(np.exp(-tau * b))
     rhs = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
     core = CoreCG(resolvent_core(ops, law, b), "resolvent core")

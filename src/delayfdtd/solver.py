@@ -104,8 +104,9 @@ class InitialSpec:
         # a width whose square underflows would divide by zero in the pulse
         if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width**2 > 0):
             raise ConfigError(f"width must be positive for a gaussian_pulse start (width**2 > 0), got {self.width}")
-        if self.preset == "gaussian_pulse" and not np.linalg.norm(self.polarization) > 0:
-            raise ConfigError(f"polarization must be a nonzero vector for a gaussian_pulse start, got {self.polarization}")
+        pol = np.asarray(self.polarization, dtype=float)
+        if self.preset == "gaussian_pulse" and not (np.all(np.isfinite(pol)) and np.any(pol != 0)):
+            raise ConfigError(f"polarization must be a nonzero vector of finite entries for a gaussian_pulse start, got {self.polarization}")
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,8 @@ def compute_dt(
 
     dt_raw = safety / (c_max sqrt(sum 1/d^2)) with c_max the fastest wave
     speed 1/sqrt(lmin(eps) lmin(mu)); then N = ceil(tau/dt_raw) and
-    dt = tau/N so tau = N dt exactly.
+    dt = tau/N so tau = N dt exactly; tau > 0 is `FeedbackLaw`'s rule.
     """
-    if tau <= 0:
-        raise ConfigError(f"delay tau must be positive, got {tau}")
     alpha_eps = eps.lambda_min_global
     alpha_mu = mu.lambda_min_global
     if min(alpha_eps, alpha_mu) <= 0:
@@ -351,6 +350,8 @@ def project_div_free(q: np.ndarray, ops: Operators) -> np.ndarray:
 def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     center = np.asarray(spec.center, dtype=float)
     pol = np.asarray(spec.polarization, dtype=float)
+    # an exact power of two brings the largest entry into [1/2, 1): the norm cannot overflow or underflow
+    pol = np.ldexp(pol, -np.frexp(np.max(np.abs(pol)))[1])
     pol = pol / np.linalg.norm(pol)
 
     def func(p):

@@ -587,6 +587,48 @@ def test_sweep_checks_every_row_before_the_first_runs(tmp_path, capsys, param, v
     assert not list(outdir.glob("*/energy.csv"))
 
 
+# (key, the line that sets it in BASE, a valid value, an out-of-range value, its owner's message)
+RANGE_RULES = [
+    ("feedback.gamma1", "gamma1 = 1.0", "1", "-1", "gamma1 must be nonnegative (0 only for the conservative limit)"),
+    ("feedback.gamma2", "gamma2 = 0.5", "0.5", "-1", "gamma2 must be nonnegative"),
+    ("feedback.tau", "tau = 0.25", "0.25", "0", "delay tau must be positive"),
+    ("run.t_end", "t_end = 2.0", "2", "-1", "t_end must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("key, line, good, bad, message", RANGE_RULES, ids=["gamma1", "gamma2", "tau", "t_end"])
+@pytest.mark.parametrize("command", ["run", "check", "operator", "sweep"])
+def test_range_rules_exit_two_before_the_set_up(tmp_path, capsys, monkeypatch, command, key, line, good, bad, message):
+    from delayfdtd import solver
+
+    def set_up_started(*args, **kwargs):
+        raise RuntimeError("the set-up started before the scenario was checked")
+
+    monkeypatch.setattr(solver, "build_grid", set_up_started)
+    if command == "sweep":  # the bad value is the second row
+        path, outdir = write_cfg(tmp_path, BASE)
+        argv = ["sweep", str(path), "--param", key, "--values", f"{good},{bad}"]
+    else:
+        path, outdir = write_cfg(tmp_path, BASE.replace(line, f"{line.split(' = ')[0]} = {bad}"))
+        argv = [command, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not list(outdir.glob("**/energy.csv"))
+
+
+def test_polarization_of_extreme_magnitude_runs_as_its_direction(tmp_path):
+    outputs = []
+    for pol in ("1 0 0", "1e200 0 0", "1e-200 0 0"):
+        text = BOX6.replace("width = 0.15", f"width = 0.15\npolarization = {pol}")
+        path, outdir = write_cfg(tmp_path, text, outdir=tmp_path / pol.split()[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(path)])
+        assert (code, caught) == (0, [])
+        outputs.append((outdir / "energy.csv").read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_sweep_short_trace_is_not_a_failure(tmp_path):
     # 20 steps end far below 4c, where the certificate does not apply
     path, outdir = write_cfg(tmp_path, BOX6)

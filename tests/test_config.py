@@ -37,7 +37,7 @@ def test_minimal_config_defaults():
 def test_negative_gamma1_rejected():
     text = MINIMAL.replace("gamma1 = 1.0", "gamma1 = -1")
     with pytest.raises(ConfigError, match="gamma1"):
-        parse_config(text)
+        scenario_from_config(parse_config(text))
 
 
 def test_duplicate_key_cites_both_lines():

@@ -9,7 +9,6 @@ from delayfdtd.operator_lab import (
     ExtState,
     _sbp_derivative,
     _z_from_formula,
-    _z_tail,
     apply_generator,
     generator_constants,
     monotonicity_test,
@@ -338,19 +337,6 @@ def test_resolvent_generator_consistency(ops8):
     scale = max(np.abs(F.q).max(), np.abs(F.h).max())
     assert np.abs(2.0 * res.V.q + img.q - F.q).max() <= 1e-10 * scale
     assert np.abs(2.0 * res.V.h + img.h - F.h).max() <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("M", [1, 8, 9, 16, 300])
-@pytest.mark.parametrize("b", [0.5, 2.0])
-def test_z_tail_is_the_profile_at_s_one_bit_for_bit(M, b):
-    # the sum over the s-cells must add in cumsum's order: a pairwise or
-    # blocked sum would differ in the last bits, and so would every round
-    rng = np.random.default_rng(M)
-    n_samples, tau = 3456, 0.25
-    F3 = rng.standard_normal((n_samples, M + 1, 3))
-    F3[:, :, rng.integers(0, 3)] = 0.0
-    profile = _z_from_formula(np.zeros((n_samples, 3)), F3, tau, b)
-    assert np.array_equal(_z_tail(F3, tau, b), profile[:, -1] / float(np.exp(-tau * b)))
 
 
 def test_resolvent_z_refinement(ops8):

@@ -91,9 +91,6 @@ def test_compute_dt_material_speed():
     dt1, _ = compute_dt(grid, eps1, mu, 0.5, 0.25)
     assert dt4 > dt1  # slower medium allows a larger step
 
-    with pytest.raises(ConfigError):
-        compute_dt(grid, eps, mu, 0.5, 0.0)
-
 
 # -- projection ---------------------------------------------------------------
 
