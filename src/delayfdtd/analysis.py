@@ -461,14 +461,18 @@ def certify(
     two-sided dissipation check, the observability constants and check on
     [0, T], and the contraction certificate.  A check that cannot run on
     this trace reads "not applicable (reason)" and is not a failure.  A
-    window end T before the second record t_1 is a ConfigError: [0, T]
-    then holds fewer than the two records the observability integral needs.
+    window end T outside [t_1, t_end] is a ConfigError: before the second
+    record t_1, [0, T] holds fewer than the two records the observability
+    integral needs, and past the last record t_end the trace does not cover
+    [0, T].
     """
     T = float(trace.t[-1]) if T is None else float(T)
-    if len(trace.t) > 1 and not trace.t[1] <= T + 1e-12 * max(1.0, T):
+    tol = 1e-12 * max(1.0, T)
+    # the same tolerances as `_observability_sides` and `appendix_analyze`
+    if len(trace.t) > 1 and not (trace.t[1] <= T + tol and trace.t[-1] >= T - tol):
         raise ConfigError(
-            f"T = {T:.6g} lies outside the trace window [t_1, inf) = [{trace.t[1]:.6g}, inf) "
-            f"of this trace (records from t = 0 to {trace.t[-1]:.6g})"
+            f"T = {T:.6g} lies outside the trace window [t_1, t_end] = "
+            f"[{trace.t[1]:.6g}, {trace.t[-1]:.6g}] of this trace"
         )
     block: dict[str, object] = {}
     failures: list[str] = []
@@ -527,14 +531,11 @@ def certify(
     if T <= 4.0 * obs.c:
         block["certificate"] = f"not applicable (trace too short: needs t_end > 4c = {4.0 * obs.c:.6g})"
         return block, failures
-    try:
-        cert = appendix_analyze(
-            trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T,
-            slack=slack_dissipation, obs_slack=slack_observability,
-        )
-    except ContractError as exc:
-        block["certificate"] = f"not applicable ({exc})"
-        return block, failures
+    # T > 4c holds here, and the window check above keeps [0, T] inside the trace
+    cert = appendix_analyze(
+        trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T,
+        slack=slack_dissipation, obs_slack=slack_observability,
+    )
     block["certificate_gamma"] = cert.gamma
     block["certificate_lambda"] = cert.lam
     block["certificate"] = _verdict(cert.passed)

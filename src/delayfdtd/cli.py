@@ -95,7 +95,7 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
             info[key] = val
     opts = out.scenario.analysis
     block, failures = analysis.certify(
-        out.trace, out.report, out.diss, out.law.tau,
+        out.trace, out.report, out.diss, out.scenario.law.tau,
         slack_dissipation=opts.slack_dissipation,
         slack_observability=opts.slack_observability,
     )
@@ -150,7 +150,7 @@ def cmd_sweep(args) -> int:
         rows[name] = value
 
     out_root = _outdir(cfg, args.out)
-    checked = []  # every row is checked, and given its directory, before the first one runs
+    checked = []  # every row's scenario is built before any row directory is made
     for name, value in rows.items():
         row = copy.deepcopy(cfg)
         row.set(section, key, value)
@@ -163,9 +163,10 @@ def cmd_sweep(args) -> int:
             xi = 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
             row.set("analysis", "xi", xi)
             sc = replace(sc, analysis=replace(sc.analysis, xi=xi))
-        checked.append((value, row, sc, _outdir(row, None)))
+        checked.append((value, row, sc))
+    outs = [_outdir(row, None) for _, row, _ in checked]  # and every row has one before the first runs
     lines = ["value,lambda_hat,r2,classification"]
-    for value, row, sc, out in checked:
+    for (value, row, sc), out in zip(checked, outs):
         info, _ = _write_run(row, run_scenario(sc), out)
         lam = float(info.get("lambda_hat", float("nan")))
         r2 = float(info.get("fit_r2", float("nan")))

@@ -196,36 +196,26 @@ def build_grid(domain: BoxDomain) -> YeeGrid:
 
 @dataclass
 class MultiplierField:
-    """The radial multiplier field x - x0 and its geometric extremes."""
+    """The radial multiplier field x - x0 about the domain's star center, and its geometric extremes."""
 
-    x0: np.ndarray
     at_cells: np.ndarray  # (nx, ny, nz, 3)
     beta: float  # min over boundary samples of m . nu
     m_sup: float  # exact sup of |m| over the closed box
 
 
-def multiplier_field(grid: YeeGrid, x0) -> MultiplierField:
-    """Evaluate m(x) = x - x0 on samples and cells; fail unless m.nu > 0."""
-    x0 = np.asarray(x0, dtype=float)
+def multiplier_field(grid: YeeGrid) -> MultiplierField:
+    """Evaluate m(x) = x - x0 on samples and cells, with x0 the domain's star center.
+
+    `BoxDomain` holds x0 strictly inside the box, so beta, the distance from
+    x0 to the nearest face, is positive.
+    """
     dom = grid.domain
-    for c, L in zip(x0, dom.lengths):
-        if not (0.0 < c < L):
-            raise ConfigError(f"x0={x0.tolist()} lies on or outside the boundary")
+    x0 = np.asarray(dom.x0, dtype=float)
     s = grid.samples
-    m_samples = s.positions - x0
-    beta = float(np.min(np.einsum("ij,ij->i", m_samples, s.normals)))
-    if beta <= 0:
-        raise ConfigError(
-            f"box is not strictly star-shaped about x0={x0.tolist()} (min m.nu = {beta})"
-        )
+    beta = float(np.min(np.einsum("ij,ij->i", s.positions - x0, s.normals)))
     # |m| over the closed box is attained at a corner.
     corners = np.array(
         [[cx, cy, cz] for cx in (0, dom.lengths[0]) for cy in (0, dom.lengths[1]) for cz in (0, dom.lengths[2])]
     )
     m_sup = float(np.max(np.linalg.norm(corners - x0, axis=1)))
-    return MultiplierField(
-        x0=x0,
-        at_cells=grid.cell_centers() - x0,
-        beta=beta,
-        m_sup=m_sup,
-    )
+    return MultiplierField(at_cells=grid.cell_centers() - x0, beta=beta, m_sup=m_sup)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import MultiplierField, YeeGrid
+from .domain import YeeGrid, multiplier_field
 from .errors import ConfigError, read_input
 
 SYMMETRY_TOL = 1e-12
@@ -234,11 +234,10 @@ def _min_generalized_eig(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.nda
     return eig.reshape(a.shape[:3])
 
 
-def check_assumption_geometry(
-    eps: TensorField, mu: TensorField, m: MultiplierField, grid: YeeGrid
-) -> MaterialReport:
-    """Largest d1 with phi + (m.grad)phi >= d1 phi cellwise for both tensors."""
+def check_assumption_geometry(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
+    """Largest d1 with phi + (m.grad)phi >= d1 phi cellwise for both tensors, m about the domain's x0."""
     report = MaterialReport()
+    m = multiplier_field(grid)
     spac = grid.spacings
     d1 = np.inf
     worst_cell, worst_name = None, None
@@ -262,13 +261,11 @@ def check_assumption_geometry(
     return report
 
 
-def full_report(
-    eps: TensorField, mu: TensorField, m: MultiplierField, grid: YeeGrid
-) -> MaterialReport:
+def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
     base = check_assumption_materials(eps, mu)
     if not base.passed:
         return base
-    geometry = check_assumption_geometry(eps, mu, m, grid)
+    geometry = check_assumption_geometry(eps, mu, grid)
     base.d1, base.beta, base.m_sup = geometry.d1, geometry.beta, geometry.m_sup
     base.checks.update(geometry.checks)
     return base

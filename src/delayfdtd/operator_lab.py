@@ -348,7 +348,7 @@ def _load_off_core(
     """The boundary load less the part `resolvent_core` holds, as a q-sized vector."""
     held = b * ops.grid.samples.areas[:, None] * (_core_slope(law, b) * ops.layout.trace_view(q))
     out = np.zeros(ops.layout.n_q)
-    out[ops.trace_idx] = _boundary_load(ops, law, b, q, tail) - held
+    ops.layout.trace_view(out)[:] = _boundary_load(ops, law, b, q, tail) - held
     return out
 
 
@@ -381,7 +381,7 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
     # so setdiag writes in place
     diag = A.diagonal()
     diag += b * b * ops.Wq_eps
-    diag[ops.trace_idx.ravel()] += np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
+    ops.layout.trace_view(diag)[:] += (b * ops.grid.samples.areas * _core_slope(law, b))[:, None]
     A.setdiag(diag)
     return A
 

@@ -255,8 +255,6 @@ class Operators:
     Wq_pair: np.ndarray  # (2, n_q): rows Wq_eps and Wq
     Wf_pair: np.ndarray  # (2, n_h): rows Wf_mu and Wf
     inj_scale: np.ndarray  # (S, 2) area / volume-mass
-    trace_idx: np.ndarray  # (S, 2) q indices
-    eps_trace: np.ndarray  # (S, 2)
     div_eps: sp.csr_matrix  # interior nodes <- q, divergence of eps E
     div_plain: sp.csr_matrix  # interior nodes <- q, plain divergence
     grad_int: sp.csr_matrix  # q <- interior nodes, gradient of node functions
@@ -276,7 +274,6 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
     # quadrature weights: full cells on interior edges, half cells on the
     # wall faces of each face family
     vol = dx * dy * dz
-    trace_idx = layout.trace_offset + np.arange(2 * s.count).reshape(s.count, 2)
     Wq = np.concatenate([np.full(layout.trace_offset, vol), s.vol_mass.ravel()])
     Wf = []
     for axis, c in enumerate(EDGE_COMPS):
@@ -321,8 +318,6 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wq_pair=Wq_pair,
         Wf_pair=Wf_pair,
         inj_scale=s.areas[:, None] / s.vol_mass,
-        trace_idx=trace_idx,
-        eps_trace=eps_trace,
         div_eps=_build_divergence(layout, eps_q),
         div_plain=_build_divergence(layout, np.ones_like(eps_q)),
         grad_int=_build_gradient(layout),
@@ -403,12 +398,12 @@ def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, 
 # Field sampling helpers
 # ---------------------------------------------------------------------------
 
-def edge_positions(grid: YeeGrid, comp: str) -> np.ndarray:
+def edge_positions(layout: FieldLayout, comp: str) -> np.ndarray:
     """Coordinates of the interior edge midpoints of one family."""
-    shape = FieldLayout(grid).int_edge_shapes[comp]
+    shape = layout.int_edge_shapes[comp]
     axis = EDGE_COMPS.index(comp)
     coords = []
-    for a, d_a in enumerate(grid.spacings):
+    for a, d_a in enumerate(layout.grid.spacings):
         # interior edges start one node off the wall on their transverse axes
         idx = np.arange(shape[a]) + (a != axis)
         coords.append((idx + 0.5) * d_a if a == axis else idx * d_a)
@@ -426,11 +421,11 @@ def sample_vector_field(ops: Operators, func) -> np.ndarray:
     layout = ops.layout
     q = np.zeros(layout.n_q)
     for c in EDGE_COMPS:
-        pos = edge_positions(ops.grid, c)
+        pos = edge_positions(layout, c)
         vals = np.asarray(func(pos))[..., EDGE_COMPS.index(c)]
         o = layout.int_offsets[c]
         q[o : o + vals.size] = vals.ravel()
     s = ops.grid.samples
     vals = np.asarray(func(s.positions))
-    q[ops.trace_idx] = np.take_along_axis(vals, s.tangents, axis=1)
+    layout.trace_view(q)[:] = np.take_along_axis(vals, s.tangents, axis=1)
     return q

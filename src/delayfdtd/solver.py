@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .analysis import AnalysisOptions
 from .delay import DelayRing, init_history, load_history_csv
-from .domain import BoxDomain, YeeGrid, build_grid, multiplier_field
+from .domain import BoxDomain, YeeGrid, build_grid
 from .errors import AssumptionError, ConfigError, NumericalError, read_input
 from .feedback import FeedbackLaw, implicit_boundary_update
 from .materials import (
@@ -104,6 +104,9 @@ class InitialSpec:
         # a width whose square underflows would divide by zero in the pulse
         if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width**2 > 0):
             raise ConfigError(f"width must be positive for a gaussian_pulse start (width**2 > 0), got {self.width}")
+        # an amplitude whose square overflows gives the start an infinite energy (a ** 2 would raise)
+        if self.preset == "gaussian_pulse" and not math.isfinite(self.amplitude * self.amplitude):
+            raise ConfigError(f"amplitude must have a finite square for a gaussian_pulse start, got {self.amplitude}")
         pol = np.asarray(self.polarization, dtype=float)
         if self.preset == "gaussian_pulse" and not (np.all(np.isfinite(pol)) and np.any(pol != 0)):
             raise ConfigError(f"polarization must be a nonzero vector of finite entries for a gaussian_pulse start, got {self.polarization}")
@@ -417,9 +420,8 @@ class Stepper:
         self.law = law
         self.dt = float(dt)
         self._kappa = ops.inj_scale
-        self._eps_t = ops.eps_trace
         layout = ops.layout
-        self._trace_slice = slice(layout.trace_offset, layout.n_q)
+        self._eps_t = layout.trace_view(ops.eps_q)
         self._int_slice = slice(0, layout.trace_offset)
         self._eps_int = ops.eps_q[self._int_slice]
         # per-step scratch: the two curl products, the time-centered delay tap and the old trace
@@ -453,7 +455,7 @@ class Stepper:
         trace = ops.layout.trace_view(state.q)
         t_old = self._t_old
         t_old[:] = trace
-        curl_term = rhs[self._trace_slice].reshape(-1, 2)
+        curl_term = ops.layout.trace_view(rhs)
 
         if self._diag:
             inc = rhs[self._int_slice]  # scaled in place: only the trace rows of rhs are read below
@@ -493,7 +495,6 @@ class RunOutput:
     ring: DelayRing
     report: MaterialReport
     diss: analysis.DissipationConstants | None
-    law: FeedbackLaw
     dt: float
     n_slots: int
     xi: float
@@ -508,18 +509,16 @@ def _non_finite(row: tuple, st: EMState) -> NumericalError:
 
 @dataclass
 class RunSetup:
-    """What a command builds before its work, from scenario parts that the gains do not touch.
+    """What a command builds before its work, from the box, the materials and the start.
 
-    `dt`, the operators and the start are added by the first caller that
-    needs them, after its assumption check.
+    The operators and the start are added by the first caller that needs
+    them, after its assumption check.
     """
 
     grid: YeeGrid
     eps: TensorField
     mu: TensorField
     report: MaterialReport
-    dt: float | None = None
-    n_slots: int | None = None
     ops: Operators | None = None
     q0: np.ndarray | None = None  # the start, read-only; `run` builds it after the delay weight's checks
 
@@ -530,7 +529,7 @@ class RunSetup:
 
 
 # At most one entry, the last set-up built, keyed by `_setup_key`: the rows
-# of a gain sweep or ladder, and commands on one config, share it.
+# of a sweep over the gains, tau or cfl_safety, and commands on one config, share it.
 _SETUP: dict[tuple, RunSetup] = {}
 
 
@@ -548,7 +547,7 @@ def _setup_key(scenario: Scenario) -> tuple:
     if scenario.initial.preset == "file":
         files.append(scenario.initial.path)
     parts = (scenario.domain, scenario.eps, scenario.mu, scenario.initial)
-    return (repr((*parts, scenario.run.cfl_safety, scenario.law.tau)), *map(_file_digest, files))
+    return (repr(parts), *map(_file_digest, files))
 
 
 def require_assumptions(report: MaterialReport, what: str = "material/geometry"):
@@ -573,7 +572,7 @@ def run_setup(scenario: Scenario) -> RunSetup:
         _SETUP.clear()
         grid = build_grid(scenario.domain)
         eps, mu = scenario.build_materials(grid)
-        report = full_report(eps, mu, multiplier_field(grid, scenario.domain.x0), grid)
+        report = full_report(eps, mu, grid)
         setup = _SETUP[key] = RunSetup(grid, eps, mu, report)
     return setup
 
@@ -591,12 +590,9 @@ def run(scenario: Scenario) -> RunOutput:
     setup = run_setup(scenario)
     if not scenario.run.unsafe:
         require_assumptions(setup.report)
-    if setup.dt is None:
-        setup.dt, setup.n_slots = compute_dt(
-            setup.grid, setup.eps, setup.mu, scenario.run.cfl_safety, scenario.law.tau
-        )
-    grid, ops, dt, n_slots = setup.grid, setup.operators(), setup.dt, setup.n_slots
-    law = scenario.law
+    law, grid = scenario.law, setup.grid
+    dt, n_slots = compute_dt(grid, setup.eps, setup.mu, scenario.run.cfl_safety, law.tau)
+    ops = setup.operators()
     xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 
     if setup.q0 is None:
@@ -646,7 +642,6 @@ def run(scenario: Scenario) -> RunOutput:
         ring=ring,
         report=setup.report,
         diss=diss,
-        law=law,
         dt=dt,
         n_slots=n_slots,
         xi=xi,

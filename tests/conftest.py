@@ -119,7 +119,7 @@ def inject_trace(ops, h_trace):
     """Boundary forcing of a trace field H x nu, as a q-sized vector."""
     comps = to_components(ops.grid.samples, np.asarray(h_trace, dtype=float))
     out = np.zeros(ops.layout.n_q)
-    out[ops.trace_idx] = -ops.inj_scale * comps
+    ops.layout.trace_view(out)[:] = -ops.inj_scale * comps
     return out
 
 

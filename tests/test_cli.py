@@ -529,6 +529,24 @@ def test_gain_sweep_builds_one_set_up_and_each_row_matches_a_cold_run(tmp_path, 
     assert len(builds) == 4
 
 
+def test_tau_sweep_builds_one_set_up_and_each_row_matches_a_cold_run(tmp_path, monkeypatch):
+    # each row computes its own dt and delay slots; the set-up holds neither
+    from delayfdtd import solver
+
+    builds = []
+    build = solver.build_operators
+    monkeypatch.setattr(solver, "build_operators", lambda *args: builds.append(args) or build(*args))
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
+    solver._SETUP.clear()
+    assert main(["sweep", str(path), "--param", "feedback.tau", "--values", "0.25,0.3"]) == 0
+    assert len(builds) == 1
+    for name in ("tau_0.25", "tau_0.3"):
+        solver._SETUP.clear()
+        row, cold = outdir / name, tmp_path / "cold" / name
+        assert main(["run", str(row / "resolved.cfg"), "--out", str(cold)]) == 0
+        assert (cold / "energy.csv").read_bytes() == (row / "energy.csv").read_bytes()
+
+
 def test_sweep_row_with_explicit_xi_matches_run(tmp_path):
     # the row keeps the configured xi = 0.3; the midpoint would be 0.5
     text = BASE.replace("t_end = 2.0", "t_end = 0.5") + "\n[analysis]\nxi = 0.3\n"
@@ -587,6 +605,13 @@ def test_sweep_checks_every_row_before_the_first_runs(tmp_path, capsys, param, v
     assert not list(outdir.glob("*/energy.csv"))
 
 
+def test_sweep_with_an_out_of_range_later_row_creates_no_row_directory(tmp_path, capsys):
+    path, outdir = write_cfg(tmp_path, BOX6)
+    assert main(["sweep", str(path), "--param", "feedback.tau", "--values", "0.25,0"]) == 2
+    assert capsys.readouterr().err == "configuration error: delay tau must be positive\n"
+    assert not list(outdir.iterdir())
+
+
 # (key, the line that sets it in BASE, a valid value, an out-of-range value, its owner's message)
 RANGE_RULES = [
     ("feedback.gamma1", "gamma1 = 1.0", "1", "-1", "gamma1 must be nonnegative (0 only for the conservative limit)"),
@@ -614,6 +639,26 @@ def test_range_rules_exit_two_before_the_set_up(tmp_path, capsys, monkeypatch, c
     assert main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not list(outdir.glob("**/energy.csv"))
+
+
+def test_amplitude_whose_square_overflows_exits_two_before_the_set_up(tmp_path, capsys, monkeypatch):
+    from delayfdtd import solver
+
+    def set_up_started(*args, **kwargs):
+        raise RuntimeError("the set-up started before the scenario was checked")
+
+    monkeypatch.setattr(solver, "build_grid", set_up_started)
+    path, outdir = write_cfg(tmp_path, BASE6.replace("width = 0.15", "width = 0.15\namplitude = 1e300"))
+    for command in ("run", "check"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(path)])
+        assert (code, caught) == (2, [])
+        assert capsys.readouterr().err.startswith("configuration error: amplitude must have a finite square")
+    monkeypatch.undo()
+    # the largest decade whose square is finite still runs
+    path.write_text(path.read_text().replace("amplitude = 1e300", "amplitude = 1e154"))
+    assert main(["run", str(path)]) == 0
 
 
 def test_polarization_of_extreme_magnitude_runs_as_its_direction(tmp_path):
@@ -845,9 +890,22 @@ def test_analyze_window_before_second_record_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", str(path), str(outdir / "energy.csv"), "--T", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: T = 0 lies outside the trace window [t_1, inf)")
+    assert err.startswith("configuration error: T = 0 lies outside the trace window [t_1, t_end]")
     t1 = EnergyTrace.from_csv((outdir / "energy.csv").read_text()).t[1]
     assert main(["analyze", str(path), str(outdir / "energy.csv"), "--T", repr(float(t1))]) == 0
+
+
+def test_analyze_window_past_the_last_record_exit_two(tmp_path, capsys):
+    # [0, T] past t_end is not covered by the trace: no verdict is given for it
+    path, outdir = write_cfg(tmp_path, BASE.replace("t_end = 2.0", "t_end = 0.5"))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    csv = str(outdir / "energy.csv")
+    t_end = float(EnergyTrace.from_csv((outdir / "energy.csv").read_text()).t[-1])
+    assert main(["analyze", str(path), csv, "--T", repr(2 * t_end)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: T = {2 * t_end:.6g} lies outside the trace window [t_1, t_end]")
+    assert main(["analyze", str(path), csv, "--T", repr(t_end)]) == 0
 
 
 def test_one_step_run_leaves_sparse_linalg_unloaded(tmp_path):

@@ -111,21 +111,15 @@ def test_x0_must_be_interior():
 
 def test_multiplier_centered_cube():
     grid = build_grid(BoxDomain((1, 1, 1), (8, 8, 8), (0.5, 0.5, 0.5)))
-    m = multiplier_field(grid, (0.5, 0.5, 0.5))
+    m = multiplier_field(grid)
     assert m.beta == pytest.approx(0.5, abs=1e-15)
     assert m.m_sup == pytest.approx(np.sqrt(3) / 2, abs=1e-15)
 
 
-def test_multiplier_boundary_x0_rejected():
-    grid = build_grid(BoxDomain((1, 1, 1), (8, 8, 8), (0.5, 0.5, 0.5)))
-    with pytest.raises(ConfigError):
-        multiplier_field(grid, (0.0, 0.5, 0.5))
-
-
 def test_multiplier_sup_dominates_samples():
     grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (6, 5, 4), (0.4, 0.6, 0.9)))
-    m = multiplier_field(grid, (0.4, 0.6, 0.9))
-    assert np.all(np.linalg.norm(grid.samples.positions - m.x0, axis=1) <= m.m_sup + 1e-14)
+    m = multiplier_field(grid)
+    assert np.all(np.linalg.norm(grid.samples.positions - grid.domain.x0, axis=1) <= m.m_sup + 1e-14)
     assert np.all(np.linalg.norm(m.at_cells.reshape(-1, 3), axis=1) <= m.m_sup + 1e-14)
 
 
@@ -134,7 +128,7 @@ def test_beta_stable_under_refinement():
     vals = []
     for n in (4, 8, 16):
         grid = build_grid(BoxDomain((1, 1, 1), (n, n, n), x0))
-        vals.append(multiplier_field(grid, x0).beta)
+        vals.append(multiplier_field(grid).beta)
     # beta is the distance from x0 to the nearest face, exact for any n
     assert vals[0] == pytest.approx(vals[1], abs=1e-14)
     assert vals[1] == pytest.approx(vals[2], abs=1e-14)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delayfdtd.domain import BoxDomain, build_grid, multiplier_field
+from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError
 from delayfdtd.materials import (
     TensorField,
@@ -59,8 +59,7 @@ def test_indefinite_tensor_reported(grid16):
 def test_d1_constant_materials_exactly_one(grid16):
     eps = constant_isotropic(grid16, 3.0)
     mu = constant_diagonal(grid16, (1.0, 2.0, 4.0))
-    m = multiplier_field(grid16, (0.5, 0.5, 0.5))
-    report = check_assumption_geometry(eps, mu, m, grid16)
+    report = check_assumption_geometry(eps, mu, grid16)
     assert report.d1 == pytest.approx(1.0, abs=1e-13)
 
 
@@ -72,8 +71,7 @@ def test_d1_exponential_approaches_half():
     grid = build_grid(dom)
     eps = exponential_isotropic(grid, 1.0, axis=0)
     mu = constant_isotropic(grid, 1.0)
-    m = multiplier_field(grid, (0.5, 0.5, 0.5))
-    report = check_assumption_geometry(eps, mu, m, grid)
+    report = check_assumption_geometry(eps, mu, grid)
     assert report.d1 == pytest.approx(0.5, abs=0.02)
     assert report.d1 > 0.5  # floor approached from above
 
@@ -83,8 +81,7 @@ def test_d1_fails_for_steep_negative_gradient():
     grid = build_grid(dom)
     eps = exponential_isotropic(grid, -10.0, axis=0)
     mu = constant_isotropic(grid, 1.0)
-    m = multiplier_field(grid, (0.5, 0.5, 0.5))
-    report = check_assumption_geometry(eps, mu, m, grid)
+    report = check_assumption_geometry(eps, mu, grid)
     # per-cell evaluation: 1 - 10*(x1-0.5) dips far below zero for x1 > 0.6
     assert report.d1 <= 0
     assert not report.passed
@@ -94,11 +91,10 @@ def test_d1_monotone_in_gradient_strength():
     dom = BoxDomain((1, 1, 1), (16, 16, 16), (0.5, 0.5, 0.5))
     grid = build_grid(dom)
     mu = constant_isotropic(grid, 1.0)
-    m = multiplier_field(grid, (0.5, 0.5, 0.5))
     d1s = []
     for k in (0.0, 0.5, 1.0):
         eps = exponential_isotropic(grid, k, axis=0)
-        d1s.append(check_assumption_geometry(eps, mu, m, grid).d1)
+        d1s.append(check_assumption_geometry(eps, mu, grid).d1)
     assert d1s[0] >= d1s[1] >= d1s[2]
     assert d1s[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -106,16 +102,14 @@ def test_d1_monotone_in_gradient_strength():
 def test_d1_full_tensor_path(grid16):
     eps = constant_full(grid16, (2.0, 1.5, 1.0, 0.2, 0.1, 0.0))
     mu = constant_isotropic(grid16, 1.0)
-    m = multiplier_field(grid16, (0.5, 0.5, 0.5))
-    report = check_assumption_geometry(eps, mu, m, grid16)
+    report = check_assumption_geometry(eps, mu, grid16)
     assert report.d1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_report_combines(grid16):
     eps = constant_isotropic(grid16, 1.0)
     mu = constant_isotropic(grid16, 1.0)
-    m = multiplier_field(grid16, (0.5, 0.5, 0.5))
-    report = full_report(eps, mu, m, grid16)
+    report = full_report(eps, mu, grid16)
     assert report.passed
     assert report.alpha == 1.0
     assert report.d1 == pytest.approx(1.0, abs=1e-13)

@@ -571,8 +571,8 @@ def four_term_core(ops, law, b):
     from delayfdtd.operator_lab import DIV_PENALTY, _core_slope
 
     bdry_diag = np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
-    idx = ops.trace_idx.ravel()
     n = ops.layout.n_q
+    idx = ops.layout.trace_view(np.arange(n)).ravel()
     return sp.csr_matrix(
         b * b * sp.diags(ops.Wq_eps)
         + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C

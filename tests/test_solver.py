@@ -346,10 +346,14 @@ def test_full_tensor_path_matches_diagonal_path():
 
 def test_overflow_names_the_energy_column():
     # an energy that overflows stops the run at that record, without numpy
-    # overflow warnings, and the error names the column
+    # overflow warnings, and the error names the column; the amplitude's
+    # square is finite (`InitialSpec` rejects one that overflows), and the
+    # weight eps = 1e10 takes the weighted energy past the largest float
     law = FeedbackLaw(kind="linear", a=1.0, gamma1=1.0, gamma2=0.0, tau=0.25)
     base = small_scenario(law=law, steps=5)
-    sc = dataclasses.replace(base, initial=dataclasses.replace(base.initial, amplitude=1e160))
+    sc = dataclasses.replace(
+        base, eps=MaterialSpec(value=1e10), initial=dataclasses.replace(base.initial, amplitude=1e154)
+    )
     with pytest.raises(NumericalError, match="non-finite energy column E_weighted at step 0"):
         run(sc)
 
@@ -418,12 +422,12 @@ def np_cross_step(stepper, state, ring):
     rhs = ops.G @ state.h
     z1_mid = 0.5 * (ring.slot(ring.N) + ring.slot(ring.N - 1))
     t_old = ops.layout.trace_view(state.q).copy()
-    curl_term = rhs[stepper._trace_slice].reshape(-1, 2)
+    curl_term = ops.layout.trace_view(rhs)
     state.q[stepper._int_slice] += dt * rhs[stepper._int_slice] / ops.eps_q[stepper._int_slice]
     t_new = implicit_boundary_update(
         stepper.law, curl_term, t_old, cross.nu_cross(z1_mid), dt, stepper._eps_t, stepper._kappa
     )
-    state.q[stepper._trace_slice] = t_new.ravel()
+    ops.layout.trace_view(state.q)[:] = t_new
     ring.advance(cross.cross_nu(t_new))
     state.h_prev = state.h.copy()
     state.h = state.h - dt * (ops.C @ state.q) / ops.mu_f
@@ -874,16 +878,31 @@ def test_runs_that_differ_only_in_gains_share_one_set_up(operator_builds):
         dict(eps=MaterialSpec(value=2.0)),
         dict(mu=MaterialSpec(kind="constant_diagonal", diag=(1.0, 1.5, 2.0))),
         dict(initial=InitialSpec(preset="gaussian_pulse", width=0.2)),
-        dict(run=RunControls(t_end=0.1, cfl_safety=0.4)),
-        dict(law=dataclasses.replace(MEMO_LAW, tau=0.3)),
     ],
-    ids=["resolution", "star_center", "eps", "mu", "initial", "cfl_safety", "tau"],
+    ids=["resolution", "star_center", "eps", "mu", "initial"],
 )
 def test_a_changed_set_up_input_rebuilds_the_set_up(operator_builds, change):
     run(MEMO_BASE)
     changed = dataclasses.replace(MEMO_BASE, **change)
     warm = run(changed).trace.to_csv()
     assert len(operator_builds) == 2
+    assert warm == cold_csv(changed)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(run=RunControls(t_end=0.1, cfl_safety=0.4)),
+        dict(law=dataclasses.replace(MEMO_LAW, tau=0.3)),
+    ],
+    ids=["cfl_safety", "tau"],
+)
+def test_a_changed_step_input_shares_the_set_up(operator_builds, change):
+    # each run computes its own dt from cfl_safety and tau; the set-up holds no step
+    run(MEMO_BASE)
+    changed = dataclasses.replace(MEMO_BASE, **change)
+    warm = run(changed).trace.to_csv()
+    assert len(operator_builds) == 1
     assert warm == cold_csv(changed)
 
 
@@ -931,5 +950,4 @@ def test_the_memo_holds_one_read_only_start(operator_builds):
     run(MEMO_BASE)
     run(dataclasses.replace(MEMO_BASE, run=RunControls(t_end=0.1, cfl_safety=0.4)))
     (setup,) = solver._SETUP.values()
-    assert setup.dt == compute_dt(setup.grid, setup.ops.eps, setup.ops.mu, 0.4, MEMO_LAW.tau)[0]
     assert not setup.q0.flags.writeable
