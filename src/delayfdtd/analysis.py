@@ -130,9 +130,8 @@ class EnergyTrace:
                 raise ConfigError(f"energy CSV line {i}: non-numeric field in {ln.strip()!r}") from None
         if not rows:
             raise ConfigError("energy CSV holds no records")
-        data = np.array(rows)
         try:
-            return cls(*(data[:, i] for i in range(6)))
+            return cls(*np.array(rows).T)
         except ContractError as exc:  # a malformed file, not a program fault
             raise ConfigError(f"energy CSV: {exc}") from None
 
@@ -146,7 +145,8 @@ class AnalysisOptions:
     """The delay weight and the multiplicative slacks of the certificate checks.
 
     The slack defaults are those of `lemma31_check`, `lemma32_check`,
-    `appendix_analyze`, `certify` and the config's [analysis] section.
+    `appendix_analyze` and the config's [analysis] section; `certify` reads
+    the slacks from the options it is given.
     """
 
     xi: float | None = None  # None means auto
@@ -218,26 +218,6 @@ def delay_weight(law: FeedbackLaw, xi: float | None) -> tuple[float, Dissipation
         return xi, None
 
 
-def _pair_margins(t, E, D, c1E: float, c2E: float, slack: float) -> tuple[float, float]:
-    """Worst normalized (upper, lower) two-sided margins over all record pairs.
-
-    Upper side: E(t2) - E(t1) <= -(c1E/slack) * int D; lower side:
-    E(t2) - E(t1) >= -(c2E*slack) * int D; the time integral of D is the
-    trapezoid rule over records.  Both sides are differences of one prefix
-    array, R = E + (c1E/slack) cum and Q = E + (c2E*slack) cum, so the worst
-    pair on each side is one running-extremum scan (the maximum-subarray
-    scan).  Margins are normalized by E(0); positive margins mean the
-    inequality holds strictly.
-    """
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
-    R = E + (c1E / slack) * cum
-    Q = E + (c2E * slack) * cum
-    scale = max(E[0], 1e-300)
-    upper = np.min(np.minimum.accumulate(R[:-1]) - R[1:]) / scale
-    lower = np.min(Q[1:] - np.maximum.accumulate(Q[:-1])) / scale
-    return float(upper), float(lower)
-
-
 @dataclass
 class InequalityReport:
     passed: bool
@@ -246,20 +226,39 @@ class InequalityReport:
     n_pairs: int
 
 
-def lemma31_check(
-    trace: EnergyTrace, k: DissipationConstants, slack: float = AnalysisOptions.slack_dissipation
-) -> InequalityReport:
-    """Two-sided dissipation bound on E_xi over every record pair."""
-    n = len(trace.t)
-    if n < 2:
-        raise ContractError("need at least two records")
-    upper, lower = _pair_margins(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, slack)
+def _two_sided(t, E, D, c1E: float, c2E: float, slack: float) -> InequalityReport:
+    """The two-sided bound over all record pairs, by its worst normalized margins.
+
+    Upper side: E(t2) - E(t1) <= -(c1E/slack) * int D; lower side:
+    E(t2) - E(t1) >= -(c2E*slack) * int D; the time integral of D is the
+    trapezoid rule over records.  Both sides are differences of one prefix
+    array, R = E + (c1E/slack) cum and Q = E + (c2E*slack) cum, so the worst
+    pair on each side is one running-extremum scan (the maximum-subarray
+    scan).  Margins are normalized by E(0); positive margins mean the
+    inequality holds strictly, and the bound passes when both are >= -_ATOL.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
+    R = E + (c1E / slack) * cum
+    Q = E + (c2E * slack) * cum
+    scale = max(E[0], 1e-300)
+    upper = float(np.min(np.minimum.accumulate(R[:-1]) - R[1:]) / scale)
+    lower = float(np.min(Q[1:] - np.maximum.accumulate(Q[:-1])) / scale)
+    n = len(t)
     return InequalityReport(
         passed=upper >= -_ATOL and lower >= -_ATOL,
         worst_upper=upper,
         worst_lower=lower,
         n_pairs=n * (n - 1) // 2,
     )
+
+
+def lemma31_check(
+    trace: EnergyTrace, k: DissipationConstants, slack: float = AnalysisOptions.slack_dissipation
+) -> InequalityReport:
+    """Two-sided dissipation bound on E_xi over every record pair."""
+    if len(trace.t) < 2:
+        raise ContractError("need at least two records")
+    return _two_sided(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +308,9 @@ def observability_constants(
     return ObservabilityConstants(delta=delta, c=c * kappa, c_T=c_T * kappa)
 
 
-def _observability_sides(t, E, D, c: float, c_T: float, T: float) -> tuple[float, float]:
-    """(int_0^T E, c (E(0) + E(T)) + c_T int_0^T D), trapezoid over records up to T."""
-    mask = t <= T + 1e-12 * max(1.0, T)
-    tw, Ew = t[mask], E[mask]
-    if len(tw) < 2:
-        raise ContractError("trace does not span the requested window")
-    lhs = float(np.trapezoid(Ew, tw))
-    return lhs, c * (Ew[0] + Ew[-1]) + c_T * float(np.trapezoid(D[mask], tw))
+def _window_tol(T: float) -> float:
+    """How far a record time may pass the window end T and still count as T."""
+    return 1e-12 * max(1.0, T)
 
 
 @dataclass
@@ -325,15 +319,25 @@ class ObservabilityReport:
     ratio: float
 
 
+def _observability(t, E, D, c: float, c_T: float, T: float, slack: float) -> ObservabilityReport:
+    """int_0^T E <= slack * [c (E(0) + E(T)) + c_T int_0^T D], trapezoid over records up to T."""
+    mask = t <= T + _window_tol(T)
+    tw, Ew = t[mask], E[mask]
+    if len(tw) < 2:
+        raise ContractError("trace does not span the requested window")
+    lhs = float(np.trapezoid(Ew, tw))
+    rhs = c * (Ew[0] + Ew[-1]) + c_T * float(np.trapezoid(D[mask], tw))
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+    return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
+
+
 def lemma32_check(
     trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None,
     slack: float = AnalysisOptions.slack_observability,
 ) -> ObservabilityReport:
     """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D]."""
     T = trace.t[-1] if T is None else float(T)
-    lhs, rhs = _observability_sides(trace.t, trace.E_xi, trace.D, oc.c, oc.c_T, T)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
+    return _observability(trace.t, trace.E_xi, trace.D, oc.c, oc.c_T, T, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +404,10 @@ def appendix_analyze(
         raise ContractError(
             f"certificate needs T > 4c (T = {T:.6g}, 4c = {4 * c:.6g}); extend the run"
         )
-    if len(t) < 2 or t[-1] < T - 1e-12 * max(1.0, T):
+    if len(t) < 2 or t[-1] < T - _window_tol(T):
         raise ContractError("samples do not cover [0, T]")
-
-    upper, lower = _pair_margins(t, E, D, c1E, c2E, slack)
-    hyp_upper = upper >= -_ATOL
-    hyp_lower = lower >= -_ATOL
-    lhs, rhs = _observability_sides(t, E, D, c, c_T, T)
-    hyp_obs = bool(lhs <= obs_slack * rhs + 1e-300)
+    two_sided = _two_sided(t, E, D, c1E, c2E, slack)
+    observed = _observability(t, E, D, c, c_T, T, obs_slack)
 
     c_tilde = (c_T + c * c2E) / c1E
     gamma = c_tilde / (c_tilde + T / 2.0)
@@ -416,7 +416,7 @@ def appendix_analyze(
     conclusion = bool(np.all(E <= bound * (1.0 + 1e-12) + _ATOL * max(E[0], 1e-300)))
 
     return DecayCertificate(
-        passed=hyp_upper and hyp_lower and hyp_obs and conclusion,
+        passed=two_sided.passed and observed.passed and conclusion,
         gamma=float(gamma),
         lam=float(lam),
         c_tilde=float(c_tilde),
@@ -450,16 +450,16 @@ def certify(
     report: MaterialReport,
     k: DissipationConstants | None,
     tau: float,
+    options: AnalysisOptions,
     T: float | None = None,
-    slack_dissipation: float = AnalysisOptions.slack_dissipation,
-    slack_observability: float = AnalysisOptions.slack_observability,
 ) -> tuple[dict[str, object], list[str]]:
     """The decay-certificate chain on a trace: (ordered block, failed checks).
 
     The block holds the decay fit on the last two thirds of the trace and a
     classification, then, when an admissible weight `k` exists, the
     two-sided dissipation check, the observability constants and check on
-    [0, T], and the contraction certificate.  A check that cannot run on
+    [0, T], and the contraction certificate, each at the slack of
+    `options`.  A check that cannot run on
     this trace reads "not applicable (reason)" and is not a failure.  A
     window end T outside [t_1, t_end] is a ConfigError: before the second
     record t_1, [0, T] holds fewer than the two records the observability
@@ -467,8 +467,7 @@ def certify(
     [0, T].
     """
     T = float(trace.t[-1]) if T is None else float(T)
-    tol = 1e-12 * max(1.0, T)
-    # the same tolerances as `_observability_sides` and `appendix_analyze`
+    tol = _window_tol(T)
     if len(trace.t) > 1 and not (trace.t[1] <= T + tol and trace.t[-1] >= T - tol):
         raise ConfigError(
             f"T = {T:.6g} lies outside the trace window [t_1, t_end] = "
@@ -497,7 +496,7 @@ def certify(
             block[key] = NEED_TWO_RECORDS
         return block, failures
 
-    rep31 = lemma31_check(trace, k, slack=slack_dissipation)
+    rep31 = lemma31_check(trace, k, slack=options.slack_dissipation)
     block["two_sided_dissipation"] = _verdict(rep31.passed)
     block["two_sided_worst_upper"] = rep31.worst_upper
     block["two_sided_worst_lower"] = rep31.worst_lower
@@ -522,7 +521,7 @@ def certify(
         block["observability"] = f"not applicable ({exc})"
         return block, failures
     block.update(obs_delta=obs.delta, obs_c=obs.c, obs_c_T=obs.c_T)
-    rep32 = lemma32_check(trace, obs, T=T, slack=slack_observability)
+    rep32 = lemma32_check(trace, obs, T=T, slack=options.slack_observability)
     block["observability"] = _verdict(rep32.passed)
     block["observability_ratio"] = rep32.ratio
     if not rep32.passed:
@@ -534,7 +533,7 @@ def certify(
     # T > 4c holds here, and the window check above keeps [0, T] inside the trace
     cert = appendix_analyze(
         trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T,
-        slack=slack_dissipation, obs_slack=slack_observability,
+        slack=options.slack_dissipation, obs_slack=options.slack_observability,
     )
     block["certificate_gamma"] = cert.gamma
     block["certificate_lambda"] = cert.lam

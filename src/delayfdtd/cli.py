@@ -93,12 +93,8 @@ def _write_run(cfg: Config, out: RunOutput, out_dir: Path) -> tuple[dict, list[s
         val = getattr(out.report, key)
         if val is not None:
             info[key] = val
-    opts = out.scenario.analysis
-    block, failures = analysis.certify(
-        out.trace, out.report, out.diss, out.scenario.law.tau,
-        slack_dissipation=opts.slack_dissipation,
-        slack_observability=opts.slack_observability,
-    )
+    sc = out.scenario
+    block, failures = analysis.certify(out.trace, out.report, out.diss, sc.law.tau, sc.analysis)
     info.update(block)
     _write(out_dir / "summary.txt", _summary_text(info))
     return info, failures
@@ -192,11 +188,7 @@ def cmd_analyze(args) -> int:
     require_assumptions(report)
     xi, k = analysis.delay_weight(sc.law, sc.analysis.xi)
 
-    block, failures = analysis.certify(
-        trace, report, k, sc.law.tau, T=args.T,
-        slack_dissipation=sc.analysis.slack_dissipation,
-        slack_observability=sc.analysis.slack_observability,
-    )
+    block, failures = analysis.certify(trace, report, k, sc.law.tau, sc.analysis, T=args.T)
     info: dict[str, object] = {"xi": xi, **block}
     info["dissipation_residual"] = (
         analysis.dissipation_residual(trace) if len(trace.t) > 1 else analysis.NEED_TWO_RECORDS

@@ -55,17 +55,6 @@ class ExtState:
     h: np.ndarray
     Z: np.ndarray
 
-    def subtract(self, other: "ExtState") -> "ExtState":
-        """self - other, formed in place in self's arrays; returns self."""
-        self.q -= other.q
-        self.h -= other.h
-        self.Z -= other.Z
-        return self
-
-    @property
-    def n_s_cells(self) -> int:
-        return self.Z.shape[1] - 1
-
 
 def random_domain_state(
     ops: Operators,
@@ -213,7 +202,7 @@ def weighted_inner(
 ) -> float:
     """Inner product with e^{cs}-weighted delay part."""
     s = ops.grid.samples
-    M = a.n_s_cells
+    M = a.Z.shape[1] - 1
     val = _dot(ops.Wq_eps * a.q, b.q)
     val += _dot(ops.Wf_mu * a.h, b.h)
     ws = s_weights(M) * np.exp(c_weight * np.arange(M + 1) / M)
@@ -269,12 +258,16 @@ def monotonicity_test(
         v2 = random_domain_state(ops, M, rng, z_interior_boost=z_interior_boost)
         a1 = apply_generator(v1, ops, law, c_weight=k.c_weight)
         a2 = apply_generator(v2, ops, law, c_weight=k.c_weight)
-        diff, adiff = v1.subtract(v2), a1.subtract(a2)
-        norm2 = weighted_inner(diff, diff, ops, k.xi_op, law.tau, k.c_weight)
-        pairing = C * norm2 + weighted_inner(adiff, diff, ops, k.xi_op, law.tau, k.c_weight)
+        # v1 - v2 and a1 - a2, formed in place in the arrays of v1 and a1
+        for x, y in ((v1, v2), (a1, a2)):
+            x.q -= y.q
+            x.h -= y.h
+            x.Z -= y.Z
+        norm2 = weighted_inner(v1, v1, ops, k.xi_op, law.tau, k.c_weight)
+        pairing = C * norm2 + weighted_inner(a1, v1, ops, k.xi_op, law.tau, k.c_weight)
         rows[i] = (pairing, norm2, pairing / norm2)
         # the next pair is drawn with none of this pair's four states alive
-        del v1, v2, a1, a2, diff, adiff
+        del v1, v2, a1, a2, x, y
     min_norm = float(np.min(rows[:, 2]))
     return PairingReport(
         min_normalized=min_norm, n_pairs=n_pairs, passed=min_norm >= -1e-10, pairings=rows
@@ -317,21 +310,6 @@ def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.n
     return Z
 
 
-def _boundary_load(
-    ops: Operators, law: FeedbackLaw, b: float, q: np.ndarray, tail: np.ndarray
-) -> np.ndarray:
-    """b dA (H x nu) on the trace components: the boundary term of the resolvent form.
-
-    H x nu is the trace the boundary relation demands at the trace w of q and
-    at the delayed trace Z|s=1 = e^{-tau b} (w + tail) of the integrating
-    factor formula, tail = tau int_0^1 F3 e^{tau b r} dr; on the components
-    it is the drive gamma1 g(w) + gamma2 g(Z|s=1).
-    """
-    w = ops.layout.trace_view(q)
-    drive = boundary_drive(law, w, float(np.exp(-law.tau * b)) * (w + tail))
-    return b * ops.grid.samples.areas[:, None] * drive
-
-
 def _core_slope(law: FeedbackLaw, b: float) -> float:
     """Slope per b dA of the load part that `resolvent_core` holds.
 
@@ -345,10 +323,19 @@ def _core_slope(law: FeedbackLaw, b: float) -> float:
 def _load_off_core(
     ops: Operators, law: FeedbackLaw, b: float, q: np.ndarray, tail: np.ndarray
 ) -> np.ndarray:
-    """The boundary load less the part `resolvent_core` holds, as a q-sized vector."""
-    held = b * ops.grid.samples.areas[:, None] * (_core_slope(law, b) * ops.layout.trace_view(q))
+    """The boundary load less the part `resolvent_core` holds, as a q-sized vector.
+
+    The load is the boundary term b dA (H x nu) of the resolvent form on
+    the trace components.  H x nu is the trace the boundary relation demands
+    at the trace w of q and at the delayed trace Z|s=1 = e^{-tau b} (w + tail)
+    of the integrating factor formula, tail = tau int_0^1 F3 e^{tau b r} dr;
+    on the components it is the drive gamma1 g(w) + gamma2 g(Z|s=1).
+    """
+    w = ops.layout.trace_view(q)
+    b_areas = b * ops.grid.samples.areas[:, None]
+    load = b_areas * boundary_drive(law, w, float(np.exp(-law.tau * b)) * (w + tail))
     out = np.zeros(ops.layout.n_q)
-    ops.layout.trace_view(out)[:] = _boundary_load(ops, law, b, q, tail) - held
+    ops.layout.trace_view(out)[:] = load - b_areas * (_core_slope(law, b) * w)
     return out
 
 

@@ -625,14 +625,8 @@ def run(scenario: Scenario) -> RunOutput:
         if state.step % scenario.run.record_every == 0 or n == n_steps - 1:
             record(state)
 
-    data = np.array(rows)
     trace = analysis.EnergyTrace(
-        t=data[:, 0],
-        E_weighted=data[:, 1],
-        E_plain=data[:, 2],
-        E_xi=data[:, 3],
-        D=data[:, 4],
-        flux=data[:, 5],
+        *np.array(rows).T,
         metadata=dict(xi=xi, dt=dt, n_slots=n_slots, tau=law.tau, digest=scenario.digest()),
     )
     return RunOutput(
