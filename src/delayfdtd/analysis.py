@@ -12,6 +12,7 @@ both `run` and `analyze`.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,7 +293,9 @@ def observability_constants(
     c   = m_sup*lmax(eps)*lmax(mu) / (d1*alpha),
     c_T = (1/(d1*alpha)) * (1/(2 delta) + c2^2 max(g1,g2)^2 / delta) + xi*tau.
     The traces are weighted, so both constants are then multiplied by the
-    conversion factor kappa = max(lmax(eps), lmax(mu), 1).
+    conversion factor kappa = max(lmax(eps), lmax(mu), 1).  Constants beyond
+    the float range (delta = 0, or c or c_T not finite) raise
+    AssumptionError: the estimate does not apply in floating point.
     """
     if d1 is None or beta is None or d1 <= 0 or beta <= 0:
         raise AssumptionError(
@@ -301,11 +304,21 @@ def observability_constants(
     if alpha <= 0:
         raise AssumptionError(f"observability hypotheses fail: alpha = {alpha} <= 0")
     lmax = max(lambda_max_eps, lambda_max_mu)
-    delta = beta * alpha / (m_sup**2 * lmax**2)
-    c = m_sup * lambda_max_eps * lambda_max_mu / (d1 * alpha)
-    c_T = (0.5 / delta + c2**2 * max(gamma1, gamma2) ** 2 / delta) / (d1 * alpha) + xi * tau
-    kappa = max(lambda_max_eps, lambda_max_mu, 1.0)
-    return ObservabilityConstants(delta=delta, c=c * kappa, c_T=c_T * kappa)
+    try:  # a Python float's ** raises on overflow, a numpy scalar's gives inf; / 0 raises or gives inf
+        with np.errstate(all="ignore"):
+            delta = beta * alpha / (m_sup**2 * lmax**2)
+            c = m_sup * lambda_max_eps * lambda_max_mu / (d1 * alpha)
+            c_T = (0.5 / delta + c2**2 * max(gamma1, gamma2) ** 2 / delta) / (d1 * alpha) + xi * tau
+            kappa = max(lambda_max_eps, lambda_max_mu, 1.0)
+            oc = ObservabilityConstants(delta=delta, c=c * kappa, c_T=c_T * kappa)
+        if oc.delta > 0 and all(map(math.isfinite, (oc.delta, oc.c, oc.c_T))):
+            return oc
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise AssumptionError(
+        "observability constants leave the float range: delta underflows to 0 or c, c_T overflow "
+        f"(c2 * max(gamma1, gamma2) = {c2 * max(gamma1, gamma2):.6g}, max(lmax(eps), lmax(mu)) = {lmax:.6g})"
+    )
 
 
 def _window_tol(T: float) -> float:
@@ -365,7 +378,9 @@ def fit_decay(trace: EnergyTrace, window: tuple[float, float]) -> tuple[float, f
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     base = trace.E_xi[0] if trace.E_xi[0] > 0 else 1.0
-    return -float(slope), float(np.exp(intercept) / base), float(r2)
+    with np.errstate(over="ignore"):  # a prefactor beyond the float range reads inf
+        prefactor = float(np.exp(intercept) / base)
+    return -float(slope), prefactor, float(r2)
 
 
 @dataclass
@@ -458,13 +473,12 @@ def certify(
     The block holds the decay fit on the last two thirds of the trace and a
     classification, then, when an admissible weight `k` exists, the
     two-sided dissipation check, the observability constants and check on
-    [0, T], and the contraction certificate, each at the slack of
-    `options`.  A check that cannot run on
-    this trace reads "not applicable (reason)" and is not a failure.  A
-    window end T outside [t_1, t_end] is a ConfigError: before the second
-    record t_1, [0, T] holds fewer than the two records the observability
-    integral needs, and past the last record t_end the trace does not cover
-    [0, T].
+    [0, T], and the contraction certificate, each at its slack in `options`.
+    A check that cannot run on this trace reads "not applicable (reason)"
+    and is not a failure.  A window end T outside [t_1, t_end] is a
+    ConfigError: before the second record t_1, [0, T] holds fewer than the
+    two records the observability integral needs, and past the last record
+    t_end the trace does not cover [0, T].
     """
     T = float(trace.t[-1]) if T is None else float(T)
     tol = _window_tol(T)

@@ -10,6 +10,7 @@ reproduce the analytic surface area exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,13 @@ class BoxDomain:
         for c, L in zip(self.x0, self.lengths):
             if not (0.0 < c < L):
                 raise ConfigError(f"star center {self.x0} must be strictly interior")
+        # the step size divides by d*d: it and its inverse must be positive and finite
+        for name, L, d in zip(("Lx", "Ly", "Lz"), self.lengths, self.spacings):
+            if not (0.0 < d * d < math.inf and 0.0 < 1.0 / (d * d) < math.inf):
+                raise ConfigError(
+                    f"{name} = {L} gives the cell spacing {d:.6g}, whose square or its "
+                    "inverse underflows to 0 or overflows"
+                )
 
     @property
     def spacings(self) -> tuple[float, float, float]:

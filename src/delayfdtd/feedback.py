@@ -250,11 +250,12 @@ def implicit_boundary_update(
 
     t = _rows(t_old)
     p = 2.0 * t + c
-    lo, hi = np.zeros(p.shape[1]), bound * np.sqrt(_dot(p, p))
-    # start one fixed-point step off the old radius
-    m = pencil(law._radial_gain(np.minimum(np.sqrt(_dot(t, t)), hi)))(p)
-    r = np.sqrt(_dot(m, m))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a |p| whose square overflows leaves the bracket open above (hi = inf)
+        lo, hi = np.zeros(p.shape[1]), bound * np.sqrt(_dot(p, p))
+        # start one fixed-point step off the old radius
+        m = pencil(law._radial_gain(np.minimum(np.sqrt(_dot(t, t)), hi)))(p)
+        r = np.sqrt(_dot(m, m))
         # r = 0 or |m| = 0 make the Newton step NaN; the bracket test sends it to bisection
         for _ in range(BOUNDARY_MAX_ITER):
             gain = law._radial_gain(r)

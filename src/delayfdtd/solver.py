@@ -101,9 +101,11 @@ class InitialSpec:
     def __post_init__(self):
         if self.preset not in ("off", "gaussian_pulse", "file"):
             raise ConfigError(f"preset must be off, gaussian_pulse or file, got {self.preset!r}")
-        # a width whose square underflows would divide by zero in the pulse
-        if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width**2 > 0):
+        # a width whose square underflows would divide by zero in the pulse; width**2 raises on overflow
+        if self.preset == "gaussian_pulse" and not (self.width > 0 and self.width * self.width > 0):
             raise ConfigError(f"width must be positive for a gaussian_pulse start (width**2 > 0), got {self.width}")
+        if self.preset == "gaussian_pulse" and not math.isfinite(self.width * self.width):
+            raise ConfigError(f"width must have a finite square for a gaussian_pulse start, got {self.width}")
         # an amplitude whose square overflows gives the start an infinite energy (a ** 2 would raise)
         if self.preset == "gaussian_pulse" and not math.isfinite(self.amplitude * self.amplitude):
             raise ConfigError(f"amplitude must have a finite square for a gaussian_pulse start, got {self.amplitude}")
@@ -181,7 +183,8 @@ def compute_dt(
 
     dt_raw = safety / (c_max sqrt(sum 1/d^2)) with c_max the fastest wave
     speed 1/sqrt(lmin(eps) lmin(mu)); then N = ceil(tau/dt_raw) and
-    dt = tau/N so tau = N dt exactly; tau > 0 is `FeedbackLaw`'s rule.
+    dt = tau/N so tau = N dt exactly; tau > 0 is `FeedbackLaw`'s rule, and a
+    tau that rounds to N = 0 slots is a ConfigError.
     """
     alpha_eps = eps.lambda_min_global
     alpha_mu = mu.lambda_min_global
@@ -191,6 +194,11 @@ def compute_dt(
     dx, dy, dz = grid.spacings
     dt_raw = cfl_safety / (c_max * np.sqrt(1.0 / dx**2 + 1.0 / dy**2 + 1.0 / dz**2))
     n_slots = int(np.ceil(tau / dt_raw - 1e-12))
+    if n_slots == 0:
+        raise ConfigError(
+            f"delay tau = {tau:.6g} rounds to 0 delay slots at the stable step {dt_raw:.6g}: "
+            "tau must exceed 1e-12 stable steps"
+        )
     return tau / n_slots, n_slots
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,16 @@ def test_observability_scaling_with_lambda_max():
     assert doubled.delta == pytest.approx(base.delta / 4.0)
     # c doubles with lmax(eps), and kappa = max(2, 1, 1) doubles it again
     assert doubled.c / 2.0 == pytest.approx(base.c * 2.0)
+
+
+def test_observability_constants_beyond_the_float_range_raise_assumption_error():
+    # c2**2 overflows a Python float (** raises); lmax**2 of a numpy scalar overflows to inf, so delta = 0
+    with pytest.raises(AssumptionError, match="observability constants leave the float range"):
+        observability_constants(1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1e300, 1.0, 0.0, 0.5, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionError, match="observability constants leave the float range"):
+            observability_constants(1.0, 1.0, 0.5, 1.0, np.float64(1e200), 1.0, 1.0, 1.0, 0.0, 0.5, 0.25)
 
 
 def test_observability_requires_d1():

@@ -661,6 +661,80 @@ def test_amplitude_whose_square_overflows_exits_two_before_the_set_up(tmp_path, 
     assert main(["run", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("width = 0.15", "width = 1e300", "width must have a finite square for a gaussian_pulse start, got 1e+300"),
+        ("Lx = 1.0", "Lx = 1e-300", "Lx = 1e-300 gives the cell spacing 1.66667e-301, whose square"),
+        ("Lx = 1.0", "Lx = 1e300", "Lx = 1e+300 gives the cell spacing 1.66667e+299, whose square"),
+    ],
+    ids=["width", "Lx_tiny", "Lx_huge"],
+)
+def test_squares_beyond_the_float_range_exit_two_before_the_set_up(tmp_path, capsys, monkeypatch, line, bad, message):
+    from delayfdtd import solver
+
+    def set_up_started(*args, **kwargs):
+        raise RuntimeError("the set-up started before the scenario was checked")
+
+    monkeypatch.setattr(solver, "build_grid", set_up_started)
+    path, outdir = write_cfg(tmp_path, BASE6.replace(line, bad))
+    for command in ("run", "check"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(path)])
+        assert (code, caught) == (2, [])
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not (outdir / "energy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, bad, stable_step",
+    [("tau = 0.25", "tau = 1e-300", "0.0481125"), ("[run]", "[materials]\neps_value = 1e300\n\n[run]", "4.81125e+148")],
+    ids=["tau", "eps_value"],
+)
+def test_a_delay_of_no_slot_exits_two_before_the_operators(tmp_path, capsys, monkeypatch, line, bad, stable_step):
+    from delayfdtd import solver
+
+    def assembled(*args, **kwargs):
+        raise RuntimeError("the operators were built for a delay line of no slot")
+
+    monkeypatch.setattr(solver, "build_operators", assembled)
+    path, outdir = write_cfg(tmp_path, BASE6.replace(line, bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    assert (code, caught) == (2, [])
+    tau = "1e-300" if "tau" in bad else "0.25"
+    assert capsys.readouterr().err == (
+        f"configuration error: delay tau = {tau} rounds to 0 delay slots at the stable step {stable_step}: "
+        "tau must exceed 1e-12 stable steps\n"
+    )
+    assert not (outdir / "energy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("gamma1 = 1.0", "gamma1 = 1e300"),
+        ("a = 1.0", "a = 1e300"),
+        ("kind = linear\na = 1.0", "kind = saturating\na = 1e300\nb = 1.0"),
+    ],
+    ids=["gamma1", "a", "a_saturating"],
+)
+def test_observability_constants_beyond_the_float_range_read_not_applicable(tmp_path, capsys, line, bad):
+    path, outdir = write_cfg(tmp_path, BASE6.replace(line, bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = (main(["run", str(path)]), main(["analyze", str(path), str(outdir / "energy.csv")]))
+    assert (codes, caught) == ((0, 0), [])
+    capsys.readouterr()
+    verdict = "observability = not applicable (observability constants leave the float range"
+    for name in ("summary.txt", "certificates.txt"):
+        lines = (outdir / name).read_text().splitlines()
+        assert any(ln.startswith(verdict) for ln in lines), name
+        assert not any(ln.startswith("certificate") for ln in lines), name
+
+
 def test_polarization_of_extreme_magnitude_runs_as_its_direction(tmp_path):
     outputs = []
     for pol in ("1 0 0", "1e200 0 0", "1e-200 0 0"):
