@@ -2,7 +2,8 @@
 
 Each class maps to one CLI exit code so that every termination path is
 classifiable: configuration errors (2), violated modelling assumptions (3),
-numerical failures (4), and certificate failures under --assert (5).
+numerical failures and contract errors (4), and certificate failures under
+--assert (5).  The handlers of `cli.main` are the table that maps them.
 """
 
 from pathlib import Path
@@ -11,31 +12,21 @@ from pathlib import Path
 class ConfigError(ValueError):
     """Bad user input: malformed config, invalid parameter ranges."""
 
-    exit_code = 2
-
 
 class AssumptionError(RuntimeError):
     """A modelling hypothesis does not hold for the given data."""
-
-    exit_code = 3
 
 
 class NumericalError(RuntimeError):
     """Iteration failure, NaN/Inf fields, non-convergence."""
 
-    exit_code = 4
-
 
 class CertificateError(RuntimeError):
     """An asserted inequality check failed."""
 
-    exit_code = 5
-
 
 class ContractError(ValueError):
     """A caller violated an operation precondition (programming error)."""
-
-    exit_code = 4
 
 
 def read_input(path, what: str) -> str:

@@ -118,10 +118,6 @@ class MonotonicityConstants:
     c1: float
     c2: float
 
-    def __post_init__(self):
-        if not (0 < self.c1 <= self.c2):
-            raise ConfigError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
-
 
 def constants(law: FeedbackLaw) -> MonotonicityConstants:
     """Strong-monotonicity and Lipschitz constants of the law.

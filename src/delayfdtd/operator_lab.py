@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .analysis import _dot
 from .delay import LAB_S_CELLS
 from .errors import ConfigError, NumericalError
-from .feedback import FeedbackLaw, boundary_drive
+from .feedback import FeedbackLaw, boundary_drive, constants
 from .operators import Operators
 from .solver import conjugate_gradients
 
@@ -313,11 +313,11 @@ def _z_from_formula(w: np.ndarray, F3: np.ndarray, tau: float, b: float) -> np.n
 def _core_slope(law: FeedbackLaw, b: float) -> float:
     """Slope per b dA of the load part that `resolvent_core` holds.
 
-    That part is the load of the linear part a v of g (none for table laws)
-    at tail = 0; the outer iteration of `resolvent_solve` carries the rest.
+    That part is the load of the linear part c1 v of g at tail = 0, c1 the
+    law's monotonicity modulus, so the rest g(v) - c1 v is still monotone;
+    the outer iteration of `resolvent_solve` carries it.
     """
-    gain = 0.0 if law.kind == "table" else law.a
-    return gain * (law.gamma1 + law.gamma2 * float(np.exp(-law.tau * b)))
+    return constants(law).c1 * (law.gamma1 + law.gamma2 * float(np.exp(-law.tau * b)))
 
 
 def _load_off_core(
@@ -424,8 +424,6 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     NumericalError.
     """
     _require_diagonal(ops)
-    if not 0 < b < np.inf:
-        raise ConfigError(f"resolvent shift b must be positive and finite, got {b}")
     M = F.Z.shape[1] - 1
     tau = law.tau
 

@@ -207,18 +207,6 @@ def _build_divergence(layout: FieldLayout, coeff_q: np.ndarray) -> sp.csr_matrix
     return _assemble(blocks, (int(np.prod(node_shape)), layout.n_q))
 
 
-def _build_gradient(layout: FieldLayout) -> sp.csr_matrix:
-    """Gradient of interior-node functions (zero on the wall) at edge dofs."""
-    d = layout.grid.spacings
-    node_shape = tuple(n - 1 for n in layout.grid.shape)
-    blocks = []
-    for a, comp in enumerate(EDGE_COMPS):
-        # minus the transposed forward difference
-        rows, cols, vals, _ = _stencil(node_shape, a, -d[a])
-        blocks.append((layout.int_offsets[comp], 0, cols, rows, vals))
-    return _assemble(blocks, (layout.n_q, int(np.prod(node_shape))))
-
-
 def _edge_material(cell_vals: np.ndarray, comp: str) -> np.ndarray:
     """Average per-cell values (first three axes) onto interior edges of a family."""
     axis = EDGE_COMPS.index(comp)
@@ -300,6 +288,9 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
     )
     Wq_pair = np.stack([Wq * eps_q, Wq])
     Wf_pair = np.stack([Wf * mu_f, Wf])
+    # the gradient of interior-node functions is the negated adjoint of the
+    # plain divergence, as G is built from C
+    div_plain = _build_divergence(layout, np.ones_like(eps_q))
 
     return Operators(
         grid=grid,
@@ -319,8 +310,8 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wf_pair=Wf_pair,
         inj_scale=s.areas[:, None] / s.vol_mass,
         div_eps=_build_divergence(layout, eps_q),
-        div_plain=_build_divergence(layout, np.ones_like(eps_q)),
-        grad_int=_build_gradient(layout),
+        div_plain=div_plain,
+        grad_int=(-div_plain.T).tocsr(),
         node_weight=vol,
     )
 

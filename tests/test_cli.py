@@ -1237,6 +1237,29 @@ def test_run_table_law_end_to_end(tmp_path):
     assert "classification = decaying" in (outdir / "summary.txt").read_text()
 
 
+def test_resolvent_on_the_saturating_table_converges(tmp_path):
+    # the resolvent core holds the table's modulus c1 v, as it holds a v for the saturating law
+    table = tmp_path / "g.txt"
+    table.write_text("".join(f"{r!r} {r + r / (1 + r)!r}\n" for r in (0.25 * i for i in range(33))))
+    path, outdir = write_cfg(tmp_path, _table_cfg(table).replace("gamma2 = 0.5", "gamma2 = 0.25"))
+    assert main(["resolvent", str(path)]) == 0
+    report = dict(
+        line.split(" = ") for line in (outdir / "resolvent_report.txt").read_text().splitlines()
+    )
+    assert float(report["residual"]) <= 1e-8
+
+
+def test_resolvent_rejects_a_table_off_the_origin(tmp_path, capsys):
+    table = tmp_path / "g.txt"
+    table.write_text("0.5 0.5\n1 1\n4 4\n")
+    path, _ = write_cfg(tmp_path, _table_cfg(table))
+    assert main(["resolvent", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "assumption violated: feedback table rejected: it starts at (0.5, 0.5), not (0, 0)"
+    )
+
+
 def test_table_law_run_leaves_scipy_stats_unloaded(tmp_path):
     table = tmp_path / "g.txt"
     table.write_text("0 0\n1 1.5\n4 5\n")

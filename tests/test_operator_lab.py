@@ -37,6 +37,12 @@ TABLE = FeedbackLaw(
     kind="table", gamma1=1.0, gamma2=0.5, tau=0.25,
     table_r=(0.0, 0.5, 2.0, 4.0), table_g=(0.0, 1.0, 2.5, 3.0),
 )
+# the saturating law r + r/(1+r) sampled as a 33-row table on [0, 8]
+_SAT_R = tuple(0.25 * i for i in range(33))
+SATURATING_TABLE = FeedbackLaw(
+    kind="table", gamma1=1.0, gamma2=0.5, tau=0.25,
+    table_r=_SAT_R, table_g=tuple(r + r / (1 + r) for r in _SAT_R),
+)
 
 
 def random_F(ops, M, seed, project=True):
@@ -311,6 +317,20 @@ def test_resolvent_saturating_converges(ops8):
     assert res.outer_iterations <= 100
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalError,
+    reason=(
+        "the damped Picard outer loop does not contract once c2 - c1 is large: this "
+        "table's slopes run 2, 1 and 0.25 (c1 = 0.25, c2 = 2), and the gap stalls near "
+        "9.7 after 100 rounds; the Newton-Krylov outer loop of ROADMAP item 9 is the mend"
+    ),
+)
+def test_resolvent_steep_table_converges(ops8):
+    res = resolvent_solve(random_F(ops8, 16, seed=6), 2.0, ops8, TABLE)
+    assert res.residual <= 1e-8
+
+
 @pytest.fixture(scope="module")
 def ops_aniso_box():
     grid = build_grid(BoxDomain((2.0, 1.0, 1.5), (8, 5, 6), (1.0, 0.5, 0.75)))
@@ -320,7 +340,9 @@ def ops_aniso_box():
 
 
 @pytest.mark.parametrize("b", [0.1, 2.0, 20.0])
-@pytest.mark.parametrize("law", [LINEAR, SATURATING], ids=["linear", "saturating"])
+@pytest.mark.parametrize(
+    "law", [LINEAR, SATURATING, SATURATING_TABLE], ids=["linear", "saturating", "saturating_table"]
+)
 def test_resolvent_anisotropic_box(ops_aniso_box, law, b):
     # heterogeneous eps and mu on an unequal-spacing box, across shifts
     F = random_F(ops_aniso_box, 16, seed=5)
