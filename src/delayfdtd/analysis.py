@@ -145,9 +145,9 @@ class EnergyTrace:
 class AnalysisOptions:
     """The delay weight and the multiplicative slacks of the certificate checks.
 
-    The slack defaults are those of `lemma31_check`, `lemma32_check`,
-    `appendix_analyze` and the config's [analysis] section; `certify` reads
-    the slacks from the options it is given.
+    The slack defaults are those of `lemma31_check`, `lemma32_check` and
+    the config's [analysis] section; `certify` reads the slacks from the
+    options it is given.
     """
 
     xi: float | None = None  # None means auto
@@ -198,25 +198,33 @@ def xi_default(gamma1: float, gamma2: float, c1: float, c2: float, xi: float | N
     return DissipationConstants(value, c1E, c2E, gamma1, gamma2, c1, c2)
 
 
+def auto_weight(law: FeedbackLaw) -> float:
+    """The weight `xi = auto` stands for, admissible or not: g1 c1 / 2, or 0 when gamma1 = 0.
+
+    A sweep pins it on rows that say auto, so a row outside the admissible region runs and reports no certificate.
+    """
+    return 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
+
+
 def delay_weight(law: FeedbackLaw, xi: float | None) -> tuple[float, DissipationConstants | None]:
     """The delay weight of E_xi and its two-sided constants, if it has any.
 
     A conservative law (gamma1 = 0) gets weight 0 unless one is given, and no
-    constants.  Otherwise xi = None picks the interval midpoint (see
-    `xi_default`) and raises AssumptionError when the interval is empty; an
-    explicit xi outside the interval is kept, without constants, so the run
-    goes on and its certificate reads none.
+    constants.  Otherwise xi = None picks `auto_weight` and raises
+    AssumptionError when the interval is empty; an explicit xi outside the
+    interval is kept, without constants, so the run goes on and its
+    certificate reads none.
     """
+    value = auto_weight(law) if xi is None else xi
     if law.gamma1 == 0:
-        return (0.0 if xi is None else xi), None
+        return value, None
     mono = constants(law)
-    if xi is None:
-        k = xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2)
-        return k.xi, k
     try:
-        return xi, xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2, xi=xi)
+        return value, xi_default(law.gamma1, law.gamma2, mono.c1, mono.c2, xi=value)
     except AssumptionError:
-        return xi, None
+        if xi is None:
+            raise
+        return value, None
 
 
 @dataclass
@@ -227,8 +235,10 @@ class InequalityReport:
     n_pairs: int
 
 
-def _two_sided(t, E, D, c1E: float, c2E: float, slack: float) -> InequalityReport:
-    """The two-sided bound over all record pairs, by its worst normalized margins.
+def lemma31_check(
+    trace: EnergyTrace, k: DissipationConstants, slack: float = AnalysisOptions.slack_dissipation
+) -> InequalityReport:
+    """Two-sided dissipation bound on E_xi over every record pair, by its worst normalized margins.
 
     Upper side: E(t2) - E(t1) <= -(c1E/slack) * int D; lower side:
     E(t2) - E(t1) >= -(c2E*slack) * int D; the time integral of D is the
@@ -238,9 +248,12 @@ def _two_sided(t, E, D, c1E: float, c2E: float, slack: float) -> InequalityRepor
     scan).  Margins are normalized by E(0); positive margins mean the
     inequality holds strictly, and the bound passes when both are >= -_ATOL.
     """
+    t, E, D = trace.t, trace.E_xi, trace.D
+    if len(t) < 2:
+        raise ContractError("need at least two records")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
-    R = E + (c1E / slack) * cum
-    Q = E + (c2E * slack) * cum
+    R = E + (k.c1E / slack) * cum
+    Q = E + (k.c2E * slack) * cum
     scale = max(E[0], 1e-300)
     upper = float(np.min(np.minimum.accumulate(R[:-1]) - R[1:]) / scale)
     lower = float(np.min(Q[1:] - np.maximum.accumulate(Q[:-1])) / scale)
@@ -251,15 +264,6 @@ def _two_sided(t, E, D, c1E: float, c2E: float, slack: float) -> InequalityRepor
         worst_lower=lower,
         n_pairs=n * (n - 1) // 2,
     )
-
-
-def lemma31_check(
-    trace: EnergyTrace, k: DissipationConstants, slack: float = AnalysisOptions.slack_dissipation
-) -> InequalityReport:
-    """Two-sided dissipation bound on E_xi over every record pair."""
-    if len(trace.t) < 2:
-        raise ContractError("need at least two records")
-    return _two_sided(trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +336,20 @@ class ObservabilityReport:
     ratio: float
 
 
-def _observability(t, E, D, c: float, c_T: float, T: float, slack: float) -> ObservabilityReport:
-    """int_0^T E <= slack * [c (E(0) + E(T)) + c_T int_0^T D], trapezoid over records up to T."""
-    mask = t <= T + _window_tol(T)
-    tw, Ew = t[mask], E[mask]
-    if len(tw) < 2:
-        raise ContractError("trace does not span the requested window")
-    lhs = float(np.trapezoid(Ew, tw))
-    rhs = c * (Ew[0] + Ew[-1]) + c_T * float(np.trapezoid(D[mask], tw))
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
-
-
 def lemma32_check(
     trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None,
     slack: float = AnalysisOptions.slack_observability,
 ) -> ObservabilityReport:
-    """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D]."""
+    """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D], trapezoid over records up to T."""
     T = trace.t[-1] if T is None else float(T)
-    return _observability(trace.t, trace.E_xi, trace.D, oc.c, oc.c_T, T, slack)
+    mask = trace.t <= T + _window_tol(T)
+    t, E = trace.t[mask], trace.E_xi[mask]
+    if len(t) < 2:
+        raise ContractError("trace does not span the requested window")
+    lhs = float(np.trapezoid(E, t))
+    rhs = oc.c * (E[0] + E[-1]) + oc.c_T * float(np.trapezoid(trace.D[mask], t))
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+    return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -392,46 +391,26 @@ class DecayCertificate:
 
 
 def appendix_analyze(
-    t: np.ndarray,
-    E: np.ndarray,
-    D: np.ndarray,
-    c1E: float,
-    c2E: float,
-    c: float,
-    c_T: float,
-    T: float,
-    slack: float = AnalysisOptions.slack_dissipation,
-    obs_slack: float = AnalysisOptions.slack_observability,
+    t: np.ndarray, E: np.ndarray, c1E: float, c2E: float, c: float, c_T: float, T: float
 ) -> DecayCertificate:
-    """Contraction-rate certificate from the dissipation and observation bounds.
+    """The contraction step: rate constants from the two hypotheses' constants, and its conclusion.
 
-    Verifies the two-sided damping hypothesis and the integrated-energy
-    hypothesis on the samples (trapezoid quadrature, multiplicative slacks
-    `slack` and `obs_slack`, as in `lemma31_check` and `lemma32_check`),
-    then computes c~ = (c_T + c*c2E)/c1E, gamma = c~/(c~ + T/2),
+    Computes c~ = (c_T + c*c2E)/c1E, gamma = c~/(c~ + T/2),
     lambda = -ln(gamma)/T, and checks E(t) <= (1/gamma) e^{-lambda t} E(0)
-    at every sample.
+    at every sample.  The two-sided damping and integrated-energy
+    hypotheses are `lemma31_check` and `lemma32_check`; `certify` reads
+    their verdicts, so `passed` is the conclusion alone.
     """
-    t = np.asarray(t, dtype=float)
-    E = np.asarray(E, dtype=float)
-    D = np.asarray(D, dtype=float)
     if T <= 4 * c:
         raise ContractError(
             f"certificate needs T > 4c (T = {T:.6g}, 4c = {4 * c:.6g}); extend the run"
         )
-    if len(t) < 2 or t[-1] < T - _window_tol(T):
-        raise ContractError("samples do not cover [0, T]")
-    two_sided = _two_sided(t, E, D, c1E, c2E, slack)
-    observed = _observability(t, E, D, c, c_T, T, obs_slack)
-
     c_tilde = (c_T + c * c2E) / c1E
     gamma = c_tilde / (c_tilde + T / 2.0)
     lam = -np.log(gamma) / T
     bound = (1.0 / gamma) * np.exp(-lam * t) * E[0]
-    conclusion = bool(np.all(E <= bound * (1.0 + 1e-12) + _ATOL * max(E[0], 1e-300)))
-
     return DecayCertificate(
-        passed=two_sided.passed and observed.passed and conclusion,
+        passed=bool(np.all(E <= bound * (1.0 + 1e-12) + _ATOL * max(E[0], 1e-300))),
         gamma=float(gamma),
         lam=float(lam),
         c_tilde=float(c_tilde),
@@ -472,8 +451,9 @@ def certify(
 
     The block holds the decay fit on the last two thirds of the trace and a
     classification, then, when an admissible weight `k` exists, the
-    two-sided dissipation check, the observability constants and check on
-    [0, T], and the contraction certificate, each at its slack in `options`.
+    two-sided dissipation check and the observability constants and check
+    on [0, T], each at its slack in `options`, and the contraction
+    certificate, which passes when both checks and its own conclusion do.
     A check that cannot run on this trace reads "not applicable (reason)"
     and is not a failure.  A window end T outside [t_1, t_end] is a
     ConfigError: before the second record t_1, [0, T] holds fewer than the
@@ -544,15 +524,12 @@ def certify(
     if T <= 4.0 * obs.c:
         block["certificate"] = f"not applicable (trace too short: needs t_end > 4c = {4.0 * obs.c:.6g})"
         return block, failures
-    # T > 4c holds here, and the window check above keeps [0, T] inside the trace
-    cert = appendix_analyze(
-        trace.t, trace.E_xi, trace.D, k.c1E, k.c2E, obs.c, obs.c_T, T=T,
-        slack=options.slack_dissipation, obs_slack=options.slack_observability,
-    )
+    cert = appendix_analyze(trace.t, trace.E_xi, k.c1E, k.c2E, obs.c, obs.c_T, T)
     block["certificate_gamma"] = cert.gamma
     block["certificate_lambda"] = cert.lam
-    block["certificate"] = _verdict(cert.passed)
-    if not cert.passed:
+    passed = rep31.passed and rep32.passed and cert.passed
+    block["certificate"] = _verdict(passed)
+    if not passed:
         failures.append("decay_certificate")
     return block, failures
 

@@ -153,10 +153,7 @@ def cmd_sweep(args) -> int:
         row.set("output", "dir", str(out_root / name))
         sc = scenario_from_config(row)
         if sc.analysis.xi is None:
-            # pin the midpoint g1 c1 / 2, also where no weight is admissible, so that
-            # such a row runs and reports no certificate; a conservative row gets 0
-            law = sc.law
-            xi = 0.5 * law.gamma1 * constants(law).c1 if law.gamma1 > 0 else 0.0
+            xi = analysis.auto_weight(sc.law)
             row.set("analysis", "xi", xi)
             sc = replace(sc, analysis=replace(sc.analysis, xi=xi))
         checked.append((value, row, sc))

@@ -176,6 +176,11 @@ class Scenario:
 # Step size
 # ---------------------------------------------------------------------------
 
+# Bounds known before any allocation: the ring keeps four floats per sample and slot, so 2**25 take 1 GiB.
+MAX_RING_SAMPLE_SLOTS = 2**25
+MAX_STEPS = 10**8
+
+
 def compute_dt(
     grid: YeeGrid, eps: TensorField, mu: TensorField, cfl_safety: float, tau: float
 ) -> tuple[float, int]:
@@ -183,8 +188,8 @@ def compute_dt(
 
     dt_raw = safety / (c_max sqrt(sum 1/d^2)) with c_max the fastest wave
     speed 1/sqrt(lmin(eps) lmin(mu)); then N = ceil(tau/dt_raw) and
-    dt = tau/N so tau = N dt exactly; tau > 0 is `FeedbackLaw`'s rule, and a
-    tau that rounds to N = 0 slots is a ConfigError.
+    dt = tau/N so tau = N dt exactly; tau > 0 is `FeedbackLaw`'s rule.  N = 0,
+    or a ring of N + 1 slots per sample beyond MAX_RING_SAMPLE_SLOTS, is a ConfigError.
     """
     alpha_eps = eps.lambda_min_global
     alpha_mu = mu.lambda_min_global
@@ -192,13 +197,22 @@ def compute_dt(
         raise AssumptionError("materials must be uniformly positive definite")
     c_max = 1.0 / np.sqrt(alpha_eps * alpha_mu)
     dx, dy, dz = grid.spacings
-    dt_raw = cfl_safety / (c_max * np.sqrt(1.0 / dx**2 + 1.0 / dy**2 + 1.0 / dz**2))
-    n_slots = int(np.ceil(tau / dt_raw - 1e-12))
-    if n_slots == 0:
+    with np.errstate(over="ignore", divide="ignore"):  # a ring beyond the float range reads inf slots
+        dt_raw = cfl_safety / (c_max * np.sqrt(1.0 / dx**2 + 1.0 / dy**2 + 1.0 / dz**2))
+        slots = np.ceil(tau / dt_raw - 1e-12)
+    if slots == 0:
         raise ConfigError(
             f"delay tau = {tau:.6g} rounds to 0 delay slots at the stable step {dt_raw:.6g}: "
             "tau must exceed 1e-12 stable steps"
         )
+    most = MAX_RING_SAMPLE_SLOTS // grid.samples.count - 1
+    if slots > most:
+        raise ConfigError(
+            f"delay tau = {tau:.6g} needs {slots:.6g} delay slots at the stable step {dt_raw:.6g} "
+            f"(cfl_safety = {cfl_safety:.6g}), more than the {most} that fit a delay ring of "
+            f"{grid.samples.count} boundary samples in {MAX_RING_SAMPLE_SLOTS} sample-slots: lower tau or raise cfl_safety"
+        )
+    n_slots = int(slots)
     return tau / n_slots, n_slots
 
 
@@ -600,6 +614,13 @@ def run(scenario: Scenario) -> RunOutput:
         require_assumptions(setup.report)
     law, grid = scenario.law, setup.grid
     dt, n_slots = compute_dt(grid, setup.eps, setup.mu, scenario.run.cfl_safety, law.tau)
+    t_end = scenario.run.t_end
+    if (steps := np.ceil(t_end / dt - 1e-12)) > MAX_STEPS:
+        raise ConfigError(
+            f"t_end = {t_end:.6g} needs {steps:.6g} steps of dt = {dt:.6g}, "
+            f"more than the {MAX_STEPS:.0e} steps a run may take: lower t_end"
+        )
+    n_steps = int(steps)
     ops = setup.operators()
     xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 
@@ -617,7 +638,6 @@ def run(scenario: Scenario) -> RunOutput:
         q0_trace = ops.layout.trace_view(q0)
         ring = init_history(scenario.history.kind, n_slots, s.count, initial_trace=q0_trace)
 
-    n_steps = int(np.ceil(scenario.run.t_end / dt - 1e-12)) if scenario.run.t_end > 0 else 0
     rows = []
 
     def record(st: EMState):

@@ -21,7 +21,7 @@ from delayfdtd.delay import DelayRing, init_history
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import AssumptionError, ConfigError, ContractError
 from delayfdtd.feedback import FeedbackLaw
-from delayfdtd.materials import constant_isotropic, diagonal_ramp
+from delayfdtd.materials import MaterialReport, constant_isotropic, diagonal_ramp
 from delayfdtd.operators import build_operators, sample_vector_field
 
 from conftest import pairwise_energies, pairwise_outflow
@@ -300,7 +300,7 @@ def test_appendix_gamma_lambda_arithmetic():
     t = np.linspace(0, 4, 200)
     E = np.exp(-t)
     D = np.exp(-t)
-    cert = appendix_analyze(t, E, D, c1E=1.0, c2E=1.0, c=0.5, c_T=0.5, T=4.0)
+    cert = appendix_analyze(t, E, c1E=1.0, c2E=1.0, c=0.5, c_T=0.5, T=4.0)
     assert cert.c_tilde == pytest.approx(1.0, rel=1e-12)
     assert cert.gamma == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert cert.lam == pytest.approx(np.log(3.0) / 4.0, rel=1e-12)
@@ -309,26 +309,47 @@ def test_appendix_gamma_lambda_arithmetic():
 
 
 def test_appendix_exact_identity_hypothesis():
-    # E(t) = e^-t, D = e^-t with c1E = c2E = 1: E(t2)-E(t1) = -int D exactly
+    # E(t) = e^-t, D = e^-t with c1E = c2E = 1: E(t2)-E(t1) = -int D exactly;
+    # both hypotheses hold at their default slacks, and so does the conclusion
     t = np.linspace(0, 6, 600)
-    cert = appendix_analyze(t, np.exp(-t), np.exp(-t), 1.0, 1.0, c=1.0, c_T=1.0, T=6.0)
+    trace = make_trace(t, np.exp(-t), np.exp(-t))
+    assert lemma31_check(trace, DissipationConstants(0.5, 1.0, 1.0, 1, 0, 1, 1)).passed
+    assert lemma32_check(trace, analysis.ObservabilityConstants(delta=1.0, c=1.0, c_T=1.0), T=6.0).passed
+    cert = appendix_analyze(t, np.exp(-t), 1.0, 1.0, c=1.0, c_T=1.0, T=6.0)
     assert cert.passed
 
 
 def test_appendix_requires_T_above_4c():
     t = np.linspace(0, 4, 100)
     with pytest.raises(ContractError, match="T > 4c"):
-        appendix_analyze(t, np.exp(-t), np.exp(-t), 1.0, 1.0, c=1.0, c_T=1.0, T=4.0)
+        appendix_analyze(t, np.exp(-t), 1.0, 1.0, c=1.0, c_T=1.0, T=4.0)
 
 
 def test_appendix_flags_growth():
     t = np.linspace(0, 10, 200)
     E = 1.0 + t  # grows with no damping: upper hypothesis must fail
     D = np.zeros_like(t)
-    cert = appendix_analyze(t, E, D, 1.0, 1.0, c=0.5, c_T=0.5, T=10.0)
+    cert = appendix_analyze(t, E, 1.0, 1.0, c=0.5, c_T=0.5, T=10.0)
     rep = lemma31_check(make_trace(t, E, D), DissipationConstants(0.5, 1.0, 1.0, 1, 0, 1, 1))
     assert rep.worst_upper < -1e-12
     assert not cert.passed
+
+
+def test_certificate_fails_with_observability_while_the_conclusion_holds():
+    # E = e^{-rt} with -dE/dt = D: the two-sided bound and the contraction
+    # conclusion hold, but with almost no damping int E far exceeds the
+    # observability bound, so the certificate fails on that hypothesis alone
+    r = 1e-3
+    t = np.linspace(0, 10, 101)
+    trace = make_trace(t, np.exp(-r * t), r * np.exp(-r * t))
+    report = MaterialReport(alpha=1.0, d1=1.0, beta=1.0, m_sup=0.5, lambda_max_eps=1.0, lambda_max_mu=1.0)
+    k = xi_default(1.0, 0.5, 1.0, 1.0)
+    block, failures = analysis.certify(trace, report, k, 0.25, analysis.AnalysisOptions())
+    assert (block["obs_c"], block["obs_c_T"]) == (0.5, 0.5)
+    assert appendix_analyze(t, trace.E_xi, k.c1E, k.c2E, 0.5, 0.5, T=10.0).passed
+    assert (block["two_sided_dissipation"], block["observability"]) == ("pass", "FAIL")
+    assert block["certificate"] == "FAIL"
+    assert failures == ["observability", "decay_certificate"]
 
 
 # -- dissipation residual ----------------------------------------------------------

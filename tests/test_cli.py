@@ -712,6 +712,67 @@ def test_a_delay_of_no_slot_exits_two_before_the_operators(tmp_path, capsys, mon
     assert not (outdir / "energy.csv").exists()
 
 
+RING_BOUND = (
+    ", more than the 155343 that fit a delay ring of 216 boundary samples in 33554432 sample-slots: "
+    "lower tau or raise cfl_safety\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        (
+            "tau = 0.25", "tau = 1e300",
+            "delay tau = 1e+300 needs 2.07846e+301 delay slots at the stable step 0.0481125 (cfl_safety = 0.5)"
+            + RING_BOUND,
+        ),
+        (
+            "cfl_safety = 0.5", "cfl_safety = 1e-300",
+            "delay tau = 0.25 needs 2.59808e+300 delay slots at the stable step 9.6225e-302 (cfl_safety = 1e-300)"
+            + RING_BOUND,
+        ),
+        (
+            "Lx = 1.0", "Lx = 1e-100",
+            "delay tau = 0.25 needs 3e+100 delay slots at the stable step 8.33333e-102 (cfl_safety = 0.5)"
+            + RING_BOUND,
+        ),
+        (
+            "cfl_safety = 0.5", "cfl_safety = 1e-308",
+            "delay tau = 0.25 needs inf delay slots at the stable step 9.6225e-310 (cfl_safety = 1e-308)"
+            + RING_BOUND,
+        ),
+        (
+            "Lx = 1.0\nLy = 1.0\nLz = 1.0", "Lx = 6e-154\nLy = 6e-154\nLz = 6e-154",
+            "delay tau = 0.25 needs inf delay slots at the stable step 0 (cfl_safety = 0.5)" + RING_BOUND,
+        ),
+        (
+            "t_end = 2.0", "t_end = 1e300",
+            "t_end = 1e+300 needs 2.4e+301 steps of dt = 0.0416667, more than the 1e+08 steps a run may take: "
+            "lower t_end\n",
+        ),
+    ],
+    ids=["tau", "cfl_safety", "Lx", "slots_overflow", "stable_step_underflow", "t_end"],
+)
+def test_a_ring_or_step_count_beyond_its_bound_exits_two_before_the_operators(
+    tmp_path, capsys, monkeypatch, line, bad, message
+):
+    from delayfdtd import solver
+
+    def assembled(*args, **kwargs):
+        raise RuntimeError("the operators were built for a run beyond its bounds")
+
+    # an empty memo, so that the run reaches `build_operators` before any ring or step
+    monkeypatch.setattr(solver, "_SETUP", {})
+    monkeypatch.setattr(solver, "build_operators", assembled)
+    path, outdir = write_cfg(tmp_path, BASE6.replace(line, bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    assert (code, caught) == (2, [])
+    assert capsys.readouterr().err == "configuration error: " + message
+    assert not (outdir / "energy.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line, bad",
     [

@@ -19,6 +19,7 @@ from delayfdtd.materials import (
 )
 from delayfdtd.operators import FieldLayout, build_operators, full_tensor_inverses, sample_vector_field
 from delayfdtd.solver import (
+    MAX_RING_SAMPLE_SLOTS,
     AnalysisOptions,
     EMState,
     HistorySpec,
@@ -90,6 +91,17 @@ def test_compute_dt_material_speed():
     eps1 = constant_isotropic(grid, 1.0)
     dt1, _ = compute_dt(grid, eps1, mu, 0.5, 0.25)
     assert dt4 > dt1  # slower medium allows a larger step
+
+
+def test_compute_dt_refuses_a_ring_beyond_its_bound():
+    # the bound is checked on the slot count alone, so neither call allocates a ring
+    grid = build_grid(BoxDomain((1, 1, 1), (6, 6, 6), (0.5, 0.5, 0.5)))
+    eps = constant_isotropic(grid, 1.0)
+    dt_raw = 0.5 / (np.sqrt(3.0) * 6)
+    most = MAX_RING_SAMPLE_SLOTS // grid.samples.count - 1
+    assert compute_dt(grid, eps, eps, 0.5, (most - 0.5) * dt_raw)[1] == most
+    with pytest.raises(ConfigError, match=f"needs {most + 1} delay slots .* more than the {most} that fit"):
+        compute_dt(grid, eps, eps, 0.5, (most + 0.5) * dt_raw)
 
 
 # -- projection ---------------------------------------------------------------
