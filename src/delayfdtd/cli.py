@@ -24,7 +24,7 @@ from .errors import (
     AssumptionError, CertificateError, ConfigError, ContractError, NumericalError, read_input,
 )
 from .feedback import constants
-from .solver import RunOutput, require_assumptions, run as run_scenario, run_setup
+from .solver import RunOutput, check_run, require_assumptions, run as run_scenario, run_setup
 
 # unused here: bound only because perfbench/tracer.py patches these names in this module (ROADMAP item 15)
 from .domain import build_grid
@@ -157,6 +157,8 @@ def cmd_sweep(args) -> int:
             row.set("analysis", "xi", xi)
             sc = replace(sc, analysis=replace(sc.analysis, xi=xi))
         checked.append((value, row, sc))
+    for _, _, sc in checked:  # then every row's material checks, on the set-up its run reuses
+        check_run(sc)
     outs = [_outdir(row, None) for _, row, _ in checked]  # and every row has one before the first runs
     lines = ["value,lambda_hat,r2,classification"]
     for (value, row, sc), out in zip(checked, outs):

@@ -166,6 +166,11 @@ class MaterialReport:
         return [name for name, (ok, _) in self.checks.items() if not ok]
 
     @property
+    def failed_material(self) -> list[str]:
+        """The failed checks that well-posedness needs: all but the geometric ones, which only decay needs."""
+        return [name for name in self.failed if name not in ("growth_bound", "star_shaped")]
+
+    @property
     def passed(self) -> bool:
         return not self.failed
 
@@ -187,28 +192,6 @@ def _symmetry_check(name: str, t: TensorField, checks: dict) -> bool:
     ok = gap <= SYMMETRY_TOL
     checks[f"{name}_symmetric"] = (ok, f"max |A - A^T| = {gap:.3e} at cell {cell}")
     return ok
-
-
-def check_assumption_materials(eps: TensorField, mu: TensorField) -> MaterialReport:
-    """Symmetry, uniform positive definiteness, and the eigen floor alpha."""
-    if eps.shape != mu.shape:
-        raise ConfigError(f"eps and mu sampled on different grids: {eps.shape} vs {mu.shape}")
-    report = MaterialReport()
-    sym_ok = _symmetry_check("eps", eps, report.checks) & _symmetry_check("mu", mu, report.checks)
-
-    report.lambda_max_eps = eps.lambda_max_global
-    report.lambda_max_mu = mu.lambda_max_global
-    alpha = min(eps.lambda_min_global, mu.lambda_min_global)
-    report.alpha = alpha
-    pd_ok = alpha > 0
-    worst = "eps" if eps.lambda_min_global <= mu.lambda_min_global else "mu"
-    report.checks["positive_definite"] = (
-        pd_ok,
-        f"alpha = {alpha:.6g} (limited by {worst})",
-    )
-    if not sym_ok:
-        report.checks["positive_definite"] = (False, "skipped eigen floor validity: asymmetric input")
-    return report
 
 
 def _directional_derivative(values: np.ndarray, m_cells: np.ndarray, spacings) -> np.ndarray:
@@ -234,15 +217,35 @@ def _min_generalized_eig(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.nda
     return eig.reshape(a.shape[:3])
 
 
-def check_assumption_geometry(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
-    """Largest d1 with phi + (m.grad)phi >= d1 phi cellwise for both tensors, m about the domain's x0."""
+def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
+    """The assumption report, in check order.
+
+    First symmetry, uniform positive definiteness and the eigen floor
+    alpha; then, only when those pass, the geometric checks: the largest d1
+    with phi + (m.grad)phi >= d1 phi cellwise for both tensors, m about the
+    domain's x0, and the star shape beta > 0.
+    """
+    if eps.shape != mu.shape:
+        raise ConfigError(f"eps and mu sampled on different grids: {eps.shape} vs {mu.shape}")
     report = MaterialReport()
+    checks = report.checks
+    sym_ok = _symmetry_check("eps", eps, checks) & _symmetry_check("mu", mu, checks)
+    report.lambda_max_eps = eps.lambda_max_global
+    report.lambda_max_mu = mu.lambda_max_global
+    alpha = report.alpha = min(eps.lambda_min_global, mu.lambda_min_global)
+    worst = "eps" if eps.lambda_min_global <= mu.lambda_min_global else "mu"
+    checks["positive_definite"] = (
+        (alpha > 0, f"alpha = {alpha:.6g} (limited by {worst})")
+        if sym_ok else (False, "skipped eigen floor validity: asymmetric input")
+    )
+    if not report.passed:
+        return report
+
     m = multiplier_field(grid)
-    spac = grid.spacings
     d1 = np.inf
     worst_cell, worst_name = None, None
     for name, t in (("eps", eps), ("mu", mu)):
-        der = _directional_derivative(t.values, m.at_cells, spac)
+        der = _directional_derivative(t.values, m.at_cells, grid.spacings)
         a = t.values + der
         diag_der = not np.any(der[..., [0, 0, 1], [1, 2, 2]]) and t.diagonal_only
         local = _min_generalized_eig(a, t.values, t.diagonal_only and diag_der)
@@ -250,22 +253,7 @@ def check_assumption_geometry(eps: TensorField, mu: TensorField, grid: YeeGrid) 
         if local[cell] < d1:
             d1 = float(local[cell])
             worst_cell, worst_name = tuple(int(i) for i in cell), name
-    report.d1 = d1
-    report.beta = m.beta
-    report.m_sup = m.m_sup
-    report.checks["growth_bound"] = (
-        d1 > 0,
-        f"d1 = {d1:.6g}, worst cell {worst_cell} of {worst_name}",
-    )
-    report.checks["star_shaped"] = (m.beta > 0, f"beta = {m.beta:.6g}")
+    report.d1, report.beta, report.m_sup = d1, m.beta, m.m_sup
+    checks["growth_bound"] = (d1 > 0, f"d1 = {d1:.6g}, worst cell {worst_cell} of {worst_name}")
+    checks["star_shaped"] = (m.beta > 0, f"beta = {m.beta:.6g}")
     return report
-
-
-def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
-    base = check_assumption_materials(eps, mu)
-    if not base.passed:
-        return base
-    geometry = check_assumption_geometry(eps, mu, grid)
-    base.d1, base.beta, base.m_sup = geometry.d1, geometry.beta, geometry.m_sup
-    base.checks.update(geometry.checks)
-    return base

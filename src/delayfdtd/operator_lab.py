@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import solver
 from .analysis import _dot
 from .delay import LAB_S_CELLS
 from .errors import ConfigError, NumericalError
 from .feedback import FeedbackLaw, boundary_drive, constants
 from .operators import Operators
-from .solver import conjugate_gradients
 
 
 def _require_diagonal(ops: Operators):
@@ -90,11 +90,9 @@ def random_forcing(ops: Operators, M: int, rng: np.random.Generator) -> ExtState
     vectors per node, whose tangent-axis components nu x Z form the profile
     (the normal draws are read by none).
     """
-    # imported per call, so that the solver module's current binding is used
-    from .solver import project_div_free
-
     s = ops.grid.samples
-    q = project_div_free(rng.standard_normal(ops.layout.n_q), ops)
+    # through the module, so that its current binding is used
+    q = solver.project_div_free(rng.standard_normal(ops.layout.n_q), ops)
     h = rng.standard_normal(ops.layout.n_h)
     raw = rng.standard_normal((s.count, M + 1, 3))
     Z = np.ascontiguousarray(s.cross.nu_cross(raw.swapaxes(0, 1)).swapaxes(0, 1))
@@ -401,7 +399,7 @@ class CoreCG:
 
     def solve(self, b: np.ndarray, x0: np.ndarray | None = None, atol: float = 0.0) -> tuple[np.ndarray, int]:
         """(x, iterations) of `solver.conjugate_gradients` on A x = b."""
-        return conjugate_gradients(
+        return solver.conjugate_gradients(
             lambda p: self.A @ p, None, self._inv_d, b, self.name, CORE_CG_MAX_ITER, x0, atol
         )
 

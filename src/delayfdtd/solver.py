@@ -263,10 +263,14 @@ class NodeLaplacian:
             e = np.moveaxis(e.reshape(layout.int_edge_shapes[comp]), a, 0) / d**2
             edges.append(e)
             diag += np.moveaxis(e[:-1] + e[1:], 0, a)
+        # an exact power of two brings the largest diagonal entry into [1/2, 1), so that the
+        # products s[:-1] * s[1:] (about 1/d^4) cannot overflow and in-range bits do not move
+        shift = -np.frexp(np.max(diag))[1]
+        scaled = np.ldexp(diag, shift)
         couplings = []
         for a, e in enumerate(edges):
-            s = np.moveaxis(diag, a, 0)
-            couplings.append(float(np.mean(e[1:-1] / np.sqrt(s[:-1] * s[1:]))))
+            s = np.moveaxis(scaled, a, 0)
+            couplings.append(float(np.mean(np.ldexp(e[1:-1], shift) / np.sqrt(s[:-1] * s[1:]))))
         # the fitted shift 1 - 2 sum(c) is clipped at zero, so L_c stays definite
         total = 2.0 * sum(couplings)
         if total > 1.0:
@@ -446,11 +450,10 @@ class Stepper:
         self._eps_t = layout.trace_view(ops.eps_q)
         self._int_slice = slice(0, layout.trace_offset)
         self._eps_int = ops.eps_q[self._int_slice]
-        # per-step scratch: the two curl products, the time-centered delay tap and the old trace
+        # per-step scratch: the two curl products and the time-centered delay tap
         self._rhs = np.empty(layout.n_q)
         self._curl = np.empty(layout.n_h)
         self._z1_mid = np.empty((layout.n_samples, 2))
-        self._t_old = np.empty((layout.n_samples, 2))
         self._diag = ops.eps.diagonal_only and ops.mu.diagonal_only
         if not self._diag:
             self._eps_inv, self._mu_inv, self._eps_t = full_tensor_inverses(ops)
@@ -474,9 +477,7 @@ class Stepper:
         z1_mid = np.add(ring.slot(ring.N), ring.slot(ring.N - 1), out=self._z1_mid)
         z1_mid *= 0.5
 
-        trace = ops.layout.trace_view(state.q)
-        t_old = self._t_old
-        t_old[:] = trace
+        trace = ops.layout.trace_view(state.q)  # the old trace: nothing writes it before the closure returns
         curl_term = ops.layout.trace_view(rhs)
 
         if self._diag:
@@ -486,7 +487,7 @@ class Stepper:
             state.q[self._int_slice] += inc
         else:
             state.q[self._int_slice] += dt * (self._eps_inv @ rhs)
-        t_new = implicit_boundary_update(self.law, curl_term, t_old, z1_mid, dt, self._eps_t, self._kappa)
+        t_new = implicit_boundary_update(self.law, curl_term, trace, z1_mid, dt, self._eps_t, self._kappa)
 
         trace[:] = t_new
         ring.advance(t_new)
@@ -573,8 +574,8 @@ def _setup_key(scenario: Scenario) -> tuple:
 
 
 def require_assumptions(report: MaterialReport, what: str = "material/geometry"):
-    """Raise AssumptionError naming the failed checks; `what = "material"` skips the decay-only geometry checks."""
-    failed = [n for n in report.failed if what != "material" or n not in ("growth_bound", "star_shaped")]
+    """Raise AssumptionError naming the failed checks; `what = "material"` reads only those well-posedness needs."""
+    failed = report.failed_material if what == "material" else report.failed
     if failed:
         raise AssumptionError(f"{what} assumptions violated: {', '.join(failed)}")
 
@@ -599,6 +600,27 @@ def run_setup(scenario: Scenario) -> RunSetup:
     return setup
 
 
+def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int]:
+    """The set-up, dt, delay slots and step count of `scenario`, after every check that reads the materials.
+
+    The assumption gate (unless the run is unsafe), then the three rules the
+    materials decide: at least one delay slot and the ring bound
+    (`compute_dt`), and at most MAX_STEPS steps.  Builds no operators, so
+    `sweep` checks every row here before the first row runs.
+    """
+    setup = run_setup(scenario)
+    if not scenario.run.unsafe:
+        require_assumptions(setup.report)
+    dt, n_slots = compute_dt(setup.grid, setup.eps, setup.mu, scenario.run.cfl_safety, scenario.law.tau)
+    t_end = scenario.run.t_end
+    if (steps := np.ceil(t_end / dt - 1e-12)) > MAX_STEPS:
+        raise ConfigError(
+            f"t_end = {t_end:.6g} needs {steps:.6g} steps of dt = {dt:.6g}, "
+            f"more than the {MAX_STEPS:.0e} steps a run may take: lower t_end"
+        )
+    return setup, dt, n_slots, int(steps)
+
+
 def run(scenario: Scenario) -> RunOutput:
     """Simulate a scenario and record its energy trace.
 
@@ -609,18 +631,8 @@ def run(scenario: Scenario) -> RunOutput:
     xi is requested automatically but no admissible value exists (see
     `analysis.delay_weight`).
     """
-    setup = run_setup(scenario)
-    if not scenario.run.unsafe:
-        require_assumptions(setup.report)
+    setup, dt, n_slots, n_steps = check_run(scenario)
     law, grid = scenario.law, setup.grid
-    dt, n_slots = compute_dt(grid, setup.eps, setup.mu, scenario.run.cfl_safety, law.tau)
-    t_end = scenario.run.t_end
-    if (steps := np.ceil(t_end / dt - 1e-12)) > MAX_STEPS:
-        raise ConfigError(
-            f"t_end = {t_end:.6g} needs {steps:.6g} steps of dt = {dt:.6g}, "
-            f"more than the {MAX_STEPS:.0e} steps a run may take: lower t_end"
-        )
-    n_steps = int(steps)
     ops = setup.operators()
     xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 

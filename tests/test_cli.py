@@ -774,6 +774,42 @@ def test_a_ring_or_step_count_beyond_its_bound_exits_two_before_the_operators(
 
 
 @pytest.mark.parametrize(
+    "materials, param, values, code, message",
+    [
+        (
+            "", "feedback.tau", "0.25,1e300", 2,
+            "configuration error: delay tau = 1e+300 needs 2.07846e+301 delay slots at the stable step 0.0481125 "
+            "(cfl_safety = 0.5)" + RING_BOUND,
+        ),
+        (
+            "\n[materials]\neps_kind = exponential_isotropic\neps_k = 1\n", "materials.eps_k", "1,-10", 3,
+            "assumption violated: material/geometry assumptions violated: growth_bound\n",
+        ),
+    ],
+    ids=["ring_bound", "growth_bound"],
+)
+def test_sweep_checks_every_row_against_the_materials_before_any_row_directory(
+    tmp_path, capsys, materials, param, values, code, message
+):
+    path, outdir = write_cfg(tmp_path, BOX6 + materials)
+    assert main(["sweep", str(path), "--param", param, "--values", values]) == code
+    assert capsys.readouterr().err == message
+    assert not list(outdir.iterdir())
+
+
+def test_a_box_length_whose_node_couplings_leave_the_float_range_runs(tmp_path, capsys):
+    # 1/d^2 is about 3.6e201 here, so the product of two node diagonals overflows unless rescaled
+    text = BASE6.replace("Lx = 1.0", "Lx = 1e-100").replace("tau = 0.25", "tau = 1e-101")
+    path, outdir = write_cfg(tmp_path, text.replace("t_end = 2.0", "t_end = 1e-100"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    assert (code, caught) == (0, [])
+    assert capsys.readouterr().err == ""
+    assert (outdir / "energy.csv").exists()
+
+
+@pytest.mark.parametrize(
     "line, bad",
     [
         ("gamma1 = 1.0", "gamma1 = 1e300"),

@@ -5,8 +5,6 @@ from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError
 from delayfdtd.materials import (
     TensorField,
-    check_assumption_geometry,
-    check_assumption_materials,
     constant_diagonal,
     constant_full,
     constant_isotropic,
@@ -25,7 +23,7 @@ def grid16():
 def test_alpha_constant_isotropic(grid16):
     eps = constant_isotropic(grid16, 2.0)
     mu = constant_isotropic(grid16, 2.0)
-    report = check_assumption_materials(eps, mu)
+    report = full_report(eps, mu, grid16)
     assert report.alpha == pytest.approx(2.0, abs=1e-14)
     assert report.passed
 
@@ -33,7 +31,7 @@ def test_alpha_constant_isotropic(grid16):
 def test_alpha_diagonal_ramp(grid16):
     eps = diagonal_ramp(grid16, (1.0, 1.0, 1.0), axis=0, slope=1.0, entry=0)
     mu = constant_isotropic(grid16, 1.0)
-    report = check_assumption_materials(eps, mu)
+    report = full_report(eps, mu, grid16)
     assert report.alpha == pytest.approx(1.0, abs=1e-14)
     # lambda_max approaches 2 from below (cell centers stop at 1 - dx/2)
     assert report.lambda_max_eps == pytest.approx(2.0 - 0.5 / 16, abs=1e-12)
@@ -43,7 +41,7 @@ def test_asymmetric_tensor_reported_not_raised(grid16):
     vals = constant_isotropic(grid16, 1.0).values.copy()
     vals[..., 0, 1] = 0.3  # e12 != e21
     eps = TensorField.from_values(vals)
-    report = check_assumption_materials(eps, constant_isotropic(grid16, 1.0))
+    report = full_report(eps, constant_isotropic(grid16, 1.0), grid16)
     assert not report.passed
     ok, _ = report.checks["eps_symmetric"]
     assert not ok
@@ -51,7 +49,7 @@ def test_asymmetric_tensor_reported_not_raised(grid16):
 
 def test_indefinite_tensor_reported(grid16):
     eps = constant_diagonal(grid16, (-1.0, 1.0, 1.0))
-    report = check_assumption_materials(eps, constant_isotropic(grid16, 1.0))
+    report = full_report(eps, constant_isotropic(grid16, 1.0), grid16)
     assert not report.passed
     assert report.alpha < 0
 
@@ -59,7 +57,7 @@ def test_indefinite_tensor_reported(grid16):
 def test_d1_constant_materials_exactly_one(grid16):
     eps = constant_isotropic(grid16, 3.0)
     mu = constant_diagonal(grid16, (1.0, 2.0, 4.0))
-    report = check_assumption_geometry(eps, mu, grid16)
+    report = full_report(eps, mu, grid16)
     assert report.d1 == pytest.approx(1.0, abs=1e-13)
 
 
@@ -71,7 +69,7 @@ def test_d1_exponential_approaches_half():
     grid = build_grid(dom)
     eps = exponential_isotropic(grid, 1.0, axis=0)
     mu = constant_isotropic(grid, 1.0)
-    report = check_assumption_geometry(eps, mu, grid)
+    report = full_report(eps, mu, grid)
     assert report.d1 == pytest.approx(0.5, abs=0.02)
     assert report.d1 > 0.5  # floor approached from above
 
@@ -81,7 +79,7 @@ def test_d1_fails_for_steep_negative_gradient():
     grid = build_grid(dom)
     eps = exponential_isotropic(grid, -10.0, axis=0)
     mu = constant_isotropic(grid, 1.0)
-    report = check_assumption_geometry(eps, mu, grid)
+    report = full_report(eps, mu, grid)
     # per-cell evaluation: 1 - 10*(x1-0.5) dips far below zero for x1 > 0.6
     assert report.d1 <= 0
     assert not report.passed
@@ -94,7 +92,7 @@ def test_d1_monotone_in_gradient_strength():
     d1s = []
     for k in (0.0, 0.5, 1.0):
         eps = exponential_isotropic(grid, k, axis=0)
-        d1s.append(check_assumption_geometry(eps, mu, grid).d1)
+        d1s.append(full_report(eps, mu, grid).d1)
     assert d1s[0] >= d1s[1] >= d1s[2]
     assert d1s[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -102,7 +100,7 @@ def test_d1_monotone_in_gradient_strength():
 def test_d1_full_tensor_path(grid16):
     eps = constant_full(grid16, (2.0, 1.5, 1.0, 0.2, 0.1, 0.0))
     mu = constant_isotropic(grid16, 1.0)
-    report = check_assumption_geometry(eps, mu, grid16)
+    report = full_report(eps, mu, grid16)
     assert report.d1 == pytest.approx(1.0, abs=1e-12)
 
 
