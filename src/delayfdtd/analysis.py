@@ -340,14 +340,23 @@ def lemma32_check(
     trace: EnergyTrace, oc: ObservabilityConstants, T: float | None = None,
     slack: float = AnalysisOptions.slack_observability,
 ) -> ObservabilityReport:
-    """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D], trapezoid over records up to T."""
+    """int_0^T E_xi dt <= slack * [c (E_xi(0) + E_xi(T)) + c_T int_0^T D], trapezoid over records up to T.
+
+    Sides beyond the float range raise AssumptionError: the check does not
+    apply in floating point.
+    """
     T = trace.t[-1] if T is None else float(T)
     mask = trace.t <= T + _window_tol(T)
     t, E = trace.t[mask], trace.E_xi[mask]
     if len(t) < 2:
         raise ContractError("trace does not span the requested window")
-    lhs = float(np.trapezoid(E, t))
-    rhs = oc.c * (E[0] + E[-1]) + oc.c_T * float(np.trapezoid(trace.D[mask], t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(np.trapezoid(E, t))
+        rhs = oc.c * (E[0] + E[-1]) + oc.c_T * float(np.trapezoid(trace.D[mask], t))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise AssumptionError(
+            f"observability integrals leave the float range: int E_xi = {lhs:.6g}, right side = {rhs:.6g}"
+        )
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return ObservabilityReport(passed=bool(lhs <= slack * rhs + 1e-300), ratio=ratio)
 
@@ -511,11 +520,11 @@ def certify(
             xi=k.xi,
             tau=tau,
         )
+        block.update(obs_delta=obs.delta, obs_c=obs.c, obs_c_T=obs.c_T)
+        rep32 = lemma32_check(trace, obs, T=T, slack=options.slack_observability)
     except AssumptionError as exc:
         block["observability"] = f"not applicable ({exc})"
         return block, failures
-    block.update(obs_delta=obs.delta, obs_c=obs.c, obs_c_T=obs.c_T)
-    rep32 = lemma32_check(trace, obs, T=T, slack=options.slack_observability)
     block["observability"] = _verdict(rep32.passed)
     block["observability_ratio"] = rep32.ratio
     if not rep32.passed:

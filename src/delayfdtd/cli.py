@@ -205,9 +205,13 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _lab_setup(cfg: Config):
+    """The scenario and operators of a lab command, after every refusal the lab can make before assembly."""
     sc = scenario_from_config(cfg)
     setup = run_setup(sc)
     require_assumptions(setup.report, "material")  # the lab tests well-posedness, which needs no decay hypothesis
+    sc.domain.check_cells()
+    if not (setup.eps.diagonal_only and setup.mu.diagonal_only):
+        raise ConfigError("the operator lab requires diagonal material tensors")
     return sc, setup.operators()
 
 

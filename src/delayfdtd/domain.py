@@ -60,6 +60,27 @@ class BoxDomain:
     def spacings(self) -> tuple[float, float, float]:
         return tuple(L / n for L, n in zip(self.lengths, self.resolution))
 
+    def check_cells(self):
+        """Refuse a spacing or cell volume that the set-up's sums cannot hold.
+
+        The projection's node diagonal sums six couplings eps/d^2, so 6/d^2
+        must be finite.  The energies sum the cell volume times squared
+        fields, so the volume must be finite and 2**52 above the smallest
+        normal float, or the small terms of those sums lose bits.  The gates
+        call this after the step size, whose rules name a box too fine for
+        any stable step first.
+        """
+        for name, L, d in zip(("Lx", "Ly", "Lz"), self.lengths, self.spacings):
+            if not 6.0 / (d * d) < math.inf:
+                raise ConfigError(f"{name} = {L} gives the cell spacing {d:.6g}, whose node diagonal 6/d^2 overflows")
+        vol = math.prod(self.spacings)
+        if not 2.0**-970 <= vol < math.inf:  # 2**52 times the smallest normal float
+            Lx, Ly, Lz = self.lengths
+            raise ConfigError(
+                f"Lx = {Lx}, Ly = {Ly}, Lz = {Lz} give the cell volume {vol:.6g}, "
+                "outside [2**-970, inf), where the energy sums hold their bits"
+            )
+
 
 class TangentCross:
     """Cross products with axis-aligned unit normals, on the tangent axes.

@@ -15,8 +15,8 @@ The s-derivative uses a summation-by-parts pair (central interior, one-sided
 first-order end rows, trapezoid weights), composed with the exp(cs/2)
 substitution when a weighted product is in force; this keeps the discrete
 integration by parts in s exact, which the monotonicity floor requires.
-Material tensors must be diagonal here; full tensors are supported by the
-time stepper only.
+Material tensors must be diagonal here, and the lab commands refuse full
+ones before assembly; full tensors are supported by the time stepper only.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from .delay import LAB_S_CELLS
 from .errors import ConfigError, NumericalError
 from .feedback import FeedbackLaw, boundary_drive, constants
 from .operators import Operators
-
-
-def _require_diagonal(ops: Operators):
-    if not (ops.eps.diagonal_only and ops.mu.diagonal_only):
-        raise ConfigError("the operator lab requires diagonal material tensors")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,6 @@ def apply_generator(v: ExtState, ops: Operators, law: FeedbackLaw, c_weight: flo
     relation H x nu = -g1 g(E x nu) x nu - g2 g(Z1 x nu) x nu, Z1 the delayed
     E; its tangent-axis components are g1 g(w) + g2 g(Z|s=1), with w those of E.
     """
-    _require_diagonal(ops)
     Aq, Ah = _field_image(v, ops, law)
     AZ = s_derivative(v.Z, c_weight)
     AZ /= law.tau
@@ -247,7 +241,6 @@ def monotonicity_test(
     ||v - v'||^2.  Per-pair seeds derive deterministically from (seed, i).
     The report passes when the minimum is at least -1e-10 (zero, less round-off).
     """
-    _require_diagonal(ops)
     C = k.C_shift if C_shift is None else C_shift
     rows = np.empty((n_pairs, 3))
     for i in range(n_pairs):
@@ -421,7 +414,6 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     solution vanish whatever the penalty; a divergence above 1e-8 raises
     NumericalError.
     """
-    _require_diagonal(ops)
     M = F.Z.shape[1] - 1
     tau = law.tau
 

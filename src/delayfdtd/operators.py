@@ -270,10 +270,13 @@ def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operato
         Wf.append(w.ravel())
     Wf = np.concatenate(Wf)
 
-    # Wq^-1 C^T Wf: each entry of C^T scaled as the two diagonal products would
+    # Wq^-1 C^T Wf: each entry of C^T scaled as the two diagonal products would;
+    # both weights first divided by one power of two near the cell volume, so
+    # that 1/Wq cannot overflow or underflow and in-range bits do not move
     G = C.T.tocsr()
     g_rows = np.repeat(np.arange(layout.n_q), np.diff(G.indptr))
-    G.data = (1.0 / Wq)[g_rows] * G.data * Wf[G.indices]
+    e = np.frexp(vol)[1]
+    G.data = (1.0 / np.ldexp(Wq, -e))[g_rows] * G.data * np.ldexp(Wf, -e)[G.indices]
 
     # diagonal material coefficients per slot
     eps_diag = eps.diag()

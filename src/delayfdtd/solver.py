@@ -113,6 +113,10 @@ class InitialSpec:
         if self.preset == "gaussian_pulse" and not (np.all(np.isfinite(pol)) and np.any(pol != 0)):
             raise ConfigError(f"polarization must be a nonzero vector of finite entries for a gaussian_pulse start, got {self.polarization}")
 
+    @property
+    def projected(self) -> bool:  # made divergence-free by `project_div_free`, which needs a diagonal eps
+        return self.preset == "gaussian_pulse" and self.project
+
 
 @dataclass(frozen=True)
 class HistorySpec:
@@ -363,10 +367,8 @@ def project_div_free(q: np.ndarray, ops: Operators) -> np.ndarray:
 
     Solves -div(eps grad psi) = div(eps E) with psi zero on the wall (see
     NodeLaplacian) and adds grad psi.  Tangential boundary traces are
-    untouched.
+    untouched.  eps must be diagonal: `check_run` and the lab gate refuse a full one.
     """
-    if not ops.eps.diagonal_only:
-        raise ConfigError("divergence projection requires diagonal material tensors")
     psi, _ = NodeLaplacian(ops).solve(ops.div_eps @ q)
     q0 = q + ops.grad_int @ psi
     resid = float(np.max(np.abs(ops.div_eps @ q0)))
@@ -388,9 +390,7 @@ def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
         return spec.amplitude * np.exp(-r2 / (2.0 * spec.width**2))[..., None] * pol
 
     q = sample_vector_field(ops, func)
-    if spec.project:
-        q = project_div_free(q, ops)
-    return q
+    return project_div_free(q, ops) if spec.projected else q
 
 
 def _load_field_file(path) -> np.ndarray:
@@ -600,12 +600,13 @@ def run_setup(scenario: Scenario) -> RunSetup:
     return setup
 
 
-def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int]:
-    """The set-up, dt, delay slots and step count of `scenario`, after every check that reads the materials.
+def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int, float, analysis.DissipationConstants | None]:
+    """The set-up, dt, delay slots, step count, delay weight and its constants of `scenario`.
 
-    The assumption gate (unless the run is unsafe), then the three rules the
-    materials decide: at least one delay slot and the ring bound
-    (`compute_dt`), and at most MAX_STEPS steps.  Builds no operators, so
+    Every refusal before assembly, in order: the assumption gate (unless the
+    run is unsafe), a delay slot and the ring bound (`compute_dt`), MAX_STEPS,
+    the box's cells (`BoxDomain.check_cells`), an admissible weight
+    (`analysis.delay_weight`) and a diagonal eps for a projected start.
     `sweep` checks every row here before the first row runs.
     """
     setup = run_setup(scenario)
@@ -618,7 +619,11 @@ def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int]:
             f"t_end = {t_end:.6g} needs {steps:.6g} steps of dt = {dt:.6g}, "
             f"more than the {MAX_STEPS:.0e} steps a run may take: lower t_end"
         )
-    return setup, dt, n_slots, int(steps)
+    scenario.domain.check_cells()
+    xi, diss = analysis.delay_weight(scenario.law, scenario.analysis.xi)
+    if scenario.initial.projected and not setup.eps.diagonal_only:
+        raise ConfigError("divergence projection requires diagonal material tensors")
+    return setup, dt, n_slots, int(steps), xi, diss
 
 
 def run(scenario: Scenario) -> RunOutput:
@@ -626,15 +631,12 @@ def run(scenario: Scenario) -> RunOutput:
 
     Deterministic for a fixed scenario: no threading, fixed evaluation order;
     the set-up comes from `run_setup`, so a run in a warm process writes the
-    same bytes as one in a fresh process.  Raises AssumptionError when
-    material/geometry checks fail (unless the run is marked unsafe) or when
-    xi is requested automatically but no admissible value exists (see
-    `analysis.delay_weight`).
+    same bytes as one in a fresh process.  Refuses, before the operators,
+    what `check_run` refuses.
     """
-    setup, dt, n_slots, n_steps = check_run(scenario)
+    setup, dt, n_slots, n_steps, xi, diss = check_run(scenario)
     law, grid = scenario.law, setup.grid
     ops = setup.operators()
-    xi, diss = analysis.delay_weight(law, scenario.analysis.xi)
 
     if setup.q0 is None:
         setup.q0 = initial_state_q(ops, scenario.initial)

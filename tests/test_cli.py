@@ -1,5 +1,8 @@
+import contextlib
 import gc
+import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -795,6 +798,107 @@ def test_sweep_checks_every_row_against_the_materials_before_any_row_directory(
     assert main(["sweep", str(path), "--param", param, "--values", values]) == code
     assert capsys.readouterr().err == message
     assert not list(outdir.iterdir())
+
+
+FULL_EPS = "\n[materials]\neps_kind = constant_full\neps_upper = 2 1.5 1.8 0.2 0.1 0.15\n"
+
+
+def _no_operators(monkeypatch):
+    """Make any operator assembly fail, so that a test shows its refusal comes before it."""
+    from delayfdtd import solver
+
+    def assembled(*args, **kwargs):
+        raise AssertionError("the operators were built before the refusal")
+
+    monkeypatch.setattr(solver, "_SETUP", {})
+    monkeypatch.setattr(solver, "build_operators", assembled)
+
+
+def test_a_full_tensor_sweep_with_a_projected_start_exits_two_before_any_row_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # BOX6 starts from a gaussian_pulse with the default project = true
+    _no_operators(monkeypatch)
+    path, outdir = write_cfg(tmp_path, BOX6 + FULL_EPS)
+    assert main(["sweep", str(path), "--param", "feedback.gamma2", "--values", "0.25,0.5"]) == 2
+    assert capsys.readouterr().err == "configuration error: divergence projection requires diagonal material tensors\n"
+    assert not list(outdir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["operator", "resolvent"])
+def test_the_lab_refuses_a_full_tensor_before_assembly(tmp_path, capsys, monkeypatch, command):
+    _no_operators(monkeypatch)
+    path, outdir = write_cfg(tmp_path, BOX6 + FULL_EPS)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "configuration error: the operator lab requires diagonal material tensors\n"
+    assert not list(outdir.iterdir())
+
+
+# the README physics on a 6^3 box
+README6 = BASE.replace("nx = 8\nny = 8\nnz = 8", "nx = 6\nny = 6\nnz = 6").replace(
+    "width = 0.15", "width = 0.12"
+).replace("t_end = 2.0", "t_end = 20.0")
+
+
+def test_a_run_without_an_admissible_delay_weight_exits_three_before_assembly(tmp_path, capsys, monkeypatch):
+    _no_operators(monkeypatch)
+    path, outdir = write_cfg(tmp_path, README6.replace("gamma2 = 0.5", "gamma2 = 2.0"))
+    assert main(["run", str(path)]) == 3
+    assert "no admissible delay weight" in capsys.readouterr().err
+    assert not (outdir / "energy.csv").exists()
+
+
+def _run_quietly(path):
+    """main(["run", path]) with every warning recorded: (exit code, stderr, warnings)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    return code, err.getvalue(), caught
+
+
+def _verdicts(outdir):
+    """The verdict word of each certificate check in summary.txt."""
+    lines = (outdir / "summary.txt").read_text().splitlines()
+    keys = ("classification", "two_sided_dissipation", "observability", "certificate")
+    return {k: v.split(" (")[0] for k, _, v in (ln.partition(" = ") for ln in lines) if k in keys}
+
+
+@pytest.mark.parametrize(
+    "k, one_axis",
+    [(k, None) for k in (-340, -330, -300, -250, 100, 257, 260, 300, 330)] + [(None, 6e-154), (None, 1e-153)],
+    ids=[f"k={k}" for k in (-340, -330, -300, -250, 100, 257, 260, 300, 330)] + ["Lx=6e-154", "Lx=1e-153"],
+)
+def test_a_scaled_box_gives_the_scaled_trace_or_exits_two_naming_lx(tmp_path, capsys, k, one_axis):
+    # lengths, width, tau and t_end times 2**k pose the same problem in other units: t scales by
+    # 2**k, the energies by 2**(3k), D and flux by 2**(2k); a box whose sums the set-up cannot hold exits 2
+    path, outdir = write_cfg(tmp_path, README6, name="unit.cfg", outdir=tmp_path / "unit")
+    assert _run_quietly(path)[:2] == (0, "")
+    unit = np.loadtxt(outdir / "energy.csv", delimiter=",", skiprows=1)
+    if one_axis is None:
+        s = 2.0**k
+        scaled = {"Lx": s, "Ly": s, "Lz": s, "tau": 0.25 * s, "width": 0.12 * s, "t_end": 20.0 * s}
+    else:
+        scaled = {"Lx": one_axis, "tau": 1e-155, "t_end": 1e-154}
+    text = README6
+    for key, value in scaled.items():
+        text = re.sub(f"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+    path, outdir = write_cfg(tmp_path, text, name="scaled.cfg", outdir=tmp_path / "scaled")
+    code, err, caught = _run_quietly(path)
+    assert caught == [] and "unexpected" not in err
+    if code == 2:
+        assert err.startswith("configuration error: Lx = ")
+        return
+    assert (code, one_axis) == (0, None)
+    trace = np.loadtxt(outdir / "energy.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(trace, unit * np.array([s, s**3, s**3, s**3, s**2, s**2]))
+    want, got = _verdicts(tmp_path / "unit"), _verdicts(outdir)
+    if got.get("observability") != want["observability"]:
+        assert got["observability"] == "not applicable"
+        assert "float range" in (outdir / "summary.txt").read_text()
+        want = {key: want[key] for key in ("classification", "two_sided_dissipation")}
+        got.pop("observability")
+    assert got == want
 
 
 def test_a_box_length_whose_node_couplings_leave_the_float_range_runs(tmp_path, capsys):

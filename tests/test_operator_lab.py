@@ -406,22 +406,20 @@ def test_strong_monotonicity_of_form(ops8):
     assert worst > 0
 
 
-def test_lab_requires_diagonal_tensors():
-    from delayfdtd.domain import BoxDomain, build_grid
-    from delayfdtd.materials import constant_full, constant_isotropic
-    from delayfdtd.operators import build_operators
+def test_lab_requires_diagonal_tensors(tmp_path, capsys):
+    # the lab gate refuses a full tensor before it assembles the operators
+    from delayfdtd.cli import main
 
-    grid = build_grid(BoxDomain((1, 1, 1), (4, 4, 4), (0.5, 0.5, 0.5)))
-    eps = constant_full(grid, (2.0, 1.5, 1.0, 0.2, 0.0, 0.0))
-    ops = build_operators(grid, eps, constant_isotropic(grid, 1.0))
-    M = 4
-    v = ExtState(
-        q=np.zeros(ops.layout.n_q),
-        h=np.zeros(ops.layout.n_h),
-        Z=np.zeros((grid.samples.count, M + 1, 2)),
+    path = tmp_path / "full.cfg"
+    path.write_text(
+        "[domain]\nLx = 1\nLy = 1\nLz = 1\nnx = 4\nny = 4\nnz = 4\n\n"
+        "[materials]\neps_kind = constant_full\neps_upper = 2.0 1.5 1.0 0.2 0.0 0.0\n\n"
+        "[feedback]\nkind = linear\na = 1.0\ngamma1 = 1.0\ngamma2 = 0.5\ntau = 0.25\n\n"
+        "[run]\nt_end = 1.0\ncfl_safety = 0.5\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
     )
-    with pytest.raises(ConfigError):
-        apply_generator(v, ops, LINEAR)
+    assert main(["operator", str(path), "--m", "4"]) == 2
+    assert capsys.readouterr().err == "configuration error: the operator lab requires diagonal material tensors\n"
 
 
 # -- random domain states ------------------------------------------------------------
