@@ -97,8 +97,6 @@ class EnergyTrace:
 
     def __post_init__(self):
         cols = (self.t, self.E_weighted, self.E_plain, self.E_xi, self.D, self.flux)
-        if any(len(c) != len(self.t) for c in cols):
-            raise ContractError("energy trace columns have mismatched lengths")
         for name, c in zip(CSV_HEADER.split(","), cols):
             if not np.all(np.isfinite(c)):
                 raise ContractError(f"non-finite entries in energy column {name}")

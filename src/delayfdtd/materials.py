@@ -1,7 +1,9 @@
 """Material tensor fields and the assumption checks they must pass.
 
-Permittivity and permeability are symmetric positive-definite 3x3 tensors
-stored per cell.  The checks compute the global eigenvalue floor alpha, and
+Permittivity and permeability are 3x3 tensors stored per cell, symmetric by
+construction: every builder fills them from a diagonal or from the six upper
+entries (e11, e22, e33, e12, e13, e23).  The checks test uniform positive
+definiteness and compute the global eigenvalue floor alpha, and
 the growth constant d1 defined as the largest number such that
 phi + (m . grad) phi - d1 * phi stays positive semidefinite cellwise for both
 tensors, with the directional derivative taken by second-order differences
@@ -17,8 +19,6 @@ import numpy as np
 from .domain import YeeGrid, multiplier_field
 from .errors import ConfigError, read_input
 
-SYMMETRY_TOL = 1e-12
-
 BOX_GEOMETRY_NOTE = (
     "domain is an axis-aligned box: the boundary has edges and corners, so "
     "smooth-boundary hypotheses hold only on the interior of each face"
@@ -27,7 +27,7 @@ BOX_GEOMETRY_NOTE = (
 
 @dataclass
 class TensorField:
-    """Per-cell symmetric 3x3 tensor with spectral summaries."""
+    """Per-cell symmetric 3x3 tensor with spectral summaries; built on the grid by the builders below."""
 
     values: np.ndarray  # (nx, ny, nz, 3, 3)
     diagonal_only: bool
@@ -36,27 +36,15 @@ class TensorField:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "TensorField":
-        """The one constructor: rejects a wrong shape and a non-finite entry."""
+        """The one constructor, from symmetric (nx, ny, nz, 3, 3) values: rejects a non-finite entry."""
         values = np.asarray(values, dtype=float)
-        if values.ndim != 5 or values.shape[3:] != (3, 3):
-            raise ConfigError(f"tensor field must have shape (nx,ny,nz,3,3), got {values.shape}")
         finite = np.isfinite(values)
         if not finite.all():
             i, j, k, a, b = (int(v) for v in np.argwhere(~finite)[0])
             raise ConfigError(f"tensor entry {values[i, j, k, a, b]} at cell ({i}, {j}, {k}) is not finite")
-        diagonal = not np.any(values[..., [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]])
-        t = cls(values, diagonal, np.nan, np.nan)
-        eig = np.linalg.eigvalsh(t.sym.reshape(-1, 3, 3))
-        t.lambda_min_global, t.lambda_max_global = float(eig.min()), float(eig.max())
-        return t
-
-    @property
-    def sym(self) -> np.ndarray:
-        """The symmetric part 0.5 (A + A^T), which the eigenvalues and full-tensor masses read.
-
-        Formed on each read: held, it would add the size of `values` to every run.
-        """
-        return 0.5 * (self.values + np.swapaxes(self.values, -1, -2))
+        diagonal = not np.any(values[..., [0, 0, 1], [1, 2, 2]])
+        eig = np.linalg.eigvalsh(values.reshape(-1, 3, 3))
+        return cls(values, diagonal, float(eig.min()), float(eig.max()))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -65,11 +53,6 @@ class TensorField:
     def diag(self) -> np.ndarray:
         """(nx, ny, nz, 3) diagonal entries."""
         return self.values[..., range(3), range(3)]
-
-    def max_asymmetry(self) -> tuple[float, tuple]:
-        gap = np.abs(self.values - np.swapaxes(self.values, -1, -2))
-        idx = np.unravel_index(np.argmax(gap), gap.shape)
-        return float(gap[idx]), tuple(int(i) for i in idx[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +170,6 @@ class MaterialReport:
         return lines
 
 
-def _symmetry_check(name: str, t: TensorField, checks: dict) -> bool:
-    gap, cell = t.max_asymmetry()
-    ok = gap <= SYMMETRY_TOL
-    checks[f"{name}_symmetric"] = (ok, f"max |A - A^T| = {gap:.3e} at cell {cell}")
-    return ok
-
-
 def _directional_derivative(values: np.ndarray, m_cells: np.ndarray, spacings) -> np.ndarray:
     """(m . grad) of a per-cell tensor field, second order, one-sided at layers."""
     out = np.zeros_like(values)
@@ -220,24 +196,19 @@ def _min_generalized_eig(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.nda
 def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialReport:
     """The assumption report, in check order.
 
-    First symmetry, uniform positive definiteness and the eigen floor
-    alpha; then, only when those pass, the geometric checks: the largest d1
-    with phi + (m.grad)phi >= d1 phi cellwise for both tensors, m about the
-    domain's x0, and the star shape beta > 0.
+    First uniform positive definiteness, the eigen floor alpha; then, only
+    when it passes, the geometric checks: the largest d1 with
+    phi + (m.grad)phi >= d1 phi cellwise for both tensors, m about the
+    domain's x0, and the star shape beta > 0.  Both tensors are built on
+    `grid` and symmetric by construction, so neither is checked for it.
     """
-    if eps.shape != mu.shape:
-        raise ConfigError(f"eps and mu sampled on different grids: {eps.shape} vs {mu.shape}")
     report = MaterialReport()
     checks = report.checks
-    sym_ok = _symmetry_check("eps", eps, checks) & _symmetry_check("mu", mu, checks)
     report.lambda_max_eps = eps.lambda_max_global
     report.lambda_max_mu = mu.lambda_max_global
     alpha = report.alpha = min(eps.lambda_min_global, mu.lambda_min_global)
     worst = "eps" if eps.lambda_min_global <= mu.lambda_min_global else "mu"
-    checks["positive_definite"] = (
-        (alpha > 0, f"alpha = {alpha:.6g} (limited by {worst})")
-        if sym_ok else (False, "skipped eigen floor validity: asymmetric input")
-    )
+    checks["positive_definite"] = (alpha > 0, f"alpha = {alpha:.6g} (limited by {worst})")
     if not report.passed:
         return report
 
@@ -246,9 +217,7 @@ def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialRep
     worst_cell, worst_name = None, None
     for name, t in (("eps", eps), ("mu", mu)):
         der = _directional_derivative(t.values, m.at_cells, grid.spacings)
-        a = t.values + der
-        diag_der = not np.any(der[..., [0, 0, 1], [1, 2, 2]]) and t.diagonal_only
-        local = _min_generalized_eig(a, t.values, t.diagonal_only and diag_der)
+        local = _min_generalized_eig(t.values + der, t.values, t.diagonal_only)
         cell = np.unravel_index(np.argmin(local), local.shape)
         if local[cell] < d1:
             d1 = float(local[cell])

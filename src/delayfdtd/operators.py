@@ -37,7 +37,6 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .domain import YeeGrid
-from .errors import ConfigError
 from .materials import TensorField
 
 EDGE_COMPS = ("x", "y", "z")
@@ -250,8 +249,6 @@ class Operators:
 
 
 def build_operators(grid: YeeGrid, eps: TensorField, mu: TensorField) -> Operators:
-    if eps.shape != grid.shape or mu.shape != grid.shape:
-        raise ConfigError("material fields are not sampled on this grid")
     layout = FieldLayout(grid)
     dx, dy, dz = grid.spacings
     s = grid.samples
@@ -342,7 +339,7 @@ def _inverse_mass(inv: list, collocate) -> sp.csr_matrix:
 
 
 def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Inverse masses of the symmetrized full tensors, for the stepper.
+    """Inverse masses of the full tensors, for the stepper.
 
     Returns `eps_inv` (interior edges <- q), `mu_inv` (faces <- faces) and
     the (S, 2, 2) tangential permittivity of the trace update.  Each cell
@@ -354,7 +351,7 @@ def full_tensor_inverses(ops: Operators) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     tangential 2x2 block of the cellwise inverse (a Schur complement).
     """
     n = ops.grid.shape
-    vals_eps, vals_mu = ops.eps.sym, ops.mu.sym
+    vals_eps, vals_mu = ops.eps.values, ops.mu.values
 
     def edge_collocation(c, j):
         # full edge family j -> interior edges of family c

@@ -4,7 +4,6 @@ import pytest
 from delayfdtd.domain import BoxDomain, build_grid
 from delayfdtd.errors import ConfigError
 from delayfdtd.materials import (
-    TensorField,
     constant_diagonal,
     constant_full,
     constant_isotropic,
@@ -35,16 +34,6 @@ def test_alpha_diagonal_ramp(grid16):
     assert report.alpha == pytest.approx(1.0, abs=1e-14)
     # lambda_max approaches 2 from below (cell centers stop at 1 - dx/2)
     assert report.lambda_max_eps == pytest.approx(2.0 - 0.5 / 16, abs=1e-12)
-
-
-def test_asymmetric_tensor_reported_not_raised(grid16):
-    vals = constant_isotropic(grid16, 1.0).values.copy()
-    vals[..., 0, 1] = 0.3  # e12 != e21
-    eps = TensorField.from_values(vals)
-    report = full_report(eps, constant_isotropic(grid16, 1.0), grid16)
-    assert not report.passed
-    ok, _ = report.checks["eps_symmetric"]
-    assert not ok
 
 
 def test_indefinite_tensor_reported(grid16):
