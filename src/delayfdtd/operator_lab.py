@@ -334,21 +334,30 @@ def _load_off_core(
 DIV_PENALTY = 1.0
 
 
+def _row_squares(a: sp.csr_matrix) -> np.ndarray:
+    """Sum of the squared entries of each row of `a`."""
+    return np.asarray(a.multiply(a).sum(axis=1)).ravel()
+
+
 def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
     """The symmetric positive definite matrix of the curl-curl reduction.
 
     b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
     part of the boundary load on the trace dofs; `resolvent_solve` solves
-    with it by CG (`CoreCG`), once per outer round.  The two quadratic
-    parts are one weighted Gram product K^T diag(w) K of K = [C; div_eps],
-    and the two diagonal parts are added to its diagonal in place, so no
-    sum of sparse matrices is formed.  Returned as CSR, indices sorted.
+    with it by CG (`CoreCG`), once per outer round.  The penalty
+    div_eps^T div_eps scales as eps^2 where the mass scales as eps, so each
+    node's weight is divided by its eps_node^2, the ratio of the squared
+    row norms of div_eps and div_plain (exactly 1 where eps = 1): on strong
+    contrast the penalty then spans no more than the mass, and Jacobi CG
+    does not stall.  The two quadratic parts are one weighted Gram product
+    K^T diag(w) K of K = [C; div_eps], and the two diagonal parts are added
+    to its diagonal in place, so no sum of sparse matrices is formed.
+    Returned as CSR, indices sorted.
     """
     K = sp.vstack([ops.C, ops.div_eps], format="csr")
     Kt = K.T.tocsr()
-    w = np.concatenate(
-        [ops.Wf / ops.mu_f, np.full(ops.div_eps.shape[0], DIV_PENALTY * ops.node_weight)]
-    )
+    eps_node2 = _row_squares(ops.div_eps) / _row_squares(ops.div_plain)
+    w = np.concatenate([ops.Wf / ops.mu_f, DIV_PENALTY * ops.node_weight / eps_node2])
     # the weights go on the left factor: each curl term rounds as (C_ij w_i) C_ik
     Kt.data *= w[Kt.indices]
     del w
@@ -370,7 +379,7 @@ CORE_CG_MAX_ITER = 10000
 # tight as the step it feeds (the forcing terms of Eisenstat and Walker, SIAM
 # J. Sci. Comput. 17, 1996); 1e-3 already adds outer rounds.
 INNER_GAP_SHARE = 1e-4
-# the outer fixed point stops once its gap is below OUTER_TOL (1 + max |q|)
+# the outer fixed point stops once its gap, each dof divided by min(eps, 1), is below OUTER_TOL (1 + max |q|)
 OUTER_TOL = 1e-10
 MAX_OUTER_ROUNDS = 100
 
@@ -410,7 +419,10 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     last two outer gaps, capped at 1 (rho = 0 until two gaps exist): the
     right-hand sides of successive rounds converge together, so the last
     solutions predict the next one (Fischer, Comput. Methods Appl. Mech.
-    Engrg. 163, 1998).  The projected F.q makes the divergence of the
+    Engrg. 163, 1998).  The loop stops on the gap divided by min(eps, 1)
+    per dof, the size of its error in the E equation, which divides the
+    trace load by eps; the extrapolation, the damping and the inner stop
+    read the plain gap.  The projected F.q makes the divergence of the
     solution vanish whatever the penalty; a divergence above 1e-8 raises
     NumericalError.
     """
@@ -432,15 +444,17 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     # is the first) and the extrapolation factor of the next start
     t_last = t_prev = q
     rho = 0.0
+    eps_floor = np.minimum(ops.eps_q, 1.0)
     while True:
         start = t_last + rho * (t_last - t_prev)
         q_next, its = core.solve(
             rhs - _load_off_core(ops, law, b, q, tail), start, INNER_GAP_SHARE * step
         )
         core_its += its
-        gap = float(np.max(np.abs(q_next - q)))
+        change = np.abs(q_next - q)
+        gap = float(np.max(change))
         scale = 1.0 + float(np.max(np.abs(q_next)))
-        if gap <= OUTER_TOL * scale:
+        if float(np.max(change / eps_floor)) <= OUTER_TOL * scale:
             q = q_next
             break
         if gap > prev_gap:
@@ -455,7 +469,7 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
                 f"resolvent outer iteration failed: gap {gap:.3e} after {MAX_OUTER_ROUNDS} rounds"
             )
     # the residual phase needs none of the core, its right-hand side or the iterates
-    del core, rhs, start, q_next, t_last, t_prev
+    del core, rhs, start, q_next, t_last, t_prev, change, eps_floor
     div_norm = float(np.max(np.abs(ops.div_eps @ q)))
     if div_norm > 1e-8:
         raise NumericalError(f"resolvent solution not divergence-free: |div(eps E)| = {div_norm:.3e}")

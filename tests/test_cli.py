@@ -1449,6 +1449,21 @@ def test_resolvent_on_the_saturating_table_converges(tmp_path):
     assert float(report["residual"]) <= 1e-8
 
 
+def test_resolvent_converges_on_strong_material_contrast(tmp_path):
+    # eps = exp(k x) on the 16^3 lab config spans e^4 and e^10: the core divides
+    # each node's penalty weight by its eps^2, and the outer loop stops on the
+    # gap in units of the E equation, so both pass the unchanged 1e-8 gate
+    lab16 = LAB6.replace("nx = 6\nny = 6\nnz = 6", "nx = 16\nny = 16\nnz = 16")
+    for k in (-4.0, -10.0):
+        cfg = lab16 + f"\n[materials]\neps_kind = exponential_isotropic\neps_k = {k}\n"
+        path, outdir = write_cfg(tmp_path, cfg, outdir=tmp_path / f"k{k}")
+        assert main(["resolvent", str(path), "--b", "2.0", "--m", "16", "--seed", "0"]) == 0, k
+        report = dict(
+            line.split(" = ") for line in (outdir / "resolvent_report.txt").read_text().splitlines()
+        )
+        assert float(report["residual"]) <= 1e-8, k
+
+
 def test_resolvent_rejects_a_table_off_the_origin(tmp_path, capsys):
     table = tmp_path / "g.txt"
     table.write_text("0.5 0.5\n1 1\n4 4\n")

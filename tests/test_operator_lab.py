@@ -593,10 +593,12 @@ def four_term_core(ops, law, b):
     bdry_diag = np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
     n = ops.layout.n_q
     idx = ops.layout.trace_view(np.arange(n)).ravel()
+    # each node's penalty weight over its eps^2, the squared row norms of div_eps over div_plain
+    eps_node2 = ops.div_eps.power(2).sum(axis=1).A1 / ops.div_plain.power(2).sum(axis=1).A1
     return sp.csr_matrix(
         b * b * sp.diags(ops.Wq_eps)
         + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
-        + DIV_PENALTY * ops.node_weight * (ops.div_eps.T @ ops.div_eps)
+        + ops.div_eps.T @ sp.diags(DIV_PENALTY * ops.node_weight / eps_node2) @ ops.div_eps
         + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
     )
 
