@@ -46,10 +46,6 @@ class TensorField:
         eig = np.linalg.eigvalsh(values.reshape(-1, 3, 3))
         return cls(values, diagonal, float(eig.min()), float(eig.max()))
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.values.shape[:3]
-
     def diag(self) -> np.ndarray:
         """(nx, ny, nz, 3) diagonal entries."""
         return self.values[..., range(3), range(3)]

@@ -37,6 +37,7 @@ from .materials import (
 )
 from .operators import (
     EDGE_COMPS,
+    FieldLayout,
     Operators,
     build_operators,
     full_tensor_inverses,
@@ -393,8 +394,8 @@ def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     return project_div_free(q, ops) if spec.projected else q
 
 
-def _load_field_file(path) -> np.ndarray:
-    """Whitespace-separated numbers with `#` comments, in file order; each must be finite."""
+def load_start_file(path, n_q: int) -> np.ndarray:
+    """The start q of an initial field file: n_q whitespace-separated finite numbers, `#` comments."""
     vals = []
     for ln, line in enumerate(read_input(path, "initial field file").splitlines(), start=1):
         for part in line.split("#", 1)[0].split():
@@ -405,18 +406,17 @@ def _load_field_file(path) -> np.ndarray:
             if not math.isfinite(value):
                 raise ConfigError(f"{path}:{ln}: expected a finite number, got {part!r}")
             vals.append(value)
-    return np.array(vals)
+    q = np.array(vals)
+    if q.shape != (n_q,):
+        raise ConfigError(f"initial field file holds {q.shape}, expected ({n_q},)")
+    return q
 
 
 def initial_state_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
+    """The start q of an `off` or `gaussian_pulse` preset; `check_run` reads a start file."""
     if spec.preset == "off":
         return np.zeros(ops.layout.n_q)
-    if spec.preset == "gaussian_pulse":
-        return gaussian_pulse_q(ops, spec)
-    q = _load_field_file(spec.path)
-    if q.shape != (ops.layout.n_q,):
-        raise ConfigError(f"initial field file holds {q.shape}, expected ({ops.layout.n_q},)")
-    return q
+    return gaussian_pulse_q(ops, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ class RunSetup:
     mu: TensorField
     report: MaterialReport
     ops: Operators | None = None
-    q0: np.ndarray | None = None  # the start, read-only; `run` builds it after the delay weight's checks
+    q0: np.ndarray | None = None  # the start, read-only: `check_run` reads a start file, `run` builds a preset
 
     def operators(self) -> Operators:
         if self.ops is None:
@@ -600,13 +600,16 @@ def run_setup(scenario: Scenario) -> RunSetup:
     return setup
 
 
-def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int, float, analysis.DissipationConstants | None]:
-    """The set-up, dt, delay slots, step count, delay weight and its constants of `scenario`.
+def check_run(
+    scenario: Scenario,
+) -> tuple[RunSetup, float, int, int, float, analysis.DissipationConstants | None, DelayRing | None]:
+    """The set-up, dt, delay slots, step count, delay weight, its constants and the history file's ring.
 
     Every refusal before assembly, in order: the assumption gate (unless the
     run is unsafe), a delay slot and the ring bound (`compute_dt`), MAX_STEPS,
     the box's cells (`BoxDomain.check_cells`), an admissible weight
-    (`analysis.delay_weight`) and a diagonal eps for a projected start.
+    (`analysis.delay_weight`), a diagonal eps for a projected start, the
+    start file (into `setup.q0`) and the history file (the ring, else None).
     `sweep` checks every row here before the first row runs.
     """
     setup = run_setup(scenario)
@@ -623,7 +626,12 @@ def check_run(scenario: Scenario) -> tuple[RunSetup, float, int, int, float, ana
     xi, diss = analysis.delay_weight(scenario.law, scenario.analysis.xi)
     if scenario.initial.projected and not setup.eps.diagonal_only:
         raise ConfigError("divergence projection requires diagonal material tensors")
-    return setup, dt, n_slots, int(steps), xi, diss
+    if scenario.initial.preset == "file" and setup.q0 is None:
+        setup.q0 = load_start_file(scenario.initial.path, FieldLayout(setup.grid).n_q)
+        setup.q0.flags.writeable = False
+    history = scenario.history
+    ring = load_history_csv(history.path, n_slots, setup.grid.samples) if history.kind == "file" else None
+    return setup, dt, n_slots, int(steps), xi, diss, ring
 
 
 def run(scenario: Scenario) -> RunOutput:
@@ -634,7 +642,7 @@ def run(scenario: Scenario) -> RunOutput:
     same bytes as one in a fresh process.  Refuses, before the operators,
     what `check_run` refuses.
     """
-    setup, dt, n_slots, n_steps, xi, diss = check_run(scenario)
+    setup, dt, n_slots, n_steps, xi, diss, ring = check_run(scenario)
     law, grid = scenario.law, setup.grid
     ops = setup.operators()
 
@@ -646,11 +654,8 @@ def run(scenario: Scenario) -> RunOutput:
     state = stepper.bootstrap(q0)
 
     s = grid.samples
-    if scenario.history.kind == "file":
-        ring = load_history_csv(scenario.history.path, n_slots, s)
-    else:
-        q0_trace = ops.layout.trace_view(q0)
-        ring = init_history(scenario.history.kind, n_slots, s.count, initial_trace=q0_trace)
+    if ring is None:
+        ring = init_history(scenario.history.kind, n_slots, s.count, initial_trace=ops.layout.trace_view(q0))
 
     rows = []
 

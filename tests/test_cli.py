@@ -824,6 +824,26 @@ def test_a_full_tensor_sweep_with_a_projected_start_exits_two_before_any_row_dir
     assert not list(outdir.iterdir())
 
 
+@pytest.mark.parametrize(
+    "kind, what", [("start", "initial field file"), ("history", "history file")], ids=["start", "history"]
+)
+def test_a_sweep_with_a_missing_input_file_exits_two_before_any_row_directory(
+    tmp_path, capsys, monkeypatch, kind, what
+):
+    # check_run reads the start and history files, so the sweep's check of
+    # every row refuses an unreadable one before assembly and any row directory
+    _no_operators(monkeypatch)
+    missing = tmp_path / "missing.csv"
+    cfg = {
+        "start": BOX6.replace("preset = gaussian_pulse", f"preset = file\nfile = {missing}"),
+        "history": BOX6 + f"\n[history]\nkind = file\nfile = {missing}\n",
+    }[kind]
+    path, outdir = write_cfg(tmp_path, cfg)
+    assert main(["sweep", str(path), "--param", "feedback.gamma2", "--values", "0.25,0.5"]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot read {what} {missing}: ")
+    assert not list(outdir.iterdir())
+
+
 @pytest.mark.parametrize("command", ["operator", "resolvent"])
 def test_the_lab_refuses_a_full_tensor_before_assembly(tmp_path, capsys, monkeypatch, command):
     _no_operators(monkeypatch)
