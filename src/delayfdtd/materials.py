@@ -213,6 +213,7 @@ def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialRep
     worst_cell, worst_name = None, None
     for name, t in (("eps", eps), ("mu", mu)):
         der = _directional_derivative(t.values, m.at_cells, grid.spacings)
+        # the derivative of a diagonal tensor is diagonal
         local = _min_generalized_eig(t.values + der, t.values, t.diagonal_only)
         cell = np.unravel_index(np.argmin(local), local.shape)
         if local[cell] < d1:

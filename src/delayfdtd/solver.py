@@ -394,7 +394,7 @@ def gaussian_pulse_q(ops: Operators, spec: InitialSpec) -> np.ndarray:
     return project_div_free(q, ops) if spec.projected else q
 
 
-def load_start_file(path, n_q: int) -> np.ndarray:
+def _load_start_file(path, n_q: int) -> np.ndarray:
     """The start q of an initial field file: n_q whitespace-separated finite numbers, `#` comments."""
     vals = []
     for ln, line in enumerate(read_input(path, "initial field file").splitlines(), start=1):
@@ -627,7 +627,7 @@ def check_run(
     if scenario.initial.projected and not setup.eps.diagonal_only:
         raise ConfigError("divergence projection requires diagonal material tensors")
     if scenario.initial.preset == "file" and setup.q0 is None:
-        setup.q0 = load_start_file(scenario.initial.path, FieldLayout(setup.grid).n_q)
+        setup.q0 = _load_start_file(scenario.initial.path, FieldLayout(setup.grid).n_q)
         setup.q0.flags.writeable = False
     history = scenario.history
     ring = load_history_csv(history.path, n_slots, setup.grid.samples) if history.kind == "file" else None
