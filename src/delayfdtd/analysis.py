@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelayRing
-from .errors import AssumptionError, ConfigError, ContractError
+from .errors import AssumptionError, ConfigError, NumericalError
 from .feedback import FeedbackLaw, boundary_drive, constants
 from .materials import MaterialReport
 from .operators import Operators
@@ -99,12 +99,12 @@ class EnergyTrace:
         cols = (self.t, self.E_weighted, self.E_plain, self.E_xi, self.D, self.flux)
         for name, c in zip(CSV_HEADER.split(","), cols):
             if not np.all(np.isfinite(c)):
-                raise ContractError(f"non-finite entries in energy column {name}")
+                raise NumericalError(f"non-finite entries in energy column {name}")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
-            raise ContractError("record times must be strictly increasing")
+            raise NumericalError("record times must be strictly increasing")
         for name in ("E_weighted", "E_plain", "E_xi", "D"):
             if np.any(getattr(self, name) < 0):
-                raise ContractError(f"negative entries in energy column {name}")
+                raise NumericalError(f"negative entries in energy column {name}")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -131,7 +131,7 @@ class EnergyTrace:
             raise ConfigError("energy CSV holds no records")
         try:
             return cls(*np.array(rows).T)
-        except ContractError as exc:  # a malformed file, not a program fault
+        except NumericalError as exc:  # a malformed file, not a program fault
             raise ConfigError(f"energy CSV: {exc}") from None
 
 
@@ -247,8 +247,6 @@ def lemma31_check(
     inequality holds strictly, and the bound passes when both are >= -_ATOL.
     """
     t, E, D = trace.t, trace.E_xi, trace.D
-    if len(t) < 2:
-        raise ContractError("need at least two records")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
     R = E + (k.c1E / slack) * cum
     Q = E + (k.c2E * slack) * cum
@@ -299,12 +297,10 @@ def observability_constants(
     the float range (delta = 0, or c or c_T not finite) raise
     AssumptionError: the estimate does not apply in floating point.
     """
-    if d1 is None or beta is None or d1 <= 0 or beta <= 0:
+    if d1 <= 0 or beta <= 0:
         raise AssumptionError(
             f"observability hypotheses fail: need d1 > 0 and beta > 0 (d1={d1}, beta={beta})"
         )
-    if alpha <= 0:
-        raise AssumptionError(f"observability hypotheses fail: alpha = {alpha} <= 0")
     lmax = max(lambda_max_eps, lambda_max_mu)
     try:  # a Python float's ** raises on overflow, a numpy scalar's gives inf; / 0 raises or gives inf
         with np.errstate(all="ignore"):
@@ -346,8 +342,6 @@ def lemma32_check(
     T = trace.t[-1] if T is None else float(T)
     mask = trace.t <= T + _window_tol(T)
     t, E = trace.t[mask], trace.E_xi[mask]
-    if len(t) < 2:
-        raise ContractError("trace does not span the requested window")
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = float(np.trapezoid(E, t))
         rhs = oc.c * (E[0] + E[-1]) + oc.c_T * float(np.trapezoid(trace.D[mask], t))
@@ -374,9 +368,9 @@ def fit_decay(trace: EnergyTrace, window: tuple[float, float]) -> tuple[float, f
     mask = (trace.t >= t_a) & (trace.t <= t_b)
     t, e = trace.t[mask], trace.E_xi[mask]
     if len(t) < 2:
-        raise ContractError(f"fit window [{t_a}, {t_b}] holds fewer than two records")
+        raise NumericalError(f"fit window [{t_a}, {t_b}] holds fewer than two records")
     if np.any(e <= 0):
-        raise ContractError("fit window rejected: nonpositive energy inside it")
+        raise NumericalError("fit window rejected: nonpositive energy inside it")
     y = np.log(e)
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
@@ -408,10 +402,6 @@ def appendix_analyze(
     hypotheses are `lemma31_check` and `lemma32_check`; `certify` reads
     their verdicts, so `passed` is the conclusion alone.
     """
-    if T <= 4 * c:
-        raise ContractError(
-            f"certificate needs T > 4c (T = {T:.6g}, 4c = {4 * c:.6g}); extend the run"
-        )
     c_tilde = (c_T + c * c2E) / c1E
     gamma = c_tilde / (c_tilde + T / 2.0)
     lam = -np.log(gamma) / T
@@ -482,7 +472,7 @@ def certify(
         try:
             lam, pref, r2 = fit_decay(trace, (trace.t[-1] / 3.0, trace.t[-1]))
             block.update(lambda_hat=lam, fit_prefactor=pref, fit_r2=r2)
-        except ContractError as exc:
+        except NumericalError as exc:
             block["fit"] = f"skipped ({exc})"
     block["classification"] = _classify(trace, lam)
 
@@ -547,8 +537,6 @@ def dissipation_residual(trace: EnergyTrace) -> float:
     Compares E_xi(t2) - E_xi(t1) with -int flux dt (trapezoid) over
     consecutive record pairs, normalized by E_xi(0).
     """
-    if len(trace.t) < 2:
-        raise ContractError("need at least two records")
     dE = np.diff(trace.E_xi)
     work = 0.5 * (trace.flux[1:] + trace.flux[:-1]) * np.diff(trace.t)
     scale = max(trace.E_xi[0], 1e-300)

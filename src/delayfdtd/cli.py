@@ -20,9 +20,7 @@ import numpy as np
 
 from . import analysis, delay
 from .config import SCHEMA, Config, _parse_value, echo_config, parse_config, scenario_from_config
-from .errors import (
-    AssumptionError, CertificateError, ConfigError, ContractError, NumericalError, read_input,
-)
+from .errors import AssumptionError, CertificateError, ConfigError, NumericalError, read_input
 from .feedback import constants
 from .solver import RunOutput, check_run, require_assumptions, run as run_scenario, run_setup
 
@@ -262,7 +260,7 @@ def cmd_resolvent(args) -> int:
     sc, ops = _lab_setup(cfg)
     F = operator_lab.random_forcing(ops, args.m, np.random.default_rng(args.seed))
     result = operator_lab.resolvent_solve(F, args.b, ops, sc.law)
-    lines = [f"residual = {result.residual:.6e}", f"outer_iterations = {result.outer_iterations}", f"penalty = {result.penalty:.17g}"]
+    lines = [f"residual = {result.residual:.6e}", f"outer_iterations = {result.outer_iterations}"]
     lines += [f"residual_{k} = {v:.6e}" for k, v in result.residual_parts.items()]
     lines.append(f"core_cg_iterations = {result.core_cg_iterations}")
     text = "\n".join(lines) + "\n"
@@ -350,7 +348,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 5
-    except (NumericalError, ContractError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # keep the exit-code contract exhaustive

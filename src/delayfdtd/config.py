@@ -84,8 +84,6 @@ class Config:
         return self.data[section][key]
 
     def set(self, section: str, key: str, value):
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown parameter path {section}.{key}")
         self.data[section][key] = value
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import TANGENT_TOL, SampleSet
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .feedback import norm2
 
 # Cells of the s-grid in the operator lab, which has no step to fix N: the
@@ -40,8 +40,6 @@ class DelayRing:
     """
 
     def __init__(self, n_slots: int, n_samples: int):
-        if n_slots < 1:
-            raise ConfigError(f"history depth must be >= 1, got {n_slots}")
         self.N = int(n_slots)
         self.n_samples = int(n_samples)
         self._buf = np.zeros((self.N + 1, self.n_samples, 2))
@@ -53,8 +51,6 @@ class DelayRing:
 
     def slot(self, j: int) -> np.ndarray:
         """Logical slot j (s_j = j/N) as (n_samples, 2); 0 is the most recent push."""
-        if not (0 <= j <= self.N):
-            raise ContractError(f"slot index {j} outside 0..{self.N}")
         return self._buf[(self._cursor + j) % (self.N + 1)]
 
     def slots(self) -> np.ndarray:
@@ -63,8 +59,6 @@ class DelayRing:
 
     def slot_norm2(self, j: int) -> np.ndarray:
         """|Z|^2 per sample at logical slot j, from the cache."""
-        if not (0 <= j <= self.N):
-            raise ContractError(f"slot index {j} outside 0..{self.N}")
         return self._z2[(self._cursor + j) % (self.N + 1)]
 
     # -- construction -------------------------------------------------------
@@ -116,8 +110,6 @@ def init_history(kind: str, n_slots: int, n_samples: int, *, initial_trace=None)
     """
     ring = DelayRing(n_slots, n_samples)
     if kind == "replay":
-        if initial_trace is None:
-            raise ConfigError("replay history needs the initial trace")
         ring.fill(initial_trace)
     return ring
 

@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
-Each class maps to one CLI exit code so that every termination path is
-classifiable: configuration errors (2), violated modelling assumptions (3),
-numerical failures and contract errors (4), and certificate failures under
---assert (5).  The handlers of `cli.main` are the table that maps them.
+Each class maps to exactly one CLI exit code, and each of those codes to
+one class: configuration errors (2), violated modelling assumptions (3),
+numerical failures (4), and certificate failures under --assert (5).  The
+handlers of `cli.main` are the table that maps them; any other exception
+is a fault of the program and also exits 4, marked "unexpected".
 """
 
 from pathlib import Path
@@ -23,10 +24,6 @@ class NumericalError(RuntimeError):
 
 class CertificateError(RuntimeError):
     """An asserted inequality check failed."""
-
-
-class ContractError(ValueError):
-    """A caller violated an operation precondition (programming error)."""
 
 
 def read_input(path, what: str) -> str:

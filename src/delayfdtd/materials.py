@@ -212,9 +212,13 @@ def full_report(eps: TensorField, mu: TensorField, grid: YeeGrid) -> MaterialRep
     d1 = np.inf
     worst_cell, worst_name = None, None
     for name, t in (("eps", eps), ("mu", mu)):
-        der = _directional_derivative(t.values, m.at_cells, grid.spacings)
+        # d1 does not depend on the scale: an exact even power of two takes the largest entry
+        # below 1, so no derivative overflows, and the Cholesky factor scales exactly
+        k = np.frexp(np.max(np.abs(t.values)))[1]
+        values = np.ldexp(t.values, -(k + k % 2))
+        der = _directional_derivative(values, m.at_cells, grid.spacings)
         # the derivative of a diagonal tensor is diagonal
-        local = _min_generalized_eig(t.values + der, t.values, t.diagonal_only)
+        local = _min_generalized_eig(values + der, values, t.diagonal_only)
         cell = np.unravel_index(np.argmin(local), local.shape)
         if local[cell] < d1:
             d1 = float(local[cell])

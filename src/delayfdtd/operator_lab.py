@@ -275,7 +275,6 @@ class ResolventResult:
     residual: float
     residual_parts: dict
     outer_iterations: int
-    penalty: float
     core_cg_iterations: int  # summed over every CoreCG solve
 
 
@@ -330,10 +329,6 @@ def _load_off_core(
     return out
 
 
-# the weight of the divergence penalty in the core, reported as `penalty`
-DIV_PENALTY = 1.0
-
-
 def _row_squares(a: sp.csr_matrix) -> np.ndarray:
     """Sum of the squared entries of each row of `a`."""
     return np.asarray(a.multiply(a).sum(axis=1)).ravel()
@@ -357,7 +352,7 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
     K = sp.vstack([ops.C, ops.div_eps], format="csr")
     Kt = K.T.tocsr()
     eps_node2 = _row_squares(ops.div_eps) / _row_squares(ops.div_plain)
-    w = np.concatenate([ops.Wf / ops.mu_f, DIV_PENALTY * ops.node_weight / eps_node2])
+    w = np.concatenate([ops.Wf / ops.mu_f, ops.node_weight / eps_node2])
     # the weights go on the left factor: each curl term rounds as (C_ij w_i) C_ik
     Kt.data *= w[Kt.indices]
     del w
@@ -475,8 +470,7 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
         raise NumericalError(f"resolvent solution not divergence-free: |div(eps E)| = {div_norm:.3e}")
 
     h = (F.h - (ops.C @ q) / ops.mu_f) / b
-    w = ops.layout.trace_view(q)
-    Z = _z_from_formula(w, F.Z, tau, b)
+    Z = _z_from_formula(ops.layout.trace_view(q), F.Z, tau, b)
     V = ExtState(q=q, h=h, Z=Z)
 
     Aq, Ah = _field_image(V, ops, law)
@@ -499,14 +493,12 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
         "E": float(np.max(np.abs(r_E))) / scale,
         "H": float(np.max(np.abs(r_H))) / scale,
         "Z_transport": float(np.max(np.abs(r_Z))) / scale,
-        "Z_slot0": float(np.max(np.abs(Z[:, 0] - w))) / scale,
         "div": div_norm,
     }
     return ResolventResult(
         V=V,
-        residual=max(parts["E"], parts["H"], parts["Z_transport"], parts["Z_slot0"]),
+        residual=max(parts["E"], parts["H"], parts["Z_transport"]),
         residual_parts=parts,
         outer_iterations=outer,
-        penalty=DIV_PENALTY,
         core_cg_iterations=core_its,
     )

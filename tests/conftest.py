@@ -4,7 +4,7 @@ import pytest
 from delayfdtd.analysis import _dot
 from delayfdtd.delay import DelayRing
 from delayfdtd.domain import TANGENT_TOL, BoxDomain, build_grid
-from delayfdtd.errors import ContractError, NumericalError
+from delayfdtd.errors import NumericalError
 from delayfdtd.feedback import BOUNDARY_MAX_ITER, FeedbackLaw, boundary_drive, eval_g
 from delayfdtd.materials import constant_isotropic
 from delayfdtd.operator_lab import _load_off_core, resolvent_core
@@ -89,11 +89,11 @@ def to_components(samples, vectors):
 
 
 def check_tangential(what, v, normals):
-    """Raise ContractError unless |v . nu| <= TANGENT_TOL (1 + |v|) everywhere."""
+    """Raise AssertionError unless |v . nu| <= TANGENT_TOL (1 + |v|) everywhere."""
     dots = np.abs(np.einsum("...i,...i->...", v, normals))
     scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", v, v))
     if np.any(dots > TANGENT_TOL * scale):
-        raise ContractError(f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}")
+        raise AssertionError(f"{what} is not tangential: max |v.nu| = {float(np.max(dots)):.3e}")
 
 
 def required_H_trace(law, w_now, w_delayed, nu):

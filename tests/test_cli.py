@@ -398,8 +398,8 @@ def test_resolvent_report_counts_every_core_cg_iteration(tmp_path, monkeypatch):
     assert main(["resolvent", str(path), "--b", "2.0", "--m", "8"]) == 0
     lines = (outdir / "resolvent_report.txt").read_text().splitlines()
     assert [line.split(" = ")[0] for line in lines] == [
-        "residual", "outer_iterations", "penalty", "residual_E", "residual_H",
-        "residual_Z_transport", "residual_Z_slot0", "residual_div", "core_cg_iterations",
+        "residual", "outer_iterations", "residual_E", "residual_H",
+        "residual_Z_transport", "residual_div", "core_cg_iterations",
     ]
     assert len(counts) > 2
     assert lines[-1] == f"core_cg_iterations = {sum(counts)}"
@@ -711,6 +711,21 @@ def test_a_delay_of_no_slot_exits_two_before_the_operators(tmp_path, capsys, mon
         f"configuration error: delay tau = {tau} rounds to 0 delay slots at the stable step {stable_step}: "
         "tau must exceed 1e-12 stable steps\n"
     )
+    assert not (outdir / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["5e307", "1e308"])
+def test_material_entries_near_the_float_limit_raise_no_warning(tmp_path, capsys, value):
+    # the d1 scan scales each tensor below 1, so its derivative cannot overflow
+    path, outdir = write_cfg(tmp_path, BASE6.replace("[run]", f"[materials]\neps_value = {value}\n\n[run]"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [main([command, str(path)]) for command in ("check", "run")]
+    assert (codes, caught) == ([0, 2], [])
+    assert "check.growth_bound = pass (d1 = 1, worst cell (0, 0, 0) of eps)\n" in (
+        outdir / "material_report.txt"
+    ).read_text()
+    assert "rounds to 0 delay slots" in capsys.readouterr().err
     assert not (outdir / "energy.csv").exists()
 
 
@@ -1040,6 +1055,26 @@ def test_energy_csv_independent_of_blas_threads(tmp_path):
         )
         outputs.append((outdir / "energy.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_each_exception_class_has_its_own_exit_code(capsys, monkeypatch):
+    from delayfdtd import errors
+
+    classes = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
+    table = {
+        errors.ConfigError: (2, "configuration error"),
+        errors.AssumptionError: (3, "assumption violated"),
+        errors.NumericalError: (4, "numerical failure"),
+        errors.CertificateError: (5, "certificate failure"),
+    }
+    assert set(classes) == set(table)
+    for cls, (code, prefix) in table.items():
+        def fail(args, cls=cls):
+            raise cls("why")
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert main(["check", "run.cfg"]) == code
+        assert capsys.readouterr().err == f"{prefix}: why\n"
 
 
 @pytest.mark.parametrize("how", ["plain", "flag", "env"])

@@ -577,7 +577,6 @@ def test_banded_resolvent_keeps_outer_rounds(box, law, b, seed, outer, request):
     ops = request.getfixturevalue(box)
     res = resolvent_solve(random_F(ops, 16, seed=seed), b, ops, law)
     assert res.outer_iterations == outer
-    assert res.penalty == 1.0
     assert res.residual <= 1e-8
     assert max(res.residual_parts.values()) <= 1e-8
 
@@ -588,7 +587,7 @@ def four_term_core(ops, law, b):
     """The core as the sum of its four terms, each a sparse matrix, returned as CSR."""
     import scipy.sparse as sp
 
-    from delayfdtd.operator_lab import DIV_PENALTY, _core_slope
+    from delayfdtd.operator_lab import _core_slope
 
     bdry_diag = np.repeat(b * ops.grid.samples.areas * _core_slope(law, b), 2)
     n = ops.layout.n_q
@@ -598,7 +597,7 @@ def four_term_core(ops, law, b):
     return sp.csr_matrix(
         b * b * sp.diags(ops.Wq_eps)
         + ops.C.T @ sp.diags(ops.Wf / ops.mu_f) @ ops.C
-        + ops.div_eps.T @ sp.diags(DIV_PENALTY * ops.node_weight / eps_node2) @ ops.div_eps
+        + ops.div_eps.T @ sp.diags(ops.node_weight / eps_node2) @ ops.div_eps
         + sp.csr_matrix((bdry_diag, (idx, idx)), shape=(n, n))
     )
 
