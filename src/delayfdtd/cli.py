@@ -210,6 +210,14 @@ def _lab_setup(cfg: Config):
     sc.domain.check_cells()
     if not (setup.eps.diagonal_only and setup.mu.diagonal_only):
         raise ConfigError("the operator lab requires diagonal material tensors")
+    # the assembly forms div(eps E), entries eps/d, and the resolvent core sums
+    # the squares of a row's six entries (operator_lab._row_squares)
+    lam, d = setup.eps.lambda_max_global, min(sc.domain.spacings)
+    if not 6.0 * (lam / d) * (lam / d) < np.inf:
+        raise ConfigError(
+            f"eps = {lam:.6g} over the cell spacing {d:.6g} leaves the float range in the operator "
+            f"lab, which sums six squares (eps/d)^2 per node (eps_kind = {sc.eps.kind})"
+        )
     return sc, setup.operators()
 
 

@@ -30,7 +30,7 @@ from . import solver
 from .analysis import _dot
 from .delay import LAB_S_CELLS
 from .errors import ConfigError, NumericalError
-from .feedback import FeedbackLaw, boundary_drive, constants
+from .feedback import FeedbackLaw, boundary_drive, constants, norm2
 from .operators import Operators
 
 
@@ -305,7 +305,7 @@ def _core_slope(law: FeedbackLaw, b: float) -> float:
 
     That part is the load of the linear part c1 v of g at tail = 0, c1 the
     law's monotonicity modulus, so the rest g(v) - c1 v is still monotone;
-    the outer iteration of `resolvent_solve` carries it.
+    the Newton rounds of `resolvent_solve` carry it.
     """
     return constants(law).c1 * (law.gamma1 + law.gamma2 * float(np.exp(-law.tau * b)))
 
@@ -329,6 +329,42 @@ def _load_off_core(
     return out
 
 
+def _slope_excess(law: FeedbackLaw, v: np.ndarray, c1: float) -> np.ndarray:
+    """Dg(v) - c1 I per sample, as (S, 2, 2) blocks.
+
+    A radial law g(v) = G(|v|) v / |v| has the Jacobian
+    Dg(v) = gain I + (G' - gain) u u^T, u = v / |v| and gain = G(|v|) / |v|,
+    with eigenvalues G' (along u) and gain (across it), both at least c1:
+    each block is symmetric positive semidefinite.  At v = 0 it is G'(0) I.
+    """
+    r = np.sqrt(norm2(v))
+    slope = law._radial_slope(r)
+    gain = np.where(r > 0, law._radial_gain(r), slope)
+    u = np.divide(v, r[:, None], out=np.zeros_like(v), where=r[:, None] > 0)
+    blocks = (slope - gain)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    blocks[:, [0, 1], [0, 1]] += (gain - c1)[:, None]
+    return blocks
+
+
+def _newton_blocks(
+    ops: Operators, law: FeedbackLaw, b: float, w: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
+    """The Jacobian of `_load_off_core` on each sample's two trace rows, (S, 2, 2).
+
+    b dA [gamma1 (Dg(w) - c1 I) + gamma2 e^{-tau b} (Dg(z) - c1 I)] at the
+    trace w and the delayed trace z = e^{-tau b} (w + tail): symmetric
+    positive semidefinite, and zero for the linear law, whose load the core
+    holds whole.
+    """
+    c1 = constants(law).c1
+    decay = float(np.exp(-law.tau * b))
+    blocks = law.gamma1 * _slope_excess(law, w, c1)
+    if law.gamma2 != 0.0:
+        blocks += (law.gamma2 * decay) * _slope_excess(law, decay * (w + tail), c1)
+    blocks *= (b * ops.grid.samples.areas)[:, None, None]
+    return blocks
+
+
 def _row_squares(a: sp.csr_matrix) -> np.ndarray:
     """Sum of the squared entries of each row of `a`."""
     return np.asarray(a.multiply(a).sum(axis=1)).ravel()
@@ -338,8 +374,9 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
     """The symmetric positive definite matrix of the curl-curl reduction.
 
     b^2 Wq_eps + C^T (Wf / mu) C, the divergence penalty, and the linear
-    part of the boundary load on the trace dofs; `resolvent_solve` solves
-    with it by CG (`CoreCG`), once per outer round.  The penalty
+    part of the boundary load on the trace dofs; each Newton round of
+    `resolvent_solve` solves with it, plus its per-sample blocks, by CG
+    (`CoreCG`).  The penalty
     div_eps^T div_eps scales as eps^2 where the mass scales as eps, so each
     node's weight is divided by its eps_node^2, the ratio of the squared
     row norms of div_eps and div_plain (exactly 1 where eps = 1): on strong
@@ -369,57 +406,78 @@ def resolvent_core(ops: Operators, law: FeedbackLaw, b: float) -> sp.csr_matrix:
 
 
 CORE_CG_MAX_ITER = 10000
-# An outer round's inner solve stops at this share of the last outer gap.  The
-# outer loop is an inexact Picard iteration, so an inner solve need only be as
-# tight as the step it feeds (the forcing terms of Eisenstat and Walker, SIAM
-# J. Sci. Comput. 17, 1996); 1e-3 already adds outer rounds.
-INNER_GAP_SHARE = 1e-4
-# the outer fixed point stops once its gap, each dof divided by min(eps, 1), is below OUTER_TOL (1 + max |q|)
+# A Newton round's inner solve stops once its residual, in the Jacobi-scaled
+# units of `solver.conjugate_gradients`, is this share of the round's Newton
+# residual: a forcing term (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+# 1996), so each round cuts the error by about this factor, and the last
+# round leaves about this share of the stop tolerance.  At 1e-2 that share
+# was too large for the absolute divergence gate: the 6^3 README physics
+# with eps = 1e4 ended at |div(eps E)| = 2.4e-8.
+NEWTON_FORCING = 1e-3
+# the Newton rounds stop once a step, each dof divided by min(eps, 1), is below OUTER_TOL (1 + max |q|)
 OUTER_TOL = 1e-10
 MAX_OUTER_ROUNDS = 100
 
 
 class CoreCG:
-    """Jacobi-preconditioned CG for a symmetric positive definite sparse matrix.
+    """Jacobi-preconditioned CG for the resolvent core, with optional trace blocks.
 
-    Nothing is factored: it holds the matrix and its inverse diagonal only.
-    Raises NumericalError, naming the matrix, on a non-positive diagonal
-    entry, and as `solver.conjugate_gradients` does.
+    Nothing is factored: it holds the matrix, its diagonal and the
+    `trace_view` of the q layout, which `solve` needs for blocks.  Raises
+    NumericalError, naming the matrix, on a non-positive diagonal entry,
+    and as `solver.conjugate_gradients` does.
     """
 
-    def __init__(self, A: sp.spmatrix, name: str):
+    def __init__(self, A: sp.spmatrix, name: str, trace_view=None):
         self.A, self.name = sp.csr_matrix(A), name
-        diag = self.A.diagonal()
-        if not np.all(diag > 0.0):
-            raise NumericalError(f"{name} is not positive definite: diagonal entry {np.min(diag):.3e}")
-        self._inv_d = 1.0 / diag
+        self._diag = self.A.diagonal()
+        if not np.all(self._diag > 0.0):
+            raise NumericalError(f"{name} is not positive definite: diagonal entry {np.min(self._diag):.3e}")
+        self._inv_d = 1.0 / self._diag
+        self._trace_view = trace_view
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None, atol: float = 0.0) -> tuple[np.ndarray, int]:
-        """(x, iterations) of `solver.conjugate_gradients` on A x = b."""
-        return solver.conjugate_gradients(
-            lambda p: self.A @ p, None, self._inv_d, b, self.name, CORE_CG_MAX_ITER, x0, atol
-        )
+    def solve(
+        self, b: np.ndarray, x0: np.ndarray | None = None, rtol: float = solver.CG_RTOL,
+        blocks: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """(x, iterations) of `solver.conjugate_gradients` on (A + B) x = b.
+
+        B is zero except for `blocks`, symmetric (S, 2, 2) ones on each
+        sample's two trace rows.  They act per sample next to A @ p, and
+        their diagonals join the Jacobi diagonal: no second sparse matrix.
+        """
+        if blocks is None:
+            apply, inv_d = (lambda p: self.A @ p), self._inv_d
+        else:
+            trace = self._trace_view
+            inv_d = self._diag.copy()
+            trace(inv_d)[:] += np.diagonal(blocks, axis1=1, axis2=2)
+            np.reciprocal(inv_d, out=inv_d)
+
+            def apply(p):
+                Ap = self.A @ p
+                trace(Ap)[:] += np.einsum("sij,sj->si", blocks, trace(p))
+                return Ap
+
+        return solver.conjugate_gradients(apply, None, inv_d, b, self.name, CORE_CG_MAX_ITER, x0, rtol)
 
 
 def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> ResolventResult:
     """Solve (b id + A)V = F following the curl-curl reduction.
 
     Eliminates H = (F2 - mu^-1 curl E)/b, writes Z with the integrating
-    factor, and solves the remaining symmetric positive definite system for
-    E with a divergence penalty; `resolvent_core` holds the linear part of
-    the boundary load and a damped outer fixed point carries the rest.  Each
-    outer round solves the core by CG, stopping at INNER_GAP_SHARE of the
-    last outer gap.  Its start extrapolates the undamped inner solutions T of
-    the last two rounds, T_k + rho (T_k - T_{k-1}) with rho the ratio of the
-    last two outer gaps, capped at 1 (rho = 0 until two gaps exist): the
-    right-hand sides of successive rounds converge together, so the last
-    solutions predict the next one (Fischer, Comput. Methods Appl. Mech.
-    Engrg. 163, 1998).  The loop stops on the gap divided by min(eps, 1)
-    per dof, the size of its error in the E equation, which divides the
-    trace load by eps; the extrapolation, the damping and the inner stop
-    read the plain gap.  The projected F.q makes the divergence of the
-    solution vanish whatever the penalty; a divergence above 1e-8 raises
-    NumericalError.
+    factor, and solves the remaining system for E with a divergence
+    penalty: N(q) = core q + `_load_off_core`(q) = rhs, `resolvent_core`
+    holding the linear part of the boundary load.  N is the gradient of a
+    strongly convex function, so inexact Newton rounds from q = 0 solve it
+    (Knoll and Keyes, J. Comput. Phys. 193, 2004).  The Jacobian of a round
+    is the core plus the per-sample `_newton_blocks` on the trace rows,
+    which hold the law's slope G'; one `CoreCG` solve with those blocks
+    gives the step, stopped at NEWTON_FORCING of the round's residual.  The
+    rounds stop on the step divided by min(eps, 1) per dof, the size of its
+    error in the E equation, which divides the trace load by eps.  The
+    projected F.q makes the divergence of the solution vanish whatever the
+    penalty; a divergence above 1e-8 raises NumericalError.
     """
     M = F.Z.shape[1] - 1
     tau = law.tau
@@ -428,43 +486,26 @@ def resolvent_solve(F: ExtState, b: float, ops: Operators, law: FeedbackLaw) -> 
     tail = _z_from_formula(np.zeros_like(F.Z[:, 0]), F.Z, tau, b)[:, -1] / float(np.exp(-tau * b))
     rhs = b * (ops.Wq_eps * F.q) + ops.C.T @ (ops.Wf * F.h)
 
-    core = CoreCG(resolvent_core(ops, law, b), "resolvent core")
-    q, core_its = core.solve(rhs - _load_off_core(ops, law, b, np.zeros(ops.layout.n_q), tail))
-    outer = 1
-    damping = 1.0 if law.kind == "linear" else 0.5
-    prev_gap = np.inf
-    # the last outer gap, which ties the inner stop; max |q| stands in for round 1's
-    step = float(np.max(np.abs(q)))
-    # the undamped inner solutions of the last two rounds (the cold solve
-    # is the first) and the extrapolation factor of the next start
-    t_last = t_prev = q
-    rho = 0.0
+    core = CoreCG(resolvent_core(ops, law, b), "resolvent core", ops.layout.trace_view)
+    q = np.zeros(ops.layout.n_q)
     eps_floor = np.minimum(ops.eps_q, 1.0)
-    while True:
-        start = t_last + rho * (t_last - t_prev)
-        q_next, its = core.solve(
-            rhs - _load_off_core(ops, law, b, q, tail), start, INNER_GAP_SHARE * step
-        )
+    core_its = 0
+    for outer in range(1, MAX_OUTER_ROUNDS + 1):
+        residual = rhs - core.A @ q
+        residual -= _load_off_core(ops, law, b, q, tail)
+        blocks = _newton_blocks(ops, law, b, ops.layout.trace_view(q), tail)
+        step, its = core.solve(residual, rtol=NEWTON_FORCING, blocks=blocks)
         core_its += its
-        change = np.abs(q_next - q)
-        gap = float(np.max(change))
-        scale = 1.0 + float(np.max(np.abs(q_next)))
-        if float(np.max(change / eps_floor)) <= OUTER_TOL * scale:
-            q = q_next
+        q += step
+        gap = float(np.max(np.abs(step) / eps_floor))
+        if gap <= OUTER_TOL * (1.0 + float(np.max(np.abs(q)))):
             break
-        if gap > prev_gap:
-            damping = 0.5
-        rho = min(gap / prev_gap, 1.0)
-        prev_gap = step = gap
-        t_prev, t_last = t_last, q_next
-        q = q + damping * (q_next - q)
-        outer += 1
-        if outer > MAX_OUTER_ROUNDS:
-            raise NumericalError(
-                f"resolvent outer iteration failed: gap {gap:.3e} after {MAX_OUTER_ROUNDS} rounds"
-            )
-    # the residual phase needs none of the core, its right-hand side or the iterates
-    del core, rhs, start, q_next, t_last, t_prev, change, eps_floor
+    else:
+        raise NumericalError(
+            f"resolvent outer iteration failed: gap {gap:.3e} after {MAX_OUTER_ROUNDS} rounds"
+        )
+    # the residual phase needs none of the core, its right-hand side or the rounds' arrays
+    del core, rhs, residual, blocks, step, eps_floor
     div_norm = float(np.max(np.abs(ops.div_eps @ q)))
     if div_norm > 1e-8:
         raise NumericalError(f"resolvent solution not divergence-free: |div(eps E)| = {div_norm:.3e}")

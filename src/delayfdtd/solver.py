@@ -314,7 +314,7 @@ class NodeLaplacian:
 
 def conjugate_gradients(
     apply, precondition, inv_diag: np.ndarray, b: np.ndarray, name: str, max_iter: int,
-    x0: np.ndarray | None = None, atol: float = 0.0,
+    x0: np.ndarray | None = None, rtol: float = CG_RTOL,
 ) -> tuple[np.ndarray, int]:
     """Preconditioned CG for symmetric positive definite A x = b; returns (x, iterations).
 
@@ -322,8 +322,8 @@ def conjugate_gradients(
     scaled in place), and `inv_diag` is 1 / diag(A); `precondition=None`
     means Jacobi, M^-1 r = inv_diag r, which reuses the product the stop test
     forms.  Starts from x0 (default zero) and stops once
-    max |D^-1 (b - A x)| <= max(CG_RTOL max |D^-1 b|, atol), checked at x0
-    first: each dof's residual against its own diagonal, so dofs with small
+    max |D^-1 (b - A x)| <= rtol max |D^-1 b|, checked at x0 first: each
+    dof's residual against its own diagonal, so dofs with small
     coefficients converge as far as the others.  b is divided by its largest
     entry first, so r.z stays finite for any finite b; dot products use
     numpy's pairwise sum, so the result does not depend on the BLAS thread
@@ -336,7 +336,7 @@ def conjugate_gradients(
     if not np.isfinite(bmax):
         raise NumericalError(f"{name}: non-finite right-hand side")
     r = b / bmax
-    stop = max(CG_RTOL * float(np.max(np.abs(inv_diag * r))), atol / bmax)
+    stop = rtol * float(np.max(np.abs(inv_diag * r)))
     x = np.zeros_like(r) if x0 is None else x0 / bmax
     if x0 is not None:
         r -= apply(x)

@@ -729,6 +729,28 @@ def test_material_entries_near_the_float_limit_raise_no_warning(tmp_path, capsys
     assert not (outdir / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["5e307", "1e308"])
+@pytest.mark.parametrize("command", ["operator", "resolvent"])
+def test_the_lab_refuses_material_entries_near_the_float_limit(tmp_path, capsys, monkeypatch, command, value):
+    # the lab's div(eps E) has entries eps/d, whose six squares per node the resolvent core
+    # sums: the gate refuses the overflow before assembly, under -W error too
+    from delayfdtd import solver
+
+    def assembled(*args, **kwargs):
+        raise RuntimeError("the operators were built for an eps out of the float range")
+
+    monkeypatch.setattr(solver, "build_operators", assembled)
+    path, outdir = write_cfg(tmp_path, BASE6.replace("[run]", f"[materials]\neps_value = {value}\n\n[run]"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: eps = {float(value):.6g} over the cell spacing 0.166667 leaves the float "
+        "range in the operator lab, which sums six squares (eps/d)^2 per node (eps_kind = constant_isotropic)\n"
+    )
+    assert not list(outdir.glob("*"))
+
+
 RING_BOUND = (
     ", more than the 155343 that fit a delay ring of 216 boundary samples in 33554432 sample-slots: "
     "lower tau or raise cfl_safety\n"

@@ -19,6 +19,7 @@ from delayfdtd.materials import (
 )
 from delayfdtd.operators import FieldLayout, build_operators, full_tensor_inverses, sample_vector_field
 from delayfdtd.solver import (
+    CG_RTOL,
     MAX_RING_SAMPLE_SLOTS,
     AnalysisOptions,
     EMState,
@@ -570,17 +571,15 @@ def test_dst_preconditioner_inverts_the_constant_laplacian(ops6):
     assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
 
 
-def two_pass_cg(apply, precondition, inv_diag, b, x0=None, atol=0.0):
+def two_pass_cg(apply, precondition, inv_diag, b, x0=None, rtol=CG_RTOL):
     """solver.conjugate_gradients in two-pass form, the reference for its in-place updates.
 
     It forms z, p and alpha A p as new arrays each iteration, and calls
     `precondition` even for a Jacobi preconditioner.
     """
-    from delayfdtd.solver import CG_RTOL
-
     bmax = float(np.max(np.abs(b)))
     r = b / bmax
-    stop = max(CG_RTOL * float(np.max(np.abs(inv_diag * r))), atol / bmax)
+    stop = rtol * float(np.max(np.abs(inv_diag * r)))
     x = np.zeros_like(r) if x0 is None else x0 / bmax
     if x0 is not None:
         r -= apply(x)
@@ -623,8 +622,8 @@ def test_core_cg_is_bit_identical_to_the_two_pass_loop(ops8):
     def jacobi(r):
         return cg._inv_d * r
 
-    for start, atol in ((None, 0.0), (x0, 0.0), (x0, 1e-6)):
-        (x, it), (x_ref, it_ref) = cg.solve(b, start, atol), two_pass_cg(apply, jacobi, cg._inv_d, b, start, atol)
+    for start, rtol in ((None, CG_RTOL), (x0, CG_RTOL), (x0, 1e-6)):
+        (x, it), (x_ref, it_ref) = cg.solve(b, start, rtol), two_pass_cg(apply, jacobi, cg._inv_d, b, start, rtol)
         assert it == it_ref > 0
         assert x.tobytes() == x_ref.tobytes()
 
